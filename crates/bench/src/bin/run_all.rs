@@ -12,9 +12,11 @@
 //! `--jobs` (default: available cores). `--jobs 1` and `--jobs N`
 //! produce byte-identical `results/*.json`. A failed point never
 //! aborts the sequence: the engine finishes everything else, reports
-//! the failed jobs' keys, and exits non-zero. Telemetry (wall time,
-//! sims/sec, simulated cycles/sec, cache hit rate, per-job timings)
-//! lands in `BENCH_parallel_runner.json`.
+//! the failed jobs' keys, and exits non-zero. The run record (wall
+//! time, sims/sec, simulated cycles/sec, cache hit rate, per-job
+//! timings) lands in `telemetry.json` (`$TVP_BENCH_TELEMETRY`
+//! redirects it). Simulator performance is measured by `simbench/`
+//! (see `simbench/README.md`).
 
 fn main() {
     tvp_bench::engine::run_main(&tvp_bench::experiments::all());

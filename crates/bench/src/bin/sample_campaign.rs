@@ -1,11 +1,9 @@
 //! Sampled-simulation campaign driver: run the whole suite sampled in
-//! parallel, validate sampled-vs-full error bounds, or benchmark the
-//! sampling speedup on a long stream.
+//! parallel, or validate sampled-vs-full error bounds.
 //!
 //! ```text
 //! sample_campaign run      [--insts N] [--spec P:W:M] [--jobs N] [--store DIR] [--telemetry FILE]
 //! sample_campaign validate [--insts N] [--spec P:W:M] [--jobs N] [--report FILE]
-//! sample_campaign bench    [--out FILE]
 //! ```
 //!
 //! `run` executes every suite workload under interval sampling on a
@@ -19,10 +17,6 @@
 //! sampled — and holds the headline stats (IPC, branch MPKI, VP MPKI,
 //! SpSR coverage) to the declared error bounds, writing a
 //! machine-readable report and exiting non-zero on any violation.
-//!
-//! `bench` measures the effective simulated-instructions/s of a
-//! 100M-instruction sampled run against the full-detail baseline rate
-//! and records peak-RSS flatness in `BENCH_sampling.json`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -44,8 +38,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sample_campaign run      [--insts N] [--spec P:W:M] [--jobs N] \
          [--store DIR] [--telemetry FILE]\n       \
-         sample_campaign validate [--insts N] [--spec P:W:M] [--jobs N] [--report FILE]\n       \
-         sample_campaign bench    [--out FILE]"
+         sample_campaign validate [--insts N] [--spec P:W:M] [--jobs N] [--report FILE]"
     );
     std::process::exit(2);
 }
@@ -95,7 +88,6 @@ fn main() {
     match mode.as_str() {
         "run" => cmd_run(args),
         "validate" => cmd_validate(args),
-        "bench" => cmd_bench(args),
         _ => usage(),
     }
 }
@@ -318,106 +310,4 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
         std::process::exit(1);
     }
     eprintln!("all {} workloads within bounds", results.len());
-}
-
-/// Peak resident-set size (`VmHWM`) of this process, in kilobytes.
-/// Returns 0 on platforms without `/proc` (the RSS check degrades to a
-/// no-op rather than failing the benchmark).
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-fn cmd_bench(mut args: impl Iterator<Item = String>) {
-    let mut out = "BENCH_sampling.json".to_owned();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
-    let cfg = CoreConfig::default();
-    // stream_triad iterates over fixed arrays, so its architectural
-    // footprint is independent of trace length — exactly the property
-    // the RSS-flatness check needs to isolate the streaming decoder.
-    let workload = tvp_workloads::suite::by_name("stream_triad").expect("suite workload");
-
-    const FULL_INSTS: u64 = 2_000_000;
-    const SHORT_INSTS: u64 = 10_000_000;
-    const LONG_INSTS: u64 = 100_000_000;
-    let spec = SampleSpec::new(1_000_000, 20_000, 20_000).expect("bench spec is valid");
-
-    eprintln!("full-detail reference: {} ({FULL_INSTS} insts)...", workload.name);
-    let t0 = Instant::now();
-    let _ = full_reference(&workload, &cfg, FULL_INSTS);
-    let full_wall = t0.elapsed();
-    #[allow(clippy::cast_precision_loss)]
-    let full_rate = FULL_INSTS as f64 / full_wall.as_secs_f64();
-
-    eprintln!("sampled warm-up run: {SHORT_INSTS} insts, spec {}...", spec.display());
-    let t0 = Instant::now();
-    let short = run_sampled(&workload, &cfg, SHORT_INSTS, spec, SampleRunOptions::default());
-    let short_wall = t0.elapsed();
-    let rss_short_kb = peak_rss_kb();
-
-    eprintln!("sampled long run: {LONG_INSTS} insts, spec {}...", spec.display());
-    let t0 = Instant::now();
-    let long = run_sampled(&workload, &cfg, LONG_INSTS, spec, SampleRunOptions::default());
-    let long_wall = t0.elapsed();
-    let rss_long_kb = peak_rss_kb();
-
-    #[allow(clippy::cast_precision_loss)]
-    let sampled_rate = LONG_INSTS as f64 / long_wall.as_secs_f64();
-    let speedup = sampled_rate / full_rate;
-    // Peak RSS after the 10x-longer stream, relative to the short run.
-    // `VmHWM` is monotonic, so flat decoding shows up as a ratio near
-    // 1.0; a decoder that buffered the whole trace would scale ~10x.
-    #[allow(clippy::cast_precision_loss)]
-    let rss_ratio = if rss_short_kb == 0 { 1.0 } else { rss_long_kb as f64 / rss_short_kb as f64 };
-
-    let est = long.estimate();
-    let report = json::object(&[
-        ("workload", format!("\"{}\"", json::escape(workload.name))),
-        ("spec", format!("\"{}\"", spec.display())),
-        ("full_insts", FULL_INSTS.to_string()),
-        ("full_wall_seconds", json::number(full_wall.as_secs_f64())),
-        ("full_insts_per_sec", json::number(full_rate)),
-        ("sampled_insts", LONG_INSTS.to_string()),
-        ("sampled_wall_seconds", json::number(long_wall.as_secs_f64())),
-        ("sampled_effective_insts_per_sec", json::number(sampled_rate)),
-        ("speedup", json::number(speedup)),
-        ("speedup_target", json::number(10.0)),
-        ("speedup_pass", (speedup >= 10.0).to_string()),
-        ("short_insts", SHORT_INSTS.to_string()),
-        ("short_wall_seconds", json::number(short_wall.as_secs_f64())),
-        ("short_intervals", short.intervals.len().to_string()),
-        ("long_intervals", long.intervals.len().to_string()),
-        ("peak_rss_short_kb", rss_short_kb.to_string()),
-        ("peak_rss_long_kb", rss_long_kb.to_string()),
-        ("peak_rss_ratio", json::number(rss_ratio)),
-        ("rss_flat_pass", (rss_ratio <= 1.5).to_string()),
-        ("sampled_ipc", json::number(est.ipc())),
-        ("run_fingerprint", format!("\"{:016x}\"", long.fingerprint())),
-    ]);
-    if let Err(e) = std::fs::write(&out, &report) {
-        eprintln!("FATAL: cannot write benchmark record {out}: {e}");
-        std::process::exit(2);
-    }
-    println!("{report}");
-    eprintln!(
-        "[bench] full {:.2}M insts/s, sampled effective {:.2}M insts/s, speedup {speedup:.1}x, \
-         peak RSS {rss_short_kb} kB -> {rss_long_kb} kB (ratio {rss_ratio:.2})",
-        full_rate / 1e6,
-        sampled_rate / 1e6,
-    );
-    if speedup < 10.0 || rss_ratio > 1.5 {
-        eprintln!("benchmark targets missed");
-        std::process::exit(1);
-    }
-    eprintln!("benchmark targets met: {out}");
 }

@@ -46,12 +46,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
+use tvp_isa::stream::{fnv1a, fnv1a_fold, FNV1A_OFFSET};
+
 use crate::cache::ResultCache;
 use crate::experiments::{ExpContext, Experiment};
 use crate::jobs::{ExpKey, Job};
 use crate::prepare_suite;
 use crate::runner;
-use crate::store::blob::fnv1a;
 use crate::store::manifest::{self, valid_worker_id};
 use crate::store::{lease, ResultStore, StoreConfig};
 
@@ -74,14 +75,7 @@ pub const MANIFEST_HEADER: &str = "tvp-manifest 1";
 /// telemetry (schema 6) so CI can compare runs without diffing files.
 #[must_use]
 pub fn campaign_fingerprint(digests: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for d in digests {
-        for b in d.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    digests.fold(FNV1A_OFFSET, |h, d| fnv1a_fold(h, &d.to_le_bytes()))
 }
 
 /// The coordinator's durable statement of one campaign: the

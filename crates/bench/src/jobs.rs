@@ -9,6 +9,22 @@
 
 use tvp_core::config::CoreConfig;
 use tvp_core::stats::SimStats;
+use tvp_isa::stream::{fnv1a, fnv1a_fold};
+
+/// FNV-1a over a key's components — the digest of [`ExpKey`] and of
+/// the store's decoded `BlobKey`, which must agree for a blob to sit
+/// under its own content address.
+pub(crate) fn key_digest(
+    workload: &str,
+    insts: u64,
+    chaos_seed: Option<u64>,
+    config_fp: &str,
+) -> u64 {
+    let h = fnv1a(workload.as_bytes());
+    let h = fnv1a_fold(h, &insts.to_le_bytes());
+    let h = fnv1a_fold(h, &chaos_seed.unwrap_or(0).to_le_bytes());
+    fnv1a_fold(h, config_fp.as_bytes())
+}
 
 /// Canonical identity of one simulation point.
 ///
@@ -53,18 +69,7 @@ impl ExpKey {
     /// fingerprint string.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.workload.as_bytes());
-        eat(&self.insts.to_le_bytes());
-        eat(&self.chaos_seed.unwrap_or(0).to_le_bytes());
-        eat(self.config_fp.as_bytes());
-        h
+        key_digest(self.workload, self.insts, self.chaos_seed, &self.config_fp)
     }
 
     /// Compact human-readable form for failure reports and progress

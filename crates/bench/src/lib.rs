@@ -10,8 +10,7 @@
 //! default 300,000 — a scaled-down SimPoint) and write JSON next to
 //! their stdout tables into `results/`.
 
-use tvp_core::config::{CoreConfig, VpMode};
-use tvp_core::pipeline::simulate;
+use tvp_core::config::VpMode;
 use tvp_core::stats::SimStats;
 use tvp_workloads::suite::{suite, Workload};
 use tvp_workloads::trace::Trace;
@@ -25,7 +24,6 @@ mod fingerprint_tests;
 pub mod jobs;
 pub mod runner;
 pub mod sampling;
-pub mod schedbench;
 pub mod store;
 pub mod telemetry;
 
@@ -68,14 +66,6 @@ pub fn env_u64_or_exit(name: &str) -> Option<u64> {
     }
 }
 
-/// Reads the instruction budget from `TVP_INSTS` (falls back to
-/// [`DEFAULT_INSTS`]; exits with code 2 if the variable is set but
-/// malformed).
-#[must_use]
-pub fn inst_budget() -> u64 {
-    env_u64_or_exit("TVP_INSTS").unwrap_or(DEFAULT_INSTS)
-}
-
 /// A workload with its pre-generated trace (traces are deterministic,
 /// so generating once per process keeps experiments comparable and
 /// fast).
@@ -96,18 +86,6 @@ pub fn prepare_suite(insts: u64) -> Vec<PreparedWorkload> {
             PreparedWorkload { workload, trace }
         })
         .collect()
-}
-
-/// Simulates one prepared workload under a VP mode (paper machine).
-pub fn run_vp(p: &PreparedWorkload, vp: VpMode, spsr: bool) -> SimStats {
-    let mut cfg = CoreConfig::with_vp(vp);
-    cfg.spsr = spsr;
-    simulate(cfg, &p.trace)
-}
-
-/// Simulates one prepared workload under an explicit configuration.
-pub fn run_cfg(p: &PreparedWorkload, cfg: CoreConfig) -> SimStats {
-    simulate(cfg, &p.trace)
 }
 
 /// Geometric mean of `new/old` cycle-count speedups, as the paper
@@ -297,65 +275,6 @@ impl StatsRow {
             ("spsr", self.spsr.to_string()),
             ("non_me_move", self.non_me_move.to_string()),
         ])
-    }
-}
-
-/// Writes experiment rows as JSON under `<results-dir>/<name>.json`
-/// (see [`engine::results_dir`]).
-///
-/// # Panics
-///
-/// Panics if the results directory or file cannot be written — the
-/// harness treats an unwritable workspace as a fatal setup error.
-pub fn write_results(name: &str, rows: &[StatsRow]) {
-    let dir = engine::results_dir();
-    std::fs::create_dir_all(&dir).expect("create results directory");
-    let path = format!("{dir}/{name}.json");
-    let rendered: Vec<String> = rows.iter().map(StatsRow::to_json).collect();
-    std::fs::write(&path, json::array(&rendered)).expect("write results file");
-    println!("\n[results written to {path}]");
-}
-
-/// Dependency-free micro-benchmark harness (the offline build has no
-/// `criterion`). Auto-calibrates iteration counts against wall-clock
-/// time and reports ns/iteration; `cargo bench` wires the `benches/`
-/// files straight into it via `harness = false`.
-pub mod microbench {
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    /// Timing state handed to each benchmark closure.
-    pub struct Bencher {
-        ns_per_iter: f64,
-    }
-
-    impl Bencher {
-        /// Calibrates and times `f`, storing the per-iteration cost.
-        pub fn iter<T, F: FnMut() -> T>(&mut self, mut f: F) {
-            // Warm up and find an iteration count that runs ≥ ~50 ms.
-            let mut batch: u64 = 8;
-            loop {
-                let start = Instant::now();
-                for _ in 0..batch {
-                    black_box(f());
-                }
-                let elapsed = start.elapsed();
-                if elapsed.as_millis() >= 50 || batch >= 1 << 28 {
-                    #[allow(clippy::cast_precision_loss)]
-                    let ns = elapsed.as_nanos() as f64 / batch as f64;
-                    self.ns_per_iter = ns;
-                    return;
-                }
-                batch *= 4;
-            }
-        }
-    }
-
-    /// Runs one named benchmark and prints its ns/iteration.
-    pub fn bench_function<F: FnOnce(&mut Bencher)>(name: &str, f: F) {
-        let mut b = Bencher { ns_per_iter: 0.0 };
-        f(&mut b);
-        println!("{name:<40} {:>12.1} ns/iter", b.ns_per_iter);
     }
 }
 

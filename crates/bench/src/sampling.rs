@@ -35,6 +35,7 @@ use std::sync::Mutex;
 use tvp_core::config::CoreConfig;
 use tvp_core::pipeline::Core;
 use tvp_core::stats::SimStats;
+use tvp_isa::stream::{fnv1a, fnv1a_fold, FNV1A_OFFSET};
 use tvp_workloads::stream::{MachineSource, TraceSource};
 use tvp_workloads::suite::Workload;
 use tvp_workloads::trace::Trace;
@@ -146,19 +147,8 @@ impl SampleKey {
     /// tag, and the spec fields).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(b"sampled");
-        eat(&self.exp.digest().to_le_bytes());
-        eat(&self.spec.period.to_le_bytes());
-        eat(&self.spec.warmup.to_le_bytes());
-        eat(&self.spec.measured.to_le_bytes());
-        h
+        let words = [self.exp.digest(), self.spec.period, self.spec.warmup, self.spec.measured];
+        words.iter().fold(fnv1a(b"sampled"), |h, w| fnv1a_fold(h, &w.to_le_bytes()))
     }
 
     /// Human-readable form for reports.
@@ -217,24 +207,21 @@ impl SampledRun {
     /// kill/resume.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut eat = |v: u64| {
-            for &b in &v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for iv in &self.intervals {
-            eat(u64::from(iv.index));
-            eat(iv.start_seq);
-            eat(iv.represented_insts);
-            eat(iv.measured_insts);
-            eat(iv.measured_uops);
-            eat(iv.fingerprint);
-            eat(iv.stats.cycles);
-        }
-        eat(self.total_insts);
-        h
+        self.intervals
+            .iter()
+            .flat_map(|iv| {
+                [
+                    u64::from(iv.index),
+                    iv.start_seq,
+                    iv.represented_insts,
+                    iv.measured_insts,
+                    iv.measured_uops,
+                    iv.fingerprint,
+                    iv.stats.cycles,
+                ]
+            })
+            .chain([self.total_insts])
+            .fold(FNV1A_OFFSET, |h, w| fnv1a_fold(h, &w.to_le_bytes()))
     }
 
     /// Weighted whole-trace reconstruction (see DESIGN.md §15): every
@@ -684,14 +671,7 @@ pub fn run_suite_sampled(
 /// and across kill/resume.
 #[must_use]
 pub fn campaign_fingerprint(runs: &[SampledRun]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for run in runs {
-        for &b in &run.fingerprint().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    runs.iter().fold(FNV1A_OFFSET, |h, run| fnv1a_fold(h, &run.fingerprint().to_le_bytes()))
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@
 //! checksum   u64       FNV-1a over every preceding byte
 //! ```
 
+use tvp_isa::stream::fnv1a;
 use tvp_workloads::machine::{ArchSnapshot, SparseMem, PAGE_BYTES};
 
 use crate::sampling::{IntervalResult, SampleKey, SampleSpec};
@@ -253,7 +254,7 @@ pub fn encode(key: &SampleKey, ckpt: &Checkpoint) -> Vec<u8> {
     blob::push_u32(&mut out, u32::try_from(body.len()).expect("body fits u32"));
     out.extend_from_slice(&key_bytes);
     out.extend_from_slice(&body);
-    let checksum = blob::fnv1a(&out);
+    let checksum = fnv1a(&out);
     blob::push_u64(&mut out, checksum);
     out
 }
@@ -291,7 +292,7 @@ pub fn decode(bytes: &[u8]) -> Result<(CkptKey, Checkpoint), BlobError> {
         .and_then(|b| <[u8; 8]>::try_from(b).ok())
         .map(u64::from_le_bytes)
         .ok_or(BlobError::MalformedPayload)?;
-    let computed = blob::fnv1a(content);
+    let computed = fnv1a(content);
     if stored != computed {
         return Err(BlobError::ChecksumMismatch { stored, computed });
     }
@@ -450,7 +451,7 @@ mod tests {
         let mut bytes = encode(&key, &ckpt);
         bytes[8..12].copy_from_slice(&(CKPT_SCHEMA + 1).to_le_bytes());
         let len = bytes.len();
-        let fixed = blob::fnv1a(&bytes[..len - CHECKSUM_LEN]);
+        let fixed = fnv1a(&bytes[..len - CHECKSUM_LEN]);
         bytes[len - CHECKSUM_LEN..].copy_from_slice(&fixed.to_le_bytes());
         match decode(&bytes) {
             Err(BlobError::SchemaMismatch { found }) => assert_eq!(found, CKPT_SCHEMA + 1),
@@ -476,7 +477,7 @@ mod tests {
         let count_at = HEADER_LEN + key_len + 5 * 8;
         bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let len = bytes.len();
-        let fixed = blob::fnv1a(&bytes[..len - CHECKSUM_LEN]);
+        let fixed = fnv1a(&bytes[..len - CHECKSUM_LEN]);
         bytes[len - CHECKSUM_LEN..].copy_from_slice(&fixed.to_le_bytes());
         assert_eq!(decode(&bytes).expect_err("must not decode"), BlobError::MalformedPayload);
     }
@@ -493,7 +494,7 @@ mod tests {
                 bytes[16..20].copy_from_slice(&body_len.to_le_bytes());
                 let _ = decode(&bytes);
                 let len = bytes.len();
-                let fixed = blob::fnv1a(&bytes[..len - CHECKSUM_LEN]);
+                let fixed = fnv1a(&bytes[..len - CHECKSUM_LEN]);
                 bytes[len - CHECKSUM_LEN..].copy_from_slice(&fixed.to_le_bytes());
                 let _ = decode(&bytes);
             }

@@ -47,7 +47,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use super::blob::fnv1a;
+use tvp_isa::stream::fnv1a;
 
 /// Journal file name inside the store directory.
 pub const JOURNAL_FILE: &str = "journal.log";

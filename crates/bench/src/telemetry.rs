@@ -1,18 +1,20 @@
-//! Runner performance telemetry — the bench trajectory record.
+//! Runner telemetry — the run record of one engine invocation.
 //!
-//! Every `run_all` invocation writes `BENCH_parallel_runner.json` (at
-//! the workspace root, or `$TVP_BENCH_TELEMETRY` when set) describing
-//! how fast the experiment engine itself ran: wall time, simulations
-//! per second, aggregate simulated cycles per second, cache hit rate
-//! and per-job timings. The schema is documented in DESIGN.md §10.
+//! Every `run_all` invocation writes `telemetry.json` (in the working
+//! directory, or `$TVP_BENCH_TELEMETRY` when set) describing the run:
+//! wall time, simulations per second, aggregate simulated cycles per
+//! second, cache hit rate, per-job timings and the campaign
+//! fingerprint. The schema is documented in DESIGN.md §10.3. The file
+//! is a per-run record, not a benchmark: the simulator's performance
+//! ledger is `simbench/` (see `simbench/README.md`).
 
 use std::time::Duration;
 
 use crate::json;
 use crate::runner::JobTiming;
 
-/// Default telemetry path (workspace root).
-pub const TELEMETRY_FILE: &str = "BENCH_parallel_runner.json";
+/// Default telemetry path (working directory; gitignored).
+pub const TELEMETRY_FILE: &str = "telemetry.json";
 
 /// Telemetry record schema. Version 2 added the per-job `cpi` object
 /// (cycle-attribution stack components). Version 3 replaced the
@@ -314,8 +316,8 @@ impl Telemetry {
         std::fs::write(path, self.to_json()).expect("write telemetry file");
     }
 
-    /// Resolves the output path: `$TVP_BENCH_TELEMETRY` or the
-    /// default workspace-root file.
+    /// Resolves the output path: `$TVP_BENCH_TELEMETRY` or
+    /// [`TELEMETRY_FILE`].
     #[must_use]
     pub fn default_path() -> String {
         std::env::var("TVP_BENCH_TELEMETRY").unwrap_or_else(|_| TELEMETRY_FILE.to_owned())

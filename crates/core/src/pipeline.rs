@@ -22,6 +22,7 @@ use tvp_chaos::{
     Sabotage, Watchdog,
 };
 use tvp_isa::op::{BranchKind, ExecClass, Op};
+use tvp_isa::stream::{fnv1a_fold, FNV1A_OFFSET};
 use tvp_mem::hierarchy::Hierarchy;
 use tvp_obs::cpi::{CpiStack, SlotClass};
 use tvp_obs::event::{EventKind, TraceEvent, Tracer};
@@ -171,19 +172,6 @@ impl IssuedWindow {
 /// non-numeric value such as `on`; a numeric value picks the
 /// capacity).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
-
-/// Folds one 64-bit word into an FNV-1a running hash (the commit
-/// fingerprint primitive — order-sensitive and allocation-free).
-#[inline]
-fn fnv_fold(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-/// FNV-1a offset basis (the commit fingerprint's initial state).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// The simulator core. Construct with a configuration, then
 /// [`Core::run`] a trace.
@@ -355,7 +343,7 @@ impl Core {
             stats: SimStats::default(),
             tracer,
             cpi: CpiStack::default(),
-            commit_fp: FNV_OFFSET,
+            commit_fp: FNV1A_OFFSET,
             flush_shadow_class: SlotClass::Frontend,
             flush_shadow_until: 0,
             flush_refill,
@@ -440,7 +428,7 @@ impl Core {
         self.renamer.stats = crate::stats::RenameStats::default();
         self.renamer.overflow_events = 0;
         self.cpi = CpiStack::default();
-        self.commit_fp = FNV_OFFSET;
+        self.commit_fp = FNV1A_OFFSET;
         self.cycle_base = self.cycle;
     }
 
@@ -777,8 +765,8 @@ impl Core {
             // Order-sensitive commit fingerprint over (seq, pc) — the
             // determinism-neutrality witness (always on; a few integer
             // ops per retirement).
-            fnv_fold(&mut self.commit_fp, entry.seq);
-            fnv_fold(&mut self.commit_fp, u.pc);
+            self.commit_fp = fnv1a_fold(self.commit_fp, &entry.seq.to_le_bytes());
+            self.commit_fp = fnv1a_fold(self.commit_fp, &u.pc.to_le_bytes());
             self.tracer.record(EventKind::Commit, self.cycle, entry.seq, u.pc, 0);
             #[cfg(feature = "verif")]
             {

@@ -142,12 +142,24 @@ impl std::fmt::Display for StreamError {
     }
 }
 
-/// FNV-1a over a byte slice — the workspace's standard content hash
-/// (same offset basis and prime as the result-store blobs and the
-/// commit fingerprint).
+/// FNV-1a offset basis: the hash state before any byte is folded in.
+pub const FNV1A_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a over a byte slice — the workspace's byte-wise hash: trace
+/// chunk checksums, result-store blobs, key digests, campaign ids and
+/// the commit fingerprint all use it.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    fnv1a_fold(FNV1A_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash from state `h`, so a digest over several
+/// fields needs no concatenation buffer:
+/// `fnv1a_fold(fnv1a(a), b) == fnv1a(a ++ b)`. Inlined because the
+/// core folds every retired µop into its commit fingerprint.
+#[inline]
+#[must_use]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -785,6 +797,13 @@ mod tests {
     use super::*;
     use crate::inst::build;
     use crate::reg::x;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_fold(fnv1a(b"a"), b"bc"), fnv1a(b"abc"));
+    }
 
     #[test]
     fn varint_roundtrip_boundaries() {

@@ -106,14 +106,6 @@ pub fn suite() -> Vec<Workload> {
     ]
 }
 
-/// The 17 distinct kernels (first SimPoint-style slice of each); the
-/// full [`suite`] adds second/third slices of five of them, mirroring
-/// the paper's 28 benchmark_simpoint rows.
-#[must_use]
-pub fn base_suite() -> Vec<Workload> {
-    suite().into_iter().filter(|w| !w.name.ends_with("_2") && !w.name.ends_with("_3")).collect()
-}
-
 /// Looks a workload up by name.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
@@ -143,7 +135,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 25, "duplicate kernel names");
-        assert_eq!(base_suite().len(), 17);
     }
 
     #[test]

@@ -35,12 +35,6 @@
 //! well-formed and carries the fields the schema promises — the CI
 //! trace-smoke step gates on it. The checks live in [`trace_schema`].
 //!
-//! `cargo xtask perf [...]` runs the scheduler hot-loop
-//! micro-benchmark (the `perf_scheduler` bin in `tvp-bench`, release
-//! profile) and `cargo xtask validate-bench <file>` checks the
-//! `BENCH_scheduler.json` record it writes — the CI perf-smoke step
-//! gates on both. The checks live in [`bench_schema`].
-//!
 //! `cargo xtask validate-trace-file <file>` validates a streamed
 //! `DynInst` trace file end to end (the `validate_trace_file` bin in
 //! `tvp-bench`): header, chunk checksums, record decode, monotonic
@@ -53,8 +47,10 @@
 //! magic/schema/length/checksum/content-address, the campaign
 //! journal, and the cross-check between them (orphans, missing blobs,
 //! quarantines). The CI resume-smoke job gates on it.
+//!
+//! Host-time performance has no xtask: the simulator's one benchmark
+//! is `simbench/` (see `simbench/README.md`).
 
-mod bench_schema;
 mod items;
 mod lex;
 mod lint;
@@ -142,23 +138,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("perf") => {
-            // Delegate to the benchmark binary under the release
-            // profile (debug timings would be meaningless); remaining
-            // arguments pass through (`--smoke`, `--baseline`, ...).
-            let status = std::process::Command::new(env!("CARGO"))
-                .args(["run", "--release", "-p", "tvp-bench", "--bin", "perf_scheduler", "--"])
-                .args(args)
-                .status();
-            match status {
-                Ok(s) if s.success() => ExitCode::SUCCESS,
-                Ok(_) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("xtask perf: cannot run cargo: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         Some("fsck-store") => {
             // Delegate to the store checker binary (release: the walk
             // re-checksums every blob); remaining arguments pass
@@ -193,34 +172,10 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("validate-bench") => {
-            let Some(path) = args.next() else {
-                eprintln!("usage: cargo xtask validate-bench <BENCH_scheduler.json>");
-                return ExitCode::from(2);
-            };
-            let src = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("xtask validate-bench: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match bench_schema::validate(&src) {
-                Ok(summary) => {
-                    println!("xtask validate-bench: {path} ok ({summary})");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("xtask validate-bench: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         _ => {
             eprintln!(
                 "usage: cargo xtask <lint [--json FILE|-] [--github] | validate-trace FILE | \
-                 perf [ARGS] | validate-bench FILE | fsck-store DIR [--json FILE] | \
-                 validate-trace-file FILE>"
+                 fsck-store DIR [--json FILE] | validate-trace-file FILE>"
             );
             ExitCode::from(2)
         }

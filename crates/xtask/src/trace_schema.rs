@@ -50,13 +50,6 @@ impl Value {
 #[derive(Debug)]
 pub struct SchemaError(String);
 
-impl SchemaError {
-    /// Wraps a message (shared with the other schema validators).
-    pub(crate) fn new(msg: impl Into<String>) -> Self {
-        SchemaError(msg.into())
-    }
-}
-
 impl fmt::Display for SchemaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)

@@ -57,7 +57,7 @@ fn failed_job_is_reported_and_the_rest_of_the_run_completes() {
     // telemetry writes.
     let scratch = std::env::temp_dir().join(format!("tvp_engine_failures_{}", std::process::id()));
     let results_dir = scratch.join("results");
-    let telemetry = scratch.join("BENCH_parallel_runner.json");
+    let telemetry = scratch.join("telemetry.json");
     // Safety: this integration-test binary contains a single #[test],
     // so no concurrent thread observes the environment mutation.
     std::env::set_var("TVP_RESULTS_DIR", &results_dir);

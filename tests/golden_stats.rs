@@ -27,20 +27,11 @@ use std::path::PathBuf;
 use tvp_bench::experiments::vp_cfg;
 use tvp_core::config::VpMode;
 use tvp_core::pipeline::simulate;
+use tvp_isa::stream::fnv1a;
 
 /// Fixed budget: small enough to keep the suite fast, large enough
 /// that predictors warm up and SpSR conversions occur.
 const INSTS: u64 = 20_000;
-
-/// FNV-1a over a string — the commit fingerprint primitive.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 fn golden_path() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/harness; the snapshot lives next to
@@ -62,7 +53,7 @@ fn render_snapshot() -> String {
         let trace = w.trace(INSTS);
         let stats = simulate(cfg.clone(), &trace);
         let name = w.name;
-        let _ = writeln!(out, "{name} fingerprint {:016x}", fnv1a(&format!("{stats:?}")));
+        let _ = writeln!(out, "{name} fingerprint {:016x}", fnv1a(format!("{stats:?}").as_bytes()));
         let _ = writeln!(out, "{name} cycles {}", stats.cycles);
         let _ = writeln!(out, "{name} insts_retired {}", stats.insts_retired);
         let _ = writeln!(out, "{name} uops_retired {}", stats.uops_retired);
@@ -130,5 +121,9 @@ fn snapshot_rendering_is_stable_within_a_process() {
     let trace = w.trace(5_000);
     let a = simulate(cfg.clone(), &trace);
     let b = simulate(cfg, &trace);
-    assert_eq!(fnv1a(&format!("{a:?}")), fnv1a(&format!("{b:?}")), "same trace, same stats");
+    assert_eq!(
+        fnv1a(format!("{a:?}").as_bytes()),
+        fnv1a(format!("{b:?}").as_bytes()),
+        "same trace, same stats"
+    );
 }

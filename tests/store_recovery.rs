@@ -19,6 +19,7 @@ use tvp_bench::store::{
     blob, fsck, LoadOutcome, ResultStore, StoreConfig, BLOBS_DIR, QUARANTINE_DIR, TMP_DIR,
 };
 use tvp_core::config::VpMode;
+use tvp_isa::stream::fnv1a;
 
 /// Instruction budget: big enough for distinct per-config cycle
 /// counts, small enough that each test runs several campaigns.
@@ -260,7 +261,7 @@ fn schema_version_skew_is_quarantined_and_resimulated() {
     let mut bytes = read_bytes(&path);
     bytes[8..12].copy_from_slice(&(blob::BLOB_SCHEMA + 1).to_le_bytes());
     let len = bytes.len();
-    let resealed = blob::fnv1a(&bytes[..len - blob::CHECKSUM_LEN]);
+    let resealed = fnv1a(&bytes[..len - blob::CHECKSUM_LEN]);
     bytes[len - blob::CHECKSUM_LEN..].copy_from_slice(&resealed.to_le_bytes());
     std::fs::write(&path, &bytes).expect("write skewed blob");
 
