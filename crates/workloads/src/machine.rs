@@ -7,6 +7,7 @@
 //! the functional model the single source of architectural truth.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use tvp_isa::exec::{branch_taken, exec_alu, Operands};
 use tvp_isa::flags::Nzcv;
@@ -25,13 +26,34 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 pub const PAGE_BYTES: usize = PAGE_SIZE;
 
 /// Sparse byte-addressed memory. Untouched bytes read as zero.
+///
+/// Addresses wrap past `u64::MAX` to 0, as effective-address
+/// arithmetic does. Every access is split at page boundaries, so one
+/// that fits inside a page costs one page-table lookup.
 #[derive(Default, Debug, Clone)]
 pub struct SparseMem {
     pages: BTreeMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
+/// Splits the `len` bytes starting at `addr` at page boundaries,
+/// yielding `(page index, offset within the page, byte range of the
+/// access)` for each piece in address order.
+fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = addr.wrapping_add(done as u64);
+            let offset = (at as usize) & (PAGE_SIZE - 1);
+            let span = done..done + (len - done).min(PAGE_SIZE - offset);
+            done = span.end;
+            (at >> PAGE_SHIFT, offset, span)
+        })
+    })
+}
+
 impl SparseMem {
-    /// Reads `size` bytes (1, 2, 4 or 8) little-endian.
+    /// Reads `size` bytes (1, 2, 4 or 8) little-endian. Never allocates
+    /// a page.
     ///
     /// # Panics
     ///
@@ -39,11 +61,13 @@ impl SparseMem {
     #[must_use]
     pub fn read(&self, addr: u64, size: u8) -> u64 {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported read size {size}");
-        let mut v = 0u64;
-        for i in 0..u64::from(size) {
-            v |= u64::from(self.read_byte(addr + i)) << (8 * i);
+        let mut bytes = [0u8; 8];
+        for (page, offset, span) in page_spans(addr, usize::from(size)) {
+            if let Some(data) = self.pages.get(&page) {
+                bytes[span.clone()].copy_from_slice(&data[offset..offset + span.len()]);
+            }
         }
-        v
+        u64::from_le_bytes(bytes)
     }
 
     /// Writes the low `size` bytes of `value` little-endian.
@@ -53,18 +77,16 @@ impl SparseMem {
     /// Panics on an unsupported size.
     pub fn write(&mut self, addr: u64, size: u8, value: u64) {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported write size {size}");
-        for i in 0..u64::from(size) {
-            self.write_byte(addr + i, (value >> (8 * i)) as u8);
+        self.write_bytes(addr, &value.to_le_bytes()[..usize::from(size)]);
+    }
+
+    /// Copies `bytes` to memory starting at `addr`, one page at a time.
+    /// Allocates exactly the pages the bytes land on.
+    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        for (page, offset, span) in page_spans(addr, bytes.len()) {
+            let data = self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_SIZE]));
+            data[offset..offset + span.len()].copy_from_slice(&bytes[span]);
         }
-    }
-
-    fn read_byte(&self, addr: u64) -> u8 {
-        self.pages.get(&(addr >> PAGE_SHIFT)).map_or(0, |p| p[(addr as usize) & (PAGE_SIZE - 1)])
-    }
-
-    fn write_byte(&mut self, addr: u64, value: u8) {
-        let page = self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0; PAGE_SIZE]));
-        page[(addr as usize) & (PAGE_SIZE - 1)] = value;
     }
 
     /// Content digest (FNV-1a over non-zero bytes). All-zero pages are
@@ -222,9 +244,7 @@ impl Machine {
 
     /// Bulk memory initialisation (workload data segments).
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.mem.write_byte(addr + i as u64, b);
-        }
+        self.mem.write_bytes(addr, bytes);
     }
 
     /// Current program counter.
@@ -675,5 +695,26 @@ mod tests {
         // Crosses a page boundary.
         assert_eq!(m.read(0xFFF, 8), 0x1122_3344_5566_7788);
         assert_eq!(m.read(0x1000, 1), 0x77);
+    }
+
+    #[test]
+    fn addresses_wrap_past_the_top_of_the_address_space() {
+        let mut m = SparseMem::default();
+        m.write(0, 8, 0x1122_3344_5566_7788);
+        assert_eq!(m.read(u64::MAX - 3, 8), 0x5566_7788_0000_0000);
+        m.write(u64::MAX - 1, 4, 0xAABB_CCDD);
+        assert_eq!(m.read(u64::MAX - 1, 2), 0xCCDD);
+        assert_eq!(m.read(0, 8), 0x1122_3344_5566_AABB);
+        assert_eq!(
+            m.nonzero_pages().map(|(page, _)| page).collect::<Vec<_>>(),
+            [0, u64::MAX >> 12]
+        );
+
+        let mut a = Asm::new();
+        a.i(nop());
+        let mut machine = Machine::new(a.assemble().unwrap());
+        machine.write_bytes(u64::MAX, &[0x11, 0x22]);
+        assert_eq!(machine.read_mem(u64::MAX, 2), 0x2211);
+        assert_eq!(machine.read_mem(0, 1), 0x22);
     }
 }

@@ -11,6 +11,7 @@
 
 use tvp_isa::reg::Reg;
 
+use crate::kernels::{fp, int, mem};
 use crate::machine::Machine;
 use crate::program::Program;
 use crate::stream::MachineSource;
@@ -74,42 +75,50 @@ impl Workload {
     }
 }
 
+/// A kernel's name and the constructor that builds its workload.
+type Kernel = (&'static str, fn() -> Workload);
+
+/// Every kernel, in the order they appear in experiment tables (which
+/// is also the row order of `results/*.json` and the order of the
+/// sampled pool).
+const KERNELS: [Kernel; 25] = [
+    ("string_match", int::string_match),
+    ("string_match_2", int::string_match_2),
+    ("string_match_3", int::string_match_3),
+    ("expr_tree", int::expr_tree),
+    ("expr_tree_2", int::expr_tree_2),
+    ("expr_tree_3", int::expr_tree_3),
+    ("stream_triad", fp::stream_triad),
+    ("stream_triad_2", fp::stream_triad_2),
+    ("sparse_graph", mem::sparse_graph),
+    ("stencil_grid", fp::stencil_grid),
+    ("lattice_fluid", fp::lattice_fluid),
+    ("discrete_event", mem::discrete_event),
+    ("weather_loop", fp::weather_loop),
+    ("pointer_chase", mem::pointer_chase),
+    ("pixel_encode", int::pixel_encode),
+    ("pixel_encode_2", int::pixel_encode_2),
+    ("pixel_encode_3", int::pixel_encode_3),
+    ("climate_ocean", fp::climate_ocean),
+    ("minimax", int::minimax),
+    ("image_filter", int::image_filter),
+    ("mc_playout", int::mc_playout),
+    ("md_force", fp::md_force),
+    ("stencil_roms", fp::stencil_roms),
+    ("entropy_coder", int::entropy_coder),
+    ("entropy_coder_2", int::entropy_coder_2),
+];
+
 /// All workloads, in the order they appear in experiment tables.
 #[must_use]
 pub fn suite() -> Vec<Workload> {
-    vec![
-        crate::kernels::int::string_match(),
-        crate::kernels::int::string_match_2(),
-        crate::kernels::int::string_match_3(),
-        crate::kernels::int::expr_tree(),
-        crate::kernels::int::expr_tree_2(),
-        crate::kernels::int::expr_tree_3(),
-        crate::kernels::fp::stream_triad(),
-        crate::kernels::fp::stream_triad_2(),
-        crate::kernels::mem::sparse_graph(),
-        crate::kernels::fp::stencil_grid(),
-        crate::kernels::fp::lattice_fluid(),
-        crate::kernels::mem::discrete_event(),
-        crate::kernels::fp::weather_loop(),
-        crate::kernels::mem::pointer_chase(),
-        crate::kernels::int::pixel_encode(),
-        crate::kernels::int::pixel_encode_2(),
-        crate::kernels::int::pixel_encode_3(),
-        crate::kernels::fp::climate_ocean(),
-        crate::kernels::int::minimax(),
-        crate::kernels::int::image_filter(),
-        crate::kernels::int::mc_playout(),
-        crate::kernels::fp::md_force(),
-        crate::kernels::fp::stencil_roms(),
-        crate::kernels::int::entropy_coder(),
-        crate::kernels::int::entropy_coder_2(),
-    ]
+    KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
-/// Looks a workload up by name.
+/// Looks a workload up by name, building only that kernel.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
-    suite().into_iter().find(|w| w.name == name)
+    KERNELS.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
 }
 
 /// Packs a slice of 64-bit words into little-endian bytes (data-segment
@@ -135,6 +144,44 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 25, "duplicate kernel names");
+    }
+
+    #[test]
+    fn kernel_table_names_its_workloads_in_the_published_order() {
+        let built: Vec<_> = suite().iter().map(|w| w.name).collect();
+        let table: Vec<_> = KERNELS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(built, table, "a table entry's name differs from its workload's name");
+        // The row order of `results/*.json` and of the sampled pool.
+        assert_eq!(
+            built,
+            [
+                "string_match",
+                "string_match_2",
+                "string_match_3",
+                "expr_tree",
+                "expr_tree_2",
+                "expr_tree_3",
+                "stream_triad",
+                "stream_triad_2",
+                "sparse_graph",
+                "stencil_grid",
+                "lattice_fluid",
+                "discrete_event",
+                "weather_loop",
+                "pointer_chase",
+                "pixel_encode",
+                "pixel_encode_2",
+                "pixel_encode_3",
+                "climate_ocean",
+                "minimax",
+                "image_filter",
+                "mc_playout",
+                "md_force",
+                "stencil_roms",
+                "entropy_coder",
+                "entropy_coder_2",
+            ]
+        );
     }
 
     #[test]

@@ -1,12 +1,50 @@
 //! Property-based tests of the functional machine and sparse memory.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use tvp_isa::inst::build::*;
 use tvp_isa::inst::AddrMode;
 use tvp_isa::reg::x;
-use tvp_workloads::machine::SparseMem;
+use tvp_workloads::machine::{SparseMem, PAGE_BYTES};
 use tvp_workloads::program::Asm;
 use tvp_workloads::Machine;
+
+/// One access to sparse memory.
+enum MemOp {
+    Write { addr: u64, size: u8, value: u64 },
+    Read { addr: u64, size: u8 },
+    WriteBytes { addr: u64, bytes: Vec<u8> },
+}
+
+/// Addresses within 16 bytes of a page boundary. The boundary at 0
+/// puts half of its addresses just below `u64::MAX`, so accesses there
+/// wrap to the bottom of the address space.
+fn boundary_addr() -> impl Strategy<Value = u64> {
+    (0u64..6, -16i64..16)
+        .prop_map(|(page, delta)| (page * PAGE_BYTES as u64).wrapping_add(delta as u64))
+}
+
+fn access_size() -> impl Strategy<Value = u8> {
+    (0u8..4).prop_map(|log2| 1 << log2)
+}
+
+/// Records `bytes` written at `addr` in the byte-map model.
+fn model_write(model: &mut BTreeMap<u64, u8>, addr: u64, bytes: &[u8]) {
+    for (i, &b) in bytes.iter().enumerate() {
+        model.insert(addr.wrapping_add(i as u64), b);
+    }
+}
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    prop_oneof![
+        (boundary_addr(), access_size(), any::<u64>())
+            .prop_map(|(addr, size, value)| MemOp::Write { addr, size, value }),
+        (boundary_addr(), access_size()).prop_map(|(addr, size)| MemOp::Read { addr, size }),
+        (boundary_addr(), proptest::collection::vec(any::<u8>(), 0..=3 * PAGE_BYTES))
+            .prop_map(|(addr, bytes)| MemOp::WriteBytes { addr, bytes }),
+    ]
+}
 
 proptest! {
     #[test]
@@ -25,6 +63,37 @@ proptest! {
         for (&addr, &byte) in &reference {
             prop_assert_eq!(mem.read(addr, 1) as u8, byte);
         }
+    }
+
+    #[test]
+    fn sparse_memory_matches_a_byte_map_model(ops in proptest::collection::vec(mem_op(), 1..40)) {
+        let mut mem = SparseMem::default();
+        let mut model = BTreeMap::<u64, u8>::new();
+        for op in ops {
+            match op {
+                MemOp::Write { addr, size, value } => {
+                    mem.write(addr, size, value);
+                    model_write(&mut model, addr, &value.to_le_bytes()[..usize::from(size)]);
+                }
+                MemOp::WriteBytes { addr, bytes } => {
+                    mem.write_bytes(addr, &bytes);
+                    model_write(&mut model, addr, &bytes);
+                }
+                MemOp::Read { addr, size } => {
+                    let expected = (0..u64::from(size)).fold(0u64, |v, i| {
+                        let b = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+                        v | u64::from(b) << (8 * i)
+                    });
+                    prop_assert_eq!(mem.read(addr, size), expected, "read({:#x}, {})", addr, size);
+                }
+            }
+        }
+        let mut bytewise = SparseMem::default();
+        for (&addr, &b) in &model {
+            bytewise.write(addr, 1, u64::from(b));
+        }
+        prop_assert_eq!(mem.digest(), bytewise.digest());
+        prop_assert!(mem.nonzero_pages().eq(bytewise.nonzero_pages()), "page images differ");
     }
 
     #[test]
