@@ -4,15 +4,16 @@
 //! fsck_store <STORE_DIR> [--json FILE]
 //! ```
 //!
-//! Walks `blobs/`, re-verifying every blob (magic, schema, lengths,
-//! checksum, content address), replays the campaign journal, and
-//! cross-checks the two (orphans, missing blobs, pending leases,
-//! quarantines). Prints a human summary; `--json FILE` additionally
+//! Walks `blobs/` and `checkpoints/`, re-verifying every blob and
+//! checkpoint (magic, schema, lengths, checksum, content address),
+//! replays the campaign journal, and cross-checks it against the blobs
+//! (orphans, missing blobs, pending leases, quarantines). Prints a human summary; `--json FILE` additionally
 //! writes the machine-readable report (CI uploads it as the
 //! resume-smoke artifact; `-` writes JSON to stdout).
 //!
 //! Exit codes: `0` the store is healthy, `1` problems were found
-//! (corrupt blobs, missing blobs, or mid-journal corruption), `2`
+//! (corrupt blobs or checkpoints, missing blobs, or mid-journal
+//! corruption), `2`
 //! usage or I/O error. Normally invoked as `cargo xtask fsck-store`.
 
 use std::path::PathBuf;
@@ -54,7 +55,7 @@ fn main() -> ExitCode {
 
     println!("fsck {}: {}", dir.display(), report.summary());
     for bad in &report.corrupt {
-        println!("  CORRUPT  blobs/{}: {}", bad.file, bad.error);
+        println!("  CORRUPT  {}: {}", bad.file, bad.error);
     }
     for file in &report.missing {
         println!("  MISSING  blobs/{file} (journal claims it was published)");

@@ -18,21 +18,16 @@
 //! SpSR coverage) to the declared error bounds, writing a
 //! machine-readable report and exiting non-zero on any violation.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tvp_bench::json;
 use tvp_bench::sampling::{
-    campaign_fingerprint, run_sampled, run_suite_sampled, SampleRunOptions, SampleSpec, SampledRun,
-    StatErrors, DEFAULT_BOUNDS,
+    campaign_fingerprint, error_report, run_suite_sampled, validate_sampling, SampleSpec,
+    SampledRun, DEFAULT_BOUNDS,
 };
 use tvp_bench::store::{ResultStore, StoreConfig};
 use tvp_bench::telemetry::{SamplingTelemetry, Telemetry, TELEMETRY_SCHEMA};
 use tvp_core::config::{CoreConfig, VpMode};
-use tvp_core::pipeline::Core;
-use tvp_core::stats::SimStats;
-use tvp_workloads::Workload;
 
 fn usage() -> ! {
     eprintln!(
@@ -208,14 +203,6 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
     }
 }
 
-/// Simulates `workload` in full detail (no sampling) and returns the
-/// stats — the reference the sampled reconstruction is held against.
-fn full_reference(workload: &Workload, cfg: &CoreConfig, insts: u64) -> SimStats {
-    let trace = workload.machine().run(insts);
-    let mut core = Core::new(cfg.clone());
-    core.run(&trace)
-}
-
 fn cmd_validate(mut args: impl Iterator<Item = String>) {
     let mut insts: u64 = 60_000;
     // The spec DEFAULT_BOUNDS was calibrated at — changing one without
@@ -248,29 +235,9 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
         jobs
     );
 
-    // Full and sampled runs of every workload on a shared worker pool;
-    // results land in per-workload slots so the report order (and the
-    // exit code) is independent of scheduling.
-    let jobs = jobs.max(1).min(workloads.len().max(1));
-    let slots: Vec<Mutex<Option<StatErrors>>> =
-        workloads.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(w) = workloads.get(i) else { break };
-                let full = full_reference(w, &cfg, insts);
-                let run = run_sampled(w, &cfg, insts, spec, SampleRunOptions::default());
-                let errors = StatErrors::compare(w.name, &full, &run.estimate());
-                *slots[i].lock().expect("slot lock poisoned") = Some(errors);
-            });
-        }
-    });
-    let results: Vec<StatErrors> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot lock poisoned").expect("worker filled every slot"))
-        .collect();
+    // Results come back in workload order, so the report (and the exit
+    // code) is independent of scheduling.
+    let results = validate_sampling(&workloads, &cfg, insts, spec, jobs);
 
     let mut failures = 0u32;
     for e in &results {
@@ -289,18 +256,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
         }
     }
 
-    let rows: Vec<String> = results.iter().map(|e| e.to_json(&DEFAULT_BOUNDS)).collect();
-    let report = json::object(&[
-        ("insts", insts.to_string()),
-        ("spec", format!("\"{}\"", spec.display())),
-        ("bounds_ipc_rel", json::number(DEFAULT_BOUNDS.ipc_rel)),
-        ("bounds_branch_mpki_abs", json::number(DEFAULT_BOUNDS.branch_mpki_abs)),
-        ("bounds_vp_mpki_abs", json::number(DEFAULT_BOUNDS.vp_mpki_abs)),
-        ("bounds_spsr_coverage_abs", json::number(DEFAULT_BOUNDS.spsr_coverage_abs)),
-        ("failures", failures.to_string()),
-        ("workloads", json::array(&rows)),
-    ]);
-    if let Err(e) = std::fs::write(&report_path, report) {
+    if let Err(e) = std::fs::write(&report_path, error_report(insts, spec, &results)) {
         eprintln!("FATAL: cannot write error report {report_path}: {e}");
         std::process::exit(2);
     }

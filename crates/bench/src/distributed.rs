@@ -54,7 +54,7 @@ use crate::jobs::{ExpKey, Job};
 use crate::prepare_suite;
 use crate::runner;
 use crate::store::manifest::{self, valid_worker_id};
-use crate::store::{lease, ResultStore, StoreConfig};
+use crate::store::{self, lease, ResultStore, StoreConfig};
 
 /// Points a worker claims per journal round-trip. Bounds both the
 /// size of one atomic `wlease` journal append and the work lost when
@@ -125,10 +125,11 @@ impl CampaignManifest {
         store_dir.join(MANIFEST_FILE)
     }
 
-    /// Writes the manifest atomically (scratch + fsync + rename).
-    /// Every line is checksum-sealed and the trailer repeats the
-    /// campaign id, so a torn or tampered manifest is detected at
-    /// load, never half-trusted.
+    /// Writes the manifest through the store's one atomic write
+    /// (`store::write_atomic`: scratch in `tmp/`, fsync,
+    /// rename, directory fsync). Every line is checksum-sealed and the
+    /// trailer repeats the campaign id, so a torn or tampered manifest
+    /// is detected at load, never half-trusted.
     pub fn write(&self, store_dir: &Path) -> io::Result<()> {
         let mut text = format!("{MANIFEST_HEADER}\n");
         text.push_str(&manifest::seal(&format!("insts {}", self.insts)));
@@ -139,13 +140,7 @@ impl CampaignManifest {
         }
         text.push_str(&manifest::seal(&format!("end {:016x}", self.id())));
         text.push('\n');
-        let tmp = store_dir.join(format!("{MANIFEST_FILE}.{}.tmp", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, text.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, Self::path(store_dir))
+        store::write_atomic(store_dir, &Self::path(store_dir), text.as_bytes())
     }
 
     /// Loads and fully verifies a manifest: header, per-line seals,
@@ -397,7 +392,7 @@ mod tests {
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tvp-dist-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tempdir");
+        std::fs::create_dir_all(dir.join(store::TMP_DIR)).expect("create tempdir");
         dir
     }
 

@@ -42,7 +42,7 @@ use tvp_workloads::trace::Trace;
 
 use crate::jobs::ExpKey;
 use crate::store::checkpoint::Checkpoint;
-use crate::store::{CheckpointOutcome, ResultStore};
+use crate::store::{LoadOutcome, ResultStore};
 
 /// Upper bound on the functionally-warmed tail of each interval's skip
 /// phase. Skipped instructions beyond this window are fast-forwarded
@@ -147,8 +147,7 @@ impl SampleKey {
     /// tag, and the spec fields).
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let words = [self.exp.digest(), self.spec.period, self.spec.warmup, self.spec.measured];
-        words.iter().fold(fnv1a(b"sampled"), |h, w| fnv1a_fold(h, &w.to_le_bytes()))
+        sample_digest(self.exp.digest(), &self.spec)
     }
 
     /// Human-readable form for reports.
@@ -156,6 +155,13 @@ impl SampleKey {
     pub fn display(&self) -> String {
         format!("{}~{}#{:016x}", self.exp.display(), self.spec.display(), self.digest())
     }
+}
+
+/// The [`SampleKey`] digest from its parts, shared with the key echoed
+/// in a checkpoint file.
+pub(crate) fn sample_digest(exp_digest: u64, spec: &SampleSpec) -> u64 {
+    let words = [exp_digest, spec.period, spec.warmup, spec.measured];
+    words.iter().fold(fnv1a(b"sampled"), |h, w| fnv1a_fold(h, &w.to_le_bytes()))
 }
 
 /// The measured outcome of one sampled interval.
@@ -498,8 +504,8 @@ pub fn run_sampled(
     // Resume from the newest valid checkpoint, if the store has one.
     if let Some(ckpt) =
         store.and_then(|m| match m.lock().expect("store lock poisoned").load_checkpoint(&key) {
-            CheckpointOutcome::Hit(c) => Some(c),
-            CheckpointOutcome::Miss | CheckpointOutcome::Quarantined(_) => None,
+            LoadOutcome::Hit(c) => Some(c),
+            LoadOutcome::Miss | LoadOutcome::Quarantined(_) => None,
         })
     {
         source = MachineSource::new(workload.machine_restored(&ckpt.snapshot, ckpt.seq));
@@ -626,6 +632,32 @@ pub fn run_sampled(
     run
 }
 
+/// Maps `f` over `items` on a pool of `jobs` scoped worker threads.
+/// Each result lands in its item's slot, so the output is in item
+/// order regardless of worker count or completion order.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics (propagated).
+fn slot_pool<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.max(1).min(items.len().max(1)) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                *slots[i].lock().expect("slot lock poisoned") = Some(result);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("slot lock poisoned").expect("worker filled every slot"))
+        .collect()
+}
+
 /// Runs a whole workload list sampled on a pool of `jobs` worker
 /// threads. Results come back in workload order regardless of worker
 /// count or completion order — together with the per-interval
@@ -645,25 +677,53 @@ pub fn run_suite_sampled(
     jobs: usize,
     store: Option<&Mutex<ResultStore>>,
 ) -> Vec<SampledRun> {
-    let jobs = jobs.max(1).min(workloads.len().max(1));
-    let slots: Vec<Mutex<Option<SampledRun>>> =
-        workloads.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(w) = workloads.get(i) else { break };
-                let opts = SampleRunOptions { store, stop_after_intervals: None };
-                let run = run_sampled(w, cfg, insts, spec, opts);
-                *slots[i].lock().expect("slot lock poisoned") = Some(run);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot lock poisoned").expect("worker filled every slot"))
-        .collect()
+    slot_pool(workloads, jobs, |w| {
+        run_sampled(w, cfg, insts, spec, SampleRunOptions { store, stop_after_intervals: None })
+    })
+}
+
+/// The sampled-vs-full accuracy check (DESIGN.md §15.4): simulates
+/// each workload in full detail (the reference) and sampled, on a pool
+/// of `jobs` worker threads, and compares the headline stats. Results
+/// are in workload order. `sample_campaign validate` and the
+/// `sampling_accuracy` test both run this.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics (a simulator bug).
+#[must_use]
+pub fn validate_sampling(
+    workloads: &[Workload],
+    cfg: &CoreConfig,
+    insts: u64,
+    spec: SampleSpec,
+    jobs: usize,
+) -> Vec<StatErrors> {
+    slot_pool(workloads, jobs, |w| {
+        let full = Core::new(cfg.clone()).run(&w.machine().run(insts));
+        let run = run_sampled(w, cfg, insts, spec, SampleRunOptions::default());
+        StatErrors::compare(w.name, &full, &run.estimate())
+    })
+}
+
+/// The machine-readable error report of a [`validate_sampling`] run
+/// against [`DEFAULT_BOUNDS`]: budget, spec, bounds, the number of
+/// workloads out of bounds, and one row per workload.
+#[must_use]
+pub fn error_report(insts: u64, spec: SampleSpec, results: &[StatErrors]) -> String {
+    let b = &DEFAULT_BOUNDS;
+    let failures = results.iter().filter(|e| !e.passes(b)).count();
+    let rows: Vec<String> = results.iter().map(|e| e.to_json(b)).collect();
+    crate::json::object(&[
+        ("insts", insts.to_string()),
+        ("spec", format!("\"{}\"", spec.display())),
+        ("bounds_ipc_rel", crate::json::number(b.ipc_rel)),
+        ("bounds_branch_mpki_abs", crate::json::number(b.branch_mpki_abs)),
+        ("bounds_vp_mpki_abs", crate::json::number(b.vp_mpki_abs)),
+        ("bounds_spsr_coverage_abs", crate::json::number(b.spsr_coverage_abs)),
+        ("failures", failures.to_string()),
+        ("workloads", crate::json::array(&rows)),
+    ])
 }
 
 /// Order-sensitive fingerprint over a campaign's per-workload run

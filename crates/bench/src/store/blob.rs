@@ -1,4 +1,5 @@
-//! Blob wire format: one self-verifying simulation point on disk.
+//! Blob wire format: one self-verifying simulation point on disk, and
+//! the frame every durable record in the store shares.
 //!
 //! A blob is the durable form of one (key, point) pair. Nothing about
 //! it is trusted on the way back in: the fixed header carries a magic,
@@ -22,6 +23,11 @@
 //! checksum   u64       FNV-1a over every preceding byte
 //! ```
 //!
+//! Checkpoints ([`super::checkpoint`]) use the same frame under their
+//! own magic and schema: `frame` and `unframe` are the one codec
+//! for it, and the `ExpKey` and `SimStats` section codecs here serve
+//! both kinds.
+//!
 //! The payload codec destructures [`SimStats`] and every sub-struct
 //! without `..` rest patterns, so adding a counter to any stats struct
 //! is a compile error here until the codec (and [`BLOB_SCHEMA`]) are
@@ -42,7 +48,8 @@ pub const BLOB_MAGIC: [u8; 8] = *b"TVPSTOR\x01";
 /// changes shape; decoders reject every other version.
 pub const BLOB_SCHEMA: u32 = 1;
 
-/// Size of the fixed header (magic + schema + two section lengths).
+/// Size of the fixed frame header (magic + schema + two section
+/// lengths).
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
 
 /// Size of the trailing checksum.
@@ -167,7 +174,7 @@ pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
+fn push_str(out: &mut Vec<u8>, s: &str) {
     push_u32(out, u32::try_from(s.len()).expect("key field fits u32"));
     out.extend_from_slice(s.as_bytes());
 }
@@ -213,45 +220,115 @@ impl<'a> Cursor<'a> {
     pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
+
+    /// Reads the `ExpKey` fields [`push_exp_key`] wrote.
+    pub(crate) fn exp_key(&mut self) -> Option<BlobKey> {
+        let workload = self.str()?;
+        let insts = self.u64()?;
+        let flag = *self.take(1)?.first()?;
+        if flag > 1 {
+            return None;
+        }
+        let seed = self.u64()?;
+        let config_fp = self.str()?;
+        Some(BlobKey { workload, insts, chaos_seed: (flag == 1).then_some(seed), config_fp })
+    }
+
+    /// Reads the counted counter list [`push_stats`] wrote. Any count
+    /// but [`STATS_COUNTERS`] is malformed, so no count from the wire
+    /// ever sizes an allocation.
+    pub(crate) fn stats(&mut self) -> Option<SimStats> {
+        if self.u32()? != STATS_COUNTERS {
+            return None;
+        }
+        let mut next = || self.u64();
+        Some(SimStats {
+            cycles: next()?,
+            insts_retired: next()?,
+            uops_retired: next()?,
+            rename: RenameStats {
+                arch_insts: next()?,
+                uops: next()?,
+                zero_idiom: next()?,
+                one_idiom: next()?,
+                move_elim: next()?,
+                non_me_move: next()?,
+                nine_bit_idiom: next()?,
+                spsr: next()?,
+                spsr_squashed: next()?,
+            },
+            vp: VpStats {
+                eligible: next()?,
+                used: next()?,
+                correct_used: next()?,
+                incorrect_used: next()?,
+                silenced_lookups: next()?,
+            },
+            activity: ActivityStats {
+                int_prf_reads: next()?,
+                int_prf_writes: next()?,
+                iq_dispatched: next()?,
+                iq_issued: next()?,
+            },
+            flush: FlushStats {
+                branch_mispredicts: next()?,
+                vp_flushes: next()?,
+                mem_order_flushes: next()?,
+                squashed_uops: next()?,
+                vp_replays: next()?,
+                replayed_uops: next()?,
+            },
+            chaos: ChaosStats {
+                vp_forced_mispredicts: next()?,
+                vtage_corruptions: next()?,
+                tage_corruptions: next()?,
+                btb_corruptions: next()?,
+                storeset_corruptions: next()?,
+                branch_inversions: next()?,
+                cache_delays: next()?,
+                prefetch_drop_cycles: next()?,
+            },
+            degrade: DegradeStats {
+                throttle_engagements: next()?,
+                throttled_cycles: next()?,
+                killswitch_suppressed: next()?,
+                throttle_suppressed: next()?,
+            },
+            overflow_events: next()?,
+        })
+    }
 }
 
-/// Encodes the key section.
-pub(crate) fn encode_key(key: &ExpKey) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + key.config_fp.len());
-    push_str(&mut out, key.workload);
-    push_u64(&mut out, key.insts);
-    out.push(u8::from(key.chaos_seed.is_some()));
-    push_u64(&mut out, key.chaos_seed.unwrap_or(0));
-    push_str(&mut out, &key.config_fp);
-    out
-}
-
-pub(crate) fn decode_key(bytes: &[u8]) -> Option<BlobKey> {
+/// Parses the whole of `bytes` with `parse`; unread bytes are a
+/// failure.
+pub(crate) fn parse_exact<'a, T>(
+    bytes: &'a [u8],
+    parse: impl FnOnce(&mut Cursor<'a>) -> Option<T>,
+) -> Option<T> {
     let mut c = Cursor::new(bytes);
-    let workload = c.str()?;
-    let insts = c.u64()?;
-    let flag = *c.take(1)?.first()?;
-    if flag > 1 {
-        return None;
-    }
-    let seed = c.u64()?;
-    let config_fp = c.str()?;
-    if !c.exhausted() {
-        return None;
-    }
-    Some(BlobKey {
-        workload,
-        insts,
-        chaos_seed: if flag == 1 { Some(seed) } else { None },
-        config_fp,
-    })
+    let value = parse(&mut c)?;
+    c.exhausted().then_some(value)
 }
 
-/// Flattens a [`SimStats`] into its counters, in wire order. The
-/// exhaustive destructuring (no `..`) is the completeness guarantee:
-/// a new stats field fails to compile here until it is added to the
-/// wire order and [`BLOB_SCHEMA`] is bumped.
-pub(crate) fn stats_to_counters(s: &SimStats) -> Vec<u64> {
+/// Appends the `ExpKey` section fields: workload, budget, chaos flag
+/// and seed, configuration fingerprint.
+pub(crate) fn push_exp_key(out: &mut Vec<u8>, key: &ExpKey) {
+    push_str(out, key.workload);
+    push_u64(out, key.insts);
+    out.push(u8::from(key.chaos_seed.is_some()));
+    push_u64(out, key.chaos_seed.unwrap_or(0));
+    push_str(out, &key.config_fp);
+}
+
+/// Counters in one encoded [`SimStats`]: the length of the array
+/// [`push_stats`] writes, so the two can never drift apart.
+const STATS_COUNTERS: u32 = 40;
+
+/// Appends `stats` as a counted list of u64 counters in wire order. The
+/// exhaustive destructuring (no `..`) is the completeness guarantee: a
+/// new stats field fails to compile here until it is added to the wire
+/// order, [`STATS_COUNTERS`] grows and [`BLOB_SCHEMA`] is bumped.
+pub(crate) fn push_stats(out: &mut Vec<u8>, s: &SimStats) {
     let SimStats {
         cycles,
         insts_retired,
@@ -301,7 +378,7 @@ pub(crate) fn stats_to_counters(s: &SimStats) -> Vec<u64> {
         killswitch_suppressed,
         throttle_suppressed,
     } = degrade;
-    vec![
+    let counters: [u64; STATS_COUNTERS as usize] = [
         cycles,
         insts_retired,
         uops_retired,
@@ -342,115 +419,49 @@ pub(crate) fn stats_to_counters(s: &SimStats) -> Vec<u64> {
         killswitch_suppressed,
         throttle_suppressed,
         overflow_events,
-    ]
+    ];
+    push_u32(out, STATS_COUNTERS);
+    for c in counters {
+        push_u64(out, c);
+    }
 }
 
-/// Rebuilds a [`SimStats`] from wire-order counters (inverse of
-/// [`stats_to_counters`]).
-pub(crate) fn counters_to_stats(v: &[u64]) -> Option<SimStats> {
-    let mut it = v.iter().copied();
-    let mut next = || it.next();
-    let stats = SimStats {
-        cycles: next()?,
-        insts_retired: next()?,
-        uops_retired: next()?,
-        rename: RenameStats {
-            arch_insts: next()?,
-            uops: next()?,
-            zero_idiom: next()?,
-            one_idiom: next()?,
-            move_elim: next()?,
-            non_me_move: next()?,
-            nine_bit_idiom: next()?,
-            spsr: next()?,
-            spsr_squashed: next()?,
-        },
-        vp: VpStats {
-            eligible: next()?,
-            used: next()?,
-            correct_used: next()?,
-            incorrect_used: next()?,
-            silenced_lookups: next()?,
-        },
-        activity: ActivityStats {
-            int_prf_reads: next()?,
-            int_prf_writes: next()?,
-            iq_dispatched: next()?,
-            iq_issued: next()?,
-        },
-        flush: FlushStats {
-            branch_mispredicts: next()?,
-            vp_flushes: next()?,
-            mem_order_flushes: next()?,
-            squashed_uops: next()?,
-            vp_replays: next()?,
-            replayed_uops: next()?,
-        },
-        chaos: ChaosStats {
-            vp_forced_mispredicts: next()?,
-            vtage_corruptions: next()?,
-            tage_corruptions: next()?,
-            btb_corruptions: next()?,
-            storeset_corruptions: next()?,
-            branch_inversions: next()?,
-            cache_delays: next()?,
-            prefetch_drop_cycles: next()?,
-        },
-        degrade: DegradeStats {
-            throttle_engagements: next()?,
-            throttled_cycles: next()?,
-            killswitch_suppressed: next()?,
-            throttle_suppressed: next()?,
-        },
-        overflow_events: next()?,
-    };
-    if it.next().is_some() {
-        return None;
-    }
-    Some(stats)
-}
-
-/// Encodes one (key, point) pair as a complete blob, checksum
-/// included. Pure: identical inputs yield identical bytes, which is
-/// what makes cold and warm runs byte-comparable.
-#[must_use]
-pub fn encode(key: &ExpKey, point: &SimPoint) -> Vec<u8> {
-    let key_bytes = encode_key(key);
-    let counters = stats_to_counters(&point.stats);
-    let mut payload = Vec::with_capacity(4 + counters.len() * 8);
-    push_u32(&mut payload, u32::try_from(counters.len()).expect("counter count fits u32"));
-    for c in &counters {
-        push_u64(&mut payload, *c);
-    }
-
-    let mut out = Vec::with_capacity(HEADER_LEN + key_bytes.len() + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&BLOB_MAGIC);
-    push_u32(&mut out, BLOB_SCHEMA);
-    push_u32(&mut out, u32::try_from(key_bytes.len()).expect("key fits u32"));
-    push_u32(&mut out, u32::try_from(payload.len()).expect("payload fits u32"));
-    out.extend_from_slice(&key_bytes);
-    out.extend_from_slice(&payload);
+/// Seals one frame: header (`magic`, `schema`, both section lengths),
+/// the key and body sections, then the FNV-1a checksum over all of
+/// it. Pure: identical inputs yield identical bytes, which is what
+/// makes cold and warm runs byte-comparable.
+pub(crate) fn frame(magic: &[u8; 8], schema: u32, key: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + key.len() + body.len() + CHECKSUM_LEN);
+    out.extend_from_slice(magic);
+    push_u32(&mut out, schema);
+    push_u32(&mut out, u32::try_from(key.len()).expect("key fits u32"));
+    push_u32(&mut out, u32::try_from(body.len()).expect("body fits u32"));
+    out.extend_from_slice(key);
+    out.extend_from_slice(body);
     let checksum = fnv1a(&out);
     push_u64(&mut out, checksum);
     out
 }
 
-/// Decodes and fully verifies a blob: magic, schema, section lengths,
-/// checksum, then both sections. Returns the echoed key and the point.
-pub fn decode(bytes: &[u8]) -> Result<(BlobKey, SimPoint), BlobError> {
-    // Every framed read below goes through the checked [`Cursor`] (or
-    // `get`-based slicing): no length field from the wire is ever used
-    // to index before it has been bounds-checked, so a corrupt header
-    // returns a [`BlobError`] — it can never panic.
+/// Verifies one frame — magic, schema, section lengths, checksum — and
+/// returns its key and body sections.
+pub(crate) fn unframe<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    schema: u32,
+) -> Result<(&'a [u8], &'a [u8]), BlobError> {
+    // Every framed read below goes through the checked [`Cursor`]: no
+    // length field from the wire is ever used to index before it has
+    // been bounds-checked, so a corrupt header returns a [`BlobError`]
+    // — it can never panic.
     let mut h = Cursor::new(bytes);
     let too_short = BlobError::TooShort { len: bytes.len() };
-    let magic = h.take(BLOB_MAGIC.len()).ok_or(too_short.clone())?;
-    if magic != BLOB_MAGIC {
+    if h.take(magic.len()).ok_or(too_short.clone())? != magic {
         return Err(BlobError::BadMagic);
     }
-    let schema = h.u32().ok_or(too_short.clone())?;
-    if schema != BLOB_SCHEMA {
-        return Err(BlobError::SchemaMismatch { found: schema });
+    let found = h.u32().ok_or(too_short.clone())?;
+    if found != schema {
+        return Err(BlobError::SchemaMismatch { found });
     }
     let key_len = h.u32().ok_or(too_short.clone())? as usize;
     let body_len = h.u32().ok_or(too_short)? as usize;
@@ -462,43 +473,40 @@ pub fn decode(bytes: &[u8]) -> Result<(BlobKey, SimPoint), BlobError> {
     if declared != bytes.len() {
         return Err(BlobError::LengthMismatch { declared, actual: bytes.len() });
     }
-    let content = bytes.get(..bytes.len() - CHECKSUM_LEN).ok_or(BlobError::MalformedPayload)?;
-    let stored = bytes
-        .get(bytes.len() - CHECKSUM_LEN..)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .map(u64::from_le_bytes)
-        .ok_or(BlobError::MalformedPayload)?;
-    let computed = fnv1a(content);
+    // The declared lengths now match the file, so both sections and
+    // the checksum are in bounds.
+    let key = h.take(key_len).ok_or(BlobError::MalformedKey)?;
+    let body = h.take(body_len).ok_or(BlobError::MalformedPayload)?;
+    let stored = h.u64().ok_or(BlobError::MalformedPayload)?;
+    let computed = fnv1a(&bytes[..bytes.len() - CHECKSUM_LEN]);
     if stored != computed {
         return Err(BlobError::ChecksumMismatch { stored, computed });
     }
+    Ok((key, body))
+}
 
-    let mut sections = Cursor::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
-    let key_bytes = sections.take(key_len).ok_or(BlobError::MalformedKey)?;
-    let key = decode_key(key_bytes).ok_or(BlobError::MalformedKey)?;
-    let payload = sections.take(body_len).ok_or(BlobError::MalformedPayload)?;
-    let mut c = Cursor::new(payload);
-    let count = c.u32().ok_or(BlobError::MalformedPayload)? as usize;
-    // Bound the allocation by the bytes that actually exist: a corrupt
-    // count field (up to u32::MAX) fed straight into `with_capacity`
-    // would attempt a multi-gigabyte allocation and *abort* before the
-    // first checked read ever ran.
-    if count > payload.len().saturating_sub(4) / 8 {
-        return Err(BlobError::MalformedPayload);
-    }
-    let mut counters = Vec::with_capacity(count);
-    for _ in 0..count {
-        counters.push(c.u64().ok_or(BlobError::MalformedPayload)?);
-    }
-    if !c.exhausted() {
-        return Err(BlobError::MalformedPayload);
-    }
-    let stats = counters_to_stats(&counters).ok_or(BlobError::MalformedPayload)?;
+/// Encodes one (key, point) pair as a complete blob, checksum
+/// included.
+#[must_use]
+pub fn encode(key: &ExpKey, point: &SimPoint) -> Vec<u8> {
+    let mut key_bytes = Vec::with_capacity(32 + key.config_fp.len());
+    push_exp_key(&mut key_bytes, key);
+    let mut payload = Vec::with_capacity(4 + 8 * STATS_COUNTERS as usize);
+    push_stats(&mut payload, &point.stats);
+    frame(&BLOB_MAGIC, BLOB_SCHEMA, &key_bytes, &payload)
+}
+
+/// Decodes and fully verifies a blob: the frame, then both sections.
+/// Returns the echoed key and the point.
+pub fn decode(bytes: &[u8]) -> Result<(BlobKey, SimPoint), BlobError> {
+    let (key, payload) = unframe(bytes, &BLOB_MAGIC, BLOB_SCHEMA)?;
+    let key = parse_exact(key, Cursor::exp_key).ok_or(BlobError::MalformedKey)?;
+    let stats = parse_exact(payload, Cursor::stats).ok_or(BlobError::MalformedPayload)?;
     Ok((key, SimPoint { stats }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
 
     use super::*;
@@ -699,5 +707,79 @@ mod tests {
         assert_eq!(BlobError::ChecksumMismatch { stored: 1, computed: 2 }.tag(), "checksum");
         assert_eq!(BlobError::MalformedKey.tag(), "key");
         assert_eq!(BlobError::MalformedPayload.tag(), "payload");
+    }
+
+    /// A `SimStats` built field by field with forty distinct counter
+    /// values, so a reordered or dropped counter changes the bytes.
+    pub(crate) fn kat_stats() -> SimStats {
+        SimStats {
+            cycles: 1_001,
+            insts_retired: 1_002,
+            uops_retired: 1_003,
+            rename: RenameStats {
+                arch_insts: 1_004,
+                uops: 1_005,
+                zero_idiom: 1_006,
+                one_idiom: 1_007,
+                move_elim: 1_008,
+                non_me_move: 1_009,
+                nine_bit_idiom: 1_010,
+                spsr: 1_011,
+                spsr_squashed: 1_012,
+            },
+            vp: VpStats {
+                eligible: 1_013,
+                used: 1_014,
+                correct_used: 1_015,
+                incorrect_used: 1_016,
+                silenced_lookups: 1_017,
+            },
+            activity: ActivityStats {
+                int_prf_reads: 1_018,
+                int_prf_writes: 1_019,
+                iq_dispatched: 1_020,
+                iq_issued: 1_021,
+            },
+            flush: FlushStats {
+                branch_mispredicts: 1_022,
+                vp_flushes: 1_023,
+                mem_order_flushes: 1_024,
+                squashed_uops: 1_025,
+                vp_replays: 1_026,
+                replayed_uops: 1_027,
+            },
+            chaos: ChaosStats {
+                vp_forced_mispredicts: 1_028,
+                vtage_corruptions: 1_029,
+                tage_corruptions: 1_030,
+                btb_corruptions: 1_031,
+                storeset_corruptions: 1_032,
+                branch_inversions: 1_033,
+                cache_delays: 1_034,
+                prefetch_drop_cycles: 1_035,
+            },
+            degrade: DegradeStats {
+                throttle_engagements: 1_036,
+                throttled_cycles: 1_037,
+                killswitch_suppressed: 1_038,
+                throttle_suppressed: 1_039,
+            },
+            overflow_events: 1_040,
+        }
+    }
+
+    #[test]
+    fn blob_bytes_match_the_known_answer() {
+        // Pins the on-disk blob bytes across versions. Only a bump of
+        // BLOB_SCHEMA may change this value.
+        let key = ExpKey {
+            workload: "string_match",
+            insts: 20_000,
+            chaos_seed: Some(0xC0FFEE),
+            config_fp: "CoreConfig { known_answer: 1 }".to_owned(),
+        };
+        let bytes = encode(&key, &SimPoint { stats: kat_stats() });
+        assert_eq!(bytes.len(), 419);
+        assert_eq!(fnv1a(&bytes), 0x4938_3FD7_BC2B_4AB1, "blob bytes changed: bump BLOB_SCHEMA");
     }
 }

@@ -9,13 +9,14 @@
 //! and the resumed run is byte-identical to an uninterrupted one (the
 //! interval fingerprints prove it).
 //!
-//! Trust model matches [`super::blob`]: nothing on the way back in is
-//! believed. Fixed header with magic + schema + section lengths, the
-//! full [`SampleKey`] echoed inside (experiment key *and* sampling
-//! spec — a checkpoint can never resume the wrong run), and a trailing
-//! FNV-1a checksum over everything before it. Any failure decodes to a
-//! [`BlobError`] class; the store quarantines and the campaign starts
-//! cold.
+//! Trust model and frame are [`super::blob`]'s: nothing on the way
+//! back in is believed. The one frame codec (`blob::frame` /
+//! `blob::unframe`) carries magic + schema + section lengths and a
+//! trailing FNV-1a checksum; the key section echoes the full
+//! [`SampleKey`] (experiment key *and* sampling spec — a checkpoint can
+//! never resume the wrong run). Any failure decodes to a [`BlobError`]
+//! class; the store quarantines and the campaign starts cold. This
+//! module owns only the spec suffix of the key and the body codec.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -31,11 +32,10 @@
 //! checksum   u64       FNV-1a over every preceding byte
 //! ```
 
-use tvp_isa::stream::fnv1a;
 use tvp_workloads::machine::{ArchSnapshot, SparseMem, PAGE_BYTES};
 
-use crate::sampling::{IntervalResult, SampleKey, SampleSpec};
-use crate::store::blob::{self, BlobError, Cursor};
+use crate::sampling::{sample_digest, IntervalResult, SampleKey, SampleSpec};
+use crate::store::blob::{self, parse_exact, BlobError, Cursor};
 
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: [u8; 8] = *b"TVPCKPT\x01";
@@ -45,12 +45,6 @@ pub const CKPT_MAGIC: [u8; 8] = *b"TVPCKPT\x01";
 /// simply starts cold — checkpoints are a cache, not a source of
 /// truth).
 pub const CKPT_SCHEMA: u32 = 1;
-
-/// Size of the fixed header (magic + schema + two section lengths).
-pub const HEADER_LEN: usize = 8 + 4 + 4 + 4;
-
-/// Size of the trailing checksum.
-pub const CHECKSUM_LEN: usize = 8;
 
 /// The resumable state of a sampled campaign after its most recent
 /// finished interval.
@@ -89,43 +83,20 @@ impl CkptKey {
     pub fn matches(&self, key: &SampleKey) -> bool {
         self.exp.matches(&key.exp) && self.spec == key.spec
     }
+
+    /// The same digest [`SampleKey::digest`] computes, so fsck can
+    /// check a checkpoint file sits under its own content address.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        sample_digest(self.exp.digest(), &self.spec)
+    }
 }
 
-fn encode_key(key: &SampleKey) -> Vec<u8> {
-    let mut out = blob::encode_key(&key.exp);
-    blob::push_u64(&mut out, key.spec.period);
-    blob::push_u64(&mut out, key.spec.warmup);
-    blob::push_u64(&mut out, key.spec.measured);
-    out
-}
-
-fn decode_key(bytes: &[u8]) -> Option<CkptKey> {
-    // The ExpKey section is self-delimiting only via its own field
-    // lengths, so re-parse it in place and continue with the spec.
-    let mut c = Cursor::new(bytes);
-    let workload = c.str()?;
-    let insts = c.u64()?;
-    let flag = *c.take(1)?.first()?;
-    if flag > 1 {
-        return None;
-    }
-    let seed = c.u64()?;
-    let config_fp = c.str()?;
-    let period = c.u64()?;
-    let warmup = c.u64()?;
-    let measured = c.u64()?;
-    if !c.exhausted() {
-        return None;
-    }
-    Some(CkptKey {
-        exp: blob::BlobKey {
-            workload,
-            insts,
-            chaos_seed: if flag == 1 { Some(seed) } else { None },
-            config_fp,
-        },
-        spec: SampleSpec::new(period, warmup, measured).ok()?,
-    })
+/// The key section: the blob `ExpKey` fields, then the spec.
+fn decode_key(c: &mut Cursor<'_>) -> Option<CkptKey> {
+    let exp = c.exp_key()?;
+    let spec = SampleSpec::new(c.u64()?, c.u64()?, c.u64()?).ok()?;
+    Some(CkptKey { exp, spec })
 }
 
 fn encode_interval(iv: &IntervalResult, out: &mut Vec<u8>) {
@@ -135,11 +106,7 @@ fn encode_interval(iv: &IntervalResult, out: &mut Vec<u8>) {
     blob::push_u64(out, iv.measured_insts);
     blob::push_u64(out, iv.measured_uops);
     blob::push_u64(out, iv.fingerprint);
-    let counters = blob::stats_to_counters(&iv.stats);
-    blob::push_u32(out, u32::try_from(counters.len()).expect("counter count fits u32"));
-    for c in counters {
-        blob::push_u64(out, c);
-    }
+    blob::push_stats(out, &iv.stats);
 }
 
 fn decode_interval(c: &mut Cursor<'_>) -> Option<IntervalResult> {
@@ -149,23 +116,13 @@ fn decode_interval(c: &mut Cursor<'_>) -> Option<IntervalResult> {
     let measured_insts = c.u64()?;
     let measured_uops = c.u64()?;
     let fingerprint = c.u64()?;
-    let count = c.u32()? as usize;
-    // Bound by the bytes that remain: a corrupt count must never size
-    // the allocation (see the matching guard in `blob::decode`).
-    if count > c.remaining() / 8 {
-        return None;
-    }
-    let mut counters = Vec::with_capacity(count);
-    for _ in 0..count {
-        counters.push(c.u64()?);
-    }
     Some(IntervalResult {
         index,
         start_seq,
         represented_insts,
         measured_insts,
         measured_uops,
-        stats: blob::counters_to_stats(&counters)?,
+        stats: c.stats()?,
         fingerprint,
     })
 }
@@ -229,12 +186,48 @@ fn decode_snapshot(c: &mut Cursor<'_>) -> Option<ArchSnapshot> {
     Some(snap)
 }
 
+/// Decodes the body section: stream position, run totals, interval
+/// list, architectural snapshot.
+fn decode_body(c: &mut Cursor<'_>) -> Option<Checkpoint> {
+    let seq = c.u64()?;
+    let total_insts = c.u64()?;
+    let skipped_insts = c.u64()?;
+    let warmup_insts = c.u64()?;
+    let measured_insts = c.u64()?;
+    let n_intervals = c.u32()? as usize;
+    // An encoded interval is at least 48 bytes (index, five u64
+    // fields, counter count); bound the list allocation before
+    // trusting the wire count.
+    if n_intervals > c.remaining() / 48 {
+        return None;
+    }
+    let mut intervals = Vec::with_capacity(n_intervals);
+    for _ in 0..n_intervals {
+        intervals.push(decode_interval(c)?);
+    }
+    let snapshot = decode_snapshot(c)?;
+    Some(Checkpoint {
+        seq,
+        snapshot,
+        intervals,
+        total_insts,
+        skipped_insts,
+        warmup_insts,
+        measured_insts,
+    })
+}
+
 /// Encodes one (key, checkpoint) pair as a complete self-verifying
 /// file, checksum included. Pure: identical inputs yield identical
 /// bytes.
 #[must_use]
 pub fn encode(key: &SampleKey, ckpt: &Checkpoint) -> Vec<u8> {
-    let key_bytes = encode_key(key);
+    // Key section: the blob `ExpKey` fields, then the spec.
+    let mut key_bytes = Vec::with_capacity(56 + key.exp.config_fp.len());
+    blob::push_exp_key(&mut key_bytes, &key.exp);
+    blob::push_u64(&mut key_bytes, key.spec.period);
+    blob::push_u64(&mut key_bytes, key.spec.warmup);
+    blob::push_u64(&mut key_bytes, key.spec.measured);
     let mut body = Vec::with_capacity(256);
     blob::push_u64(&mut body, ckpt.seq);
     blob::push_u64(&mut body, ckpt.total_insts);
@@ -246,102 +239,25 @@ pub fn encode(key: &SampleKey, ckpt: &Checkpoint) -> Vec<u8> {
         encode_interval(iv, &mut body);
     }
     encode_snapshot(&ckpt.snapshot, &mut body);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + key_bytes.len() + body.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&CKPT_MAGIC);
-    blob::push_u32(&mut out, CKPT_SCHEMA);
-    blob::push_u32(&mut out, u32::try_from(key_bytes.len()).expect("key fits u32"));
-    blob::push_u32(&mut out, u32::try_from(body.len()).expect("body fits u32"));
-    out.extend_from_slice(&key_bytes);
-    out.extend_from_slice(&body);
-    let checksum = fnv1a(&out);
-    blob::push_u64(&mut out, checksum);
-    out
+    blob::frame(&CKPT_MAGIC, CKPT_SCHEMA, &key_bytes, &body)
 }
 
-/// Decodes and fully verifies a checkpoint: magic, schema, section
-/// lengths, checksum, then both sections. Returns the echoed key and
-/// the state.
+/// Decodes and fully verifies a checkpoint: the frame, then both
+/// sections. Returns the echoed key and the state.
 pub fn decode(bytes: &[u8]) -> Result<(CkptKey, Checkpoint), BlobError> {
-    // All framed reads are checked (see `blob::decode`): no length or
-    // count field from the wire indexes or sizes anything before it is
-    // validated against the bytes that actually exist.
-    let mut h = Cursor::new(bytes);
-    let too_short = BlobError::TooShort { len: bytes.len() };
-    let magic = h.take(CKPT_MAGIC.len()).ok_or(too_short.clone())?;
-    if magic != CKPT_MAGIC {
-        return Err(BlobError::BadMagic);
-    }
-    let schema = h.u32().ok_or(too_short.clone())?;
-    if schema != CKPT_SCHEMA {
-        return Err(BlobError::SchemaMismatch { found: schema });
-    }
-    let key_len = h.u32().ok_or(too_short.clone())? as usize;
-    let body_len = h.u32().ok_or(too_short)? as usize;
-    let declared = HEADER_LEN
-        .checked_add(key_len)
-        .and_then(|n| n.checked_add(body_len))
-        .and_then(|n| n.checked_add(CHECKSUM_LEN))
-        .ok_or(BlobError::LengthMismatch { declared: usize::MAX, actual: bytes.len() })?;
-    if declared != bytes.len() {
-        return Err(BlobError::LengthMismatch { declared, actual: bytes.len() });
-    }
-    let content = bytes.get(..bytes.len() - CHECKSUM_LEN).ok_or(BlobError::MalformedPayload)?;
-    let stored = bytes
-        .get(bytes.len() - CHECKSUM_LEN..)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .map(u64::from_le_bytes)
-        .ok_or(BlobError::MalformedPayload)?;
-    let computed = fnv1a(content);
-    if stored != computed {
-        return Err(BlobError::ChecksumMismatch { stored, computed });
-    }
-
-    let mut sections = Cursor::new(&bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN]);
-    let key_bytes = sections.take(key_len).ok_or(BlobError::MalformedKey)?;
-    let key = decode_key(key_bytes).ok_or(BlobError::MalformedKey)?;
-    let body = sections.take(body_len).ok_or(BlobError::MalformedPayload)?;
-    let mut c = Cursor::new(body);
-    let parse = || -> Option<Checkpoint> {
-        let seq = c.u64()?;
-        let total_insts = c.u64()?;
-        let skipped_insts = c.u64()?;
-        let warmup_insts = c.u64()?;
-        let measured_insts = c.u64()?;
-        let n_intervals = c.u32()? as usize;
-        // An encoded interval is at least 48 bytes (index, five u64
-        // fields, counter count); bound the list allocation before
-        // trusting the wire count.
-        if n_intervals > c.remaining() / 48 {
-            return None;
-        }
-        let mut intervals = Vec::with_capacity(n_intervals);
-        for _ in 0..n_intervals {
-            intervals.push(decode_interval(&mut c)?);
-        }
-        let snapshot = decode_snapshot(&mut c)?;
-        if !c.exhausted() {
-            return None;
-        }
-        Some(Checkpoint {
-            seq,
-            snapshot,
-            intervals,
-            total_insts,
-            skipped_insts,
-            warmup_insts,
-            measured_insts,
-        })
-    }();
-    let ckpt = parse.ok_or(BlobError::MalformedPayload)?;
+    let (key, body) = blob::unframe(bytes, &CKPT_MAGIC, CKPT_SCHEMA)?;
+    let key = parse_exact(key, decode_key).ok_or(BlobError::MalformedKey)?;
+    let ckpt = parse_exact(body, decode_body).ok_or(BlobError::MalformedPayload)?;
     Ok((key, ckpt))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::blob::{CHECKSUM_LEN, HEADER_LEN};
     use tvp_core::config::{CoreConfig, VpMode};
     use tvp_core::stats::SimStats;
+    use tvp_isa::stream::fnv1a;
     use tvp_workloads::suite::by_name;
 
     fn sample() -> (SampleKey, Checkpoint) {
@@ -499,5 +415,58 @@ mod tests {
                 let _ = decode(&bytes);
             }
         }
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_known_answer() {
+        // Pins the on-disk checkpoint bytes across versions. Only a
+        // bump of CKPT_SCHEMA may change this value.
+        let exp = crate::jobs::ExpKey {
+            workload: "pointer_chase",
+            insts: 8_000,
+            chaos_seed: None,
+            config_fp: "CoreConfig { known_answer: 2 }".to_owned(),
+        };
+        let key = SampleKey { exp, spec: SampleSpec::new(4_000, 500, 500).expect("valid spec") };
+        let mut mem = SparseMem::default();
+        mem.write(0x1_2008, 8, 0x0123_4567_89AB_CDEF);
+        mem.write(0x1_2FFC, 4, 0xFEED_F00D);
+        let mut snapshot = ArchSnapshot {
+            int: [0; tvp_isa::reg::NUM_INT_REGS as usize],
+            fp: [0; tvp_isa::reg::NUM_FP_REGS as usize],
+            flags: tvp_isa::flags::Nzcv::unpack(0b1010),
+            pc: 0x40_1000,
+            mem,
+        };
+        for (i, r) in snapshot.int.iter_mut().enumerate() {
+            *r = 0x1111 * (i as u64 + 1);
+        }
+        for (i, r) in snapshot.fp.iter_mut().enumerate() {
+            *r = 0x2222 * (i as u64 + 1);
+        }
+        let ckpt = Checkpoint {
+            seq: 4_321,
+            snapshot,
+            intervals: vec![IntervalResult {
+                index: 0,
+                start_seq: 3_600,
+                represented_insts: 4_000,
+                measured_insts: 500,
+                measured_uops: 523,
+                stats: crate::store::blob::tests::kat_stats(),
+                fingerprint: 0xDEAD_BEEF_F00D_CAFE,
+            }],
+            total_insts: 4_000,
+            skipped_insts: 3_000,
+            warmup_insts: 500,
+            measured_insts: 500,
+        };
+        let bytes = encode(&key, &ckpt);
+        assert_eq!(bytes.len(), 5_169);
+        assert_eq!(
+            fnv1a(&bytes),
+            0x46BC_F871_E719_23FE,
+            "checkpoint bytes changed: bump CKPT_SCHEMA"
+        );
     }
 }

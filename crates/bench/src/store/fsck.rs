@@ -1,28 +1,28 @@
 //! `fsck` for the result store: walk everything, trust nothing.
 //!
-//! [`fsck`] validates every blob (magic, schema, lengths, checksum,
-//! and that the file sits under its own content address), replays the
-//! journal, and cross-checks the two: a `done` record with no blob is
-//! **missing**, a valid blob with no `done` record is an **orphan**
-//! (harmless — it still warms the next run — but worth knowing about
-//! after a kill), leases with no completion are the points a killed
-//! campaign died holding, and everything already in `quarantine/` is
-//! counted. `cargo xtask fsck-store <DIR>` is the CLI entry point; the
+//! [`fsck`] validates every blob and every sampled-campaign checkpoint
+//! with one verifier loop (magic, schema, lengths, checksum, and that
+//! the echoed key digests to the file's own content address), replays
+//! the journal, and cross-checks it against the blobs: a `done` record
+//! with no blob is **missing**, a valid blob with no `done` record is
+//! an **orphan** (harmless — it still warms the next run — but worth
+//! knowing about after a kill), leases with no completion are the
+//! points a killed campaign died holding, and everything already in
+//! `quarantine/` is counted. `cargo xtask fsck-store <DIR>` is the CLI entry point; the
 //! `fsck_store` bin wires [`FsckReport`] to exit codes and JSON.
 
 use std::collections::BTreeSet;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use super::blob;
-use super::lease;
+use super::blob::{self, BlobError};
 use super::manifest::{self, JournalState, JOURNAL_FILE};
-use super::{BLOBS_DIR, QUARANTINE_DIR, TMP_DIR};
+use super::{checkpoint, lease, BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR};
 
-/// One invalid blob found by the walk.
+/// One invalid blob or checkpoint found by the walk.
 #[derive(Clone, Debug)]
 pub struct BadBlob {
-    /// File name under `blobs/`.
+    /// Path relative to the store root (`blobs/…` or `checkpoints/…`).
     pub file: String,
     /// Why it failed verification.
     pub error: String,
@@ -33,8 +33,10 @@ pub struct BadBlob {
 pub struct FsckReport {
     /// Blobs that decoded and verified completely.
     pub blobs_ok: u64,
-    /// Blobs that failed verification (checksum, schema, torn, or
-    /// filed under the wrong content address).
+    /// Checkpoints that decoded and verified completely.
+    pub checkpoints_ok: u64,
+    /// Blobs and checkpoints that failed verification (checksum,
+    /// schema, torn, or filed under the wrong content address).
     pub corrupt: Vec<BadBlob>,
     /// Valid blobs with no `done` journal record.
     pub orphans: Vec<String>,
@@ -69,10 +71,10 @@ pub struct FsckReport {
 }
 
 impl FsckReport {
-    /// True when the store is fully healthy: every blob verifies and
-    /// every journal completion has its blob. Orphans, pending leases
-    /// and a torn journal tail are *expected* after a kill and do not
-    /// make a store unhealthy — resuming repairs them.
+    /// True when the store is fully healthy: every blob and checkpoint
+    /// verifies and every journal completion has its blob. Orphans,
+    /// pending leases and a torn journal tail are *expected* after a
+    /// kill and do not make a store unhealthy — resuming repairs them.
     #[must_use]
     pub fn clean(&self) -> bool {
         self.corrupt.is_empty() && self.missing.is_empty() && self.journal_skipped == 0
@@ -82,10 +84,11 @@ impl FsckReport {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{} blob(s) ok, {} corrupt, {} orphan(s), {} missing, {} quarantined, \
-             {} pending lease(s), {} failed, torn_tail={}, {} held lease(s), \
+            "{} blob(s) ok, {} checkpoint(s) ok, {} corrupt, {} orphan(s), {} missing, \
+             {} quarantined, {} pending lease(s), {} failed, torn_tail={}, {} held lease(s), \
              {} worker(s), {} reclaimed, {} stale publish(es)",
             self.blobs_ok,
+            self.checkpoints_ok,
             self.corrupt.len(),
             self.orphans.len(),
             self.missing.len(),
@@ -121,6 +124,7 @@ impl FsckReport {
         crate::json::object(&[
             ("clean", self.clean().to_string()),
             ("blobs_ok", self.blobs_ok.to_string()),
+            ("checkpoints_ok", self.checkpoints_ok.to_string()),
             ("corrupt", crate::json::array(&corrupt)),
             ("orphans", crate::json::array(&strings(&self.orphans))),
             ("missing", crate::json::array(&strings(&self.missing))),
@@ -147,8 +151,61 @@ fn count_files(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
+/// The one verifier loop: walks `<dir>/<sub>/*.<ext>` in sorted order
+/// (deterministic reports) and fully verifies every file with
+/// `echoed_digest` — frame, checksum, and that the echoed key digests
+/// to the file name. Failures land in `report.corrupt`. Returns the
+/// content addresses that verified (one per file) and those whose
+/// file exists but failed.
+fn verify_files(
+    dir: &Path,
+    sub: &str,
+    ext: &str,
+    echoed_digest: impl Fn(&[u8]) -> Result<u64, BlobError>,
+    report: &mut FsckReport,
+) -> (Vec<u64>, BTreeSet<u64>) {
+    let mut ok = Vec::new();
+    let mut bad = BTreeSet::new();
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(sub))
+        .map(|entries| entries.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    files.sort();
+    for path in files {
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        let mut fail = |error: String| {
+            report.corrupt.push(BadBlob { file: format!("{sub}/{name}"), error });
+        };
+        let Some(stem) = name.strip_suffix(ext).and_then(|s| s.strip_suffix('.')) else {
+            fail(format!("not a .{ext} file"));
+            continue;
+        };
+        let Ok(addr) = u64::from_str_radix(stem, 16) else {
+            fail("file name is not a 16-hex content address".to_owned());
+            continue;
+        };
+        let verdict = match std::fs::read(&path) {
+            Err(e) => Err(format!("unreadable: {e}")),
+            Ok(bytes) => match echoed_digest(&bytes) {
+                Err(e) => Err(e.to_string()),
+                Ok(digest) if digest == addr => Ok(()),
+                Ok(digest) => Err(format!(
+                    "content address mismatch: file says {addr:016x}, key digests to {digest:016x}"
+                )),
+            },
+        };
+        match verdict {
+            Ok(()) => ok.push(addr),
+            Err(error) => {
+                bad.insert(addr);
+                fail(error);
+            }
+        }
+    }
+    (ok, bad)
+}
+
 /// Walks and validates the store at `dir`. Errors only on an unusable
-/// root (not a store at all); per-blob problems land in the report.
+/// root (not a store at all); per-file problems land in the report.
 pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
     if !dir.is_dir() {
         return Err(io::Error::new(
@@ -187,62 +244,16 @@ pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
         report.leases_held.push(label);
     }
 
-    // Walk blobs/ in sorted order (deterministic reports).
-    let mut on_disk: BTreeSet<u64> = BTreeSet::new();
-    // Addresses whose file exists but failed verification — already
-    // reported as corrupt, so they must not *also* count as missing.
-    let mut corrupt_addrs: BTreeSet<u64> = BTreeSet::new();
-    let blobs_dir = dir.join(BLOBS_DIR);
-    let mut blob_files: Vec<std::path::PathBuf> = std::fs::read_dir(&blobs_dir)
-        .map(|entries| entries.flatten().map(|e| e.path()).collect())
-        .unwrap_or_default();
-    blob_files.sort();
-    for path in blob_files {
-        let file = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        let fail = |error: String, report: &mut FsckReport| {
-            report.corrupt.push(BadBlob { file: file.clone(), error });
-        };
-        let Some(stem) = file.strip_suffix(".blob") else {
-            fail("not a .blob file".to_owned(), &mut report);
-            continue;
-        };
-        let Ok(addr) = u64::from_str_radix(stem, 16) else {
-            fail("file name is not a 16-hex content address".to_owned(), &mut report);
-            continue;
-        };
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                corrupt_addrs.insert(addr);
-                fail(format!("unreadable: {e}"), &mut report);
-                continue;
-            }
-        };
-        match blob::decode(&bytes) {
-            Ok((key, _point)) => {
-                if key.digest() == addr {
-                    report.blobs_ok += 1;
-                    on_disk.insert(addr);
-                } else {
-                    corrupt_addrs.insert(addr);
-                    fail(
-                        format!(
-                            "content address mismatch: file says {addr:016x}, \
-                             key digests to {:016x}",
-                            key.digest()
-                        ),
-                        &mut report,
-                    );
-                }
-            }
-            Err(e) => {
-                corrupt_addrs.insert(addr);
-                fail(e.to_string(), &mut report);
-            }
-        }
-    }
+    let blob_digest = |b: &[u8]| blob::decode(b).map(|(key, _)| key.digest());
+    let (blobs, corrupt_addrs) = verify_files(dir, BLOBS_DIR, "blob", blob_digest, &mut report);
+    report.blobs_ok = blobs.len() as u64;
+    let ckpt_digest = |b: &[u8]| checkpoint::decode(b).map(|(key, _)| key.digest());
+    let (ckpts, _) = verify_files(dir, CHECKPOINTS_DIR, "ckpt", ckpt_digest, &mut report);
+    report.checkpoints_ok = ckpts.len() as u64;
 
-    // Cross-check journal vs disk.
+    // Cross-check journal vs blobs. A corrupt blob is already
+    // reported, so its address does not *also* count as missing.
+    let on_disk: BTreeSet<u64> = blobs.into_iter().collect();
     for digest in on_disk.difference(&journal.completed) {
         report.orphans.push(format!("{digest:016x}.blob"));
     }
@@ -261,8 +272,7 @@ pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
 mod tests {
     use super::*;
     use crate::jobs::{ExpKey, SimPoint};
-    use crate::store::{ResultStore, StoreConfig};
-    use std::path::PathBuf;
+    use crate::store::{ResultStore, StoreConfig, BLOBS_DIR};
     use tvp_core::config::{CoreConfig, VpMode};
     use tvp_core::stats::SimStats;
 
@@ -387,6 +397,40 @@ mod tests {
         let report = fsck(&dir).expect("fsck again");
         assert_eq!(report.leases_on_done, 1);
         assert!(report.clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_is_reported() {
+        use crate::sampling::{run_sampled, SampleRunOptions, SampleSpec};
+        let dir = scratch("ckpt");
+        let store = std::sync::Mutex::new(ResultStore::open(StoreConfig::at(&dir)).expect("open"));
+        let w = tvp_workloads::suite::by_name("pointer_chase").expect("workload");
+        let spec = SampleSpec::new(4_000, 500, 500).expect("valid spec");
+        let opts = SampleRunOptions { store: Some(&store), stop_after_intervals: Some(1) };
+        let _ = run_sampled(&w, &CoreConfig::with_vp(VpMode::Tvp), 8_000, spec, opts);
+        let report = fsck(&dir).expect("fsck");
+        assert!(report.clean(), "a fresh checkpoint is healthy: {}", report.summary());
+        assert_eq!(report.checkpoints_ok, 1);
+
+        // Flip one byte in the middle of the only checkpoint.
+        let ckpt = std::fs::read_dir(dir.join(crate::store::CHECKPOINTS_DIR))
+            .expect("checkpoints dir")
+            .flatten()
+            .map(|e| e.path())
+            .next()
+            .expect("one checkpoint");
+        let mut bytes = std::fs::read(&ckpt).expect("read checkpoint");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&ckpt, &bytes).expect("corrupt checkpoint");
+
+        let report = fsck(&dir).expect("fsck again");
+        assert!(!report.clean(), "a corrupt checkpoint is damage: {}", report.summary());
+        assert_eq!(report.checkpoints_ok, 0);
+        assert_eq!(report.corrupt.len(), 1, "{:?}", report.corrupt);
+        assert!(report.corrupt[0].file.starts_with("checkpoints/"), "{:?}", report.corrupt);
+        assert!(report.corrupt[0].error.contains("checksum"), "{:?}", report.corrupt);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

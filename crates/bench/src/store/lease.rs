@@ -13,8 +13,9 @@
 //! double-count.
 //!
 //! Heartbeats are `workers/<id>.hb` files holding a sealed
-//! monotonically-increasing sequence number, rewritten atomically
-//! (tmp + rename). There are **no wall clocks anywhere** — liveness is
+//! monotonically-increasing sequence number, rewritten through the
+//! store's one atomic write (`store::write_atomic`). There are **no
+//! wall clocks anywhere** — liveness is
 //! judged by whether the sequence advances between two observations,
 //! and the observation interval belongs to the caller (the reaper
 //! bin sleeps; this module only reads and writes). That keeps the
@@ -165,20 +166,15 @@ pub fn list(store_dir: &Path) -> io::Result<Vec<(u64, Option<LeaseOwner>)>> {
     Ok(out)
 }
 
-/// Atomically (tmp + rename) writes `worker`'s heartbeat with sequence
-/// number `seq`. Callers pass a strictly increasing counter; liveness
-/// is "the sequence advanced between two reads", with the observation
-/// interval owned by the reaper — no clocks in here.
+/// Atomically writes `worker`'s heartbeat with sequence number `seq`
+/// (`store::write_atomic`). Callers pass a strictly increasing
+/// counter; liveness is "the sequence advanced between two reads",
+/// with the observation interval owned by the reaper — no clocks in
+/// here.
 pub fn beat(store_dir: &Path, worker: &str, seq: u64) -> io::Result<()> {
     debug_assert!(valid_worker_id(worker), "worker id {worker:?} fails valid_worker_id");
-    let dir = store_dir.join(WORKERS_DIR);
-    let tmp = dir.join(format!("{worker}.hb.{}.tmp", std::process::id()));
-    {
-        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        f.write_all(format!("{}\n", seal(&format!("hb {worker} {seq}"))).as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, heartbeat_path(store_dir, worker))
+    let line = format!("{}\n", seal(&format!("hb {worker} {seq}")));
+    super::write_atomic(store_dir, &heartbeat_path(store_dir, worker), line.as_bytes())
 }
 
 /// Reads `worker`'s heartbeat sequence. `None` when the worker never
@@ -205,6 +201,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join(LEASES_DIR)).expect("mk leases");
         std::fs::create_dir_all(dir.join(WORKERS_DIR)).expect("mk workers");
+        std::fs::create_dir_all(dir.join(crate::store::TMP_DIR)).expect("mk tmp");
         dir
     }
 

@@ -33,6 +33,12 @@
 //! kill); a checksum-failing line *mid-file* is corruption and is
 //! counted so fsck can report it. Replay never panics on any input.
 //!
+//! **One state machine.** A `Record` renders, parses and applies
+//! itself. [`replay`] applies each parsed line and every [`Journal`]
+//! append applies the records it just wrote — the same transition, so
+//! a handle's [`Journal::state`] equals a replay of its file by
+//! construction.
+//!
 //! **Multi-process appends.** Every record is rendered into a single
 //! buffer and appended with one `write` syscall on an `O_APPEND`
 //! handle, so concurrent workers appending to the same journal never
@@ -110,14 +116,22 @@ pub(crate) fn unseal(line: &str) -> Option<&str> {
     (sum.len() == 16 && stored == fnv1a(body.as_bytes())).then_some(body)
 }
 
-/// One parsed journal record.
-enum Record {
-    Lease(u64),
-    WLease(u64, String, u32),
-    Reclaim(u64, u32),
-    Stale(u64, String, u32),
-    Done(u64),
-    Fail(u64, u32),
+/// One journal record, borrowed from its line or from the appender's
+/// arguments. The labels trail their lines and carry no replay state.
+#[derive(Debug)]
+enum Record<'a> {
+    /// The cold schedule leased `digest`.
+    Lease { digest: u64, label: &'a str },
+    /// `worker` leased `digest` at fencing `epoch`.
+    WLease { digest: u64, worker: &'a str, epoch: u32, label: &'a str },
+    /// The reaper retired a dead worker's lease on `digest`.
+    Reclaim { digest: u64, epoch: u32 },
+    /// `worker`'s late publish of `digest` was fenced off.
+    Stale { digest: u64, worker: &'a str, epoch: u32 },
+    /// A blob for `digest` was published.
+    Done { digest: u64 },
+    /// `digest` failed terminally after `attempts`.
+    Fail { digest: u64, attempts: u32 },
 }
 
 /// Worker ids appear as journal tokens and in lease file names, so
@@ -129,42 +143,92 @@ pub fn valid_worker_id(id: &str) -> bool {
         && id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.')
 }
 
-fn parse_record(body: &str) -> Option<Record> {
-    let mut parts = body.split(' ');
-    let kind = parts.next()?;
-    let digest = u64::from_str_radix(parts.next()?, 16).ok()?;
-    match kind {
-        "lease" => Some(Record::Lease(digest)),
-        "wlease" => {
-            let worker = parts.next()?;
-            if !valid_worker_id(worker) {
-                return None;
+impl<'a> Record<'a> {
+    /// Appends the record's sealed line, newline included, to `out`.
+    fn render(&self, out: &mut String) {
+        let body = match *self {
+            Record::Lease { digest, label } => format!("lease {digest:016x} {label}"),
+            Record::WLease { digest, worker, epoch, label } => {
+                format!("wlease {digest:016x} {worker} {epoch} {label}")
             }
-            let epoch = parts.next()?.parse().ok()?;
-            // The label trails; it carries no replay state.
-            Some(Record::WLease(digest, worker.to_owned(), epoch))
-        }
-        "reclaim" => {
-            let epoch = parts.next()?.parse().ok()?;
-            parts.next().is_none().then_some(Record::Reclaim(digest, epoch))
-        }
-        "stale" => {
-            let worker = parts.next()?;
-            if !valid_worker_id(worker) {
-                return None;
+            Record::Reclaim { digest, epoch } => format!("reclaim {digest:016x} {epoch}"),
+            Record::Stale { digest, worker, epoch } => {
+                format!("stale {digest:016x} {worker} {epoch}")
             }
-            let epoch = parts.next()?.parse().ok()?;
-            parts.next().is_none().then_some(Record::Stale(digest, worker.to_owned(), epoch))
-        }
-        "done" if parts.next().is_none() => Some(Record::Done(digest)),
-        "fail" => {
-            if parts.next()? != "attempts" {
-                return None;
+            Record::Done { digest } => format!("done {digest:016x}"),
+            Record::Fail { digest, attempts } => format!("fail {digest:016x} attempts {attempts}"),
+        };
+        out.push_str(&seal(&body));
+        out.push('\n');
+    }
+
+    /// Parses one sealed line; `None` for a failed checksum or a
+    /// malformed record.
+    fn parse(line: &'a str) -> Option<Record<'a>> {
+        let (kind, rest) = unseal(line)?.split_once(' ')?;
+        let (digest, rest) = match rest.split_once(' ') {
+            Some((digest, rest)) => (digest, Some(rest)),
+            None => (rest, None),
+        };
+        let digest = u64::from_str_radix(digest, 16).ok()?;
+        let valid = |worker: &'a str| valid_worker_id(worker).then_some(worker);
+        match kind {
+            "lease" => Some(Record::Lease { digest, label: rest.unwrap_or("") }),
+            "wlease" => {
+                let mut fields = rest?.splitn(3, ' ');
+                let worker = valid(fields.next()?)?;
+                let epoch = fields.next()?.parse().ok()?;
+                Some(Record::WLease { digest, worker, epoch, label: fields.next().unwrap_or("") })
             }
-            let attempts = parts.next()?.parse().ok()?;
-            parts.next().is_none().then_some(Record::Fail(digest, attempts))
+            "reclaim" => Some(Record::Reclaim { digest, epoch: rest?.parse().ok()? }),
+            "stale" => {
+                let (worker, epoch) = rest?.split_once(' ')?;
+                Some(Record::Stale { digest, worker: valid(worker)?, epoch: epoch.parse().ok()? })
+            }
+            "done" => rest.is_none().then_some(Record::Done { digest }),
+            "fail" => {
+                let attempts = rest?.strip_prefix("attempts ")?.parse().ok()?;
+                Some(Record::Fail { digest, attempts })
+            }
+            _ => None,
         }
-        _ => None,
+    }
+
+    /// The one state transition, shared by [`replay`] and the
+    /// [`Journal`] appenders.
+    fn apply(&self, state: &mut JournalState) {
+        // A lease or reclaim (re-)pends a point unless something
+        // already settled it.
+        let pend = |state: &mut JournalState, digest: u64| {
+            if !state.completed.contains(&digest) && !state.failed.contains_key(&digest) {
+                state.pending.insert(digest);
+            }
+        };
+        match *self {
+            Record::Lease { digest, .. } => pend(state, digest),
+            Record::WLease { digest, worker, .. } => {
+                state.workers.insert(worker.to_owned());
+                pend(state, digest);
+            }
+            Record::Reclaim { digest, .. } => {
+                let count = state.reclaims.entry(digest).or_insert(0);
+                *count = count.saturating_add(1);
+                pend(state, digest);
+            }
+            Record::Stale { worker, .. } => {
+                state.workers.insert(worker.to_owned());
+                state.stale_publishes += 1;
+            }
+            Record::Done { digest } => {
+                state.pending.remove(&digest);
+                state.failed.remove(&digest);
+                state.completed.insert(digest);
+            }
+            Record::Fail { digest, attempts } => {
+                state.pending.remove(&digest);
+                state.failed.insert(digest, attempts);
+            }
+        }
     }
 }
 
@@ -182,51 +246,12 @@ pub fn replay(text: &str) -> JournalState {
             return state;
         }
     }
-    let rest: Vec<&str> = lines.collect();
-    let n = rest.len();
-    for (i, line) in rest.iter().enumerate() {
-        let record = unseal(line).and_then(parse_record);
-        match record {
-            Some(Record::Lease(d)) => {
-                if !state.completed.contains(&d) && !state.failed.contains_key(&d) {
-                    state.pending.insert(d);
-                }
-            }
-            Some(Record::WLease(d, worker, _epoch)) => {
-                state.workers.insert(worker);
-                if !state.completed.contains(&d) && !state.failed.contains_key(&d) {
-                    state.pending.insert(d);
-                }
-            }
-            Some(Record::Reclaim(d, _epoch)) => {
-                let count = state.reclaims.entry(d).or_insert(0);
-                *count = count.saturating_add(1);
-                // A reclaimed point still has to run; it stays (or
-                // returns to) pending unless something completed it.
-                if !state.completed.contains(&d) && !state.failed.contains_key(&d) {
-                    state.pending.insert(d);
-                }
-            }
-            Some(Record::Stale(_d, worker, _epoch)) => {
-                state.workers.insert(worker);
-                state.stale_publishes += 1;
-            }
-            Some(Record::Done(d)) => {
-                state.pending.remove(&d);
-                state.failed.remove(&d);
-                state.completed.insert(d);
-            }
-            Some(Record::Fail(d, attempts)) => {
-                state.pending.remove(&d);
-                state.failed.insert(d, attempts);
-            }
-            None => {
-                if i + 1 == n {
-                    state.torn_tail = true;
-                } else {
-                    state.skipped_lines += 1;
-                }
-            }
+    let mut lines = lines.peekable();
+    while let Some(line) = lines.next() {
+        match Record::parse(line) {
+            Some(record) => record.apply(&mut state),
+            None if lines.peek().is_none() => state.torn_tail = true,
+            None => state.skipped_lines += 1,
         }
     }
     state
@@ -261,7 +286,7 @@ impl Journal {
             let last_is_good = if last_start == 0 {
                 last_line == JOURNAL_HEADER
             } else {
-                unseal(last_line).and_then(parse_record).is_some()
+                Record::parse(last_line).is_some()
             };
             if !last_is_good {
                 keep = last_start;
@@ -324,21 +349,32 @@ impl Journal {
         Ok(Journal { path, file, state, needs_leading_newline })
     }
 
-    /// Appends one pre-rendered batch of lines with a single `write`
-    /// syscall (concurrent-writer atomicity) and fsyncs it.
-    fn append_batch(&mut self, mut batch: String) -> std::io::Result<()> {
-        if batch.is_empty() {
+    /// Appends `records` with a single `write` syscall (concurrent-
+    /// writer atomicity), fsyncs, then applies them to the handle's
+    /// state — the transition [`replay`] applies to the file. An empty
+    /// batch writes and applies nothing.
+    fn append(&mut self, records: &[Record<'_>]) -> std::io::Result<()> {
+        if records.is_empty() {
             return Ok(());
         }
+        let mut batch = String::new();
         if self.needs_leading_newline {
-            batch.insert(0, '\n');
+            batch.push('\n');
             self.needs_leading_newline = false;
         }
+        for record in records {
+            record.render(&mut batch);
+        }
         self.file.write_all(batch.as_bytes())?;
-        self.file.sync_all()
+        self.file.sync_all()?;
+        for record in records {
+            record.apply(&mut self.state);
+        }
+        Ok(())
     }
 
-    /// The state replayed when the journal was opened.
+    /// The state replayed when the journal was opened, advanced by
+    /// every record this handle appended since.
     #[must_use]
     pub fn state(&self) -> &JournalState {
         &self.state
@@ -356,16 +392,9 @@ impl Journal {
         &mut self,
         keys: impl Iterator<Item = (u64, &'k str)>,
     ) -> std::io::Result<()> {
-        let mut batch = String::new();
-        let mut digests = Vec::new();
-        for (digest, label) in keys {
-            batch.push_str(&seal(&format!("lease {digest:016x} {label}")));
-            batch.push('\n');
-            digests.push(digest);
-        }
-        self.append_batch(batch)?;
-        self.state.pending.extend(digests);
-        Ok(())
+        let records: Vec<Record<'_>> =
+            keys.map(|(digest, label)| Record::Lease { digest, label }).collect();
+        self.append(&records)
     }
 
     /// Records a batch of worker-owned leases at a fencing epoch each,
@@ -376,31 +405,16 @@ impl Journal {
         keys: impl Iterator<Item = (u64, u32, &'k str)>,
     ) -> std::io::Result<()> {
         debug_assert!(valid_worker_id(worker), "worker id {worker:?} fails valid_worker_id");
-        let mut batch = String::new();
-        let mut digests = Vec::new();
-        for (digest, epoch, label) in keys {
-            batch.push_str(&seal(&format!("wlease {digest:016x} {worker} {epoch} {label}")));
-            batch.push('\n');
-            digests.push(digest);
-        }
-        self.append_batch(batch)?;
-        self.state.workers.insert(worker.to_owned());
-        self.state.pending.extend(digests);
-        Ok(())
+        let records: Vec<Record<'_>> = keys
+            .map(|(digest, epoch, label)| Record::WLease { digest, worker, epoch, label })
+            .collect();
+        self.append(&records)
     }
 
     /// Records the reaper retiring a dead worker's lease on `digest`
     /// at `epoch`; the point returns to pending for the next epoch.
     pub fn reclaim(&mut self, digest: u64, epoch: u32) -> std::io::Result<()> {
-        let mut batch = seal(&format!("reclaim {digest:016x} {epoch}"));
-        batch.push('\n');
-        self.append_batch(batch)?;
-        let count = self.state.reclaims.entry(digest).or_insert(0);
-        *count = count.saturating_add(1);
-        if !self.state.completed.contains(&digest) && !self.state.failed.contains_key(&digest) {
-            self.state.pending.insert(digest);
-        }
-        Ok(())
+        self.append(&[Record::Reclaim { digest, epoch }])
     }
 
     /// Records a fenced-off late publish: `worker` lost its lease on
@@ -408,38 +422,25 @@ impl Journal {
     /// deduped rather than double-counted.
     pub fn stale(&mut self, digest: u64, worker: &str, epoch: u32) -> std::io::Result<()> {
         debug_assert!(valid_worker_id(worker), "worker id {worker:?} fails valid_worker_id");
-        let mut batch = seal(&format!("stale {digest:016x} {worker} {epoch}"));
-        batch.push('\n');
-        self.append_batch(batch)?;
-        self.state.workers.insert(worker.to_owned());
-        self.state.stale_publishes += 1;
-        Ok(())
+        self.append(&[Record::Stale { digest, worker, epoch }])
     }
 
     /// Records a completed publication. Fsynced per record: a `done`
     /// line must never claim a blob that a crash then loses.
     pub fn done(&mut self, digest: u64) -> std::io::Result<()> {
-        let mut batch = seal(&format!("done {digest:016x}"));
-        batch.push('\n');
-        self.append_batch(batch)?;
-        self.state.pending.remove(&digest);
-        self.state.completed.insert(digest);
-        Ok(())
+        self.append(&[Record::Done { digest }])
     }
 
     /// Records a terminal job failure (after retries).
     pub fn fail(&mut self, digest: u64, attempts: u32) -> std::io::Result<()> {
-        let mut batch = seal(&format!("fail {digest:016x} attempts {attempts}"));
-        batch.push('\n');
-        self.append_batch(batch)?;
-        self.state.pending.remove(&digest);
-        self.state.failed.insert(digest, attempts);
-        Ok(())
+        self.append(&[Record::Fail { digest, attempts }])
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -666,5 +667,92 @@ mod tests {
         assert_eq!(j.state().failed.get(&0xCD), Some(&2));
         assert!(j.state().pending.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_lines_match_the_known_answer() {
+        // Pins one rendered line per record kind across versions. Only
+        // a bump of JOURNAL_HEADER may change these values.
+        let dir = std::env::temp_dir().join(format!("tvp_journal_kat_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        {
+            let mut j = Journal::open(&dir).expect("open fresh");
+            j.lease_all(
+                [(0x0123_4567_89AB_CDEF, "string_match@20000#0123456789abcdef")].into_iter(),
+            )
+            .expect("lease");
+            j.wlease_all("w0", [(0x11, 3, "pointer_chase@8000#0000000000000011")].into_iter())
+                .expect("wlease");
+            j.reclaim(0x22, 2).expect("reclaim");
+            j.stale(0x33, "host-1.w_2", 4).expect("stale");
+            j.done(0x44).expect("done");
+            j.fail(0x55, 2).expect("fail");
+        }
+        let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read");
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("tvp-journal 1"));
+        let sums: Vec<u64> = lines.map(|l| fnv1a(l.as_bytes())).collect();
+        let expected: [u64; 6] = [
+            0xC03A_0613_233F_FB31,
+            0x6297_587D_7834_E979,
+            0x7A36_B16D_FFE8_823E,
+            0x9BEC_D3BF_2C93_627A,
+            0x648A_5D1E_11F4_CFF3,
+            0x8F54_132C_84BD_684B,
+        ];
+        assert_eq!(sums, expected, "journal lines changed: bump JOURNAL_HEADER");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Appends and replay share one transition: after every append
+        /// of a random sequence (over four digests and two workers,
+        /// batches possibly empty), the handle's state equals a replay
+        /// of its file.
+        #[test]
+        fn handle_state_equals_replay_of_its_file(
+            ops in proptest::collection::vec((0u8..6, 0u64..16, 0usize..2, 1u32..4), 1..=40)
+        ) {
+            let dir = std::env::temp_dir().join(format!("tvp_journal_prop_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            let mut j = Journal::open(&dir).expect("open fresh");
+            let digests = [0xA1_u64, 0xB2, 0xC3, 0xD4];
+            // Lease batches take the digests picked by a 4-bit mask.
+            let batch = |mask: u64| digests.into_iter().enumerate().filter(move |(i, _)| (mask >> i) & 1 == 1);
+            for (i, &(kind, arg, w, n)) in ops.iter().enumerate() {
+                let worker = ["w0", "w1"][w];
+                let digest = digests[(arg % 4) as usize];
+                match kind {
+                    0 => j.lease_all(batch(arg).map(|(_, d)| (d, "k@1#x"))),
+                    1 => j.wlease_all(worker, batch(arg).map(|(_, d)| (d, n, "k@1#x"))),
+                    2 => j.reclaim(digest, n),
+                    3 => j.stale(digest, worker, n),
+                    4 => j.done(digest),
+                    _ => j.fail(digest, n),
+                }
+                .expect("append");
+                let replayed = replay(&std::fs::read_to_string(j.path()).expect("read journal"));
+                let s = j.state();
+                prop_assert_eq!(
+                    (&s.completed, &s.failed, &s.pending, &s.reclaims, s.stale_publishes, &s.workers),
+                    (
+                        &replayed.completed,
+                        &replayed.failed,
+                        &replayed.pending,
+                        &replayed.reclaims,
+                        replayed.stale_publishes,
+                        &replayed.workers
+                    ),
+                    "handle and replay diverge after op {}: {:?}",
+                    i,
+                    ops[i]
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

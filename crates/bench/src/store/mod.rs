@@ -14,24 +14,32 @@
 //!
 //! ```text
 //! <dir>/
-//!   blobs/<digest:016x>.blob      one verified point per file
-//!   quarantine/<digest>.<reason>.<n>.blob   corrupt blobs, set aside
-//!   tmp/                          scratch for atomic publication
-//!   journal.log                   append-only campaign journal
+//!   blobs/<digest:016x>.blob        one verified point per file
+//!   checkpoints/<digest:016x>.ckpt  newest checkpoint of a sampled run
+//!   quarantine/<digest>.<reason>.<n>.blob   corrupt files, set aside
+//!   leases/<digest:016x>.lease      distributed lease files (§16)
+//!   workers/<id>.hb                 distributed worker heartbeats
+//!   tmp/                            scratch for atomic writes
+//!   journal.log                     append-only campaign journal
+//!   campaign.manifest               distributed campaign schedule
 //! ```
 //!
 //! Guarantees:
 //!
-//! - **Atomic publication.** A blob is written to `tmp/`, fsynced,
-//!   renamed into `blobs/`, and the directory is fsynced. A reader
-//!   (or a resumed campaign) can observe a blob fully or not at all —
-//!   never torn. A crash can at worst leave scratch files in `tmp/`,
-//!   which the next open sweeps.
-//! - **Verified loads.** [`ResultStore::load`] re-verifies everything:
-//!   magic, schema, lengths, checksum, and that the key echoed inside
-//!   the blob is field-for-field the key that was asked for. A blob
-//!   that fails is renamed into `quarantine/` (evidence preserved),
-//!   counted, and reported as a miss so the engine re-simulates it.
+//! - **Atomic writes.** One function, `write_atomic`, writes every
+//!   whole-file record — blobs, checkpoints, the campaign manifest and
+//!   worker heartbeats: scratch file in `tmp/`, fsync, rename into
+//!   place, fsync of the directory. A reader (or a resumed campaign)
+//!   can observe a file fully or not at all — never torn. A crash can
+//!   at worst leave scratch files in `tmp/`, which the next exclusive
+//!   open sweeps.
+//! - **Verified loads.** [`ResultStore::load`] and
+//!   [`ResultStore::load_checkpoint`] share one body that re-verifies
+//!   everything: magic, schema, lengths, checksum, and that the key
+//!   echoed inside the file is field-for-field the key that was asked
+//!   for. A file that fails is renamed into `quarantine/` (evidence
+//!   preserved), counted, and reported as a miss so the engine
+//!   re-simulates it.
 //! - **Determinism.** The store holds only deterministic simulation
 //!   results keyed by deterministic fingerprints; blob bytes are a
 //!   pure function of (key, point). This module is bound by the
@@ -44,6 +52,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::jobs::{ExpKey, SimPoint};
+use crate::sampling::SampleKey;
+use checkpoint::Checkpoint;
 
 pub mod blob;
 pub mod checkpoint;
@@ -75,10 +85,10 @@ pub const TMP_DIR: &str = "tmp";
 pub struct StoreConfig {
     /// Store root directory (created if missing).
     pub dir: PathBuf,
-    /// Chaos knob: after this many successful blob publications the
-    /// process exits with [`KILL_EXIT_CODE`] *before* writing the
-    /// journal completion record — an honest mid-manifest death for
-    /// kill-resume testing.
+    /// Chaos knob: after this many successful blob or checkpoint
+    /// publications the process exits with [`KILL_EXIT_CODE`]
+    /// *before* writing the journal completion record — an honest
+    /// mid-manifest death for kill-resume testing.
     pub kill_after: Option<u64>,
 }
 
@@ -93,22 +103,22 @@ impl StoreConfig {
 /// Store activity counters for telemetry and reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCounters {
-    /// Loads served by a verified on-disk blob.
+    /// Loads served by a verified on-disk blob or checkpoint.
     pub warm_hits: u64,
-    /// Loads that found no blob.
+    /// Loads that found no usable file.
     pub misses: u64,
-    /// Corrupt / torn / version-skewed blobs moved to quarantine.
+    /// Corrupt / torn / version-skewed files moved to quarantine.
     pub quarantined: u64,
-    /// Blobs published this run.
+    /// Blobs and checkpoints published this run.
     pub published: u64,
-    /// Valid blobs whose echoed key was a *different* key under the
+    /// Valid files whose echoed key was a *different* key under the
     /// same 64-bit content address (astronomically rare; counted so it
     /// is observable rather than silent).
     pub digest_collisions: u64,
     /// Scratch files left by a crashed run, swept at open.
     pub tmp_swept: u64,
     /// Quarantine attempts where both the rename *and* the copy+remove
-    /// fallback failed — the corrupt blob may still be in `blobs/`.
+    /// fallback failed — the corrupt file may still be in place.
     /// Nonzero is a loud warning, never silent.
     pub quarantine_failed: u64,
     /// Publications that found the destination blob already present
@@ -121,27 +131,18 @@ pub struct StoreCounters {
     pub stale_publishes: u64,
 }
 
-/// What [`ResultStore::load`] found for a key.
+/// What [`ResultStore::load`] (`T` = [`SimPoint`]) or
+/// [`ResultStore::load_checkpoint`] (`T` = [`Checkpoint`]) found for a
+/// key.
 #[derive(Debug)]
-pub enum LoadOutcome {
-    /// A fully verified point.
-    Hit(Box<SimPoint>),
-    /// No blob at this content address.
+pub enum LoadOutcome<T = SimPoint> {
+    /// A fully verified, key-matching record.
+    Hit(Box<T>),
+    /// No record at this content address.
     Miss,
-    /// A blob existed but failed verification; it has been quarantined
-    /// and the key must be re-simulated.
-    Quarantined(BlobError),
-}
-
-/// What [`ResultStore::load_checkpoint`] found for a sample key.
-#[derive(Debug)]
-pub enum CheckpointOutcome {
-    /// A fully verified, key-matching checkpoint.
-    Hit(Box<checkpoint::Checkpoint>),
-    /// No checkpoint at this content address.
-    Miss,
-    /// A checkpoint existed but failed verification; it has been
-    /// quarantined and the campaign starts cold.
+    /// A file existed but failed verification; it has been quarantined
+    /// and the key must be re-simulated (a checkpoint: the campaign
+    /// starts cold).
     Quarantined(BlobError),
 }
 
@@ -170,17 +171,31 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     }
 }
 
-/// Names a scratch file uniquely per *handle and publication*, not
-/// just per process: two store handles in one process racing the same
-/// digest (the concurrent-publish test, or a future in-process
-/// multi-worker) must never write through the same scratch path, or
-/// one handle's `File::create` truncates the other's half-written
-/// bytes and the second rename fails on the vanished entry.
-fn scratch_name(digest: u64, suffix: &str) -> String {
+/// Writes `bytes` to `dest`, a file inside the store at `store_dir`,
+/// so that a reader sees the whole file or none of it and the result
+/// survives power loss: scratch file in `tmp/` → fsync → rename onto
+/// `dest` → fsync of `dest`'s directory. The one atomic write of the
+/// store: blobs, checkpoints, the campaign manifest and heartbeats.
+///
+/// Scratch names are unique per process *and* per write, not just per
+/// destination: two handles in one process racing the same digest
+/// (the concurrent-publish test, or a future in-process multi-worker)
+/// must never write through the same scratch path, or one handle's
+/// `File::create` truncates the other's half-written bytes and the
+/// second rename fails on the vanished entry.
+pub(crate) fn write_atomic(store_dir: &Path, dest: &Path, bytes: &[u8]) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
-    format!("{digest:016x}.{}.{seq}.{suffix}", std::process::id())
+    let name = dest.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = store_dir.join(TMP_DIR).join(format!("{name}.{}.{seq}.tmp", std::process::id()));
+    {
+        let mut f = File::create(&tmp)?;
+        io::Write::write_all(&mut f, bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, dest)?;
+    fsync_dir(dest.parent().unwrap_or(store_dir))
 }
 
 /// Moves `src` to `dest`, preferring an atomic same-filesystem rename
@@ -260,8 +275,8 @@ impl ResultStore {
         &self.counters
     }
 
-    /// The journal state replayed at open (completed / failed /
-    /// pending digests of earlier runs against this store).
+    /// The journal state: what earlier runs against this store
+    /// recorded, plus this handle's own appends.
     #[must_use]
     pub fn journal_state(&self) -> &manifest::JournalState {
         self.journal.state()
@@ -271,50 +286,70 @@ impl ResultStore {
         self.cfg.dir.join(BLOBS_DIR).join(format!("{digest:016x}.blob"))
     }
 
+    fn checkpoint_path(&self, digest: u64) -> PathBuf {
+        self.cfg.dir.join(CHECKPOINTS_DIR).join(format!("{digest:016x}.ckpt"))
+    }
+
     /// Loads and fully re-verifies the point for `key`. Corrupt blobs
     /// are moved aside into `quarantine/` and reported as
     /// [`LoadOutcome::Quarantined`]; the caller re-simulates.
     pub fn load(&mut self, key: &ExpKey) -> LoadOutcome {
         let digest = key.digest();
-        let path = self.blob_path(digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.counters.misses += 1;
-                return LoadOutcome::Miss;
-            }
-            Err(_) => {
-                // Unreadable blob (permissions, I/O error): treat as a
-                // miss rather than aborting the campaign.
-                self.counters.misses += 1;
-                return LoadOutcome::Miss;
-            }
+        self.load_verified(digest, &self.blob_path(digest), |bytes| {
+            blob::decode(bytes).map(|(echo, point)| (echo.matches(key), point))
+        })
+    }
+
+    /// Loads and fully re-verifies the sampled-campaign checkpoint for
+    /// `key`, exactly as [`ResultStore::load`] does a point. A corrupt
+    /// checkpoint is quarantined and the campaign starts cold
+    /// (checkpoints are a cache, never a source of truth).
+    pub fn load_checkpoint(&mut self, key: &SampleKey) -> LoadOutcome<Checkpoint> {
+        let digest = key.digest();
+        self.load_verified(digest, &self.checkpoint_path(digest), |bytes| {
+            checkpoint::decode(bytes).map(|(echo, ckpt)| (echo.matches(key), ckpt))
+        })
+    }
+
+    /// The one verified load: read the file at `path`, verify and
+    /// decode it (`decode` also says whether the echoed key is the
+    /// requested one), quarantine it on failure, and count.
+    fn load_verified<T>(
+        &mut self,
+        digest: u64,
+        path: &Path,
+        decode: impl FnOnce(&[u8]) -> Result<(bool, T), BlobError>,
+    ) -> LoadOutcome<T> {
+        // An absent or unreadable file (permissions, I/O error) is a
+        // miss rather than an aborted campaign.
+        let Ok(bytes) = std::fs::read(path) else {
+            self.counters.misses += 1;
+            return LoadOutcome::Miss;
         };
-        match blob::decode(&bytes) {
-            Ok((stored_key, point)) => {
-                if stored_key.matches(key) {
-                    self.counters.warm_hits += 1;
-                    LoadOutcome::Hit(Box::new(point))
-                } else {
-                    // A valid blob for a *different* key under the same
-                    // content address. Don't quarantine a good blob;
-                    // count the collision and re-simulate (the publish
-                    // will overwrite — acceptable at 2^-64 odds, and
-                    // observable through the counter).
-                    self.counters.digest_collisions += 1;
-                    self.counters.misses += 1;
-                    LoadOutcome::Miss
-                }
+        match decode(&bytes) {
+            Ok((true, value)) => {
+                self.counters.warm_hits += 1;
+                LoadOutcome::Hit(Box::new(value))
+            }
+            Ok((false, _)) => {
+                // A valid file for a *different* key under the same
+                // content address. Don't quarantine a good file; count
+                // the collision and re-simulate (the publish will
+                // overwrite — acceptable at 2^-64 odds, and observable
+                // through the counter).
+                self.counters.digest_collisions += 1;
+                self.counters.misses += 1;
+                LoadOutcome::Miss
             }
             Err(err) => {
-                self.quarantine(digest, &path, &err);
+                self.quarantine(digest, path, &err);
                 self.counters.quarantined += 1;
                 LoadOutcome::Quarantined(err)
             }
         }
     }
 
-    /// Moves a failed blob into `quarantine/` under a unique name that
+    /// Moves a failed file into `quarantine/` under a unique name that
     /// records why it was pulled.
     fn quarantine(&mut self, digest: u64, path: &Path, err: &BlobError) {
         let qdir = self.cfg.dir.join(QUARANTINE_DIR);
@@ -331,13 +366,13 @@ impl ResultStore {
             // Both the rename and the copy+remove fallback failed.
             // Last resort: delete the bad bytes so they can never be
             // loaded again, and say so loudly — a quarantine that
-            // silently fails would leave a corrupt blob re-read (and
+            // silently fails would leave a corrupt file re-read (and
             // re-"quarantined") by every warm load forever.
             self.counters.quarantine_failed += 1;
             let removed = std::fs::remove_file(path).is_ok();
             eprintln!(
                 "[store] warning: quarantine of {} -> {} failed ({e}); \
-                 corrupt blob {}",
+                 corrupt file {}",
                 path.display(),
                 dest.display(),
                 if removed { "deleted instead (evidence lost)" } else { "may still be present" }
@@ -390,11 +425,11 @@ impl ResultStore {
         lease::release(&self.cfg.dir, digest)
     }
 
-    /// Publishes one simulated point durably: encode → write to
-    /// scratch → fsync → rename into `blobs/` → fsync the directory →
-    /// journal `done`. A torn publication is impossible to observe;
-    /// a crash between rename and journal leaves an orphan blob that
-    /// still verifies (and warms the next run).
+    /// Publishes one simulated point durably: encode → atomic write
+    /// into `blobs/` → journal `done`. A torn publication is
+    /// impossible to observe; a crash between rename and journal
+    /// leaves an orphan blob that still verifies (and warms the next
+    /// run).
     ///
     /// When the [`StoreConfig::kill_after`] chaos knob is armed, the
     /// process exits with [`KILL_EXIT_CODE`] after the N-th blob is
@@ -405,20 +440,12 @@ impl ResultStore {
         self.journal.done(digest)
     }
 
-    /// The durable half of [`ResultStore::publish`]: encodes, writes
-    /// the blob atomically, counts, and fires the kill knob — but does
-    /// *not* journal. Returns the digest so the caller can journal
-    /// `done` (plain publish) or run the fencing check first (worker
-    /// publish).
+    /// The durable half of [`ResultStore::publish`]: counts a lost
+    /// publication race and writes the blob, but does *not* journal.
+    /// Returns the digest so the caller can journal `done` (plain
+    /// publish) or run the fencing check first (worker publish).
     fn publish_blob(&mut self, key: &ExpKey, point: &SimPoint) -> io::Result<u64> {
         let digest = key.digest();
-        let bytes = blob::encode(key, point);
-        let tmp = self.cfg.dir.join(TMP_DIR).join(scratch_name(digest, "tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-        }
         let dest = self.blob_path(digest);
         if dest.exists() {
             // Another handle published this digest first. Blob bytes
@@ -426,19 +453,27 @@ impl ResultStore {
             // harmless; the loser of the race is counted, not hidden.
             self.counters.duplicate_publishes += 1;
         }
-        std::fs::rename(&tmp, &dest)?;
-        fsync_dir(&self.cfg.dir.join(BLOBS_DIR))?;
-        self.counters.published += 1;
-        if let Some(kill_after) = self.cfg.kill_after {
-            if self.counters.published >= kill_after {
-                eprintln!(
-                    "[store] TVP_STORE_KILL_AFTER: exiting after {kill_after} publication(s) \
-                     (blob durable, journal record withheld)"
-                );
-                std::process::exit(KILL_EXIT_CODE);
-            }
-        }
+        self.publish_file(&dest, &blob::encode(key, point))?;
         Ok(digest)
+    }
+
+    /// Writes one blob or checkpoint file atomically, counts it, and
+    /// fires the [`StoreConfig::kill_after`] knob. Blobs and
+    /// checkpoints share the count, so the knob can kill a sampled
+    /// campaign mid-trace too.
+    fn publish_file(&mut self, dest: &Path, bytes: &[u8]) -> io::Result<()> {
+        write_atomic(&self.cfg.dir, dest, bytes)?;
+        self.counters.published += 1;
+        if self.cfg.kill_after.is_some_and(|n| self.counters.published >= n) {
+            eprintln!(
+                "[store] TVP_STORE_KILL_AFTER: exiting after {} publication(s) \
+                 ({} durable, any journal record withheld)",
+                self.counters.published,
+                dest.display()
+            );
+            std::process::exit(KILL_EXIT_CODE);
+        }
+        Ok(())
     }
 
     /// Worker publish with the fencing check (DESIGN.md §16): after
@@ -470,83 +505,12 @@ impl ResultStore {
         }
     }
 
-    fn checkpoint_path(&self, digest: u64) -> PathBuf {
-        self.cfg.dir.join(CHECKPOINTS_DIR).join(format!("{digest:016x}.ckpt"))
-    }
-
-    /// Loads and fully re-verifies the sampled-campaign checkpoint for
-    /// `key`. Corrupt checkpoints are moved into `quarantine/` and
-    /// reported as [`CheckpointOutcome::Quarantined`]; the campaign
-    /// starts cold (checkpoints are a cache, never a source of truth).
-    pub fn load_checkpoint(&mut self, key: &crate::sampling::SampleKey) -> CheckpointOutcome {
-        let digest = key.digest();
-        let path = self.checkpoint_path(digest);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.counters.misses += 1;
-                return CheckpointOutcome::Miss;
-            }
-            Err(_) => {
-                self.counters.misses += 1;
-                return CheckpointOutcome::Miss;
-            }
-        };
-        match checkpoint::decode(&bytes) {
-            Ok((stored_key, ckpt)) => {
-                if stored_key.matches(key) {
-                    self.counters.warm_hits += 1;
-                    CheckpointOutcome::Hit(Box::new(ckpt))
-                } else {
-                    self.counters.digest_collisions += 1;
-                    self.counters.misses += 1;
-                    CheckpointOutcome::Miss
-                }
-            }
-            Err(err) => {
-                self.quarantine(digest, &path, &err);
-                self.counters.quarantined += 1;
-                CheckpointOutcome::Quarantined(err)
-            }
-        }
-    }
-
-    /// Publishes a sampled-campaign checkpoint durably, with the same
-    /// atomic scratch → fsync → rename → directory-fsync discipline as
-    /// [`ResultStore::publish`]. Later checkpoints for the same key
-    /// overwrite earlier ones (only the newest matters for resume).
-    ///
-    /// Checkpoint publications share the [`StoreConfig::kill_after`]
-    /// counter with blob publications, so the chaos knob can kill a
-    /// sampled campaign mid-trace — the state the kill-resume tests
-    /// need.
-    pub fn publish_checkpoint(
-        &mut self,
-        key: &crate::sampling::SampleKey,
-        ckpt: &checkpoint::Checkpoint,
-    ) -> io::Result<()> {
-        let digest = key.digest();
-        let bytes = checkpoint::encode(key, ckpt);
-        let tmp = self.cfg.dir.join(TMP_DIR).join(scratch_name(digest, "ckpt.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            io::Write::write_all(&mut f, &bytes)?;
-            f.sync_all()?;
-        }
-        let dest = self.checkpoint_path(digest);
-        std::fs::rename(&tmp, &dest)?;
-        fsync_dir(&self.cfg.dir.join(CHECKPOINTS_DIR))?;
-        self.counters.published += 1;
-        if let Some(kill_after) = self.cfg.kill_after {
-            if self.counters.published >= kill_after {
-                eprintln!(
-                    "[store] TVP_STORE_KILL_AFTER: exiting after {kill_after} publication(s) \
-                     (checkpoint durable)"
-                );
-                std::process::exit(KILL_EXIT_CODE);
-            }
-        }
-        Ok(())
+    /// Publishes a sampled-campaign checkpoint durably through the
+    /// same atomic write as [`ResultStore::publish`]. Later
+    /// checkpoints for the same key overwrite earlier ones (only the
+    /// newest matters for resume), and nothing is journaled.
+    pub fn publish_checkpoint(&mut self, key: &SampleKey, ckpt: &Checkpoint) -> io::Result<()> {
+        self.publish_file(&self.checkpoint_path(key.digest()), &checkpoint::encode(key, ckpt))
     }
 
     /// Journals a terminal job failure (after retries).

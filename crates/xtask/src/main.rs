@@ -44,9 +44,10 @@
 //!
 //! `cargo xtask fsck-store <dir> [--json FILE]` validates a durable
 //! result store (the `fsck_store` bin in `tvp-bench`): every blob's
-//! magic/schema/length/checksum/content-address, the campaign
-//! journal, and the cross-check between them (orphans, missing blobs,
-//! quarantines). The CI resume-smoke job gates on it.
+//! and every sampled-run checkpoint's magic/schema/length/checksum/
+//! content-address, the campaign journal, and the cross-check between
+//! journal and blobs (orphans, missing blobs, quarantines). The CI
+//! resume-smoke and sampling-smoke jobs gate on it.
 //!
 //! Host-time performance has no xtask: the simulator's one benchmark
 //! is `simbench/` (see `simbench/README.md`).

@@ -15,12 +15,9 @@
 //! placement) should ratchet them down.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-use tvp_bench::sampling::{run_sampled, SampleRunOptions, SampleSpec, StatErrors, DEFAULT_BOUNDS};
+use tvp_bench::sampling::{error_report, validate_sampling, SampleSpec, DEFAULT_BOUNDS};
 use tvp_core::config::{CoreConfig, VpMode};
-use tvp_core::pipeline::Core;
 
 /// Stream length per workload: long enough that sampling fast-forwards
 /// most of it, short enough for the full-detail reference runs.
@@ -44,46 +41,18 @@ fn every_workload_reconstructs_within_declared_bounds() {
     let cfg = CoreConfig::with_vp(VpMode::Tvp).with_spsr();
     let workloads = tvp_workloads::suite();
 
-    // Full + sampled per workload on a scoped worker pool; slot
-    // assembly keeps the report in suite order regardless of
-    // scheduling.
+    // Full + sampled per workload on the library's worker pool (the
+    // same check `sample_campaign validate` runs); results come back
+    // in suite order regardless of scheduling.
     let jobs = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let slots: Vec<Mutex<Option<StatErrors>>> =
-        workloads.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(workloads.len()) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(w) = workloads.get(i) else { break };
-                let trace = w.machine().run(INSTS);
-                let full = Core::new(cfg.clone()).run(&trace);
-                let run = run_sampled(w, &cfg, INSTS, spec(), SampleRunOptions::default());
-                let errors = StatErrors::compare(w.name, &full, &run.estimate());
-                *slots[i].lock().expect("slot lock poisoned") = Some(errors);
-            });
-        }
-    });
-    let results: Vec<StatErrors> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot lock poisoned").expect("worker filled every slot"))
-        .collect();
+    let results = validate_sampling(&workloads, &cfg, INSTS, spec(), jobs);
     assert_eq!(results.len(), workloads.len(), "one comparison per suite workload");
 
     // Machine-readable artifact first, so a bounds failure still
     // leaves the full error table behind for diagnosis.
-    let rows: Vec<String> = results.iter().map(|e| e.to_json(&DEFAULT_BOUNDS)).collect();
-    let report = tvp_bench::json::object(&[
-        ("insts", INSTS.to_string()),
-        ("spec", format!("\"{}\"", spec().display())),
-        ("bounds_ipc_rel", tvp_bench::json::number(DEFAULT_BOUNDS.ipc_rel)),
-        ("bounds_branch_mpki_abs", tvp_bench::json::number(DEFAULT_BOUNDS.branch_mpki_abs)),
-        ("bounds_vp_mpki_abs", tvp_bench::json::number(DEFAULT_BOUNDS.vp_mpki_abs)),
-        ("bounds_spsr_coverage_abs", tvp_bench::json::number(DEFAULT_BOUNDS.spsr_coverage_abs)),
-        ("workloads", tvp_bench::json::array(&rows)),
-    ]);
     let path = report_path();
-    std::fs::write(&path, &report).expect("error report artifact writes");
+    std::fs::write(&path, error_report(INSTS, spec(), &results))
+        .expect("error report artifact writes");
 
     let mut violations = Vec::new();
     for e in &results {
