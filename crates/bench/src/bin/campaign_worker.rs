@@ -8,7 +8,7 @@
 //! # 2. any number of workers, concurrently, on the same store
 //! campaign_worker worker --store DIR --id w0 [--jobs N]
 //!
-//! # 3. after a worker dies: retire its leases so others re-run them
+//! # 3. after a worker dies: reclaim its points so others re-run them
 //! campaign_worker reap --store DIR --dead w0 [--dead w1 ...]
 //! campaign_worker reap --store DIR --all     # no workers left alive
 //!
@@ -37,7 +37,7 @@ fn usage() -> ! {
          modes:\n  \
          manifest [--insts N | --smoke]          pin the campaign (coordinator)\n  \
          worker --id WID [--jobs N]              drain the manifest\n  \
-         reap (--dead WID ... | --all)           retire dead workers' leases\n  \
+         reap (--dead WID ... | --all)           reclaim dead workers' points\n  \
          merge [--results DIR] [--telemetry P] [--jobs N]   assemble results"
     );
     std::process::exit(2);
@@ -92,16 +92,7 @@ fn cmd_manifest(mut args: impl Iterator<Item = String>) {
     // journal — the initialization workers' shared opens require.
     let store = ResultStore::open(StoreConfig::at(&dir)).unwrap_or_else(|e| fatal(&e));
     drop(store);
-    let exps = experiments::all();
-    let ctx =
-        tvp_bench::experiments::ExpContext { insts, prepared: tvp_bench::prepare_suite(insts) };
-    let mut cache = tvp_bench::cache::ResultCache::new();
-    for exp in &exps {
-        for job in &exp.jobs(&ctx) {
-            cache.request(job);
-        }
-    }
-    let schedule = cache.take_scheduled();
+    let (_, schedule) = distributed::schedule_for(&experiments::all(), insts);
     let man = CampaignManifest::from_schedule(insts, &schedule);
     man.write(&dir).unwrap_or_else(|e| fatal(&e));
     println!(
@@ -122,9 +113,7 @@ fn cmd_worker(mut args: impl Iterator<Item = String>) {
         match a.as_str() {
             "--store" => store_dir = args.next().map(PathBuf::from),
             "--id" => id = args.next(),
-            "--jobs" => {
-                jobs = usize::try_from(parse_u64("--jobs", args.next())).unwrap_or(1).max(1);
-            }
+            "--jobs" => jobs = tvp_bench::jobs_or_exit(args.next().as_deref()),
             _ => usage(),
         }
     }
@@ -169,10 +158,7 @@ fn cmd_reap(mut args: impl Iterator<Item = String>) {
     }
     let is_dead = |w: &str| all || dead.iter().any(|d| d == w);
     let report = distributed::reap(&dir, &is_dead).unwrap_or_else(|e| fatal(&e));
-    println!(
-        "reap: {} reclaimed, {} released (already done), {} torn, {} live lease(s) spared",
-        report.reclaimed, report.released_done, report.torn, report.live
-    );
+    println!("reap: {} reclaimed, {} live hold(s) spared", report.reclaimed, report.live);
 }
 
 fn cmd_merge(mut args: impl Iterator<Item = String>) {
@@ -185,9 +171,7 @@ fn cmd_merge(mut args: impl Iterator<Item = String>) {
             "--store" => store_dir = args.next().map(PathBuf::from),
             "--results" => results_dir = args.next(),
             "--telemetry" => telemetry_path = args.next(),
-            "--jobs" => {
-                workers = Some(usize::try_from(parse_u64("--jobs", args.next())).unwrap_or(1));
-            }
+            "--jobs" => workers = Some(tvp_bench::jobs_or_exit(args.next().as_deref())),
             _ => usage(),
         }
     }

@@ -98,7 +98,7 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
         match a.as_str() {
             "--insts" => insts = parse_u64("--insts", args.next()),
             "--spec" => spec = parse_spec(args.next()),
-            "--jobs" => jobs = usize::try_from(parse_u64("--jobs", args.next())).unwrap_or(1),
+            "--jobs" => jobs = tvp_bench::jobs_or_exit(args.next().as_deref()),
             "--store" => store_dir = args.next(),
             "--telemetry" => telemetry_path = args.next(),
             "--vp" => {
@@ -217,7 +217,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
         match a.as_str() {
             "--insts" => insts = parse_u64("--insts", args.next()),
             "--spec" => spec = parse_spec(args.next()),
-            "--jobs" => jobs = usize::try_from(parse_u64("--jobs", args.next())).unwrap_or(1),
+            "--jobs" => jobs = tvp_bench::jobs_or_exit(args.next().as_deref()),
             "--report" => report_path = args.next().unwrap_or_else(|| usage()),
             "--vp" => {
                 cfg.vp = parse_vp(args.next());

@@ -9,19 +9,19 @@
 //!
 //! 1. refresh the campaign's journal view (other processes append to
 //!    the same journal; replay is a pure function of the file);
-//! 2. claim up to [`LEASE_BATCH`] unfinished points through exclusive
-//!    lease files ([`crate::store::lease`]) and journal one `wlease`
-//!    batch for the wins;
-//! 3. simulate the batch on the in-process pool and publish each
-//!    point through the fenced path
-//!    ([`ResultStore::publish_fenced`]) — a worker whose lease was
-//!    reclaimed while it simulated is detected and deduped, never
-//!    double-counted;
-//! 4. heartbeat (a monotonic sequence number, no wall clocks) and go
-//!    to 1 until every manifest point is done, failed, or held by
-//!    some other live worker.
+//! 2. claim up to [`LEASE_BATCH`] points that are neither settled nor
+//!    held, by appending one `wlease` batch to the journal — the
+//!    journal is the lease: a claim wins if it is the first at its
+//!    point's current epoch in file order
+//!    ([`ResultStore::acquire_lease_batch`]);
+//! 3. simulate the wins on the in-process pool and publish each point
+//!    through the fenced path ([`ResultStore::publish_fenced`]) — a
+//!    worker whose hold was reclaimed while it simulated is detected
+//!    and deduped, never double-counted;
+//! 4. go to 1 until every manifest point is done, failed, or held by
+//!    some other worker.
 //!
-//! A **reaper** retires the leases of workers declared dead (the
+//! A **reaper** retires the holds of workers declared dead (the
 //! caller names them — liveness is an orchestration fact, not
 //! something the fabric guesses from clocks): each reclaimed point
 //! returns to the pending pool at a bumped fencing epoch, so the next
@@ -39,10 +39,10 @@
 //! Everything here is deterministic given the campaign inputs: the
 //! schedule order is pinned by the manifest, blob bytes are a pure
 //! function of the key, and the only nondeterminism (which worker
-//! wins which lease) is confined to the journal's history — never to
+//! wins which claim) is confined to the journal's history — never to
 //! the results.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -54,11 +54,11 @@ use crate::jobs::{ExpKey, Job};
 use crate::prepare_suite;
 use crate::runner;
 use crate::store::manifest::{self, valid_worker_id};
-use crate::store::{self, lease, ResultStore, StoreConfig};
+use crate::store::{self, ResultStore, StoreConfig};
 
 /// Points a worker claims per journal round-trip. Bounds both the
-/// size of one atomic `wlease` journal append and the work lost when
-/// a worker dies mid-batch (at most this many points need reclaim).
+/// size of one `wlease` journal append and the work lost when a
+/// worker dies mid-batch (at most this many points need reclaim).
 pub const LEASE_BATCH: usize = 64;
 
 /// Campaign manifest file, written by the coordinator into the store
@@ -211,13 +211,13 @@ pub struct WorkerReport {
     /// Points this worker simulated and published with a passing
     /// fence.
     pub published: u64,
-    /// Publishes fenced off because the lease was reclaimed
+    /// Publishes fenced off because the hold was reclaimed
     /// mid-simulation (deduped, not lost — the new owner's publish
     /// counts).
     pub stale: u64,
     /// Points that panicked on every attempt (journaled as `fail`).
     pub failed: u64,
-    /// Lease-acquisition rounds driven.
+    /// Claim rounds driven.
     pub rounds: u64,
 }
 
@@ -225,8 +225,10 @@ pub struct WorkerReport {
 /// `insts` and indexes it by key digest. The manifest stores digests
 /// (keys are not round-trippable through a text file — `workload` is
 /// a `&'static str` into the binary), so workers rebuild the jobs
-/// locally and verify the manifest is a subset.
-fn schedule_for(experiments: &[Box<dyn Experiment>], insts: u64) -> (ExpContext, Vec<Job>) {
+/// locally and verify the manifest is a subset. The coordinator
+/// enumerates the manifest through this function too.
+#[must_use]
+pub fn schedule_for(experiments: &[Box<dyn Experiment>], insts: u64) -> (ExpContext, Vec<Job>) {
     let ctx = ExpContext { insts, prepared: prepare_suite(insts) };
     let mut cache = ResultCache::new();
     for exp in experiments {
@@ -238,9 +240,9 @@ fn schedule_for(experiments: &[Box<dyn Experiment>], insts: u64) -> (ExpContext,
     (ctx, schedule)
 }
 
-/// Drains the campaign manifest as worker `worker`: bounded lease
-/// batches, fenced publishes, monotonic heartbeats. Returns when
-/// every manifest point is done/failed or held by someone else.
+/// Drains the campaign manifest as worker `worker`: bounded claim
+/// batches and fenced publishes. Returns when every manifest point is
+/// done/failed or held by someone else.
 ///
 /// # Errors
 ///
@@ -275,36 +277,32 @@ pub fn worker_loop(
         ctx.prepared.iter().map(|p| (p.workload.name, &p.trace)).collect();
 
     let mut report = WorkerReport::default();
-    let mut settled: BTreeSet<u64> = BTreeSet::new();
-    let mut seq: u64 = 0;
     loop {
-        report.rounds += 1;
-        seq += 1;
-        lease::beat(store_dir, worker, seq)?;
-        // Refresh the whole campaign's journal view — completions and
-        // reclaims by other processes matter; replay is pure.
-        let js =
-            manifest::replay(&std::fs::read_to_string(store_dir.join(manifest::JOURNAL_FILE))?);
+        // Refresh the whole campaign's journal view — completions,
+        // claims and reclaims by other processes matter.
+        store.refresh()?;
+        let js = store.journal_state();
         let candidates: Vec<&Job> = man
             .points
             .iter()
-            .filter(|(d, _)| {
-                !settled.contains(d) && !js.completed.contains(d) && !js.failed.contains_key(d)
+            .map(|(d, _)| d)
+            .filter(|d| {
+                !js.completed.contains(d)
+                    && !js.failed.contains_key(d)
+                    && !js.owners.contains_key(d)
             })
-            .map(|(d, _)| by_digest[d])
+            .map(|d| by_digest[d])
             .collect();
         if candidates.is_empty() {
             break;
         }
+        report.rounds += 1;
         let keys: Vec<&ExpKey> = candidates.iter().map(|j| &j.key).collect();
-        let epoch_of = |d: u64| js.reclaims.get(&d).copied().unwrap_or(0) + 1;
-        let won = store.acquire_lease_batch(&keys, worker, epoch_of, LEASE_BATCH)?;
-        if won.is_empty() {
-            // Everything left is leased by some other worker. Its
-            // fate is theirs (or the reaper's) to decide.
-            break;
-        }
-        let batch: Vec<Job> = won.iter().map(|&i| candidates[i].clone()).collect();
+        // A round that loses every claim simulates nothing and claims
+        // again: the winners' holds leave the next round's candidates.
+        let won = store.acquire_lease_batch(&keys, worker, LEASE_BATCH)?;
+        let batch: Vec<Job> = won.iter().map(|&(i, _)| candidates[i].clone()).collect();
+        let epochs: BTreeMap<u64, u32> = won.iter().map(|&(i, e)| (keys[i].digest(), e)).collect();
         let outcome = runner::run_jobs(
             &batch,
             |name| traces.get(name).unwrap_or_else(|| panic!("no trace for workload {name}")),
@@ -314,18 +312,14 @@ pub fn worker_loop(
         // Publish in batch (schedule) order — deterministic for the
         // kill_after chaos knob, exactly like the serial engine.
         for (key, point) in outcome.points {
-            let digest = key.digest();
-            if store.publish_fenced(&key, &point, worker, epoch_of(digest))? {
+            if store.publish_fenced(&key, &point, worker, epochs[&key.digest()])? {
                 report.published += 1;
             } else {
                 report.stale += 1;
             }
-            settled.insert(digest);
         }
         for f in &outcome.failures {
             store.record_failure(&f.key, f.attempts)?;
-            lease::release(store_dir, f.key.digest())?;
-            settled.insert(f.key.digest());
             report.failed += 1;
         }
     }
@@ -335,49 +329,26 @@ pub fn worker_loop(
 /// What one reap pass did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReapReport {
-    /// Leases reclaimed from dead workers (points returned to the
+    /// Holds reclaimed from dead workers (points returned to the
     /// pending pool at a bumped epoch).
     pub reclaimed: u64,
-    /// Leases of dead workers released without reclaim because the
-    /// point already completed (died between `done` and release).
-    pub released_done: u64,
-    /// Torn lease files retired (writer died mid-create; owner
-    /// unknowable, treated as dead at epoch 0).
-    pub torn: u64,
-    /// Held leases left alone (owner not in the dead set).
+    /// Holds left alone (owner not in the dead set).
     pub live: u64,
 }
 
-/// Retires the leases of dead workers. `is_dead` names them —
-/// liveness is decided by the orchestrator (explicit `--dead` ids,
-/// or heartbeat-sequence comparison across its own observations),
-/// never by this function reading a clock.
+/// Reclaims every point the journal's owner map shows held by a dead
+/// worker. `is_dead` names them — liveness is decided by the
+/// orchestrator (explicit `--dead` ids), never by this function
+/// reading a clock.
 pub fn reap(store_dir: &Path, is_dead: &dyn Fn(&str) -> bool) -> io::Result<ReapReport> {
     let mut store = ResultStore::open_shared(StoreConfig::at(store_dir))?;
-    let completed = store.journal_state().completed.clone();
-    let reclaims = store.journal_state().reclaims.clone();
     let mut report = ReapReport::default();
-    for (digest, owner) in lease::list(store_dir)? {
-        match owner {
-            Some(o) if is_dead(&o.worker) => {
-                if completed.contains(&digest) {
-                    lease::release(store_dir, digest)?;
-                    report.released_done += 1;
-                } else {
-                    store.reclaim_lease(digest, o.epoch)?;
-                    report.reclaimed += 1;
-                }
-            }
-            Some(_) => report.live += 1,
-            None => {
-                report.torn += 1;
-                if completed.contains(&digest) {
-                    lease::release(store_dir, digest)?;
-                } else {
-                    let epoch = reclaims.get(&digest).copied().unwrap_or(0);
-                    store.reclaim_lease(digest, epoch)?;
-                }
-            }
+    for (digest, owner) in store.journal_state().owners.clone() {
+        if is_dead(&owner.worker) {
+            store.reclaim_lease(digest, owner.epoch)?;
+            report.reclaimed += 1;
+        } else {
+            report.live += 1;
         }
     }
     Ok(report)
@@ -463,31 +434,29 @@ mod tests {
         let keys: Vec<&ExpKey> = jobs.iter().map(|j| &j.key).collect();
         let mut store = ResultStore::open(StoreConfig::at(&dir)).expect("open store");
 
-        // w0 (dead) holds keys[0] unfinished and keys[1] completed
-        // (killed between `done` and release); w1 (live) holds
-        // keys[2].
-        store.acquire_lease_batch(&keys[0..2], "w0", |_| 1, LEASE_BATCH).expect("w0 leases");
-        store.acquire_lease_batch(&keys[2..3], "w1", |_| 1, LEASE_BATCH).expect("w1 lease");
+        // w0 (dead) holds keys[0] unfinished and completed keys[1]
+        // (its `done` ended that hold); w1 (live) holds keys[2].
+        assert_eq!(store.acquire_lease_batch(&keys[0..2], "w0", LEASE_BATCH).expect("w0").len(), 2);
+        assert_eq!(store.acquire_lease_batch(&keys[2..3], "w1", LEASE_BATCH).expect("w1").len(), 1);
         let point = SimPoint { stats: tvp_core::stats::SimStats::default() };
-        // Publish keys[1] without releasing its lease — the
-        // done-then-die shape (publish_fenced would release, so
-        // journal `done` directly through the plain publish path).
-        store.publish(&jobs[1].key, &point).expect("publish");
+        assert!(store.publish_fenced(&jobs[1].key, &point, "w0", 1).expect("publish"));
 
         let report = reap(&dir, &|w| w == "w0").expect("reap");
         assert_eq!(
             report,
-            ReapReport { reclaimed: 1, released_done: 1, torn: 0, live: 1 },
-            "one unfinished lease reclaimed, one done lease released, w1 untouched"
+            ReapReport { reclaimed: 1, live: 1 },
+            "w0's unfinished point reclaimed, its done point left alone, w1 untouched"
         );
         // The reclaimed point is pending again at a bumped epoch; the
-        // live lease survives.
+        // live hold survives.
         let store = ResultStore::open_shared(StoreConfig::at(&dir)).expect("reopen");
-        assert!(store.journal_state().pending.contains(&jobs[0].key.digest()));
-        assert_eq!(store.journal_state().reclaims.get(&jobs[0].key.digest()), Some(&1));
-        let held = lease::list(&dir).expect("list leases");
-        assert_eq!(held.len(), 1, "only w1's lease remains: {held:?}");
-        assert_eq!(held[0].0, jobs[2].key.digest());
+        let js = store.journal_state();
+        assert!(js.pending.contains(&jobs[0].key.digest()));
+        assert_eq!(js.reclaims.get(&jobs[0].key.digest()), Some(&1));
+        assert_eq!(js.epoch(jobs[0].key.digest()), 2);
+        assert!(js.completed.contains(&jobs[1].key.digest()));
+        assert_eq!(js.owners.keys().copied().collect::<Vec<_>>(), [jobs[2].key.digest()]);
+        assert!(js.holds(jobs[2].key.digest(), "w1", 1), "only w1's hold remains");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

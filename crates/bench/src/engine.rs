@@ -113,13 +113,7 @@ pub fn parse_run_options(args: impl Iterator<Item = String>) -> RunOptions {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--jobs" | "-j" => {
-                let n: usize = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-                if n == 0 {
-                    usage();
-                }
-                workers = Some(n);
-            }
+            "--jobs" | "-j" => workers = Some(crate::jobs_or_exit(it.next().map(String::as_str))),
             "--smoke" => smoke = true,
             "--insts" => {
                 insts_flag =

@@ -66,6 +66,20 @@ pub fn env_u64_or_exit(name: &str) -> Option<u64> {
     }
 }
 
+/// Parses a `--jobs N` value: a positive worker count. A missing,
+/// malformed or zero value exits with code 2 (the CLI usage-error
+/// code) instead of quietly running one worker.
+#[must_use]
+pub fn jobs_or_exit(raw: Option<&str>) -> usize {
+    match raw.and_then(|s| s.parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => {
+            eprintln!("error: --jobs needs a positive integer, got {:?}", raw.unwrap_or(""));
+            std::process::exit(2);
+        }
+    }
+}
+
 /// A workload with its pre-generated trace (traces are deterministic,
 /// so generating once per process keeps experiments comparable and
 /// fast).
@@ -202,34 +216,10 @@ impl StatsRow {
 /// Hand-rolled JSON emission (the offline build environment has no
 /// `serde`; results stay machine-readable without it).
 pub mod json {
-    /// Escapes a string for inclusion in a JSON document.
-    #[must_use]
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-
-    /// Formats an `f64` as a JSON number (finite values only; NaN and
-    /// infinities serialise as `null`, as `serde_json` does).
-    #[must_use]
-    pub fn number(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_owned()
-        }
-    }
+    /// The workspace's one JSON escape table and number rule, from
+    /// `tvp-obs`: `escape` quotes nothing, `number` writes non-finite
+    /// values as `null`, as `serde_json` does.
+    pub use tvp_obs::registry::{json_escape as escape, json_number as number};
 
     /// Serialises `(key, value)` pairs as one pretty-printed object.
     #[must_use]

@@ -7,7 +7,8 @@
 //! with no blob is **missing**, a valid blob with no `done` record is
 //! an **orphan** (harmless — it still warms the next run — but worth
 //! knowing about after a kill), leases with no completion are the
-//! points a killed campaign died holding, and everything already in
+//! points a killed campaign died holding, the journal's owner map
+//! names who holds each of them, and everything already in
 //! `quarantine/` is counted. `cargo xtask fsck-store <DIR>` is the CLI entry point; the
 //! `fsck_store` bin wires [`FsckReport`] to exit codes and JSON.
 
@@ -17,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use super::blob::{self, BlobError};
 use super::manifest::{self, JournalState, JOURNAL_FILE};
-use super::{checkpoint, lease, BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR};
+use super::{checkpoint, BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR};
 
 /// One invalid blob or checkpoint found by the walk.
 #[derive(Clone, Debug)]
@@ -56,18 +57,15 @@ pub struct FsckReport {
     pub journal_skipped: u64,
     /// The journal header was missing or wrong.
     pub journal_bad_header: bool,
-    /// Lease files currently held, as `<digest:016x>=worker@epoch`
-    /// (sorted; `?` for a torn lease file whose owner is unreadable).
+    /// Points currently held by a worker, from the journal's owner
+    /// map, as `<digest:016x>=worker@epoch` (sorted by digest).
     pub leases_held: Vec<String>,
-    /// Distinct worker ids that ever held a lease (from the journal).
+    /// Distinct worker ids with at least one winning claim.
     pub workers: Vec<String>,
     /// Total reclaim events in the journal.
     pub reclaimed: u64,
     /// Fenced-off stale publishes recorded in the journal.
     pub stale_publishes: u64,
-    /// Held lease files whose point the journal says completed —
-    /// workers killed between `done` and release (reap cleans these).
-    pub leases_on_done: u64,
 }
 
 impl FsckReport {
@@ -139,7 +137,6 @@ impl FsckReport {
             ("workers", crate::json::array(&strings(&self.workers))),
             ("reclaimed", self.reclaimed.to_string()),
             ("stale_publishes", self.stale_publishes.to_string()),
-            ("leases_on_done", self.leases_on_done.to_string()),
         ])
     }
 }
@@ -229,20 +226,8 @@ pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
     report.workers = journal.workers.iter().cloned().collect();
     report.reclaimed = journal.reclaims.values().map(|&n| u64::from(n)).sum();
     report.stale_publishes = journal.stale_publishes;
-
-    // Lease files: who holds what right now, cross-checked against
-    // journal completions (a held lease on a completed point is the
-    // done-then-died shape the reaper releases).
-    for (digest, owner) in lease::list(dir)? {
-        let label = match &owner {
-            Some(o) => format!("{digest:016x}={}@{}", o.worker, o.epoch),
-            None => format!("{digest:016x}=?"),
-        };
-        if journal.completed.contains(&digest) {
-            report.leases_on_done += 1;
-        }
-        report.leases_held.push(label);
-    }
+    report.leases_held =
+        journal.owners.iter().map(|(d, o)| format!("{d:016x}={}@{}", o.worker, o.epoch)).collect();
 
     let blob_digest = |b: &[u8]| blob::decode(b).map(|(key, _)| key.digest());
     let (blobs, corrupt_addrs) = verify_files(dir, BLOBS_DIR, "blob", blob_digest, &mut report);
@@ -365,16 +350,16 @@ mod tests {
     #[test]
     fn distributed_state_is_reported() {
         let dir = scratch("dist");
-        let keys = populate(&dir, 2);
+        populate(&dir, 2);
         let mut store = ResultStore::open_shared(StoreConfig::at(&dir)).expect("shared open");
-        // w0 leases a fresh (never-published) point, then the reaper
-        // reclaims it; w1 re-leases at the bumped epoch and holds it.
+        // w0 claims a fresh (never-published) point, then the reaper
+        // reclaims it; w1 re-claims at the bumped epoch and holds it.
         let mut cfg = CoreConfig::with_vp(VpMode::Gvp);
         cfg.watchdog_cycles += 7;
         let fresh = ExpKey::new("string_match", 5_000, &cfg);
-        store.acquire_lease_batch(&[&fresh], "w0", |_| 1, 8).expect("w0 lease");
+        assert_eq!(store.acquire_lease_batch(&[&fresh], "w0", 8).expect("w0 claim"), [(0, 1)]);
         store.reclaim_lease(fresh.digest(), 1).expect("reclaim");
-        store.acquire_lease_batch(&[&fresh], "w1", |_| 2, 8).expect("w1 lease");
+        assert_eq!(store.acquire_lease_batch(&[&fresh], "w1", 8).expect("w1 claim"), [(0, 2)]);
 
         let report = fsck(&dir).expect("fsck");
         assert!(report.clean(), "distributed churn is not corruption: {}", report.summary());
@@ -383,20 +368,12 @@ mod tests {
         assert_eq!(
             report.leases_held,
             vec![format!("{:016x}=w1@2", fresh.digest())],
-            "w1's live lease is listed with its epoch"
+            "w1's live hold is listed with its epoch"
         );
-        assert_eq!(report.leases_on_done, 0);
         assert_eq!(report.pending, 1, "the reclaimed point is pending again");
         let json = report.to_json();
         assert!(json.contains("\"workers\"") && json.contains("\"w0\""), "{json}");
         assert!(json.contains("\"reclaimed\": 1"), "{json}");
-
-        // A worker killed between `done` and release leaves its lease
-        // on a completed point — reported, not corruption.
-        lease::acquire(&dir, keys[0].digest(), "w0", 1).expect("lease done point");
-        let report = fsck(&dir).expect("fsck again");
-        assert_eq!(report.leases_on_done, 1);
-        assert!(report.clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,12 +22,19 @@
 //! ```
 //!
 //! The distributed fabric (DESIGN.md §16) adds three record kinds on
-//! top of the original three: `wlease` is a lease owned by a named
-//! worker process at a fencing epoch, `reclaim` records the reaper
-//! retiring a dead worker's lease (the digest returns to pending at
-//! the next epoch), and `stale` records a fenced-off late publish
-//! (a worker that lost its lease tried to complete it anyway — the
-//! publish was detected and deduped, never double-counted).
+//! top of the original three: `wlease` is a named worker's claim on a
+//! point at a fencing epoch, `reclaim` records the reaper retiring a
+//! dead worker's hold (the digest returns to pending at the next
+//! epoch), and `stale` records a fenced-off late publish (a worker
+//! that lost its hold tried to complete it anyway — the publish was
+//! detected and deduped, never double-counted).
+//!
+//! **The journal is the lease.** A claim wins if and only if it is the
+//! first `wlease` for its digest at the digest's current epoch
+//! (reclaims + 1) in file order; a `reclaim`, `done` or `fail` record
+//! ends the hold. [`JournalState::owners`] is therefore the store's
+//! only record of who holds a point, and every process that replays
+//! the same file agrees on it.
 //!
 //! A checksum-failing *last* line is a torn tail (normal after a
 //! kill); a checksum-failing line *mid-file* is corruption and is
@@ -39,14 +46,15 @@
 //! a handle's [`Journal::state`] equals a replay of its file by
 //! construction.
 //!
-//! **Multi-process appends.** Every record is rendered into a single
-//! buffer and appended with one `write` syscall on an `O_APPEND`
-//! handle, so concurrent workers appending to the same journal never
-//! interleave bytes *within* a record on a local filesystem; the
-//! per-line checksum catches the pathological cases anyway. Shared
-//! handles ([`Journal::open_shared`]) never truncate — torn-tail
-//! repair is reserved for exclusive opens, when no other writer can
-//! be racing the `set_len`.
+//! **Multi-process appends.** Every batch of records is rendered into a
+//! single buffer and appended with one `write` syscall on an
+//! `O_APPEND` handle, so concurrent workers' batches land whole and in
+//! one order on a local filesystem — the order the first-claim rule
+//! reads; the per-line checksum catches the pathological cases
+//! anyway. Shared handles ([`Journal::open_shared`]) never truncate —
+//! torn-tail repair is reserved for exclusive opens, when no other
+//! writer can be racing the `set_len` — and see other processes'
+//! records through [`Journal::refresh`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -73,13 +81,20 @@ pub struct JournalState {
     /// killed campaign died holding.
     pub pending: BTreeSet<u64>,
     /// Reclaim events per digest: how many times the reaper retired a
-    /// dead worker's lease on this point. A fresh lease's fencing
-    /// epoch is `reclaims + 1`, so epochs are monotonic per point.
+    /// dead worker's hold on this point. A claim's fencing epoch is
+    /// `reclaims + 1` ([`JournalState::epoch`]).
     pub reclaims: BTreeMap<u64, u32>,
     /// Fenced-off late publishes detected and deduped (`stale`
     /// records).
     pub stale_publishes: u64,
-    /// Distinct worker ids that ever held a lease in this store.
+    /// Who holds each point now: the worker and epoch of the first
+    /// `wlease` at the point's current epoch, until a `reclaim`,
+    /// `done` or `fail` ends the hold.
+    pub owners: BTreeMap<u64, Owner>,
+    /// The epoch of each point's latest winning claim, held or ended:
+    /// any later claim at that epoch loses.
+    claimed: BTreeMap<u64, u32>,
+    /// Distinct worker ids with at least one winning claim.
     pub workers: BTreeSet<String>,
     /// The final line failed its checksum and was dropped (the
     /// expected signature of a crash mid-append).
@@ -92,7 +107,33 @@ pub struct JournalState {
     pub bad_header: bool,
 }
 
-/// Append handle plus the state replayed at open.
+/// The holder of a point: the worker whose claim won, and the fencing
+/// epoch it won at.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Owner {
+    /// Worker id (validated by [`valid_worker_id`]).
+    pub worker: String,
+    /// Fencing epoch of the winning claim.
+    pub epoch: u32,
+}
+
+impl JournalState {
+    /// The epoch a claim on `digest` must carry to win: its reclaim
+    /// count plus one, so epochs are monotonic per point.
+    #[must_use]
+    pub fn epoch(&self, digest: u64) -> u32 {
+        self.reclaims.get(&digest).copied().unwrap_or(0).saturating_add(1)
+    }
+
+    /// Whether `worker`'s claim at `epoch` holds `digest` — the fence.
+    #[must_use]
+    pub fn holds(&self, digest: u64, worker: &str, epoch: u32) -> bool {
+        self.owners.get(&digest).is_some_and(|o| o.worker == worker && o.epoch == epoch)
+    }
+}
+
+/// Append handle plus the replayed state: the file as of the last
+/// open or [`Journal::refresh`], advanced by this handle's appends.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -122,9 +163,9 @@ pub(crate) fn unseal(line: &str) -> Option<&str> {
 enum Record<'a> {
     /// The cold schedule leased `digest`.
     Lease { digest: u64, label: &'a str },
-    /// `worker` leased `digest` at fencing `epoch`.
+    /// `worker` claimed `digest` at fencing `epoch`.
     WLease { digest: u64, worker: &'a str, epoch: u32, label: &'a str },
-    /// The reaper retired a dead worker's lease on `digest`.
+    /// The reaper retired a dead worker's hold on `digest`.
     Reclaim { digest: u64, epoch: u32 },
     /// `worker`'s late publish of `digest` was fenced off.
     Stale { digest: u64, worker: &'a str, epoch: u32 },
@@ -134,8 +175,8 @@ enum Record<'a> {
     Fail { digest: u64, attempts: u32 },
 }
 
-/// Worker ids appear as journal tokens and in lease file names, so
-/// they are restricted to a filesystem- and parser-safe alphabet.
+/// Worker ids appear as journal tokens and in `fsck` labels, so they
+/// are restricted to a filesystem- and parser-safe alphabet.
 #[must_use]
 pub fn valid_worker_id(id: &str) -> bool {
     !id.is_empty()
@@ -206,25 +247,31 @@ impl<'a> Record<'a> {
         };
         match *self {
             Record::Lease { digest, .. } => pend(state, digest),
-            Record::WLease { digest, worker, .. } => {
-                state.workers.insert(worker.to_owned());
+            Record::WLease { digest, worker, epoch, .. } => {
+                // First claim at the current epoch wins; a later claim
+                // at that epoch, or one at any other epoch, loses.
+                if epoch == state.epoch(digest) && state.claimed.get(&digest) != Some(&epoch) {
+                    state.claimed.insert(digest, epoch);
+                    state.owners.insert(digest, Owner { worker: worker.to_owned(), epoch });
+                    state.workers.insert(worker.to_owned());
+                }
                 pend(state, digest);
             }
             Record::Reclaim { digest, .. } => {
                 let count = state.reclaims.entry(digest).or_insert(0);
                 *count = count.saturating_add(1);
+                state.owners.remove(&digest);
                 pend(state, digest);
             }
-            Record::Stale { worker, .. } => {
-                state.workers.insert(worker.to_owned());
-                state.stale_publishes += 1;
-            }
+            Record::Stale { .. } => state.stale_publishes += 1,
             Record::Done { digest } => {
+                state.owners.remove(&digest);
                 state.pending.remove(&digest);
                 state.failed.remove(&digest);
                 state.completed.insert(digest);
             }
             Record::Fail { digest, attempts } => {
+                state.owners.remove(&digest);
                 state.pending.remove(&digest);
                 state.failed.insert(digest, attempts);
             }
@@ -246,7 +293,10 @@ pub fn replay(text: &str) -> JournalState {
             return state;
         }
     }
-    let mut lines = lines.peekable();
+    // Blank lines carry nothing: one is left where a shared append
+    // started on a fresh line after another writer's record it had
+    // read half-written (see `Journal::refresh`).
+    let mut lines = lines.filter(|line| !line.is_empty()).peekable();
     while let Some(line) = lines.next() {
         match Record::parse(line) {
             Some(record) => record.apply(&mut state),
@@ -320,8 +370,8 @@ impl Journal {
     /// coordinator must initialize the store before workers attach.
     pub fn open_shared(store_dir: &Path) -> std::io::Result<Journal> {
         let path = store_dir.join(JOURNAL_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let file = match OpenOptions::new().append(true).open(&path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::NotFound,
@@ -334,19 +384,31 @@ impl Journal {
             }
             Err(e) => return Err(e),
         };
+        let mut journal =
+            Journal { path, file, state: JournalState::default(), needs_leading_newline: false };
+        journal.refresh()?;
+        Ok(journal)
+    }
+
+    /// Re-replays the whole file, so the handle's state includes every
+    /// other process's records, and recomputes whether the next append
+    /// must start on a fresh line: a file that does not end in a
+    /// newline holds some other writer's torn record (the torn bytes
+    /// become one counted garbage line, which the exclusive reopen
+    /// repairs) or a record still being written (then the fresh line
+    /// leaves a blank line, which replay skips).
+    pub fn refresh(&mut self) -> std::io::Result<()> {
+        let text = std::fs::read_to_string(&self.path)?;
         let state = replay(&text);
         if state.bad_header {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("store journal {} has a missing or corrupt header", path.display()),
+                format!("store journal {} has a missing or corrupt header", self.path.display()),
             ));
         }
-        let file = OpenOptions::new().append(true).open(&path)?;
-        // If some other process died mid-append, our first record must
-        // start on a fresh line; the torn bytes become one counted
-        // garbage line and the exclusive reopen (reaper/merge) repairs.
-        let needs_leading_newline = !text.is_empty() && !text.ends_with('\n');
-        Ok(Journal { path, file, state, needs_leading_newline })
+        self.needs_leading_newline = !text.is_empty() && !text.ends_with('\n');
+        self.state = state;
+        Ok(())
     }
 
     /// Appends `records` with a single `write` syscall (concurrent-
@@ -373,8 +435,8 @@ impl Journal {
         Ok(())
     }
 
-    /// The state replayed when the journal was opened, advanced by
-    /// every record this handle appended since.
+    /// The state replayed at open or at the last [`Journal::refresh`],
+    /// advanced by every record this handle appended since.
     #[must_use]
     pub fn state(&self) -> &JournalState {
         &self.state
@@ -397,8 +459,9 @@ impl Journal {
         self.append(&records)
     }
 
-    /// Records a batch of worker-owned leases at a fencing epoch each,
-    /// fsyncing once at the end of the batch.
+    /// Records a batch of `worker`'s claims at a fencing epoch each in
+    /// one write, fsyncing once at the end of the batch. Whether a
+    /// claim won is read from the state after a [`Journal::refresh`].
     pub fn wlease_all<'k>(
         &mut self,
         worker: &str,
@@ -411,13 +474,13 @@ impl Journal {
         self.append(&records)
     }
 
-    /// Records the reaper retiring a dead worker's lease on `digest`
-    /// at `epoch`; the point returns to pending for the next epoch.
+    /// Records the reaper retiring a dead worker's hold on `digest` at
+    /// `epoch`; the point returns to pending for the next epoch.
     pub fn reclaim(&mut self, digest: u64, epoch: u32) -> std::io::Result<()> {
         self.append(&[Record::Reclaim { digest, epoch }])
     }
 
-    /// Records a fenced-off late publish: `worker` lost its lease on
+    /// Records a fenced-off late publish: `worker` lost its hold on
     /// `digest` (epoch `epoch`) and its publish was detected and
     /// deduped rather than double-counted.
     pub fn stale(&mut self, digest: u64, worker: &str, epoch: u32) -> std::io::Result<()> {
@@ -585,6 +648,86 @@ mod tests {
     }
 
     #[test]
+    fn claims_win_first_at_the_current_epoch() {
+        let text = format!(
+            "{JOURNAL_HEADER}\n{}\n",
+            [
+                "wlease 0000000000000061 w0 1 a@1#q", // wins: first at epoch 1
+                "wlease 0000000000000061 w1 1 a@1#q", // loses: second at epoch 1
+                "wlease 0000000000000061 w0 1 a@1#q", // duplicate: loses, w0 still holds
+                "wlease 0000000000000062 w1 2 b@1#q", // loses: epoch 1 is current
+                "reclaim 0000000000000061 1",         // ends w0's hold; epoch 2
+                "wlease 0000000000000061 w1 1 a@1#q", // loses: stale epoch
+                "wlease 0000000000000061 w1 2 a@1#q", // wins
+                "done 0000000000000061",              // ends the hold
+                "wlease 0000000000000061 w0 2 a@1#q", // loses: epoch 2 was claimed
+                "wlease 0000000000000063 w1 1 c@1#q", // wins
+                "fail 0000000000000063 attempts 2",   // ends the hold
+                "wlease 0000000000000065 w0 1 d@1#q", // wins, still held
+                "wlease 0000000000000065 w2 1 d@1#q", // loses: w2 never wins
+            ]
+            .map(seal)
+            .join("\n")
+        );
+        let s = replay(&text);
+        let w0 = Owner { worker: "w0".to_owned(), epoch: 1 };
+        assert_eq!(s.owners, BTreeMap::from([(0x65, w0)]));
+        assert!(s.holds(0x65, "w0", 1) && !s.holds(0x65, "w0", 2) && !s.holds(0x65, "w2", 1));
+        assert_eq!(s.epoch(0x61), 2);
+        assert_eq!(s.workers, BTreeSet::from(["w0".to_owned(), "w1".to_owned()]));
+        assert_eq!(s.completed, BTreeSet::from([0x61]));
+        assert_eq!(s.failed, BTreeMap::from([(0x63, 2)]));
+        // A losing claim still marks its point scheduled.
+        assert_eq!(s.pending, BTreeSet::from([0x62, 0x65]));
+        assert_eq!(s.skipped_lines, 0);
+    }
+
+    #[test]
+    fn journal_in_the_previous_format_replays_to_its_owners() {
+        // What a campaign wrote while lease files were the lock: a
+        // `wlease` for wins only. w0 finished a, died holding b and c,
+        // and was reaped; w1 re-ran b and c, and holds d. The sets are
+        // those the previous replay computed from the same text.
+        let text = format!(
+            "{JOURNAL_HEADER}\n{}\n",
+            [
+                "wlease 00000000000000a1 w0 1 a@20000#00000000000000a1",
+                "wlease 00000000000000b2 w0 1 b@20000#00000000000000b2",
+                "wlease 00000000000000c3 w0 1 c@20000#00000000000000c3",
+                "done 00000000000000a1",
+                "reclaim 00000000000000b2 1",
+                "reclaim 00000000000000c3 1",
+                "wlease 00000000000000b2 w1 2 b@20000#00000000000000b2",
+                "wlease 00000000000000c3 w1 2 c@20000#00000000000000c3",
+                "wlease 00000000000000d4 w1 1 d@20000#00000000000000d4",
+                "stale 00000000000000b2 w0 1",
+                "done 00000000000000b2",
+                "done 00000000000000c3",
+            ]
+            .map(seal)
+            .join("\n")
+        );
+        let s = replay(&text);
+        assert_eq!(s.owners, BTreeMap::from([(0xD4, Owner { worker: "w1".to_owned(), epoch: 1 })]));
+        assert_eq!(s.completed, BTreeSet::from([0xA1, 0xB2, 0xC3]));
+        assert_eq!(s.pending, BTreeSet::from([0xD4]));
+        assert_eq!(s.reclaims, BTreeMap::from([(0xB2, 1), (0xC3, 1)]));
+        assert_eq!(s.workers, BTreeSet::from(["w0".to_owned(), "w1".to_owned()]));
+        assert!(s.failed.is_empty());
+        assert_eq!(s.stale_publishes, 1);
+        assert_eq!(s.skipped_lines, 0);
+    }
+
+    #[test]
+    fn blank_lines_are_skipped_not_counted() {
+        let good = seal("wlease 0000000000000071 w0 1 a@1#q");
+        let s =
+            replay(&format!("{JOURNAL_HEADER}\n{good}\n\n{}\n\n", seal("done 0000000000000071")));
+        assert!(s.completed.contains(&0x71));
+        assert_eq!((s.skipped_lines, s.torn_tail), (0, false));
+    }
+
+    #[test]
     fn worker_ids_are_validated_at_parse_time() {
         assert!(valid_worker_id("w0"));
         assert!(valid_worker_id("host-3.worker_12"));
@@ -710,11 +853,13 @@ mod tests {
 
         /// Appends and replay share one transition: after every append
         /// of a random sequence (over four digests and two workers,
-        /// batches possibly empty), the handle's state equals a replay
-        /// of its file.
+        /// batches possibly empty), the handle's state — owners
+        /// included — equals a replay of its file. Claims come at a
+        /// random epoch (mostly losing, duplicate or stale) or at each
+        /// point's current epoch (winning unless already claimed).
         #[test]
         fn handle_state_equals_replay_of_its_file(
-            ops in proptest::collection::vec((0u8..6, 0u64..16, 0usize..2, 1u32..4), 1..=40)
+            ops in proptest::collection::vec((0u8..7, 0u64..16, 0usize..2, 1u32..4), 1..=40)
         ) {
             let dir = std::env::temp_dir().join(format!("tvp_journal_prop_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -726,27 +871,21 @@ mod tests {
             for (i, &(kind, arg, w, n)) in ops.iter().enumerate() {
                 let worker = ["w0", "w1"][w];
                 let digest = digests[(arg % 4) as usize];
+                let current: Vec<(u64, u32)> = batch(arg).map(|(_, d)| (d, j.state().epoch(d))).collect();
                 match kind {
                     0 => j.lease_all(batch(arg).map(|(_, d)| (d, "k@1#x"))),
                     1 => j.wlease_all(worker, batch(arg).map(|(_, d)| (d, n, "k@1#x"))),
                     2 => j.reclaim(digest, n),
                     3 => j.stale(digest, worker, n),
                     4 => j.done(digest),
-                    _ => j.fail(digest, n),
+                    5 => j.fail(digest, n),
+                    _ => j.wlease_all(worker, current.into_iter().map(|(d, e)| (d, e, "k@1#x"))),
                 }
                 .expect("append");
                 let replayed = replay(&std::fs::read_to_string(j.path()).expect("read journal"));
-                let s = j.state();
                 prop_assert_eq!(
-                    (&s.completed, &s.failed, &s.pending, &s.reclaims, s.stale_publishes, &s.workers),
-                    (
-                        &replayed.completed,
-                        &replayed.failed,
-                        &replayed.pending,
-                        &replayed.reclaims,
-                        replayed.stale_publishes,
-                        &replayed.workers
-                    ),
+                    j.state(),
+                    &replayed,
                     "handle and replay diverge after op {}: {:?}",
                     i,
                     ops[i]

@@ -8,7 +8,10 @@
 //! and a campaign journal (see [`manifest`]) records leases,
 //! completions and failures, so a killed campaign resumes exactly
 //! where it died and a corrupted blob is quarantined and re-simulated
-//! instead of poisoning the results.
+//! instead of poisoning the results. The journal is also the
+//! distributed fabric's lease (DESIGN.md §16): a worker's claim is a
+//! journal record, and the first claim at a point's current epoch
+//! holds it.
 //!
 //! On-disk layout (`--store DIR` / `$TVP_STORE_DIR`):
 //!
@@ -17,18 +20,16 @@
 //!   blobs/<digest:016x>.blob        one verified point per file
 //!   checkpoints/<digest:016x>.ckpt  newest checkpoint of a sampled run
 //!   quarantine/<digest>.<reason>.<n>.blob   corrupt files, set aside
-//!   leases/<digest:016x>.lease      distributed lease files (§16)
-//!   workers/<id>.hb                 distributed worker heartbeats
 //!   tmp/                            scratch for atomic writes
-//!   journal.log                     append-only campaign journal
+//!   journal.log                     append-only campaign journal (and leases)
 //!   campaign.manifest               distributed campaign schedule
 //! ```
 //!
 //! Guarantees:
 //!
 //! - **Atomic writes.** One function, `write_atomic`, writes every
-//!   whole-file record — blobs, checkpoints, the campaign manifest and
-//!   worker heartbeats: scratch file in `tmp/`, fsync, rename into
+//!   whole-file record — blobs, checkpoints and the campaign
+//!   manifest: scratch file in `tmp/`, fsync, rename into
 //!   place, fsync of the directory. A reader (or a resumed campaign)
 //!   can observe a file fully or not at all — never torn. A crash can
 //!   at worst leave scratch files in `tmp/`, which the next exclusive
@@ -58,7 +59,6 @@ use checkpoint::Checkpoint;
 pub mod blob;
 pub mod checkpoint;
 pub mod fsck;
-pub mod lease;
 pub mod manifest;
 
 use blob::BlobError;
@@ -126,8 +126,8 @@ pub struct StoreCounters {
     /// the overwrite is harmless; the loser is counted here.
     pub duplicate_publishes: u64,
     /// Publications withheld by the fencing check: this handle lost
-    /// its lease (reclaimed and re-owned) between simulating and
-    /// journaling, and recorded `stale` instead of `done`.
+    /// its hold (reclaimed) between simulating and journaling, and
+    /// recorded `stale` instead of `done`.
     pub stale_publishes: u64,
 }
 
@@ -175,7 +175,7 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// so that a reader sees the whole file or none of it and the result
 /// survives power loss: scratch file in `tmp/` → fsync → rename onto
 /// `dest` → fsync of `dest`'s directory. The one atomic write of the
-/// store: blobs, checkpoints, the campaign manifest and heartbeats.
+/// store: blobs, checkpoints and the campaign manifest.
 ///
 /// Scratch names are unique per process *and* per write, not just per
 /// destination: two handles in one process racing the same digest
@@ -258,9 +258,7 @@ impl ResultStore {
         std::fs::create_dir_all(dir.join(BLOBS_DIR))?;
         std::fs::create_dir_all(dir.join(CHECKPOINTS_DIR))?;
         std::fs::create_dir_all(dir.join(QUARANTINE_DIR))?;
-        std::fs::create_dir_all(dir.join(TMP_DIR))?;
-        std::fs::create_dir_all(dir.join(lease::LEASES_DIR))?;
-        std::fs::create_dir_all(dir.join(lease::WORKERS_DIR))
+        std::fs::create_dir_all(dir.join(TMP_DIR))
     }
 
     /// The store root directory.
@@ -280,6 +278,12 @@ impl ResultStore {
     #[must_use]
     pub fn journal_state(&self) -> &manifest::JournalState {
         self.journal.state()
+    }
+
+    /// Re-replays the journal file, so [`ResultStore::journal_state`]
+    /// includes other processes' records (`Journal::refresh`).
+    pub fn refresh(&mut self) -> io::Result<()> {
+        self.journal.refresh()
     }
 
     fn blob_path(&self, digest: u64) -> PathBuf {
@@ -387,42 +391,37 @@ impl ResultStore {
         self.journal.lease_all(leases.iter().map(|(d, l)| (*d, l.as_str())))
     }
 
-    /// Worker-side bounded lease acquisition: tries to claim each key
-    /// in `candidates` (in order) via an exclusive lease file until
-    /// `batch` points are won, then journals one `wlease` batch for
-    /// the wins. Contended points are skipped, not errors. Returns the
-    /// indices of the won candidates.
+    /// Worker-side claim of up to `batch` of `candidates` (in order),
+    /// each at its point's current epoch: appends the `wlease` records
+    /// in one write, refreshes, and returns `(index, epoch)` of the
+    /// claims that won — those that were first at their epoch in file
+    /// order. Losing to another worker is normal, not an error.
     pub fn acquire_lease_batch(
         &mut self,
         candidates: &[&ExpKey],
         worker: &str,
-        epoch_of: impl Fn(u64) -> u32,
         batch: usize,
-    ) -> io::Result<Vec<usize>> {
-        let mut won = Vec::new();
-        let mut records: Vec<(u64, u32, String)> = Vec::new();
-        for (i, key) in candidates.iter().enumerate() {
-            if won.len() >= batch {
-                break;
-            }
-            let digest = key.digest();
-            let epoch = epoch_of(digest);
-            if lease::acquire(&self.cfg.dir, digest, worker, epoch)? == lease::Acquire::Won {
-                won.push(i);
-                records.push((digest, epoch, key.display()));
-            }
-        }
-        self.journal.wlease_all(worker, records.iter().map(|(d, e, l)| (*d, *e, l.as_str())))?;
-        Ok(won)
+    ) -> io::Result<Vec<(usize, u32)>> {
+        let claims: Vec<(u64, u32, String)> = candidates
+            .iter()
+            .take(batch)
+            .map(|k| (k.digest(), self.journal.state().epoch(k.digest()), k.display()))
+            .collect();
+        self.journal.wlease_all(worker, claims.iter().map(|(d, e, l)| (*d, *e, l.as_str())))?;
+        self.journal.refresh()?;
+        let state = self.journal.state();
+        Ok(claims
+            .iter()
+            .enumerate()
+            .filter(|(_, (d, e, _))| state.holds(*d, worker, *e))
+            .map(|(i, (_, e, _))| (i, *e))
+            .collect())
     }
 
-    /// Reaper-side reclaim of one held lease: journals `reclaim` (so
-    /// the next epoch for this digest is durably implied) **then**
-    /// deletes the lease file — in that order, so an absent lease file
-    /// always means the journal already explains it.
+    /// Reaper-side reclaim of one held point: journals `reclaim`,
+    /// which ends the hold and moves the point to the next epoch.
     pub fn reclaim_lease(&mut self, digest: u64, epoch: u32) -> io::Result<()> {
-        self.journal.reclaim(digest, epoch)?;
-        lease::release(&self.cfg.dir, digest)
+        self.journal.reclaim(digest, epoch)
     }
 
     /// Publishes one simulated point durably: encode → atomic write
@@ -477,10 +476,10 @@ impl ResultStore {
     }
 
     /// Worker publish with the fencing check (DESIGN.md §16): after
-    /// the blob is durable, re-read the lease file; only the current
-    /// owner journals `done` (and releases the lease). A worker whose
-    /// lease was reclaimed while it simulated journals `stale`
-    /// instead — its publish is detected and deduped, never
+    /// the blob is durable, refresh the journal; only if it still
+    /// shows `worker` holding the point at `epoch` is `done` journaled.
+    /// A worker whose hold was reclaimed while it simulated journals
+    /// `stale` instead — its publish is detected and deduped, never
     /// double-counted. Returns `true` when the fence passed.
     ///
     /// The blob itself is written unconditionally in both cases: the
@@ -494,9 +493,9 @@ impl ResultStore {
         epoch: u32,
     ) -> io::Result<bool> {
         let digest = self.publish_blob(key, point)?;
-        if lease::owned_by(&self.cfg.dir, digest, worker, epoch) {
+        self.journal.refresh()?;
+        if self.journal.state().holds(digest, worker, epoch) {
             self.journal.done(digest)?;
-            lease::release(&self.cfg.dir, digest)?;
             Ok(true)
         } else {
             self.counters.stale_publishes += 1;
@@ -694,27 +693,30 @@ mod tests {
         let mut w0 = ResultStore::open(StoreConfig::at(&dir)).expect("init");
         let k = key("mc_playout");
         let digest = k.digest();
-        let won = w0.acquire_lease_batch(&[&k], "w0", |_| 1, 8).expect("acquire");
-        assert_eq!(won, vec![0]);
-        // The reaper reclaims w0's lease (w0 is presumed dead) and w1
-        // re-leases at the next epoch.
+        let won = w0.acquire_lease_batch(&[&k], "w0", 8).expect("acquire");
+        assert_eq!(won, vec![(0, 1)]);
+        // The reaper reclaims w0's hold (w0 is presumed dead) and w1
+        // re-claims at the next epoch.
         let mut reaper = ResultStore::open_shared(StoreConfig::at(&dir)).expect("reaper");
         reaper.reclaim_lease(digest, 1).expect("reclaim");
         let mut w1 = ResultStore::open_shared(StoreConfig::at(&dir)).expect("w1");
         assert_eq!(w1.journal_state().reclaims.get(&digest), Some(&1));
-        let won = w1.acquire_lease_batch(&[&k], "w1", |_| 2, 8).expect("re-lease");
-        assert_eq!(won, vec![0]);
-        // w0 wakes up and tries to complete its stale lease: fenced.
+        let won = w1.acquire_lease_batch(&[&k], "w1", 8).expect("re-claim");
+        assert_eq!(won, vec![(0, 2)]);
+        // w0 wakes up and tries to complete its stale hold: fenced,
+        // whether it names its old epoch or the new one.
         assert!(!w0.publish_fenced(&k, &point(3), "w0", 1).expect("stale publish"));
-        assert_eq!(w0.counters().stale_publishes, 1);
-        // w1, the live owner, completes.
+        assert!(!w0.publish_fenced(&k, &point(3), "w0", 2).expect("wrong-worker publish"));
+        assert_eq!(w0.counters().stale_publishes, 2);
+        // w1, the live owner, completes; its `done` ends the hold.
         assert!(w1.publish_fenced(&k, &point(3), "w1", 2).expect("live publish"));
         assert!(matches!(w1.load(&k), LoadOutcome::Hit(_)));
-        // Replay shows one done, one stale, one reclaim — no double count.
+        assert!(w1.journal_state().owners.is_empty());
+        // Replay shows one done, two stale, one reclaim — no double count.
         let merged = ResultStore::open(StoreConfig::at(&dir)).expect("merge view");
         let js = merged.journal_state();
         assert!(js.completed.contains(&digest));
-        assert_eq!(js.stale_publishes, 1);
+        assert_eq!(js.stale_publishes, 2);
         assert_eq!(js.reclaims.get(&digest), Some(&1));
         assert_eq!(
             js.workers.iter().cloned().collect::<Vec<_>>(),

@@ -6,6 +6,8 @@
 //! silently *disarmed* the chaos knob the crash-safety CI depends on
 //! — the job would pass without ever exercising the kill path. Same
 //! pattern for `TVP_INSTS`: a typo silently ran the default budget.
+//! `--jobs 0` gets the same treatment: every binary that takes the
+//! flag exits 2 instead of quietly running one worker.
 
 use std::process::Command;
 
@@ -106,5 +108,52 @@ fn well_formed_kill_after_still_arms_the_knob() {
         Some(42),
         "valid kill_after must arm the chaos knob; stderr: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// `--jobs 0` is a usage error (exit 2, naming the flag), never a
+/// silent one-worker run. Parsing rejects it before any store I/O or
+/// simulation.
+fn assert_zero_jobs_rejected(exe: &str, args: &[&str]) {
+    let out = run(exe, args, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2; stderr: {stderr}");
+    assert!(stderr.contains("--jobs"), "stderr must name the flag: {stderr}");
+}
+
+#[test]
+fn run_all_rejects_zero_jobs() {
+    assert_zero_jobs_rejected(env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "0"]);
+}
+
+#[test]
+fn campaign_worker_worker_rejects_zero_jobs() {
+    assert_zero_jobs_rejected(
+        env!("CARGO_BIN_EXE_campaign_worker"),
+        &["worker", "--store", "/nonexistent", "--id", "w0", "--jobs", "0"],
+    );
+}
+
+#[test]
+fn campaign_worker_merge_rejects_zero_jobs() {
+    assert_zero_jobs_rejected(
+        env!("CARGO_BIN_EXE_campaign_worker"),
+        &["merge", "--store", "/nonexistent", "--jobs", "0"],
+    );
+}
+
+#[test]
+fn sample_campaign_run_rejects_zero_jobs() {
+    assert_zero_jobs_rejected(
+        env!("CARGO_BIN_EXE_sample_campaign"),
+        &["run", "--insts", "1000", "--jobs", "0"],
+    );
+}
+
+#[test]
+fn sample_campaign_validate_rejects_zero_jobs() {
+    assert_zero_jobs_rejected(
+        env!("CARGO_BIN_EXE_sample_campaign"),
+        &["validate", "--insts", "1000", "--jobs", "0"],
     );
 }

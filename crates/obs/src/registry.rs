@@ -105,12 +105,19 @@ impl Registry {
     }
 }
 
-/// A JSON string literal (quotes included) with the escapes our
-/// code-controlled names and workload labels can need.
+/// A JSON string literal (quotes included): [`json_escape`] in quotes.
 #[must_use]
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+    format!("\"{}\"", json_escape(s))
+}
+
+/// Escapes `s` for use inside a JSON string literal (no quotes added)
+/// with the escapes our code-controlled names and workload labels can
+/// need. The workspace's one escape table: `tvp_bench::json::escape`
+/// re-exports it.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -124,7 +131,6 @@ pub fn json_string(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 

@@ -123,7 +123,6 @@ const DETERMINISM_FILES: &[&str] = &[
     "crates/bench/src/store/blob.rs",
     "crates/bench/src/store/checkpoint.rs",
     "crates/bench/src/store/fsck.rs",
-    "crates/bench/src/store/lease.rs",
     "crates/bench/src/store/manifest.rs",
     "crates/bench/src/store/mod.rs",
     "crates/bench/src/sampling.rs",
