@@ -71,10 +71,8 @@ fn parse_vp(v: Option<String>) -> VpMode {
 
 fn open_store(dir: &str) -> ResultStore {
     let kill_after = tvp_bench::env_u64_or_exit("TVP_STORE_KILL_AFTER");
-    ResultStore::open(StoreConfig { dir: dir.into(), kill_after }).unwrap_or_else(|e| {
-        eprintln!("FATAL: cannot open checkpoint store {dir}: {e}");
-        std::process::exit(2);
-    })
+    ResultStore::open(StoreConfig { dir: dir.into(), kill_after })
+        .unwrap_or_else(|e| tvp_bench::fatal(&format!("cannot open checkpoint store {dir}"), &e))
 }
 
 fn main() {
@@ -164,9 +162,6 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
         store_warm_hits: runs.iter().filter(|r| r.resumed_intervals > 0).count() as u64,
         store_enabled: store.is_some(),
         cache_conflicts: 0,
-        dist_workers: 0,
-        reclaimed_leases: 0,
-        stale_publishes: 0,
         campaign_fingerprint: fp,
         prepare: std::time::Duration::ZERO,
         sim_wall: wall,
@@ -194,7 +189,9 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
         }),
     };
     if let Some(path) = telemetry_path {
-        telemetry.write(&path);
+        telemetry.write(&path).unwrap_or_else(|e| {
+            tvp_bench::fatal(&format!("cannot write telemetry file {path}"), &e)
+        });
         eprintln!("telemetry written: {path}");
     }
     eprintln!("[campaign] {:.2}s wall, detail fraction {:.4}", wall.as_secs_f64(), detail_fraction);
@@ -257,8 +254,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
     }
 
     if let Err(e) = std::fs::write(&report_path, error_report(insts, spec, &results)) {
-        eprintln!("FATAL: cannot write error report {report_path}: {e}");
-        std::process::exit(2);
+        tvp_bench::fatal(&format!("cannot write error report {report_path}"), &e);
     }
     eprintln!("error report written: {report_path}");
     if failures > 0 {

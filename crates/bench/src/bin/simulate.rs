@@ -9,8 +9,10 @@
 //! cargo run --release -p tvp-bench --bin simulate -- pixel_encode --vp tvp --trace trace.json
 //! ```
 //!
-//! Verification exit codes (all print the reproducing chaos seed when a
-//! campaign is armed):
+//! Exit code `2` is a usage error or an I/O failure (an unusable
+//! checkpoint store, an unwritable trace file), reported as one
+//! `FATAL:` line. Verification exit codes (all print the reproducing
+//! chaos seed when a campaign is armed):
 //!
 //! * `3` — the golden-model commit oracle found a divergence;
 //! * `4` — the deadlock watchdog tripped (no commit progress);
@@ -57,8 +59,7 @@ fn run_sampled_mode(
         let kill_after = tvp_bench::env_u64_or_exit("TVP_STORE_KILL_AFTER");
         let s =
             ResultStore::open(StoreConfig { dir: dir.into(), kill_after }).unwrap_or_else(|e| {
-                eprintln!("FATAL: cannot open checkpoint store {dir}: {e}");
-                std::process::exit(2);
+                tvp_bench::fatal(&format!("cannot open checkpoint store {dir}"), &e)
             });
         std::sync::Mutex::new(s)
     });
@@ -213,8 +214,7 @@ fn main() {
             &core.export_registry(),
         );
         if let Err(e) = std::fs::write(path, json) {
-            eprintln!("FATAL: cannot write trace file {path}: {e}");
-            std::process::exit(2);
+            tvp_bench::fatal(&format!("cannot write trace file {path}"), &e);
         }
         eprintln!(
             "trace written: {path} ({} events, {} dropped)",

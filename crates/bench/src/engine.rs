@@ -19,7 +19,14 @@
 //! Failures never abort the sequence: a panicked job is recorded with
 //! its [`ExpKey`], experiments that depend on it are skipped (and
 //! listed), every other experiment still assembles, and the process
-//! exits non-zero at the end.
+//! exits non-zero at the end. An I/O failure the run cannot continue
+//! past — an unusable store, an unwritable results directory, results
+//! file or telemetry file — is reported as one `FATAL:` line and exits
+//! with code 2 ([`crate::fatal`]), never as a panic.
+//!
+//! This is the one campaign path: a store has one writing process at a
+//! time, and serial, `--jobs N`, resumed and warm runs all go through
+//! [`run`].
 //!
 //! Determinism: simulation is a pure function of (trace, config), the
 //! schedule is keyed, and assembly is ordered — so `--jobs 1` and
@@ -171,11 +178,10 @@ pub struct EngineReport {
 /// Runs `experiments` end to end: enumerate, dedupe, simulate on the
 /// pool, assemble in order, write results JSON and telemetry.
 ///
-/// # Panics
-///
-/// Panics if the results directory cannot be created or a results
-/// file cannot be written (fatal setup errors); job panics are
-/// *contained* and reported through the returned [`EngineReport`].
+/// Exits with code 2 through [`crate::fatal`] when the store cannot be
+/// opened or written, or the results directory, a results file or the
+/// telemetry file cannot be written; job panics are *contained* and
+/// reported through the returned [`EngineReport`].
 pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineReport {
     let total_start = Instant::now();
 
@@ -199,8 +205,8 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     let requested = cache.hits() + cache.misses();
     let workers = runner::resolve_workers(opts.workers);
     // Fingerprint of the full deduplicated schedule — computed before
-    // warm filtering, so serial, `--jobs N` and distributed runs of
-    // the same campaign all print the same value.
+    // warm filtering, so serial, `--jobs N`, cold, resumed and warm
+    // runs of the same campaign all print the same value.
     let campaign_fingerprint =
         crate::distributed::campaign_fingerprint(schedule.iter().map(|j| j.key.digest()));
     eprintln!(
@@ -218,7 +224,9 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     // schedule to be re-simulated.
     let mut store = opts.store_dir.as_ref().map(|dir| {
         let cfg = StoreConfig { dir: dir.clone(), kill_after: opts.store_kill_after };
-        ResultStore::open(cfg).expect("open result store")
+        ResultStore::open(cfg).unwrap_or_else(|e| {
+            crate::fatal(&format!("cannot open result store {}", dir.display()), &e)
+        })
     });
     let schedule = if let Some(store) = store.as_mut() {
         let total = schedule.len();
@@ -238,10 +246,11 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         }
         // Lease in bounded batches: each batch is one atomic journal
         // append, so a crash mid-campaign leaves at most one torn
-        // batch record instead of one giant torn line, and the same
-        // batching bounds worker-loop appends in distributed runs.
+        // batch record instead of one giant torn line.
         for chunk in cold.chunks(crate::distributed::LEASE_BATCH) {
-            store.lease_all(chunk.iter().map(|j| &j.key)).expect("journal campaign leases");
+            store
+                .lease_all(chunk.iter().map(|j| &j.key))
+                .unwrap_or_else(|e| crate::fatal("cannot journal campaign leases", &e));
         }
         eprintln!(
             "[engine] store {}: {} of {total} point(s) loaded warm, {} to simulate",
@@ -270,35 +279,28 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     // reproducible for a given seed/schedule.
     for (key, point) in outcome.points {
         if let Some(store) = store.as_mut() {
-            store.publish(&key, &point).expect("publish result blob");
+            store
+                .publish(&key, &point)
+                .unwrap_or_else(|e| crate::fatal(&format!("cannot publish {}", key.display()), &e));
         }
         cache.insert(key, point);
     }
     for f in &outcome.failures {
         if let Some(store) = store.as_mut() {
-            store.record_failure(&f.key, f.attempts).expect("journal job failure");
+            store.record_failure(&f.key, f.attempts).unwrap_or_else(|e| {
+                crate::fatal(&format!("cannot journal the failure of {}", f.key.display()), &e)
+            });
         }
     }
     let store_counters: StoreCounters = store.as_ref().map(|s| *s.counters()).unwrap_or_default();
-    // Distributed-fabric counters come from the replayed journal, so a
-    // merge run reports the whole campaign's history (every worker id,
-    // every reclaimed lease, every fenced-off stale publish), not just
-    // this process's slice of it.
-    let (dist_workers, reclaimed_leases, stale_publishes) = store
-        .as_ref()
-        .map(|s| {
-            let js = s.journal_state();
-            let reclaimed: u64 = js.reclaims.values().map(|&n| u64::from(n)).sum();
-            (js.workers.len() as u64, reclaimed, js.stale_publishes)
-        })
-        .unwrap_or_default();
     if let Some(store) = store.as_ref() {
         eprintln!("[engine] store: {}", store.summary());
     }
 
     // 4. assemble ————————————————————————————————————————————————————
     let dir = opts.results_dir.clone().unwrap_or_else(results_dir);
-    std::fs::create_dir_all(&dir).expect("create results directory");
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| crate::fatal(&format!("cannot create results directory {dir}"), &e));
     let mut skipped = Vec::new();
     let results = ResultSet::new(&cache);
     for (exp, (name, keys)) in experiments.iter().zip(&wanted) {
@@ -312,7 +314,9 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         if missing.is_empty() {
             for file in exp.assemble(&ctx, &results) {
                 let path = format!("{dir}/{}.json", file.name);
-                std::fs::write(&path, file.json).expect("write results file");
+                std::fs::write(&path, file.json).unwrap_or_else(|e| {
+                    crate::fatal(&format!("cannot write results file {path}"), &e)
+                });
                 println!("\n[results written to {path}]");
             }
         } else {
@@ -340,9 +344,6 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         store_warm_hits: store_counters.warm_hits,
         store_enabled: store.is_some(),
         cache_conflicts: cache.conflicts(),
-        dist_workers,
-        reclaimed_leases,
-        stale_publishes,
         campaign_fingerprint,
         prepare,
         sim_wall,
@@ -354,7 +355,9 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         sampling: None,
     };
     let telemetry_path = opts.telemetry_path.clone().unwrap_or_else(Telemetry::default_path);
-    telemetry.write(&telemetry_path);
+    telemetry.write(&telemetry_path).unwrap_or_else(|e| {
+        crate::fatal(&format!("cannot write telemetry file {telemetry_path}"), &e)
+    });
     eprintln!("[engine] {}", telemetry.summary());
     eprintln!("[engine] telemetry written to {telemetry_path}");
 

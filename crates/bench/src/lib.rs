@@ -80,6 +80,15 @@ pub fn jobs_or_exit(raw: Option<&str>) -> usize {
     }
 }
 
+/// Reports an I/O failure the run cannot continue past (an unusable
+/// store, an unwritable results directory or file) as one
+/// `FATAL: <context>: <err>` line and exits with code 2, the code for
+/// an unusable store — a loud, structured failure instead of a panic.
+pub fn fatal(context: &str, err: &dyn std::fmt::Display) -> ! {
+    eprintln!("FATAL: {context}: {err}");
+    std::process::exit(2);
+}
+
 /// A workload with its pre-generated trace (traces are deterministic,
 /// so generating once per process keeps experiments comparable and
 /// fast).

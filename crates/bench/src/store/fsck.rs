@@ -7,10 +7,12 @@
 //! with no blob is **missing**, a valid blob with no `done` record is
 //! an **orphan** (harmless — it still warms the next run — but worth
 //! knowing about after a kill), leases with no completion are the
-//! points a killed campaign died holding, the journal's owner map
-//! names who holds each of them, and everything already in
-//! `quarantine/` is counted. `cargo xtask fsck-store <DIR>` is the CLI entry point; the
-//! `fsck_store` bin wires [`FsckReport`] to exit codes and JSON.
+//! points a killed campaign died holding, and everything already in
+//! `quarantine/` is counted. Journals of older stores that hold the
+//! retired fabric's record kinds replay like any other (see
+//! [`manifest`]). `cargo xtask fsck-store <DIR>` is the CLI entry
+//! point; the `fsck_store` bin wires [`FsckReport`] to exit codes and
+//! JSON.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -57,15 +59,6 @@ pub struct FsckReport {
     pub journal_skipped: u64,
     /// The journal header was missing or wrong.
     pub journal_bad_header: bool,
-    /// Points currently held by a worker, from the journal's owner
-    /// map, as `<digest:016x>=worker@epoch` (sorted by digest).
-    pub leases_held: Vec<String>,
-    /// Distinct worker ids with at least one winning claim.
-    pub workers: Vec<String>,
-    /// Total reclaim events in the journal.
-    pub reclaimed: u64,
-    /// Fenced-off stale publishes recorded in the journal.
-    pub stale_publishes: u64,
 }
 
 impl FsckReport {
@@ -83,8 +76,7 @@ impl FsckReport {
     pub fn summary(&self) -> String {
         format!(
             "{} blob(s) ok, {} checkpoint(s) ok, {} corrupt, {} orphan(s), {} missing, \
-             {} quarantined, {} pending lease(s), {} failed, torn_tail={}, {} held lease(s), \
-             {} worker(s), {} reclaimed, {} stale publish(es)",
+             {} quarantined, {} pending lease(s), {} failed, torn_tail={}",
             self.blobs_ok,
             self.checkpoints_ok,
             self.corrupt.len(),
@@ -94,10 +86,6 @@ impl FsckReport {
             self.pending,
             self.failed,
             self.journal_torn_tail,
-            self.leases_held.len(),
-            self.workers.len(),
-            self.reclaimed,
-            self.stale_publishes,
         )
     }
 
@@ -133,10 +121,6 @@ impl FsckReport {
             ("journal_torn_tail", self.journal_torn_tail.to_string()),
             ("journal_skipped", self.journal_skipped.to_string()),
             ("journal_bad_header", self.journal_bad_header.to_string()),
-            ("leases_held", crate::json::array(&strings(&self.leases_held))),
-            ("workers", crate::json::array(&strings(&self.workers))),
-            ("reclaimed", self.reclaimed.to_string()),
-            ("stale_publishes", self.stale_publishes.to_string()),
         ])
     }
 }
@@ -223,11 +207,6 @@ pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
     report.journal_bad_header = journal.bad_header;
     report.pending = journal.pending.len() as u64;
     report.failed = journal.failed.len() as u64;
-    report.workers = journal.workers.iter().cloned().collect();
-    report.reclaimed = journal.reclaims.values().map(|&n| u64::from(n)).sum();
-    report.stale_publishes = journal.stale_publishes;
-    report.leases_held =
-        journal.owners.iter().map(|(d, o)| format!("{d:016x}={}@{}", o.worker, o.epoch)).collect();
 
     let blob_digest = |b: &[u8]| blob::decode(b).map(|(key, _)| key.digest());
     let (blobs, corrupt_addrs) = verify_files(dir, BLOBS_DIR, "blob", blob_digest, &mut report);
@@ -348,32 +327,29 @@ mod tests {
     }
 
     #[test]
-    fn distributed_state_is_reported() {
-        let dir = scratch("dist");
+    fn retired_journal_kinds_replay_clean() {
+        // A journal as the retired multi-process fabric left it: every
+        // record kind it wrote, on top of a healthy store. w0 claimed
+        // a fresh point, was reaped, and its late publish was fenced
+        // off; w1 re-claimed the point and died holding it.
+        let dir = scratch("retired");
         populate(&dir, 2);
-        let mut store = ResultStore::open_shared(StoreConfig::at(&dir)).expect("shared open");
-        // w0 claims a fresh (never-published) point, then the reaper
-        // reclaims it; w1 re-claims at the bumped epoch and holds it.
-        let mut cfg = CoreConfig::with_vp(VpMode::Gvp);
-        cfg.watchdog_cycles += 7;
-        let fresh = ExpKey::new("string_match", 5_000, &cfg);
-        assert_eq!(store.acquire_lease_batch(&[&fresh], "w0", 8).expect("w0 claim"), [(0, 1)]);
-        store.reclaim_lease(fresh.digest(), 1).expect("reclaim");
-        assert_eq!(store.acquire_lease_batch(&[&fresh], "w1", 8).expect("w1 claim"), [(0, 2)]);
+        let mut text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+        for body in [
+            "wlease 0000000000000077 w0 1 string_match@5000#0000000000000077",
+            "reclaim 0000000000000077 1",
+            "stale 0000000000000077 w0 1",
+            "wlease 0000000000000077 w1 2 string_match@5000#0000000000000077",
+        ] {
+            text.push_str(&format!("{}\n", manifest::seal(body)));
+        }
+        std::fs::write(dir.join(JOURNAL_FILE), text).expect("write journal");
 
         let report = fsck(&dir).expect("fsck");
-        assert!(report.clean(), "distributed churn is not corruption: {}", report.summary());
-        assert_eq!(report.workers, vec!["w0".to_owned(), "w1".to_owned()]);
-        assert_eq!(report.reclaimed, 1);
-        assert_eq!(
-            report.leases_held,
-            vec![format!("{:016x}=w1@2", fresh.digest())],
-            "w1's live hold is listed with its epoch"
-        );
-        assert_eq!(report.pending, 1, "the reclaimed point is pending again");
-        let json = report.to_json();
-        assert!(json.contains("\"workers\"") && json.contains("\"w0\""), "{json}");
-        assert!(json.contains("\"reclaimed\": 1"), "{json}");
+        assert!(report.clean(), "retired records are not corruption: {}", report.summary());
+        assert_eq!(report.journal_skipped, 0);
+        assert!(!report.journal_torn_tail);
+        assert_eq!((report.blobs_ok, report.pending, report.failed), (2, 1, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,27 +14,17 @@
 //! ```text
 //! tvp-journal 1
 //! lease 00d8c8e57e06cbad string_match@20000#00d8c8e57e06cbad #5b3c…
-//! wlease 00d8c8e57e06cbad w0 1 string_match@20000#00d8c8e57e06cbad #77aa…
-//! reclaim 00d8c8e57e06cbad 1 #01fe…
-//! stale 00d8c8e57e06cbad w0 1 #b00c…
 //! done 00d8c8e57e06cbad #9a17…
 //! fail 00d8c8e57e06cbad attempts 2 #c2f0…
 //! ```
 //!
-//! The distributed fabric (DESIGN.md §16) adds three record kinds on
-//! top of the original three: `wlease` is a named worker's claim on a
-//! point at a fencing epoch, `reclaim` records the reaper retiring a
-//! dead worker's hold (the digest returns to pending at the next
-//! epoch), and `stale` records a fenced-off late publish (a worker
-//! that lost its hold tried to complete it anyway — the publish was
-//! detected and deduped, never double-counted).
-//!
-//! **The journal is the lease.** A claim wins if and only if it is the
-//! first `wlease` for its digest at the digest's current epoch
-//! (reclaims + 1) in file order; a `reclaim`, `done` or `fail` record
-//! ends the hold. [`JournalState::owners`] is therefore the store's
-//! only record of who holds a point, and every process that replays
-//! the same file agrees on it.
+//! **Retired kinds.** Stores written by the retired multi-process
+//! campaign fabric also hold `wlease` (a worker's claim), `reclaim` (a
+//! dead worker's claim retired) and `stale` (a late publish fenced
+//! off) records. Nothing writes them any more, and replay still reads
+//! them, so such a store replays to the completed, failed and pending
+//! sets it always did: `wlease` and `reclaim` pend their point the way
+//! `lease` does, and `stale` changes nothing.
 //!
 //! A checksum-failing *last* line is a torn tail (normal after a
 //! kill); a checksum-failing line *mid-file* is corruption and is
@@ -46,15 +36,10 @@
 //! a handle's [`Journal::state`] equals a replay of its file by
 //! construction.
 //!
-//! **Multi-process appends.** Every batch of records is rendered into a
-//! single buffer and appended with one `write` syscall on an
-//! `O_APPEND` handle, so concurrent workers' batches land whole and in
-//! one order on a local filesystem — the order the first-claim rule
-//! reads; the per-line checksum catches the pathological cases
-//! anyway. Shared handles ([`Journal::open_shared`]) never truncate —
-//! torn-tail repair is reserved for exclusive opens, when no other
-//! writer can be racing the `set_len` — and see other processes'
-//! records through [`Journal::refresh`].
+//! **One writer.** A store has one writing process at a time. Every
+//! batch of records is rendered into a single buffer and appended with
+//! one `write` on an `O_APPEND` handle, so two handles in one process
+//! (the concurrent-publish test) still land whole records.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -80,22 +65,6 @@ pub struct JournalState {
     /// Digests leased but never completed or failed — the points a
     /// killed campaign died holding.
     pub pending: BTreeSet<u64>,
-    /// Reclaim events per digest: how many times the reaper retired a
-    /// dead worker's hold on this point. A claim's fencing epoch is
-    /// `reclaims + 1` ([`JournalState::epoch`]).
-    pub reclaims: BTreeMap<u64, u32>,
-    /// Fenced-off late publishes detected and deduped (`stale`
-    /// records).
-    pub stale_publishes: u64,
-    /// Who holds each point now: the worker and epoch of the first
-    /// `wlease` at the point's current epoch, until a `reclaim`,
-    /// `done` or `fail` ends the hold.
-    pub owners: BTreeMap<u64, Owner>,
-    /// The epoch of each point's latest winning claim, held or ended:
-    /// any later claim at that epoch loses.
-    claimed: BTreeMap<u64, u32>,
-    /// Distinct worker ids with at least one winning claim.
-    pub workers: BTreeSet<String>,
     /// The final line failed its checksum and was dropped (the
     /// expected signature of a crash mid-append).
     pub torn_tail: bool,
@@ -107,42 +76,13 @@ pub struct JournalState {
     pub bad_header: bool,
 }
 
-/// The holder of a point: the worker whose claim won, and the fencing
-/// epoch it won at.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Owner {
-    /// Worker id (validated by [`valid_worker_id`]).
-    pub worker: String,
-    /// Fencing epoch of the winning claim.
-    pub epoch: u32,
-}
-
-impl JournalState {
-    /// The epoch a claim on `digest` must carry to win: its reclaim
-    /// count plus one, so epochs are monotonic per point.
-    #[must_use]
-    pub fn epoch(&self, digest: u64) -> u32 {
-        self.reclaims.get(&digest).copied().unwrap_or(0).saturating_add(1)
-    }
-
-    /// Whether `worker`'s claim at `epoch` holds `digest` — the fence.
-    #[must_use]
-    pub fn holds(&self, digest: u64, worker: &str, epoch: u32) -> bool {
-        self.owners.get(&digest).is_some_and(|o| o.worker == worker && o.epoch == epoch)
-    }
-}
-
-/// Append handle plus the replayed state: the file as of the last
-/// open or [`Journal::refresh`], advanced by this handle's appends.
+/// Append handle plus the replayed state: the file as of open,
+/// advanced by this handle's appends.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
     file: File,
     state: JournalState,
-    /// Shared handles on a file whose last byte is not a newline (a
-    /// crash mid-append by some other process) must start their first
-    /// record on a fresh line; exclusive handles truncate instead.
-    needs_leading_newline: bool,
 }
 
 /// Seals `body` with its FNV-1a checksum: `"<body> #<16 hex>"`.
@@ -151,7 +91,7 @@ pub(crate) fn seal(body: &str) -> String {
 }
 
 /// Splits a sealed line back into its body, verifying the checksum.
-pub(crate) fn unseal(line: &str) -> Option<&str> {
+fn unseal(line: &str) -> Option<&str> {
     let (body, sum) = line.rsplit_once(" #")?;
     let stored = u64::from_str_radix(sum, 16).ok()?;
     (sum.len() == 16 && stored == fnv1a(body.as_bytes())).then_some(body)
@@ -161,27 +101,15 @@ pub(crate) fn unseal(line: &str) -> Option<&str> {
 /// arguments. The labels trail their lines and carry no replay state.
 #[derive(Debug)]
 enum Record<'a> {
-    /// The cold schedule leased `digest`.
+    /// The cold schedule leased `digest` (or a retired `wlease` or
+    /// `reclaim` record scheduled it).
     Lease { digest: u64, label: &'a str },
-    /// `worker` claimed `digest` at fencing `epoch`.
-    WLease { digest: u64, worker: &'a str, epoch: u32, label: &'a str },
-    /// The reaper retired a dead worker's hold on `digest`.
-    Reclaim { digest: u64, epoch: u32 },
-    /// `worker`'s late publish of `digest` was fenced off.
-    Stale { digest: u64, worker: &'a str, epoch: u32 },
     /// A blob for `digest` was published.
     Done { digest: u64 },
     /// `digest` failed terminally after `attempts`.
     Fail { digest: u64, attempts: u32 },
-}
-
-/// Worker ids appear as journal tokens and in `fsck` labels, so they
-/// are restricted to a filesystem- and parser-safe alphabet.
-#[must_use]
-pub fn valid_worker_id(id: &str) -> bool {
-    !id.is_empty()
-        && id.len() <= 64
-        && id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.')
+    /// A retired `stale` record: read, never appended, changes nothing.
+    Stale,
 }
 
 impl<'a> Record<'a> {
@@ -189,15 +117,9 @@ impl<'a> Record<'a> {
     fn render(&self, out: &mut String) {
         let body = match *self {
             Record::Lease { digest, label } => format!("lease {digest:016x} {label}"),
-            Record::WLease { digest, worker, epoch, label } => {
-                format!("wlease {digest:016x} {worker} {epoch} {label}")
-            }
-            Record::Reclaim { digest, epoch } => format!("reclaim {digest:016x} {epoch}"),
-            Record::Stale { digest, worker, epoch } => {
-                format!("stale {digest:016x} {worker} {epoch}")
-            }
             Record::Done { digest } => format!("done {digest:016x}"),
             Record::Fail { digest, attempts } => format!("fail {digest:016x} attempts {attempts}"),
+            Record::Stale => return,
         };
         out.push_str(&seal(&body));
         out.push('\n');
@@ -212,20 +134,10 @@ impl<'a> Record<'a> {
             None => (rest, None),
         };
         let digest = u64::from_str_radix(digest, 16).ok()?;
-        let valid = |worker: &'a str| valid_worker_id(worker).then_some(worker);
         match kind {
             "lease" => Some(Record::Lease { digest, label: rest.unwrap_or("") }),
-            "wlease" => {
-                let mut fields = rest?.splitn(3, ' ');
-                let worker = valid(fields.next()?)?;
-                let epoch = fields.next()?.parse().ok()?;
-                Some(Record::WLease { digest, worker, epoch, label: fields.next().unwrap_or("") })
-            }
-            "reclaim" => Some(Record::Reclaim { digest, epoch: rest?.parse().ok()? }),
-            "stale" => {
-                let (worker, epoch) = rest?.split_once(' ')?;
-                Some(Record::Stale { digest, worker: valid(worker)?, epoch: epoch.parse().ok()? })
-            }
+            "wlease" | "reclaim" => Some(Record::Lease { digest, label: "" }),
+            "stale" => Some(Record::Stale),
             "done" => rest.is_none().then_some(Record::Done { digest }),
             "fail" => {
                 let attempts = rest?.strip_prefix("attempts ")?.parse().ok()?;
@@ -238,43 +150,24 @@ impl<'a> Record<'a> {
     /// The one state transition, shared by [`replay`] and the
     /// [`Journal`] appenders.
     fn apply(&self, state: &mut JournalState) {
-        // A lease or reclaim (re-)pends a point unless something
-        // already settled it.
-        let pend = |state: &mut JournalState, digest: u64| {
-            if !state.completed.contains(&digest) && !state.failed.contains_key(&digest) {
-                state.pending.insert(digest);
-            }
-        };
         match *self {
-            Record::Lease { digest, .. } => pend(state, digest),
-            Record::WLease { digest, worker, epoch, .. } => {
-                // First claim at the current epoch wins; a later claim
-                // at that epoch, or one at any other epoch, loses.
-                if epoch == state.epoch(digest) && state.claimed.get(&digest) != Some(&epoch) {
-                    state.claimed.insert(digest, epoch);
-                    state.owners.insert(digest, Owner { worker: worker.to_owned(), epoch });
-                    state.workers.insert(worker.to_owned());
+            // A lease (re-)pends a point unless something already
+            // settled it.
+            Record::Lease { digest, .. } => {
+                if !state.completed.contains(&digest) && !state.failed.contains_key(&digest) {
+                    state.pending.insert(digest);
                 }
-                pend(state, digest);
             }
-            Record::Reclaim { digest, .. } => {
-                let count = state.reclaims.entry(digest).or_insert(0);
-                *count = count.saturating_add(1);
-                state.owners.remove(&digest);
-                pend(state, digest);
-            }
-            Record::Stale { .. } => state.stale_publishes += 1,
             Record::Done { digest } => {
-                state.owners.remove(&digest);
                 state.pending.remove(&digest);
                 state.failed.remove(&digest);
                 state.completed.insert(digest);
             }
             Record::Fail { digest, attempts } => {
-                state.owners.remove(&digest);
                 state.pending.remove(&digest);
                 state.failed.insert(digest, attempts);
             }
+            Record::Stale => {}
         }
     }
 }
@@ -293,9 +186,9 @@ pub fn replay(text: &str) -> JournalState {
             return state;
         }
     }
-    // Blank lines carry nothing: one is left where a shared append
-    // started on a fresh line after another writer's record it had
-    // read half-written (see `Journal::refresh`).
+    // Blank lines carry nothing: the retired fabric's writers left one
+    // where an append started on a fresh line after another writer's
+    // record they had read half-written.
     let mut lines = lines.filter(|line| !line.is_empty()).peekable();
     while let Some(line) = lines.next() {
         match Record::parse(line) {
@@ -358,72 +251,17 @@ impl Journal {
             file.write_all(b"\n")?;
             file.sync_all()?;
         }
-        Ok(Journal { path, file, state, needs_leading_newline: false })
+        Ok(Journal { path, file, state })
     }
 
-    /// Opens an already-initialized journal for a *shared* writer (a
-    /// distributed worker): replays the existing records but performs
-    /// no repair — never truncates (another writer may be appending
-    /// past the bytes we read) and never writes the header (the
-    /// coordinator did, exactly once, under an exclusive open). A
-    /// missing or headerless journal is an error: the campaign
-    /// coordinator must initialize the store before workers attach.
-    pub fn open_shared(store_dir: &Path) -> std::io::Result<Journal> {
-        let path = store_dir.join(JOURNAL_FILE);
-        let file = match OpenOptions::new().append(true).open(&path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!(
-                        "store journal {} does not exist — initialize the campaign \
-                         (coordinator / manifest step) before attaching workers",
-                        path.display()
-                    ),
-                ));
-            }
-            Err(e) => return Err(e),
-        };
-        let mut journal =
-            Journal { path, file, state: JournalState::default(), needs_leading_newline: false };
-        journal.refresh()?;
-        Ok(journal)
-    }
-
-    /// Re-replays the whole file, so the handle's state includes every
-    /// other process's records, and recomputes whether the next append
-    /// must start on a fresh line: a file that does not end in a
-    /// newline holds some other writer's torn record (the torn bytes
-    /// become one counted garbage line, which the exclusive reopen
-    /// repairs) or a record still being written (then the fresh line
-    /// leaves a blank line, which replay skips).
-    pub fn refresh(&mut self) -> std::io::Result<()> {
-        let text = std::fs::read_to_string(&self.path)?;
-        let state = replay(&text);
-        if state.bad_header {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("store journal {} has a missing or corrupt header", self.path.display()),
-            ));
-        }
-        self.needs_leading_newline = !text.is_empty() && !text.ends_with('\n');
-        self.state = state;
-        Ok(())
-    }
-
-    /// Appends `records` with a single `write` syscall (concurrent-
-    /// writer atomicity), fsyncs, then applies them to the handle's
-    /// state — the transition [`replay`] applies to the file. An empty
-    /// batch writes and applies nothing.
+    /// Appends `records` with a single `write` syscall, fsyncs, then
+    /// applies them to the handle's state — the transition [`replay`]
+    /// applies to the file. An empty batch writes and applies nothing.
     fn append(&mut self, records: &[Record<'_>]) -> std::io::Result<()> {
         if records.is_empty() {
             return Ok(());
         }
         let mut batch = String::new();
-        if self.needs_leading_newline {
-            batch.push('\n');
-            self.needs_leading_newline = false;
-        }
         for record in records {
             record.render(&mut batch);
         }
@@ -435,8 +273,8 @@ impl Journal {
         Ok(())
     }
 
-    /// The state replayed at open or at the last [`Journal::refresh`],
-    /// advanced by every record this handle appended since.
+    /// The state replayed at open, advanced by every record this
+    /// handle appended since.
     #[must_use]
     pub fn state(&self) -> &JournalState {
         &self.state
@@ -457,35 +295,6 @@ impl Journal {
         let records: Vec<Record<'_>> =
             keys.map(|(digest, label)| Record::Lease { digest, label }).collect();
         self.append(&records)
-    }
-
-    /// Records a batch of `worker`'s claims at a fencing epoch each in
-    /// one write, fsyncing once at the end of the batch. Whether a
-    /// claim won is read from the state after a [`Journal::refresh`].
-    pub fn wlease_all<'k>(
-        &mut self,
-        worker: &str,
-        keys: impl Iterator<Item = (u64, u32, &'k str)>,
-    ) -> std::io::Result<()> {
-        debug_assert!(valid_worker_id(worker), "worker id {worker:?} fails valid_worker_id");
-        let records: Vec<Record<'_>> = keys
-            .map(|(digest, epoch, label)| Record::WLease { digest, worker, epoch, label })
-            .collect();
-        self.append(&records)
-    }
-
-    /// Records the reaper retiring a dead worker's hold on `digest` at
-    /// `epoch`; the point returns to pending for the next epoch.
-    pub fn reclaim(&mut self, digest: u64, epoch: u32) -> std::io::Result<()> {
-        self.append(&[Record::Reclaim { digest, epoch }])
-    }
-
-    /// Records a fenced-off late publish: `worker` lost its hold on
-    /// `digest` (epoch `epoch`) and its publish was detected and
-    /// deduped rather than double-counted.
-    pub fn stale(&mut self, digest: u64, worker: &str, epoch: u32) -> std::io::Result<()> {
-        debug_assert!(valid_worker_id(worker), "worker id {worker:?} fails valid_worker_id");
-        self.append(&[Record::Stale { digest, worker, epoch }])
     }
 
     /// Records a completed publication. Fsynced per record: a `done`
@@ -618,12 +427,6 @@ mod tests {
         let s = replay(&text);
         assert!(s.completed.contains(&0x11));
         assert!(s.pending.contains(&0x12), "w1's unfinished lease stays pending");
-        assert_eq!(s.reclaims.get(&0x11), Some(&1));
-        assert_eq!(s.stale_publishes, 1);
-        assert_eq!(
-            s.workers.iter().cloned().collect::<Vec<_>>(),
-            ["w0".to_owned(), "w1".to_owned()]
-        );
         assert_eq!(s.skipped_lines, 0);
     }
 
@@ -648,46 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn claims_win_first_at_the_current_epoch() {
-        let text = format!(
-            "{JOURNAL_HEADER}\n{}\n",
-            [
-                "wlease 0000000000000061 w0 1 a@1#q", // wins: first at epoch 1
-                "wlease 0000000000000061 w1 1 a@1#q", // loses: second at epoch 1
-                "wlease 0000000000000061 w0 1 a@1#q", // duplicate: loses, w0 still holds
-                "wlease 0000000000000062 w1 2 b@1#q", // loses: epoch 1 is current
-                "reclaim 0000000000000061 1",         // ends w0's hold; epoch 2
-                "wlease 0000000000000061 w1 1 a@1#q", // loses: stale epoch
-                "wlease 0000000000000061 w1 2 a@1#q", // wins
-                "done 0000000000000061",              // ends the hold
-                "wlease 0000000000000061 w0 2 a@1#q", // loses: epoch 2 was claimed
-                "wlease 0000000000000063 w1 1 c@1#q", // wins
-                "fail 0000000000000063 attempts 2",   // ends the hold
-                "wlease 0000000000000065 w0 1 d@1#q", // wins, still held
-                "wlease 0000000000000065 w2 1 d@1#q", // loses: w2 never wins
-            ]
-            .map(seal)
-            .join("\n")
-        );
-        let s = replay(&text);
-        let w0 = Owner { worker: "w0".to_owned(), epoch: 1 };
-        assert_eq!(s.owners, BTreeMap::from([(0x65, w0)]));
-        assert!(s.holds(0x65, "w0", 1) && !s.holds(0x65, "w0", 2) && !s.holds(0x65, "w2", 1));
-        assert_eq!(s.epoch(0x61), 2);
-        assert_eq!(s.workers, BTreeSet::from(["w0".to_owned(), "w1".to_owned()]));
-        assert_eq!(s.completed, BTreeSet::from([0x61]));
-        assert_eq!(s.failed, BTreeMap::from([(0x63, 2)]));
-        // A losing claim still marks its point scheduled.
-        assert_eq!(s.pending, BTreeSet::from([0x62, 0x65]));
-        assert_eq!(s.skipped_lines, 0);
-    }
-
-    #[test]
     fn journal_in_the_previous_format_replays_to_its_owners() {
-        // What a campaign wrote while lease files were the lock: a
-        // `wlease` for wins only. w0 finished a, died holding b and c,
-        // and was reaped; w1 re-ran b and c, and holds d. The sets are
-        // those the previous replay computed from the same text.
+        // What the retired fabric wrote while lease files were the
+        // lock: a `wlease` for wins only. w0 finished a, died holding b
+        // and c, and was reaped; w1 re-ran b and c, and holds d. The
+        // sets are those the fabric's replay computed from the same
+        // text.
         let text = format!(
             "{JOURNAL_HEADER}\n{}\n",
             [
@@ -708,13 +477,9 @@ mod tests {
             .join("\n")
         );
         let s = replay(&text);
-        assert_eq!(s.owners, BTreeMap::from([(0xD4, Owner { worker: "w1".to_owned(), epoch: 1 })]));
         assert_eq!(s.completed, BTreeSet::from([0xA1, 0xB2, 0xC3]));
         assert_eq!(s.pending, BTreeSet::from([0xD4]));
-        assert_eq!(s.reclaims, BTreeMap::from([(0xB2, 1), (0xC3, 1)]));
-        assert_eq!(s.workers, BTreeSet::from(["w0".to_owned(), "w1".to_owned()]));
         assert!(s.failed.is_empty());
-        assert_eq!(s.stale_publishes, 1);
         assert_eq!(s.skipped_lines, 0);
     }
 
@@ -725,74 +490,6 @@ mod tests {
             replay(&format!("{JOURNAL_HEADER}\n{good}\n\n{}\n\n", seal("done 0000000000000071")));
         assert!(s.completed.contains(&0x71));
         assert_eq!((s.skipped_lines, s.torn_tail), (0, false));
-    }
-
-    #[test]
-    fn worker_ids_are_validated_at_parse_time() {
-        assert!(valid_worker_id("w0"));
-        assert!(valid_worker_id("host-3.worker_12"));
-        assert!(!valid_worker_id(""));
-        assert!(!valid_worker_id("has space"));
-        assert!(!valid_worker_id("dot/dot"));
-        assert!(!valid_worker_id(&"x".repeat(65)));
-        // An invalid worker token makes the whole record unparseable.
-        let line = seal("wlease 0000000000000001 bad/id 1 a@1#q");
-        let text = format!("{JOURNAL_HEADER}\n{line}\n{line}\n");
-        let s = replay(&text);
-        assert!(s.workers.is_empty());
-        assert_eq!(s.skipped_lines, 1);
-        assert!(s.torn_tail);
-    }
-
-    #[test]
-    fn shared_open_requires_initialized_journal_and_never_truncates() {
-        let dir = std::env::temp_dir().join(format!("tvp_journal_shared_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        // Missing journal: a worker must not invent one.
-        let err = Journal::open_shared(&dir).expect_err("missing journal is an error");
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-        // Torn tail: shared open leaves the bytes alone and starts its
-        // first record on a fresh line.
-        let good = seal("wlease 0000000000000031 w0 1 a@1#q");
-        let torn = format!("{JOURNAL_HEADER}\n{good}\ndone 000000");
-        std::fs::write(dir.join(JOURNAL_FILE), &torn).expect("write torn journal");
-        {
-            let mut j = Journal::open_shared(&dir).expect("shared open");
-            assert!(j.state().pending.contains(&0x31));
-            j.done(0x31).expect("append");
-        }
-        let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read");
-        assert!(text.starts_with(&torn), "shared open never truncates");
-        let s = replay(&text);
-        assert!(s.completed.contains(&0x31), "append landed on a fresh line");
-        assert_eq!(s.skipped_lines, 1, "torn bytes became one counted garbage line");
-        // Headerless journal: refuse.
-        std::fs::write(dir.join(JOURNAL_FILE), "garbage\n").expect("write bad journal");
-        let err = Journal::open_shared(&dir).expect_err("bad header is an error");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn two_shared_handles_interleave_whole_records() {
-        let dir = std::env::temp_dir().join(format!("tvp_journal_two_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        drop(Journal::open(&dir).expect("init"));
-        let mut a = Journal::open_shared(&dir).expect("handle a");
-        let mut b = Journal::open_shared(&dir).expect("handle b");
-        a.wlease_all("wa", [(0x41, 1, "a@1#a"), (0x42, 1, "b@1#b")].into_iter()).expect("wlease a");
-        b.wlease_all("wb", [(0x43, 1, "c@1#c")].into_iter()).expect("wlease b");
-        a.done(0x41).expect("done a");
-        b.done(0x43).expect("done b");
-        let s = replay(&std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read"));
-        assert_eq!(s.skipped_lines, 0, "no byte interleaving within records");
-        assert!(!s.torn_tail);
-        assert!(s.completed.contains(&0x41) && s.completed.contains(&0x43));
-        assert!(s.pending.contains(&0x42));
-        assert_eq!(s.workers.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -825,10 +522,6 @@ mod tests {
                 [(0x0123_4567_89AB_CDEF, "string_match@20000#0123456789abcdef")].into_iter(),
             )
             .expect("lease");
-            j.wlease_all("w0", [(0x11, 3, "pointer_chase@8000#0000000000000011")].into_iter())
-                .expect("wlease");
-            j.reclaim(0x22, 2).expect("reclaim");
-            j.stale(0x33, "host-1.w_2", 4).expect("stale");
             j.done(0x44).expect("done");
             j.fail(0x55, 2).expect("fail");
         }
@@ -836,14 +529,8 @@ mod tests {
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("tvp-journal 1"));
         let sums: Vec<u64> = lines.map(|l| fnv1a(l.as_bytes())).collect();
-        let expected: [u64; 6] = [
-            0xC03A_0613_233F_FB31,
-            0x6297_587D_7834_E979,
-            0x7A36_B16D_FFE8_823E,
-            0x9BEC_D3BF_2C93_627A,
-            0x648A_5D1E_11F4_CFF3,
-            0x8F54_132C_84BD_684B,
-        ];
+        let expected: [u64; 3] =
+            [0xC03A_0613_233F_FB31, 0x648A_5D1E_11F4_CFF3, 0x8F54_132C_84BD_684B];
         assert_eq!(sums, expected, "journal lines changed: bump JOURNAL_HEADER");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -852,14 +539,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Appends and replay share one transition: after every append
-        /// of a random sequence (over four digests and two workers,
-        /// batches possibly empty), the handle's state — owners
-        /// included — equals a replay of its file. Claims come at a
-        /// random epoch (mostly losing, duplicate or stale) or at each
-        /// point's current epoch (winning unless already claimed).
+        /// of a random sequence of leases, completions and failures
+        /// over four digests (lease batches possibly empty), the
+        /// handle's state equals a replay of its file.
         #[test]
         fn handle_state_equals_replay_of_its_file(
-            ops in proptest::collection::vec((0u8..7, 0u64..16, 0usize..2, 1u32..4), 1..=40)
+            ops in proptest::collection::vec((0u8..3, 0u64..16, 1u32..4), 1..=40)
         ) {
             let dir = std::env::temp_dir().join(format!("tvp_journal_prop_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -868,18 +553,12 @@ mod tests {
             let digests = [0xA1_u64, 0xB2, 0xC3, 0xD4];
             // Lease batches take the digests picked by a 4-bit mask.
             let batch = |mask: u64| digests.into_iter().enumerate().filter(move |(i, _)| (mask >> i) & 1 == 1);
-            for (i, &(kind, arg, w, n)) in ops.iter().enumerate() {
-                let worker = ["w0", "w1"][w];
+            for (i, &(kind, arg, n)) in ops.iter().enumerate() {
                 let digest = digests[(arg % 4) as usize];
-                let current: Vec<(u64, u32)> = batch(arg).map(|(_, d)| (d, j.state().epoch(d))).collect();
                 match kind {
                     0 => j.lease_all(batch(arg).map(|(_, d)| (d, "k@1#x"))),
-                    1 => j.wlease_all(worker, batch(arg).map(|(_, d)| (d, n, "k@1#x"))),
-                    2 => j.reclaim(digest, n),
-                    3 => j.stale(digest, worker, n),
-                    4 => j.done(digest),
-                    5 => j.fail(digest, n),
-                    _ => j.wlease_all(worker, current.into_iter().map(|(d, e)| (d, e, "k@1#x"))),
+                    1 => j.done(digest),
+                    _ => j.fail(digest, n),
                 }
                 .expect("append");
                 let replayed = replay(&std::fs::read_to_string(j.path()).expect("read journal"));

@@ -8,10 +8,8 @@
 //! and a campaign journal (see [`manifest`]) records leases,
 //! completions and failures, so a killed campaign resumes exactly
 //! where it died and a corrupted blob is quarantined and re-simulated
-//! instead of poisoning the results. The journal is also the
-//! distributed fabric's lease (DESIGN.md §16): a worker's claim is a
-//! journal record, and the first claim at a point's current epoch
-//! holds it.
+//! instead of poisoning the results. A store has one writing process
+//! at a time.
 //!
 //! On-disk layout (`--store DIR` / `$TVP_STORE_DIR`):
 //!
@@ -21,19 +19,20 @@
 //!   checkpoints/<digest:016x>.ckpt  newest checkpoint of a sampled run
 //!   quarantine/<digest>.<reason>.<n>.blob   corrupt files, set aside
 //!   tmp/                            scratch for atomic writes
-//!   journal.log                     append-only campaign journal (and leases)
-//!   campaign.manifest               distributed campaign schedule
+//!   journal.log                     append-only campaign journal
 //! ```
+//!
+//! `leases/`, `workers/` and `campaign.manifest`, left in older stores
+//! by the retired multi-process fabric, are ignored.
 //!
 //! Guarantees:
 //!
 //! - **Atomic writes.** One function, `write_atomic`, writes every
-//!   whole-file record — blobs, checkpoints and the campaign
-//!   manifest: scratch file in `tmp/`, fsync, rename into
-//!   place, fsync of the directory. A reader (or a resumed campaign)
-//!   can observe a file fully or not at all — never torn. A crash can
-//!   at worst leave scratch files in `tmp/`, which the next exclusive
-//!   open sweeps.
+//!   whole-file record — blobs and checkpoints: scratch file in
+//!   `tmp/`, fsync, rename into place, fsync of the directory. A
+//!   reader (or a resumed campaign) can observe a file fully or not at
+//!   all — never torn. A crash can at worst leave scratch files in
+//!   `tmp/`, which the next open sweeps.
 //! - **Verified loads.** [`ResultStore::load`] and
 //!   [`ResultStore::load_checkpoint`] share one body that re-verifies
 //!   everything: magic, schema, lengths, checksum, and that the key
@@ -125,10 +124,6 @@ pub struct StoreCounters {
     /// (another handle won the race). The bytes are deterministic, so
     /// the overwrite is harmless; the loser is counted here.
     pub duplicate_publishes: u64,
-    /// Publications withheld by the fencing check: this handle lost
-    /// its hold (reclaimed) between simulating and journaling, and
-    /// recorded `stale` instead of `done`.
-    pub stale_publishes: u64,
 }
 
 /// What [`ResultStore::load`] (`T` = [`SimPoint`]) or
@@ -175,15 +170,15 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// so that a reader sees the whole file or none of it and the result
 /// survives power loss: scratch file in `tmp/` → fsync → rename onto
 /// `dest` → fsync of `dest`'s directory. The one atomic write of the
-/// store: blobs, checkpoints and the campaign manifest.
+/// store: blobs and checkpoints.
 ///
 /// Scratch names are unique per process *and* per write, not just per
 /// destination: two handles in one process racing the same digest
-/// (the concurrent-publish test, or a future in-process multi-worker)
-/// must never write through the same scratch path, or one handle's
+/// (the concurrent-publish test) must never write through the same
+/// scratch path, or one handle's
 /// `File::create` truncates the other's half-written bytes and the
 /// second rename fails on the vanished entry.
-pub(crate) fn write_atomic(store_dir: &Path, dest: &Path, bytes: &[u8]) -> io::Result<()> {
+fn write_atomic(store_dir: &Path, dest: &Path, bytes: &[u8]) -> io::Result<()> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -220,7 +215,9 @@ impl ResultStore {
     /// subdirectories, sweeps stale scratch files from a previous
     /// crash, and replays the campaign journal.
     pub fn open(cfg: StoreConfig) -> io::Result<ResultStore> {
-        Self::layout(&cfg.dir)?;
+        for sub in [BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR] {
+            std::fs::create_dir_all(cfg.dir.join(sub))?;
+        }
         let mut tmp_swept = 0;
         for entry in std::fs::read_dir(cfg.dir.join(TMP_DIR))?.flatten() {
             if entry.path().is_file() && std::fs::remove_file(entry.path()).is_ok() {
@@ -234,31 +231,6 @@ impl ResultStore {
             counters: StoreCounters { tmp_swept, ..Default::default() },
             quarantine_seq: BTreeSet::new(),
         })
-    }
-
-    /// Opens the store as one of several concurrent *worker* processes
-    /// (DESIGN.md §16). Two differences from [`ResultStore::open`]:
-    /// the `tmp/` sweep is skipped (another live worker's scratch
-    /// files must not be deleted underneath it — scratch names are
-    /// pid-unique, so each process only ever touches its own), and the
-    /// journal is attached in shared mode, which never truncates and
-    /// requires the coordinator to have initialized the store first.
-    pub fn open_shared(cfg: StoreConfig) -> io::Result<ResultStore> {
-        Self::layout(&cfg.dir)?;
-        let journal = Journal::open_shared(&cfg.dir)?;
-        Ok(ResultStore {
-            cfg,
-            journal,
-            counters: StoreCounters::default(),
-            quarantine_seq: BTreeSet::new(),
-        })
-    }
-
-    fn layout(dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir.join(BLOBS_DIR))?;
-        std::fs::create_dir_all(dir.join(CHECKPOINTS_DIR))?;
-        std::fs::create_dir_all(dir.join(QUARANTINE_DIR))?;
-        std::fs::create_dir_all(dir.join(TMP_DIR))
     }
 
     /// The store root directory.
@@ -278,12 +250,6 @@ impl ResultStore {
     #[must_use]
     pub fn journal_state(&self) -> &manifest::JournalState {
         self.journal.state()
-    }
-
-    /// Re-replays the journal file, so [`ResultStore::journal_state`]
-    /// includes other processes' records (`Journal::refresh`).
-    pub fn refresh(&mut self) -> io::Result<()> {
-        self.journal.refresh()
     }
 
     fn blob_path(&self, digest: u64) -> PathBuf {
@@ -391,39 +357,6 @@ impl ResultStore {
         self.journal.lease_all(leases.iter().map(|(d, l)| (*d, l.as_str())))
     }
 
-    /// Worker-side claim of up to `batch` of `candidates` (in order),
-    /// each at its point's current epoch: appends the `wlease` records
-    /// in one write, refreshes, and returns `(index, epoch)` of the
-    /// claims that won — those that were first at their epoch in file
-    /// order. Losing to another worker is normal, not an error.
-    pub fn acquire_lease_batch(
-        &mut self,
-        candidates: &[&ExpKey],
-        worker: &str,
-        batch: usize,
-    ) -> io::Result<Vec<(usize, u32)>> {
-        let claims: Vec<(u64, u32, String)> = candidates
-            .iter()
-            .take(batch)
-            .map(|k| (k.digest(), self.journal.state().epoch(k.digest()), k.display()))
-            .collect();
-        self.journal.wlease_all(worker, claims.iter().map(|(d, e, l)| (*d, *e, l.as_str())))?;
-        self.journal.refresh()?;
-        let state = self.journal.state();
-        Ok(claims
-            .iter()
-            .enumerate()
-            .filter(|(_, (d, e, _))| state.holds(*d, worker, *e))
-            .map(|(i, (_, e, _))| (i, *e))
-            .collect())
-    }
-
-    /// Reaper-side reclaim of one held point: journals `reclaim`,
-    /// which ends the hold and moves the point to the next epoch.
-    pub fn reclaim_lease(&mut self, digest: u64, epoch: u32) -> io::Result<()> {
-        self.journal.reclaim(digest, epoch)
-    }
-
     /// Publishes one simulated point durably: encode → atomic write
     /// into `blobs/` → journal `done`. A torn publication is
     /// impossible to observe; a crash between rename and journal
@@ -435,15 +368,6 @@ impl ResultStore {
     /// durable but *before* its journal record — the exact
     /// mid-manifest state a real kill produces.
     pub fn publish(&mut self, key: &ExpKey, point: &SimPoint) -> io::Result<()> {
-        let digest = self.publish_blob(key, point)?;
-        self.journal.done(digest)
-    }
-
-    /// The durable half of [`ResultStore::publish`]: counts a lost
-    /// publication race and writes the blob, but does *not* journal.
-    /// Returns the digest so the caller can journal `done` (plain
-    /// publish) or run the fencing check first (worker publish).
-    fn publish_blob(&mut self, key: &ExpKey, point: &SimPoint) -> io::Result<u64> {
         let digest = key.digest();
         let dest = self.blob_path(digest);
         if dest.exists() {
@@ -453,7 +377,7 @@ impl ResultStore {
             self.counters.duplicate_publishes += 1;
         }
         self.publish_file(&dest, &blob::encode(key, point))?;
-        Ok(digest)
+        self.journal.done(digest)
     }
 
     /// Writes one blob or checkpoint file atomically, counts it, and
@@ -473,35 +397,6 @@ impl ResultStore {
             std::process::exit(KILL_EXIT_CODE);
         }
         Ok(())
-    }
-
-    /// Worker publish with the fencing check (DESIGN.md §16): after
-    /// the blob is durable, refresh the journal; only if it still
-    /// shows `worker` holding the point at `epoch` is `done` journaled.
-    /// A worker whose hold was reclaimed while it simulated journals
-    /// `stale` instead — its publish is detected and deduped, never
-    /// double-counted. Returns `true` when the fence passed.
-    ///
-    /// The blob itself is written unconditionally in both cases: the
-    /// bytes are deterministic, so a stale worker at worst rewrites
-    /// the identical blob the new owner publishes.
-    pub fn publish_fenced(
-        &mut self,
-        key: &ExpKey,
-        point: &SimPoint,
-        worker: &str,
-        epoch: u32,
-    ) -> io::Result<bool> {
-        let digest = self.publish_blob(key, point)?;
-        self.journal.refresh()?;
-        if self.journal.state().holds(digest, worker, epoch) {
-            self.journal.done(digest)?;
-            Ok(true)
-        } else {
-            self.counters.stale_publishes += 1;
-            self.journal.stale(digest, worker, epoch)?;
-            Ok(false)
-        }
     }
 
     /// Publishes a sampled-campaign checkpoint durably through the
@@ -527,9 +422,6 @@ impl ResultStore {
         );
         if c.duplicate_publishes > 0 {
             s.push_str(&format!(", {} duplicate publish(es)", c.duplicate_publishes));
-        }
-        if c.stale_publishes > 0 {
-            s.push_str(&format!(", {} stale publish(es) fenced", c.stale_publishes));
         }
         if c.quarantine_failed > 0 {
             s.push_str(&format!(", {} quarantine failure(s)!", c.quarantine_failed));
@@ -664,7 +556,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("corrupt");
         std::fs::remove_dir_all(dir.join(QUARANTINE_DIR)).expect("sabotage quarantine dir");
 
-        let mut resumed = ResultStore::open_shared(StoreConfig::at(&dir)).expect("reopen");
+        let mut resumed = ResultStore::open(StoreConfig::at(&dir)).expect("reopen");
         std::fs::remove_dir_all(dir.join(QUARANTINE_DIR)).expect("re-sabotage");
         assert!(matches!(resumed.load(&k), LoadOutcome::Quarantined(_)));
         assert_eq!(resumed.counters().quarantine_failed, 1, "failure surfaced");
@@ -677,76 +569,13 @@ mod tests {
     fn duplicate_publish_counts_the_loser() {
         let dir = scratch("dup");
         let mut a = ResultStore::open(StoreConfig::at(&dir)).expect("open a");
-        let mut b = ResultStore::open_shared(StoreConfig::at(&dir)).expect("open b");
+        let mut b = ResultStore::open(StoreConfig::at(&dir)).expect("open b");
         let k = key("string_match");
         a.publish(&k, &point(7)).expect("publish a");
         b.publish(&k, &point(7)).expect("publish b");
         assert_eq!(a.counters().duplicate_publishes, 0, "winner saw no existing blob");
         assert_eq!(b.counters().duplicate_publishes, 1, "loser counted");
         assert!(matches!(a.load(&k), LoadOutcome::Hit(_)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fenced_publish_requires_live_lease_ownership() {
-        let dir = scratch("fence");
-        let mut w0 = ResultStore::open(StoreConfig::at(&dir)).expect("init");
-        let k = key("mc_playout");
-        let digest = k.digest();
-        let won = w0.acquire_lease_batch(&[&k], "w0", 8).expect("acquire");
-        assert_eq!(won, vec![(0, 1)]);
-        // The reaper reclaims w0's hold (w0 is presumed dead) and w1
-        // re-claims at the next epoch.
-        let mut reaper = ResultStore::open_shared(StoreConfig::at(&dir)).expect("reaper");
-        reaper.reclaim_lease(digest, 1).expect("reclaim");
-        let mut w1 = ResultStore::open_shared(StoreConfig::at(&dir)).expect("w1");
-        assert_eq!(w1.journal_state().reclaims.get(&digest), Some(&1));
-        let won = w1.acquire_lease_batch(&[&k], "w1", 8).expect("re-claim");
-        assert_eq!(won, vec![(0, 2)]);
-        // w0 wakes up and tries to complete its stale hold: fenced,
-        // whether it names its old epoch or the new one.
-        assert!(!w0.publish_fenced(&k, &point(3), "w0", 1).expect("stale publish"));
-        assert!(!w0.publish_fenced(&k, &point(3), "w0", 2).expect("wrong-worker publish"));
-        assert_eq!(w0.counters().stale_publishes, 2);
-        // w1, the live owner, completes; its `done` ends the hold.
-        assert!(w1.publish_fenced(&k, &point(3), "w1", 2).expect("live publish"));
-        assert!(matches!(w1.load(&k), LoadOutcome::Hit(_)));
-        assert!(w1.journal_state().owners.is_empty());
-        // Replay shows one done, two stale, one reclaim — no double count.
-        let merged = ResultStore::open(StoreConfig::at(&dir)).expect("merge view");
-        let js = merged.journal_state();
-        assert!(js.completed.contains(&digest));
-        assert_eq!(js.stale_publishes, 2);
-        assert_eq!(js.reclaims.get(&digest), Some(&1));
-        assert_eq!(
-            js.workers.iter().cloned().collect::<Vec<_>>(),
-            ["w0".to_owned(), "w1".to_owned()]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_open_keeps_other_workers_scratch() {
-        let dir = scratch("shared_tmp");
-        drop(ResultStore::open(StoreConfig::at(&dir)).expect("init"));
-        std::fs::write(dir.join(TMP_DIR).join("other-worker.tmp"), b"live scratch")
-            .expect("scratch");
-        let shared = ResultStore::open_shared(StoreConfig::at(&dir)).expect("shared");
-        assert_eq!(shared.counters().tmp_swept, 0);
-        assert!(dir.join(TMP_DIR).join("other-worker.tmp").exists(), "scratch preserved");
-        // An exclusive reopen (no concurrent workers by contract)
-        // sweeps as before.
-        let excl = ResultStore::open(StoreConfig::at(&dir)).expect("exclusive");
-        assert_eq!(excl.counters().tmp_swept, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_open_requires_initialized_store() {
-        let dir = scratch("shared_uninit");
-        let err = ResultStore::open_shared(StoreConfig::at(&dir))
-            .expect_err("worker cannot invent a store");
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

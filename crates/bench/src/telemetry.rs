@@ -6,8 +6,11 @@
 //! second, cache hit rate, per-job timings and the campaign
 //! fingerprint. The schema is documented in DESIGN.md §10.3. The file
 //! is a per-run record, not a benchmark: the simulator's performance
-//! ledger is `simbench/` (see `simbench/README.md`).
+//! ledger is `simbench/` (see `simbench/README.md`). A telemetry file
+//! that cannot be written is an I/O error for the caller to report
+//! (`tvp_bench::fatal`), never a panic.
 
+use std::io;
 use std::time::Duration;
 
 use crate::json;
@@ -33,15 +36,14 @@ pub const TELEMETRY_FILE: &str = "telemetry.json";
 /// `measured_insts`, `intervals`), `resumed_intervals` (served from a
 /// checkpoint instead of re-simulated), the detail fraction actually
 /// simulated, and the run fingerprint (the cross-jobs/kill-resume
-/// byte-identity witness). Version 6 added the distributed-campaign
-/// counters replayed from the store journal — `dist_workers` (distinct
-/// worker ids that ever held a lease), `reclaimed_leases` (leases the
-/// reaper retired from dead workers) and `stale_publishes` (fenced-off
-/// late publishes deduped after a reclaim) — plus
-/// `campaign_fingerprint`, the order-sensitive digest of the full
-/// deduplicated schedule that serial, `--jobs N` and K-worker runs of
-/// the same campaign must agree on.
-pub const TELEMETRY_SCHEMA: u32 = 6;
+/// byte-identity witness). Version 6 added three counters of the
+/// multi-process campaign fabric (its workers, reclaimed leases and
+/// fenced-off publishes) plus `campaign_fingerprint`, the
+/// order-sensitive digest of the full deduplicated schedule that
+/// serial, `--jobs N`, cold, resumed and warm runs of the same
+/// campaign must agree on. Version 7 dropped the three fabric counters
+/// with the fabric and keeps `campaign_fingerprint`.
+pub const TELEMETRY_SCHEMA: u32 = 7;
 
 /// Sampled-campaign section of the telemetry record (schema 5).
 #[derive(Clone, Debug)]
@@ -123,18 +125,9 @@ pub struct Telemetry {
     /// Disagreeing cache double-inserts (determinism violations;
     /// always 0 on a healthy run).
     pub cache_conflicts: u64,
-    /// Distinct worker ids that ever held a lease in the attached
-    /// store's journal (0 without a store; counts the whole campaign's
-    /// history, not just this process).
-    pub dist_workers: u64,
-    /// Leases the reaper reclaimed from dead workers (journal total).
-    pub reclaimed_leases: u64,
-    /// Fenced-off stale publishes detected and deduped (journal
-    /// total).
-    pub stale_publishes: u64,
     /// Order-sensitive digest of the full deduplicated schedule;
-    /// identical across serial, `--jobs N` and K-worker runs of the
-    /// same campaign.
+    /// identical across serial, `--jobs N`, cold, resumed and warm
+    /// runs of the same campaign.
     pub campaign_fingerprint: u64,
     /// Trace-generation wall time.
     pub prepare: Duration,
@@ -265,9 +258,6 @@ impl Telemetry {
             ("store_warm_hits", self.store_warm_hits.to_string()),
             ("store_enabled", self.store_enabled.to_string()),
             ("cache_conflicts", self.cache_conflicts.to_string()),
-            ("dist_workers", self.dist_workers.to_string()),
-            ("reclaimed_leases", self.reclaimed_leases.to_string()),
-            ("stale_publishes", self.stale_publishes.to_string()),
             ("campaign_fingerprint", format!("\"{:016x}\"", self.campaign_fingerprint)),
             ("prepare_seconds", json::number(self.prepare.as_secs_f64())),
             ("sim_wall_seconds", json::number(self.sim_wall.as_secs_f64())),
@@ -308,12 +298,11 @@ impl Telemetry {
 
     /// Writes the record to `path`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the file cannot be written (fatal setup error, as for
-    /// results).
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.to_json()).expect("write telemetry file");
+    /// Fails if the file cannot be written.
+    pub fn write(&self, path: &str) -> io::Result<()> {
+        std::fs::write(path, self.to_json())
     }
 
     /// Resolves the output path: `$TVP_BENCH_TELEMETRY` or
@@ -373,9 +362,6 @@ mod tests {
             store_warm_hits: 3,
             store_enabled: true,
             cache_conflicts: 0,
-            dist_workers: 2,
-            reclaimed_leases: 1,
-            stale_publishes: 1,
             campaign_fingerprint: 0x0123_4567_89AB_CDEF,
             prepare: Duration::from_millis(10),
             sim_wall: Duration::from_millis(500),
@@ -414,15 +400,12 @@ mod tests {
             "\"p50_micros\": 80000",
             "\"p99_micros\": 80000",
             "\"max_micros\": 80000",
-            "\"schema\": 6",
+            "\"schema\": 7",
             "\"retries\": 1",
             "\"quarantined\": 2",
             "\"store_warm_hits\": 3",
             "\"store_enabled\": true",
             "\"cache_conflicts\": 0",
-            "\"dist_workers\": 2",
-            "\"reclaimed_leases\": 1",
-            "\"stale_publishes\": 1",
             "\"campaign_fingerprint\": \"0123456789abcdef\"",
         ] {
             assert!(j.contains(field), "missing {field} in {j}");

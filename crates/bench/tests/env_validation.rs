@@ -7,7 +7,9 @@
 //! — the job would pass without ever exercising the kill path. Same
 //! pattern for `TVP_INSTS`: a typo silently ran the default budget.
 //! `--jobs 0` gets the same treatment: every binary that takes the
-//! flag exits 2 instead of quietly running one worker.
+//! flag exits 2 instead of quietly running one worker. An unusable
+//! store or results directory is just as loud: one `FATAL:` line and
+//! exit 2, never a panic.
 
 use std::process::Command;
 
@@ -57,17 +59,6 @@ fn run_all_rejects_malformed_insts() {
     let out =
         run(env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "1"], &[("TVP_INSTS", "lots")]);
     assert_loud_rejection(&out, "TVP_INSTS", "lots");
-}
-
-#[test]
-fn campaign_worker_rejects_malformed_kill_after() {
-    // The env check runs before any store I/O, so no store is needed.
-    let out = run(
-        env!("CARGO_BIN_EXE_campaign_worker"),
-        &["worker", "--store", "/nonexistent", "--id", "w0"],
-        &[("TVP_STORE_KILL_AFTER", "0x3")],
-    );
-    assert_loud_rejection(&out, "TVP_STORE_KILL_AFTER", "0x3");
 }
 
 #[test]
@@ -127,22 +118,6 @@ fn run_all_rejects_zero_jobs() {
 }
 
 #[test]
-fn campaign_worker_worker_rejects_zero_jobs() {
-    assert_zero_jobs_rejected(
-        env!("CARGO_BIN_EXE_campaign_worker"),
-        &["worker", "--store", "/nonexistent", "--id", "w0", "--jobs", "0"],
-    );
-}
-
-#[test]
-fn campaign_worker_merge_rejects_zero_jobs() {
-    assert_zero_jobs_rejected(
-        env!("CARGO_BIN_EXE_campaign_worker"),
-        &["merge", "--store", "/nonexistent", "--jobs", "0"],
-    );
-}
-
-#[test]
 fn sample_campaign_run_rejects_zero_jobs() {
     assert_zero_jobs_rejected(
         env!("CARGO_BIN_EXE_sample_campaign"),
@@ -156,4 +131,57 @@ fn sample_campaign_validate_rejects_zero_jobs() {
         env!("CARGO_BIN_EXE_sample_campaign"),
         &["validate", "--insts", "1000", "--jobs", "0"],
     );
+}
+
+/// An I/O failure the run cannot continue past exits 2 with one
+/// `FATAL:` line naming what failed, not with a panic (exit 101).
+fn assert_fatal_io(out: &std::process::Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what} must exit 2; stderr: {stderr}");
+    assert!(stderr.contains("FATAL") && stderr.contains(what), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A scratch directory holding one regular file, `not-a-dir`.
+fn scratch_with_file(tag: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("tvp-envval-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, b"a regular file").expect("write regular file");
+    let file = file.to_str().expect("utf8 tempdir").to_owned();
+    (dir, file)
+}
+
+#[test]
+fn run_all_reports_an_unusable_store_as_fatal() {
+    let (dir, file) = scratch_with_file("store-file");
+    let results = dir.join("results");
+    let telemetry = dir.join("telemetry.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--insts", "1000", "--store", &file],
+        &[
+            ("TVP_RESULTS_DIR", results.to_str().expect("utf8 tempdir")),
+            ("TVP_BENCH_TELEMETRY", telemetry.to_str().expect("utf8 tempdir")),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_fatal_io(&out, "result store");
+}
+
+#[test]
+fn run_all_reports_an_unwritable_results_dir_as_fatal() {
+    let (dir, file) = scratch_with_file("results-file");
+    let telemetry = dir.join("telemetry.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--insts", "1000"],
+        &[
+            ("TVP_RESULTS_DIR", &file),
+            ("TVP_BENCH_TELEMETRY", telemetry.to_str().expect("utf8 tempdir")),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_fatal_io(&out, "results directory");
 }

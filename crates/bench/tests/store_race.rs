@@ -1,4 +1,4 @@
-//! Concurrent-publish race on the durable store (DESIGN.md §14/§16):
+//! Concurrent-publish race on the durable store (DESIGN.md §14):
 //! two handles on the same store directory publish the *same* key at
 //! the same time, across a loop of barrier-synchronised
 //! interleavings.
@@ -41,8 +41,9 @@ fn point_for(key: &ExpKey) -> SimPoint {
 #[test]
 fn racing_publishes_of_the_same_key_leave_one_valid_blob() {
     let dir = scratch("pair");
-    // First open initializes the layout + journal; both racers then
-    // attach shared (neither may truncate the other's journal tail).
+    // First open initializes the layout + journal. Each racer opens its
+    // own handle before the barrier, so no open can sweep `tmp/` or
+    // repair the journal while the other racer is writing.
     drop(ResultStore::open(StoreConfig::at(&dir)).expect("initialize store"));
 
     const ROUNDS: u64 = 24;
@@ -57,7 +58,7 @@ fn racing_publishes_of_the_same_key_leave_one_valid_blob() {
                     let (dir, key, point) = (dir.clone(), key.clone(), point);
                     scope.spawn(move || {
                         let mut store =
-                            ResultStore::open_shared(StoreConfig::at(&dir)).expect("shared open");
+                            ResultStore::open(StoreConfig::at(&dir)).expect("racer open");
                         barrier.wait();
                         store.publish(&key, &point).expect("racing publish succeeds");
                         store.counters().duplicate_publishes
@@ -70,7 +71,7 @@ fn racing_publishes_of_the_same_key_leave_one_valid_blob() {
         // Exactly one blob under the content address, fully valid.
         let blob = dir.join("blobs").join(format!("{:016x}.blob", key.digest()));
         assert!(blob.exists(), "round {round}: blob must exist");
-        let mut verifier = ResultStore::open_shared(StoreConfig::at(&dir)).expect("verifier");
+        let mut verifier = ResultStore::open(StoreConfig::at(&dir)).expect("verifier");
         match verifier.load(&key) {
             LoadOutcome::Hit(p) => assert_eq!(*p, point, "round {round}: winner's bytes verify"),
             other => panic!("round {round}: expected a warm hit, got {other:?}"),
@@ -101,7 +102,7 @@ fn observable_loser_is_counted_not_hidden() {
     let key = key_for(1000);
     let point = point_for(&key);
     let mut a = ResultStore::open(StoreConfig::at(&dir)).expect("open a");
-    let mut b = ResultStore::open_shared(StoreConfig::at(&dir)).expect("open b");
+    let mut b = ResultStore::open(StoreConfig::at(&dir)).expect("open b");
     a.publish(&key, &point).expect("winner publish");
     b.publish(&key, &point).expect("loser publish");
     assert_eq!(a.counters().duplicate_publishes, 0);

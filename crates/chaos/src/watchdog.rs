@@ -22,10 +22,12 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// Creates a watchdog that trips after `threshold` cycles without
-    /// progress. A zero threshold disables the watchdog.
+    /// progress, counted from `cycle` with `retired` µops already
+    /// retired — the start of the observed run, which on a warmed core
+    /// is far past cycle 0. A zero threshold disables the watchdog.
     #[must_use]
-    pub fn new(threshold: u64) -> Self {
-        Watchdog { threshold, last_progress_cycle: 0, last_retired: 0 }
+    pub fn new(threshold: u64, cycle: u64, retired: u64) -> Self {
+        Watchdog { threshold, last_progress_cycle: cycle, last_retired: retired }
     }
 
     /// Feeds one cycle's progress; returns `true` when the watchdog
@@ -161,7 +163,7 @@ mod tests {
 
     #[test]
     fn trips_only_after_threshold_without_progress() {
-        let mut wd = Watchdog::new(10);
+        let mut wd = Watchdog::new(10, 0, 0);
         for cycle in 0..10 {
             assert!(!wd.observe(cycle, 5), "progress at cycle 0 resets the window");
         }
@@ -171,7 +173,7 @@ mod tests {
 
     #[test]
     fn progress_resets_the_window() {
-        let mut wd = Watchdog::new(10);
+        let mut wd = Watchdog::new(10, 0, 0);
         assert!(!wd.observe(0, 0));
         assert!(!wd.observe(9, 1), "retired count moved");
         assert!(!wd.observe(18, 1));
@@ -179,8 +181,19 @@ mod tests {
     }
 
     #[test]
+    fn stall_counts_from_the_start_it_was_given() {
+        // Built mid-run (a warmed core, stats just reset): no progress
+        // yet is not a stall until `threshold` cycles past the start.
+        let mut wd = Watchdog::new(10, 5_000, 0);
+        assert!(!wd.observe(5_001, 0));
+        assert!(!wd.observe(5_009, 0));
+        assert!(wd.observe(5_010, 0));
+        assert_eq!(wd.stalled_for(5_010), 10);
+    }
+
+    #[test]
     fn zero_threshold_disables() {
-        let mut wd = Watchdog::new(0);
+        let mut wd = Watchdog::new(0, 0, 0);
         for cycle in 0..100_000 {
             assert!(!wd.observe(cycle, 0));
         }

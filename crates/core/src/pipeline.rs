@@ -374,9 +374,12 @@ impl Core {
     /// a structured [`DeadlockDiagnostic`] is available from
     /// [`Core::watchdog_diagnostic`] instead of the process hanging
     /// (the [`simulate`] convenience wrapper still panics on it, with
-    /// the full dump as the message).
+    /// the full dump as the message). The stall is measured from the
+    /// cycle and retired count this call starts at, so a warmed core
+    /// whose `cycle` is already past the threshold is not a stall.
     pub fn run(&mut self, trace: &Trace) -> SimStats {
-        let mut watchdog = Watchdog::new(self.cfg.watchdog_cycles);
+        let mut watchdog =
+            Watchdog::new(self.cfg.watchdog_cycles, self.cycle, self.stats.uops_retired);
         while self.cursor < trace.uops.len() || !self.rob.is_empty() || !self.fetch_queue.is_empty()
         {
             self.step(trace);
@@ -2476,6 +2479,27 @@ mod chaos_tests {
         assert!(diag.stalled_cycles >= 20);
         let text = diag.to_string();
         assert!(text.contains("no commit progress"), "{text}");
+    }
+
+    #[test]
+    fn watchdog_counts_from_the_segment_start() {
+        // A sampled interval: functional warming advances `cycle` past
+        // the threshold, `begin_measurement` zeroes the retired count,
+        // and the measured segment must still run to completion.
+        let w = tvp_workloads::suite::by_name("stream_triad").expect("workload exists");
+        let mut m = w.machine();
+        let warm = m.run(3_000);
+        let measured = m.run(500);
+        let mut cfg = CoreConfig::table2();
+        cfg.watchdog_cycles = 1_000;
+        let mut core = Core::new(cfg);
+        core.functional_warm(&warm);
+        assert!(warm.uops.len() >= 2_000 && core.cycle > 1_000, "warming passed the threshold");
+        core.begin_measurement();
+        let stats = core.run_segment(&measured);
+        assert!(core.watchdog_diagnostic().is_none(), "{:?}", core.watchdog_diagnostic());
+        assert_eq!(stats.uops_retired, measured.uops.len() as u64);
+        assert_eq!(stats.insts_retired, measured.arch_insts);
     }
 
     #[test]
