@@ -163,7 +163,7 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
         store_enabled: store.is_some(),
         cache_conflicts: 0,
         campaign_fingerprint: fp,
-        prepare: std::time::Duration::ZERO,
+        traces_built: 0,
         sim_wall: wall,
         total_wall: wall,
         cpu_time: wall,

@@ -2,17 +2,19 @@
 //!
 //! Used by `run_all` and by every per-figure binary. The phases are:
 //!
-//! 1. **prepare** — generate every workload trace once;
-//! 2. **enumerate** — collect each experiment's [`Job`]s and push them
+//! 1. **enumerate** — collect each experiment's
+//!    [`Job`](crate::jobs::Job)s, by workload name, and push them
 //!    through the [`ResultCache`], which dedupes shared points (the
 //!    VP-off baseline appears in most experiments but simulates once);
 //!    with a durable store attached (`--store` / `$TVP_STORE_DIR`),
 //!    already-published points load warm — fully re-verified — and
 //!    leave the schedule, so a killed campaign resumes where it died;
-//! 3. **simulate** — run the deduplicated cold schedule on the
-//!    work-stealing pool ([`runner::run_jobs`]), retrying each
-//!    panicked job once, then publish every fresh point durably;
-//! 4. **assemble** — single-threaded, in fixed experiment order: print
+//! 2. **simulate** — run the deduplicated cold schedule on the
+//!    work-stealing pool ([`runner::run_jobs`]), which builds each
+//!    workload's trace on demand, only for cold points, and frees it
+//!    after the workload's last point; each panicked job is retried
+//!    once; then publish every fresh point durably, in schedule order;
+//! 3. **assemble** — single-threaded, in fixed experiment order: print
 //!    each experiment's tables and write its `results/*.json` from
 //!    cached points only.
 //!
@@ -28,11 +30,12 @@
 //! time, and serial, `--jobs N`, resumed and warm runs all go through
 //! [`run`].
 //!
-//! Determinism: simulation is a pure function of (trace, config), the
-//! schedule is keyed, and assembly is ordered — so `--jobs 1` and
-//! `--jobs N` produce byte-identical results files.
+//! Determinism: a trace is a pure function of (workload, budget),
+//! built once per run by whichever worker first needs it; simulation
+//! is a pure function of (trace, config), the schedule is keyed, and
+//! assembly is ordered — so `--jobs 1` and `--jobs N` produce
+//! byte-identical results files.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -42,7 +45,7 @@ use crate::jobs::ExpKey;
 use crate::runner::{self, JobFailure};
 use crate::store::{LoadOutcome, ResultStore, StoreConfig, StoreCounters};
 use crate::telemetry::{Telemetry, TELEMETRY_SCHEMA};
-use crate::{prepare_suite, DEFAULT_INSTS};
+use crate::DEFAULT_INSTS;
 
 /// Instruction budget used by `--smoke` (CI-sized).
 pub const SMOKE_INSTS: u64 = 20_000;
@@ -184,14 +187,9 @@ pub struct EngineReport {
 /// reported through the returned [`EngineReport`].
 pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineReport {
     let total_start = Instant::now();
+    let ctx = ExpContext { insts: opts.insts, prepared: Vec::new() };
 
-    // 1. prepare —————————————————————————————————————————————————————
-    eprintln!("[engine] generating workload traces ({} insts each)...", opts.insts);
-    let prepare_start = Instant::now();
-    let ctx = ExpContext { insts: opts.insts, prepared: prepare_suite(opts.insts) };
-    let prepare = prepare_start.elapsed();
-
-    // 2. enumerate + dedupe ——————————————————————————————————————————
+    // 1. enumerate + dedupe ——————————————————————————————————————————
     let mut cache = ResultCache::new();
     let mut wanted: Vec<(&'static str, Vec<ExpKey>)> = Vec::new();
     for exp in experiments {
@@ -218,7 +216,7 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     );
     eprintln!("[engine] campaign fingerprint {campaign_fingerprint:016x}");
 
-    // 2b. warm-load from the durable store ———————————————————————————
+    // 1b. warm-load from the durable store ———————————————————————————
     // Every reloaded blob is re-verified (checksum, schema, echoed
     // key); corrupt blobs are quarantined and stay in the cold
     // schedule to be re-simulated.
@@ -263,16 +261,9 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         schedule
     };
 
-    // 3. simulate ————————————————————————————————————————————————————
-    let traces: BTreeMap<&str, &tvp_workloads::trace::Trace> =
-        ctx.prepared.iter().map(|p| (p.workload.name, &p.trace)).collect();
+    // 2. simulate ————————————————————————————————————————————————————
     let sim_start = Instant::now();
-    let outcome = runner::run_jobs(
-        &schedule,
-        |name| traces.get(name).unwrap_or_else(|| panic!("no trace for workload {name}")),
-        workers,
-        opts.progress,
-    );
+    let outcome = runner::run_jobs(&schedule, workers, opts.progress);
     let sim_wall = sim_start.elapsed();
     // Publish in slot (schedule) order — single-threaded and
     // deterministic, which is what makes the kill_after chaos knob
@@ -297,7 +288,7 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         eprintln!("[engine] store: {}", store.summary());
     }
 
-    // 4. assemble ————————————————————————————————————————————————————
+    // 3. assemble ————————————————————————————————————————————————————
     let dir = opts.results_dir.clone().unwrap_or_else(results_dir);
     std::fs::create_dir_all(&dir)
         .unwrap_or_else(|e| crate::fatal(&format!("cannot create results directory {dir}"), &e));
@@ -345,7 +336,7 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         store_enabled: store.is_some(),
         cache_conflicts: cache.conflicts(),
         campaign_fingerprint,
-        prepare,
+        traces_built: outcome.traces_built,
         sim_wall,
         total_wall: total_start.elapsed(),
         cpu_time,

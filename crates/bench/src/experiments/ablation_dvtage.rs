@@ -13,14 +13,15 @@
 //! Predictor-model analysis only — enumerates no pipeline jobs. The
 //! value streams are capped at 150k instructions per workload (the
 //! predictor loop is O(samples) and the comparison is insensitive to
-//! longer streams).
+//! longer streams), and each workload is streamed from its functional
+//! machine in bounded chunks, one workload at a time.
 
 use tvp_predictors::dvtage::{Dvtage, DvtageConfig};
 use tvp_predictors::vtage::{PredMode, Vtage, VtageConfig};
+use tvp_workloads::suite::names;
 
-use super::{ExpContext, Experiment, ResultFile, ResultSet};
+use super::{for_each_chunk, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
-use crate::prepare_suite;
 
 /// VTAGE vs. D-VTAGE coverage ablation.
 pub struct AblationDvtage;
@@ -112,21 +113,10 @@ impl Experiment for AblationDvtage {
         let insts = ctx.insts.min(MAX_INSTS);
         println!("=== Ablation: VTAGE vs. D-VTAGE coverage (§2.1/§3.3) ({insts} insts) ===\n");
 
-        // Reuse the shared traces when they fit the cap; regenerate a
-        // capped suite otherwise (trace generation is cheap next to a
-        // single pipeline simulation).
-        let capped;
-        let prepared = if ctx.insts <= MAX_INSTS {
-            &ctx.prepared
-        } else {
-            capped = prepare_suite(insts);
-            &capped
-        };
-
         // Real workload value streams, pooled.
         let mut pooled: Vec<Sample> = Vec::new();
-        for p in prepared {
-            pooled.extend(samples_of(&p.trace));
+        for name in names() {
+            for_each_chunk(name, insts, |chunk| pooled.extend(samples_of(chunk)));
         }
         // Plus a perfectly strided synthetic stream (array address/index
         // production — D-VTAGE's home turf).

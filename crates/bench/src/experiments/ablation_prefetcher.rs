@@ -5,6 +5,7 @@
 //! geomean contribution improves from +0.06% to +0.11% on TVP.
 
 use tvp_core::config::{CoreConfig, VpMode};
+use tvp_workloads::suite::names;
 
 use super::{ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -28,10 +29,10 @@ impl Experiment for AblationPrefetcher {
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
         for stride_on in [true, false] {
-            for p in &ctx.prepared {
+            for name in names() {
                 for (vp, spsr) in [(VpMode::Off, false), (VpMode::Tvp, false), (VpMode::Tvp, true)]
                 {
-                    jobs.push(Job::new(p.workload.name, ctx.insts, mk(vp, spsr, stride_on)));
+                    jobs.push(Job::new(name, ctx.insts, mk(vp, spsr, stride_on)));
                 }
             }
         }
@@ -45,13 +46,13 @@ impl Experiment for AblationPrefetcher {
         for stride_on in [true, false] {
             let mut tvp_pairs = Vec::new();
             let mut spsr_pairs = Vec::new();
-            for p in &ctx.prepared {
-                let base = results.of(ctx, p, &mk(VpMode::Off, false, stride_on));
-                let tvp = results.of(ctx, p, &mk(VpMode::Tvp, false, stride_on));
-                let tvps = results.of(ctx, p, &mk(VpMode::Tvp, true, stride_on));
+            for name in names() {
+                let base = results.of(ctx, name, &mk(VpMode::Off, false, stride_on));
+                let tvp = results.of(ctx, name, &mk(VpMode::Tvp, false, stride_on));
+                let tvps = results.of(ctx, name, &mk(VpMode::Tvp, true, stride_on));
                 let tag = if stride_on { "stride-on" } else { "stride-off" };
-                rows.push(StatsRow::new(p.workload.name, format!("tvp/{tag}"), &tvp));
-                rows.push(StatsRow::new(p.workload.name, format!("tvp+spsr/{tag}"), &tvps));
+                rows.push(StatsRow::new(name, format!("tvp/{tag}"), &tvp));
+                rows.push(StatsRow::new(name, format!("tvp+spsr/{tag}"), &tvps));
                 tvp_pairs.push((tvp, base));
                 spsr_pairs.push((tvps, base));
             }

@@ -4,6 +4,7 @@
 //! implement replay, applicable to GVP wide predictions only).
 
 use tvp_core::config::{CoreConfig, RecoveryPolicy, VpMode};
+use tvp_workloads::suite::names;
 
 use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -27,10 +28,10 @@ impl Experiment for AblationRecovery {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
             for policy in POLICIES {
-                jobs.push(Job::new(p.workload.name, ctx.insts, policy_cfg(policy)));
+                jobs.push(Job::new(name, ctx.insts, policy_cfg(policy)));
             }
         }
         jobs
@@ -42,19 +43,18 @@ impl Experiment for AblationRecovery {
             "{:<10} {:>12} {:>10} {:>10} {:>10} {:>12}",
             "policy", "geomean %", "flushes", "replays", "squashed", "replayed"
         );
-        let bases: Vec<_> =
-            ctx.prepared.iter().map(|p| results.of(ctx, p, &baseline_cfg())).collect();
+        let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
         let mut rows = Vec::new();
         for policy in POLICIES {
             let mut pairs = Vec::new();
             let (mut flushes, mut replays, mut squashed, mut replayed) = (0u64, 0u64, 0u64, 0u64);
-            for (p, base) in ctx.prepared.iter().zip(&bases) {
-                let s = results.of(ctx, p, &policy_cfg(policy));
+            for (name, base) in names().zip(&bases) {
+                let s = results.of(ctx, name, &policy_cfg(policy));
                 flushes += s.flush.vp_flushes;
                 replays += s.flush.vp_replays;
                 squashed += s.flush.squashed_uops;
                 replayed += s.flush.replayed_uops;
-                rows.push(StatsRow::new(p.workload.name, format!("gvp/{policy:?}"), &s));
+                rows.push(StatsRow::new(name, format!("gvp/{policy:?}"), &s));
                 pairs.push((s, *base));
             }
             let g = (geomean_speedup(&pairs) - 1.0) * 100.0;

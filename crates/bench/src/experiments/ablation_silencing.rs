@@ -8,6 +8,7 @@
 //! makes observable as a flush storm.
 
 use tvp_core::config::{CoreConfig, VpMode};
+use tvp_workloads::suite::names;
 
 use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -33,15 +34,11 @@ impl Experiment for AblationSilencing {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
             for vp in FLAVOURS {
                 for (silence, adaptive) in WINDOWS {
-                    jobs.push(Job::new(
-                        p.workload.name,
-                        ctx.insts,
-                        window_cfg(vp, silence, adaptive),
-                    ));
+                    jobs.push(Job::new(name, ctx.insts, window_cfg(vp, silence, adaptive)));
                 }
             }
         }
@@ -54,16 +51,15 @@ impl Experiment for AblationSilencing {
             "{:<10} {:<10} {:>12} {:>14} {:>12}",
             "vp", "silence", "geomean %", "vp flushes", "squashed"
         );
-        let bases: Vec<_> =
-            ctx.prepared.iter().map(|p| results.of(ctx, p, &baseline_cfg())).collect();
+        let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
         let mut rows = Vec::new();
         for vp in FLAVOURS {
             for (silence, adaptive) in WINDOWS {
                 let mut pairs = Vec::new();
                 let mut flushes = 0u64;
                 let mut squashed = 0u64;
-                for (p, base) in ctx.prepared.iter().zip(&bases) {
-                    let s = results.of(ctx, p, &window_cfg(vp, silence, adaptive));
+                for (name, base) in names().zip(&bases) {
+                    let s = results.of(ctx, name, &window_cfg(vp, silence, adaptive));
                     flushes += s.flush.vp_flushes;
                     squashed += s.flush.squashed_uops;
                     let label = if adaptive {
@@ -71,7 +67,7 @@ impl Experiment for AblationSilencing {
                     } else {
                         format!("{vp:?}/silence{silence}")
                     };
-                    rows.push(StatsRow::new(p.workload.name, label, &s));
+                    rows.push(StatsRow::new(name, label, &s));
                     pairs.push((s, *base));
                 }
                 let g = (geomean_speedup(&pairs) - 1.0) * 100.0;

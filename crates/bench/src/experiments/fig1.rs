@@ -4,11 +4,14 @@
 //! Paper result: `0x0` tops the distribution (~5%), `0x1` is third,
 //! and the top-20 is dominated by narrow values, motivating MVP/TVP.
 //!
-//! Pure trace analysis — enumerates no simulation jobs.
+//! Pure trace analysis — enumerates no simulation jobs. Each workload
+//! is streamed from its functional machine in bounded chunks, one
+//! workload at a time.
 
+use tvp_workloads::suite::names;
 use tvp_workloads::value_dist::ValueDistribution;
 
-use super::{ExpContext, Experiment, ResultFile, ResultSet};
+use super::{for_each_chunk, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
 use crate::json;
 
@@ -27,8 +30,8 @@ impl Experiment for Fig1 {
     fn assemble(&self, ctx: &ExpContext, _results: &ResultSet<'_>) -> Vec<ResultFile> {
         println!("=== Fig. 1: dynamic GPR value distribution ({} insts/workload) ===\n", ctx.insts);
         let mut dist = ValueDistribution::new();
-        for p in &ctx.prepared {
-            dist.add_trace(&p.trace);
+        for name in names() {
+            for_each_chunk(name, ctx.insts, |chunk| dist.add_trace(chunk));
         }
 
         println!("{:>20}  {:>8}", "value", "share %");

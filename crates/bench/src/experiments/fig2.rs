@@ -4,6 +4,8 @@
 //! Paper result: expansion ratios between 1.0 and ~1.15 (mean ~1.05),
 //! IPC between ~0.5 and ~5.5 (hmean ≈ 2).
 
+use tvp_workloads::suite::names;
+
 use super::{baseline_cfg, per_workload_jobs, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
 use crate::{amean, hmean, StatsRow};
@@ -30,13 +32,13 @@ impl Experiment for Fig2 {
         let mut rows = Vec::new();
         let mut ratios = Vec::new();
         let mut ipcs = Vec::new();
-        for p in &ctx.prepared {
-            let stats = results.of(ctx, p, &base);
+        for name in names() {
+            let stats = results.of(ctx, name, &base);
             let ratio = stats.expansion_ratio();
-            println!("{:<16} {:>12.3} {:>8.2}", p.workload.name, ratio, stats.ipc());
+            println!("{:<16} {:>12.3} {:>8.2}", name, ratio, stats.ipc());
             ratios.push(ratio);
             ipcs.push(stats.ipc());
-            rows.push(StatsRow::new(p.workload.name, "baseline", &stats));
+            rows.push(StatsRow::new(name, "baseline", &stats));
         }
         println!("{:<16} {:>12.3} {:>8.2}", "mean/hmean", amean(&ratios), hmean(&ipcs));
         println!();

@@ -5,6 +5,8 @@
 //! xalancbmk is the outlier at GVP +52.65%. Coverage 5.3% / 12.6% /
 //! 32.7%; accuracy > 99.9% everywhere.
 
+use tvp_workloads::suite::names;
+
 use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
 use crate::{geomean_speedup, speedup_pct, StatsRow, VP_FLAVOURS};
@@ -19,10 +21,10 @@ impl Experiment for Fig3 {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
             for (vp, _) in VP_FLAVOURS {
-                jobs.push(Job::new(p.workload.name, ctx.insts, vp_cfg(vp, false)));
+                jobs.push(Job::new(name, ctx.insts, vp_cfg(vp, false)));
             }
         }
         jobs
@@ -38,29 +40,29 @@ impl Experiment for Fig3 {
         let mut pairs: [Vec<_>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut coverage_sums = [0.0f64; 3];
         let mut accuracy_min = [1.0f64; 3];
-        for p in &ctx.prepared {
-            let base = results.of(ctx, p, &baseline_cfg());
-            rows.push(StatsRow::new(p.workload.name, "baseline", &base));
+        for name in names() {
+            let base = results.of(ctx, name, &baseline_cfg());
+            rows.push(StatsRow::new(name, "baseline", &base));
             let mut pcts = [0.0f64; 3];
             let mut covs = [0.0f64; 3];
             for (i, (vp, label)) in VP_FLAVOURS.iter().enumerate() {
-                let s = results.of(ctx, p, &vp_cfg(*vp, false));
+                let s = results.of(ctx, name, &vp_cfg(*vp, false));
                 pcts[i] = speedup_pct(&s, &base);
                 covs[i] = s.vp.coverage();
                 coverage_sums[i] += s.vp.coverage();
                 accuracy_min[i] = accuracy_min[i].min(s.vp.accuracy());
-                rows.push(StatsRow::new(p.workload.name, label.to_lowercase(), &s));
+                rows.push(StatsRow::new(name, label.to_lowercase(), &s));
                 pairs[i].push((s, base));
             }
             println!(
                 "{:<16} {:>8.2} {:>8.2} {:>8.2}   {:>7.3} {:>7.3} {:>7.3}",
-                p.workload.name, pcts[0], pcts[1], pcts[2], covs[0], covs[1], covs[2]
+                name, pcts[0], pcts[1], pcts[2], covs[0], covs[1], covs[2]
             );
         }
 
         println!();
         #[allow(clippy::cast_precision_loss)]
-        let n = ctx.prepared.len() as f64;
+        let n = names().len() as f64;
         for (i, (_, label)) in VP_FLAVOURS.iter().enumerate() {
             let g = (geomean_speedup(&pairs[i]) - 1.0) * 100.0;
             println!(

@@ -6,6 +6,7 @@
 //! non-ME moves 0.44% / 0.34%.
 
 use tvp_core::config::VpMode;
+use tvp_workloads::suite::names;
 
 use super::{per_workload_jobs, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -49,8 +50,8 @@ fn report(panel: &str, vp: VpMode, ctx: &ExpContext, results: &ResultSet<'_>) ->
     let cfg = vp_cfg(vp, true);
     let mut rows = Vec::new();
     let mut sums = [Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for p in &ctx.prepared {
-        let s = results.of(ctx, p, &cfg);
+    for name in names() {
+        let s = results.of(ctx, name, &cfg);
         let r = s.rename;
         let f = |c: u64| r.fraction(c) * 100.0;
         let cols = [
@@ -63,12 +64,12 @@ fn report(panel: &str, vp: VpMode, ctx: &ExpContext, results: &ResultSet<'_>) ->
         ];
         println!(
             "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            p.workload.name, cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
+            name, cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
         );
         for (acc, v) in sums.iter_mut().zip(cols) {
             acc.push(v);
         }
-        rows.push(StatsRow::new(p.workload.name, format!("{vp:?}+spsr"), &s));
+        rows.push(StatsRow::new(name, format!("{vp:?}+spsr"), &s));
     }
     println!(
         "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",

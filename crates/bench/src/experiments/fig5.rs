@@ -5,6 +5,7 @@
 //! occasionally negative (stride-prefetcher interaction, §6.2).
 
 use tvp_core::config::VpMode;
+use tvp_workloads::suite::names;
 
 use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -27,10 +28,10 @@ impl Experiment for Fig5 {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
             for (vp, spsr, _) in CONFIGS {
-                jobs.push(Job::new(p.workload.name, ctx.insts, vp_cfg(vp, spsr)));
+                jobs.push(Job::new(name, ctx.insts, vp_cfg(vp, spsr)));
             }
         }
         jobs
@@ -44,18 +45,18 @@ impl Experiment for Fig5 {
         );
         let mut rows = Vec::new();
         let mut pairs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for p in &ctx.prepared {
-            let base = results.of(ctx, p, &baseline_cfg());
+        for name in names() {
+            let base = results.of(ctx, name, &baseline_cfg());
             let mut pcts = [0.0f64; 4];
             for (i, (vp, spsr, label)) in CONFIGS.iter().enumerate() {
-                let s = results.of(ctx, p, &vp_cfg(*vp, *spsr));
+                let s = results.of(ctx, name, &vp_cfg(*vp, *spsr));
                 pcts[i] = speedup_pct(&s, &base);
-                rows.push(StatsRow::new(p.workload.name, *label, &s));
+                rows.push(StatsRow::new(name, *label, &s));
                 pairs[i].push((s, base));
             }
             println!(
                 "{:<16} {:>8.2} {:>10.2} {:>8.2} {:>10.2}",
-                p.workload.name, pcts[0], pcts[1], pcts[2], pcts[3]
+                name, pcts[0], pcts[1], pcts[2], pcts[3]
             );
         }
         println!();

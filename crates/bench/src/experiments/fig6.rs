@@ -6,6 +6,7 @@
 //! dispatches by ~1.6–2.7% and issues by ~1.5–2.0%.
 
 use tvp_core::config::VpMode;
+use tvp_workloads::suite::names;
 
 use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -30,10 +31,10 @@ impl Experiment for Fig6 {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
             for (vp, spsr, _) in CONFIGS {
-                jobs.push(Job::new(p.workload.name, ctx.insts, vp_cfg(vp, spsr)));
+                jobs.push(Job::new(name, ctx.insts, vp_cfg(vp, spsr)));
             }
         }
         jobs
@@ -41,14 +42,9 @@ impl Experiment for Fig6 {
 
     fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
         println!("=== Fig. 6: activity normalized to baseline ({} insts) ===\n", ctx.insts);
-        let bases: Vec<_> =
-            ctx.prepared.iter().map(|p| results.of(ctx, p, &baseline_cfg())).collect();
-        let mut rows: Vec<StatsRow> = ctx
-            .prepared
-            .iter()
-            .zip(&bases)
-            .map(|(p, s)| StatsRow::new(p.workload.name, "baseline", s))
-            .collect();
+        let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
+        let mut rows: Vec<StatsRow> =
+            names().zip(&bases).map(|(name, s)| StatsRow::new(name, "baseline", s)).collect();
 
         println!(
             "{:<16} {:>10} {:>10} {:>12} {:>10}",
@@ -59,15 +55,15 @@ impl Experiment for Fig6 {
             let mut wr = Vec::new();
             let mut disp = Vec::new();
             let mut iss = Vec::new();
-            for (p, base) in ctx.prepared.iter().zip(&bases) {
-                let s = results.of(ctx, p, &vp_cfg(vp, spsr));
+            for (name, base) in names().zip(&bases) {
+                let s = results.of(ctx, name, &vp_cfg(vp, spsr));
                 #[allow(clippy::cast_precision_loss)]
                 let pct = |a: u64, b: u64| if b == 0 { 100.0 } else { a as f64 / b as f64 * 100.0 };
                 rd.push(pct(s.activity.int_prf_reads, base.activity.int_prf_reads));
                 wr.push(pct(s.activity.int_prf_writes, base.activity.int_prf_writes));
                 disp.push(pct(s.activity.iq_dispatched, base.activity.iq_dispatched));
                 iss.push(pct(s.activity.iq_issued, base.activity.iq_issued));
-                rows.push(StatsRow::new(p.workload.name, label, &s));
+                rows.push(StatsRow::new(name, label, &s));
             }
             println!(
                 "{:<16} {:>10.2} {:>10.2} {:>12.2} {:>10.2}",

@@ -12,6 +12,9 @@
 
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_core::stats::SimStats;
+use tvp_workloads::stream::TraceSource;
+use tvp_workloads::suite::{by_name, names};
+use tvp_workloads::trace::Trace;
 
 use crate::cache::ResultCache;
 use crate::jobs::{ExpKey, Job};
@@ -29,12 +32,16 @@ pub mod fig5;
 pub mod fig6;
 pub mod table3;
 
-/// Shared inputs every experiment sees: the instruction budget and the
-/// pre-generated trace suite.
+/// Shared inputs every experiment sees: the instruction budget.
+/// Experiments enumerate and assemble by workload name
+/// ([`tvp_workloads::suite::names`]) and build no trace; the runner
+/// builds each trace inside the pool, only for cold points.
 pub struct ExpContext {
     /// Architectural instructions per workload.
     pub insts: u64,
-    /// The bundled suite with traces generated once at `insts`.
+    /// Read by no experiment and left empty by the engine. It exists
+    /// only for simbench's traced driver, which still fills it, and
+    /// goes with [`PreparedWorkload`] in ROADMAP item 2(b).
     pub prepared: Vec<PreparedWorkload>,
 }
 
@@ -90,8 +97,8 @@ impl<'a> ResultSet<'a> {
     }
 
     /// Stats for (workload, config) under the context's budget.
-    pub fn of(&self, ctx: &ExpContext, p: &PreparedWorkload, cfg: &CoreConfig) -> SimStats {
-        self.stats(&ExpKey::new(p.workload.name, ctx.insts, cfg))
+    pub fn of(&self, ctx: &ExpContext, workload: &'static str, cfg: &CoreConfig) -> SimStats {
+        self.stats(&ExpKey::new(workload, ctx.insts, cfg))
     }
 }
 
@@ -124,7 +131,36 @@ pub fn baseline_cfg() -> CoreConfig {
 /// Enumerates one job per workload for a fixed configuration.
 #[must_use]
 pub fn per_workload_jobs(ctx: &ExpContext, cfg: &CoreConfig) -> Vec<Job> {
-    ctx.prepared.iter().map(|p| Job::new(p.workload.name, ctx.insts, cfg.clone())).collect()
+    names().map(|name| Job::new(name, ctx.insts, cfg.clone())).collect()
+}
+
+/// Instructions per chunk when a trace analysis streams a workload.
+const STREAM_CHUNK: u64 = 4_096;
+
+/// Streams the first `insts` instructions of workload `name` from its
+/// functional machine through `f`, in chunks of at most
+/// [`STREAM_CHUNK`] instructions: only one chunk of µop records is
+/// alive at a time, and the chunks concatenate to `Workload::trace`.
+///
+/// # Panics
+///
+/// Panics if `name` is not a suite workload.
+pub(crate) fn for_each_chunk(name: &str, insts: u64, mut f: impl FnMut(&Trace)) {
+    let workload = by_name(name).unwrap_or_else(|| panic!("no suite workload named {name}"));
+    let mut source = workload.source();
+    let mut chunk = Trace::default();
+    let mut left = insts;
+    while left > 0 {
+        let want = left.min(STREAM_CHUNK);
+        chunk.uops.clear();
+        chunk.arch_insts = 0;
+        let got = source.fill(want, &mut chunk).expect("machine source cannot fail");
+        f(&chunk);
+        if got < want {
+            break;
+        }
+        left -= got;
+    }
 }
 
 /// All eleven experiments, in the canonical `run_all` order.

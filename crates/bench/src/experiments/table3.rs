@@ -12,6 +12,7 @@
 
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_predictors::vtage::VtageConfig;
+use tvp_workloads::suite::names;
 
 use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
@@ -51,14 +52,14 @@ impl Experiment for Table3 {
 
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job> {
         let mut jobs = Vec::new();
-        for p in &ctx.prepared {
-            jobs.push(Job::new(p.workload.name, ctx.insts, baseline_cfg()));
+        for name in names() {
+            jobs.push(Job::new(name, ctx.insts, baseline_cfg()));
         }
         for (_, target_bits) in BUDGETS {
             for (vp, _) in VP_FLAVOURS {
                 let (cfg, _) = cell_cfg(vp, target_bits);
-                for p in &ctx.prepared {
-                    jobs.push(Job::new(p.workload.name, ctx.insts, cfg.clone()));
+                for name in names() {
+                    jobs.push(Job::new(name, ctx.insts, cfg.clone()));
                 }
             }
         }
@@ -67,8 +68,7 @@ impl Experiment for Table3 {
 
     fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
         println!("=== Table 3: storage sweep ({} insts) ===\n", ctx.insts);
-        let bases: Vec<_> =
-            ctx.prepared.iter().map(|p| results.of(ctx, p, &baseline_cfg())).collect();
+        let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
 
         println!("{:<20} {:>10} {:>10} {:>10}", "budget", "MVP", "TVP", "GVP");
         let mut rows = Vec::new();
@@ -77,9 +77,9 @@ impl Experiment for Table3 {
             for (vp, _) in VP_FLAVOURS {
                 let (cfg, kb) = cell_cfg(vp, target_bits);
                 let mut pairs = Vec::new();
-                for (p, base) in ctx.prepared.iter().zip(&bases) {
-                    let s = results.of(ctx, p, &cfg);
-                    rows.push(StatsRow::new(p.workload.name, format!("{vp:?}@{kb:.1}KB"), &s));
+                for (name, base) in names().zip(&bases) {
+                    let s = results.of(ctx, name, &cfg);
+                    rows.push(StatsRow::new(name, format!("{vp:?}@{kb:.1}KB"), &s));
                     pairs.push((s, *base));
                 }
                 let g = (geomean_speedup(&pairs) - 1.0) * 100.0;

@@ -1,9 +1,9 @@
 //! # tvp-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). This library holds the shared machinery: trace preparation,
-//! configuration shorthand, geometric means and machine-readable result
-//! dumps.
+//! index). This library holds the shared machinery: the experiment
+//! engine and its pool, configuration shorthand, geometric means and
+//! machine-readable result dumps.
 //!
 //! All binaries accept the instruction budget through the `TVP_INSTS`
 //! environment variable (architectural instructions per workload;
@@ -12,7 +12,7 @@
 
 use tvp_core::config::VpMode;
 use tvp_core::stats::SimStats;
-use tvp_workloads::suite::{suite, Workload};
+use tvp_workloads::suite::Workload;
 use tvp_workloads::trace::Trace;
 
 pub mod cache;
@@ -89,26 +89,16 @@ pub fn fatal(context: &str, err: &dyn std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// A workload with its pre-generated trace (traces are deterministic,
-/// so generating once per process keeps experiments comparable and
-/// fast).
+/// A workload with its materialized trace, the element of
+/// [`ExpContext::prepared`](experiments::ExpContext::prepared). The
+/// engine builds none: the pool builds each trace on demand
+/// ([`runner::run_jobs`]). It exists only for simbench's traced driver
+/// and goes in ROADMAP item 2(b).
 pub struct PreparedWorkload {
     /// The workload definition.
     pub workload: Workload,
     /// Its dynamic trace at the configured budget.
     pub trace: Trace,
-}
-
-/// Generates traces for the whole suite at the configured budget.
-#[must_use]
-pub fn prepare_suite(insts: u64) -> Vec<PreparedWorkload> {
-    suite()
-        .into_iter()
-        .map(|workload| {
-            let trace = workload.trace(insts);
-            PreparedWorkload { workload, trace }
-        })
-        .collect()
 }
 
 /// Geometric mean of `new/old` cycle-count speedups, as the paper

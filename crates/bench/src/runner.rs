@@ -12,20 +12,31 @@
 //! the job's [`ExpKey`] and the panic payload. The pool always drains —
 //! one poisoned point can never hang or abort the whole run.
 //!
-//! Determinism: results are keyed, and the simulator is a pure
-//! function of (trace, config), so *which worker* runs a job — and in
+//! [`run_jobs`] owns the traces: the first job of a workload builds
+//! that workload's trace at the job's budget, the workload's other jobs
+//! share it, and it is dropped once every one of them has succeeded. A
+//! cold schedule comes in [`ExpKey`] order, so a workload's jobs are
+//! adjacent and every worker's round-robin deque sweeps it front to
+//! back: only the few workloads between the slowest and the fastest
+//! worker hold a trace, not the whole suite. A run with nothing to
+//! simulate builds no trace.
+//!
+//! Determinism: results are keyed, a trace is a pure function of
+//! (workload, budget) and the simulator a pure function of (trace,
+//! config), so *which worker* builds a trace or runs a job — and in
 //! what order — cannot affect any simulated value. The assembly phase
 //! consumes results by key in experiment order, which is what makes
 //! `--jobs 1` and `--jobs N` byte-identical.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tvp_core::pipeline::Core;
 use tvp_obs::cpi::CpiStack;
+use tvp_workloads::suite::{by_name, names};
 use tvp_workloads::trace::Trace;
 
 use crate::jobs::{ExpKey, Job, SimPoint};
@@ -79,6 +90,10 @@ pub struct RunOutcome {
     pub timings: Vec<JobTiming>,
     /// Jobs that needed a second attempt (healed or not).
     pub retries: u64,
+    /// Workload traces the pool generated: one per distinct (workload,
+    /// budget) among the jobs through [`run_jobs`], 0 through
+    /// [`run_jobs_with`], whose closure brings its own input.
+    pub traces_built: u64,
 }
 
 /// One job's outcome slot, written exactly once by whichever worker
@@ -96,31 +111,102 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
     }
 }
 
-/// Runs `jobs` on `workers` threads, looking up each job's trace with
-/// `trace_of` (keyed by workload name). Returns all results, failures
-/// and timings; panics in jobs are contained (and retried once, see
-/// [`MAX_ATTEMPTS`]), panics in `trace_of` (unknown workload) are a
-/// harness bug and propagate.
-pub fn run_jobs<'t>(
-    jobs: &[Job],
-    trace_of: impl Fn(&'static str) -> &'t Trace + Sync,
-    workers: usize,
-    progress: bool,
-) -> RunOutcome {
-    run_jobs_with(jobs, workers, progress, |job| {
-        let trace = trace_of(job.key.workload);
+/// Runs `jobs` on `workers` threads and returns all results, failures
+/// and timings. Each job's trace comes from the pool's shared traces
+/// (see the module docs); a job's wall time includes building or
+/// waiting for it. Panics in jobs are contained (and retried once, see
+/// [`MAX_ATTEMPTS`]); a job that fails both attempts keeps its
+/// workload's trace alive until the pool drains.
+///
+/// # Panics
+///
+/// Panics before starting the pool if a job names no suite workload —
+/// a harness bug, not a simulation failure.
+pub fn run_jobs(jobs: &[Job], workers: usize, progress: bool) -> RunOutcome {
+    let traces = Traces::new(jobs);
+    let mut outcome = run_jobs_with(jobs, workers, progress, |job| {
+        let trace = traces.acquire(&job.key);
         // Drive the core directly (rather than through `simulate`) so
         // the CPI stack can be captured for per-job telemetry; the
         // watchdog fail-loud behaviour of `simulate` is preserved.
-        let cfg = job.cfg.clone();
-        let mut core = Core::new(cfg);
-        let stats = core.run(trace);
+        let mut core = Core::new(job.cfg.clone());
+        let stats = core.run(&trace);
         if let Some(diag) = core.watchdog_diagnostic() {
             // deliberate fail-loud path — a tripped watchdog is a simulator bug
             panic!("pipeline deadlock:\n{diag}");
         }
+        traces.succeeded(&job.key);
         (SimPoint { stats }, core.cpi_stack())
-    })
+    });
+    outcome.traces_built = traces.built.into_inner();
+    outcome
+}
+
+/// One (workload, budget)'s trace and the jobs that still need it.
+struct TraceSlot {
+    /// Built by the first job that asks; dropped by the last success.
+    trace: Option<Arc<Trace>>,
+    /// Jobs of this (workload, budget) that have not yet succeeded.
+    pending: usize,
+}
+
+/// The traces of one [`run_jobs`] call, one slot per distinct
+/// (workload, budget) among its jobs.
+struct Traces {
+    slots: BTreeMap<(&'static str, u64), Mutex<TraceSlot>>,
+    built: AtomicU64,
+}
+
+impl Traces {
+    /// One slot per distinct (workload, budget) of `jobs`, counting the
+    /// jobs that need it. Builds nothing.
+    fn new(jobs: &[Job]) -> Self {
+        let mut slots = BTreeMap::new();
+        for job in jobs {
+            let name = job.key.workload;
+            assert!(
+                names().any(|n| n == name),
+                "job {} names {name:?}, which is not a suite workload",
+                job.key.display()
+            );
+            slots
+                .entry((name, job.key.insts))
+                .or_insert_with(|| Mutex::new(TraceSlot { trace: None, pending: 0 }))
+                .get_mut()
+                .expect("fresh slot lock")
+                .pending += 1;
+        }
+        Traces { slots, built: AtomicU64::new(0) }
+    }
+
+    /// Locks `key`'s slot. A panic under the lock (a failed build)
+    /// leaves the slot valid, so the next job simply builds again.
+    fn slot(&self, key: &ExpKey) -> MutexGuard<'_, TraceSlot> {
+        self.slots[&(key.workload, key.insts)].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The trace `key` simulates, built by the first job that needs it.
+    /// The slot stays locked during the build, so a sibling job waits
+    /// for the trace instead of building a duplicate.
+    fn acquire(&self, key: &ExpKey) -> Arc<Trace> {
+        let mut slot = self.slot(key);
+        assert!(slot.pending > 0, "trace of {} freed while a job still needs it", key.display());
+        if slot.trace.is_none() {
+            let trace = by_name(key.workload).expect("checked name").trace(key.insts);
+            slot.trace = Some(Arc::new(trace));
+            self.built.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(slot.trace.as_ref().expect("built above"))
+    }
+
+    /// Counts one succeeded job of `key`'s trace; the last one drops it.
+    fn succeeded(&self, key: &ExpKey) {
+        let mut slot = self.slot(key);
+        slot.pending -= 1;
+        if slot.pending == 0 {
+            slot.trace = None;
+        }
+    }
 }
 
 /// The pool with an injectable simulation function — the production
@@ -243,28 +329,22 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tvp_core::config::CoreConfig;
+    use tvp_core::config::{CoreConfig, VpMode};
 
-    fn tiny_traces() -> Vec<(&'static str, Trace)> {
-        tvp_workloads::suite().into_iter().take(3).map(|w| (w.name, w.trace(2_000))).collect()
-    }
-
-    fn lookup<'t>(
-        traces: &'t [(&'static str, Trace)],
-    ) -> impl Fn(&'static str) -> &'t Trace + Sync {
-        move |name| &traces.iter().find(|(n, _)| *n == name).expect("known workload").1
+    /// One job per workload for the first three suite workloads.
+    fn tiny_jobs() -> Vec<Job> {
+        names().take(3).map(|name| Job::new(name, 2_000, CoreConfig::table2())).collect()
     }
 
     #[test]
     fn pool_runs_all_jobs_any_width() {
-        let traces = tiny_traces();
-        let jobs: Vec<Job> =
-            traces.iter().map(|(name, _)| Job::new(name, 2_000, CoreConfig::table2())).collect();
-        let serial = run_jobs(&jobs, lookup(&traces), 1, false);
-        let wide = run_jobs(&jobs, lookup(&traces), 4, false);
+        let jobs = tiny_jobs();
+        let serial = run_jobs(&jobs, 1, false);
+        let wide = run_jobs(&jobs, 4, false);
         assert_eq!(serial.points.len(), jobs.len());
         assert_eq!(wide.points.len(), jobs.len());
         assert!(serial.failures.is_empty() && wide.failures.is_empty());
+        assert_eq!((serial.traces_built, wide.traces_built), (3, 3), "one trace per workload");
         for ((ka, pa), (kb, pb)) in serial.points.iter().zip(&wide.points) {
             assert_eq!(ka, kb);
             assert_eq!(pa, pb, "worker count changed a simulated point");
@@ -273,17 +353,15 @@ mod tests {
 
     #[test]
     fn panicking_job_fails_with_its_key_and_pool_drains() {
-        let traces = tiny_traces();
         // A watchdog budget of 1 cycle trips on the first cold-cache
         // stall, and the simulate() entry point panics on the
         // diagnostic — a deterministic in-job panic.
         let mut poisoned = CoreConfig::table2();
         poisoned.watchdog_cycles = 1;
-        let mut jobs: Vec<Job> =
-            traces.iter().map(|(name, _)| Job::new(name, 2_000, CoreConfig::table2())).collect();
-        jobs.insert(1, Job::new(traces[0].0, 2_000, poisoned));
+        let mut jobs = tiny_jobs();
+        jobs.insert(1, Job::new(jobs[0].key.workload, 2_000, poisoned));
 
-        let outcome = run_jobs(&jobs, lookup(&traces), 3, false);
+        let outcome = run_jobs(&jobs, 3, false);
         assert_eq!(outcome.points.len(), jobs.len() - 1, "healthy jobs all completed");
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].key, jobs[1].key, "failure names the poisoned key");
@@ -293,6 +371,33 @@ mod tests {
             "a deterministic panic is retried once before being reported"
         );
         assert_eq!(outcome.retries, 1, "only the poisoned job needed a retry");
+        assert_eq!(outcome.traces_built, 3, "the failed job's retry reused its workload's trace");
+    }
+
+    #[test]
+    #[should_panic(expected = "\"no_such_workload\", which is not a suite workload")]
+    fn unknown_workload_panics_before_the_pool_starts() {
+        let mut jobs = tiny_jobs();
+        jobs.push(Job::new("no_such_workload", 2_000, CoreConfig::table2()));
+        let _ = run_jobs(&jobs, 2, false);
+    }
+
+    #[test]
+    fn a_trace_lives_until_its_last_job_succeeds() {
+        let jobs: Vec<Job> = [VpMode::Off, VpMode::Tvp]
+            .map(|vp| Job::new("minimax", 1_000, CoreConfig::with_vp(vp)))
+            .into();
+        let traces = Traces::new(&jobs);
+        let trace = Arc::downgrade(&traces.acquire(&jobs[0].key));
+        assert!(trace.upgrade().is_some(), "the slot holds the built trace");
+        traces.succeeded(&jobs[0].key);
+        let shared = traces.acquire(&jobs[1].key);
+        assert!(Arc::ptr_eq(&shared, &trace.upgrade().expect("alive")), "the sibling shares it");
+        drop(shared);
+        assert!(trace.upgrade().is_some(), "a job that has not succeeded keeps it alive");
+        traces.succeeded(&jobs[1].key);
+        assert!(trace.upgrade().is_none(), "the last success drops it");
+        assert_eq!(traces.built.into_inner(), 1);
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub const TELEMETRY_FILE: &str = "telemetry.json";
 /// order-sensitive digest of the full deduplicated schedule that
 /// serial, `--jobs N`, cold, resumed and warm runs of the same
 /// campaign must agree on. Version 7 dropped the three fabric counters
-/// with the fabric and keeps `campaign_fingerprint`.
-pub const TELEMETRY_SCHEMA: u32 = 7;
+/// with the fabric and keeps `campaign_fingerprint`. Version 8 replaced
+/// the timer of the engine's retired prepare phase with
+/// `traces_built`, the number of workload traces the pool generated.
+pub const TELEMETRY_SCHEMA: u32 = 8;
 
 /// Sampled-campaign section of the telemetry record (schema 5).
 #[derive(Clone, Debug)]
@@ -129,11 +131,12 @@ pub struct Telemetry {
     /// identical across serial, `--jobs N`, cold, resumed and warm
     /// runs of the same campaign.
     pub campaign_fingerprint: u64,
-    /// Trace-generation wall time.
-    pub prepare: Duration,
+    /// Workload traces the pool generated (0 when nothing was
+    /// simulated).
+    pub traces_built: u64,
     /// Pool wall time (simulation phase only).
     pub sim_wall: Duration,
-    /// End-to-end wall time (prepare + simulate + assemble).
+    /// End-to-end wall time (enumerate + simulate + assemble).
     pub total_wall: Duration,
     /// Sum of per-job simulation times (≈ `sim_wall × workers` when
     /// the pool is saturated).
@@ -259,7 +262,7 @@ impl Telemetry {
             ("store_enabled", self.store_enabled.to_string()),
             ("cache_conflicts", self.cache_conflicts.to_string()),
             ("campaign_fingerprint", format!("\"{:016x}\"", self.campaign_fingerprint)),
-            ("prepare_seconds", json::number(self.prepare.as_secs_f64())),
+            ("traces_built", self.traces_built.to_string()),
             ("sim_wall_seconds", json::number(self.sim_wall.as_secs_f64())),
             ("total_wall_seconds", json::number(self.total_wall.as_secs_f64())),
             ("cpu_seconds", json::number(self.cpu_time.as_secs_f64())),
@@ -363,7 +366,7 @@ mod tests {
             store_enabled: true,
             cache_conflicts: 0,
             campaign_fingerprint: 0x0123_4567_89AB_CDEF,
-            prepare: Duration::from_millis(10),
+            traces_built: 5,
             sim_wall: Duration::from_millis(500),
             total_wall: Duration::from_millis(600),
             cpu_time: Duration::from_millis(1_900),
@@ -400,7 +403,8 @@ mod tests {
             "\"p50_micros\": 80000",
             "\"p99_micros\": 80000",
             "\"max_micros\": 80000",
-            "\"schema\": 7",
+            "\"schema\": 8",
+            "\"traces_built\": 5",
             "\"retries\": 1",
             "\"quarantined\": 2",
             "\"store_warm_hits\": 3",

@@ -115,6 +115,11 @@ pub fn suite() -> Vec<Workload> {
     KERNELS.iter().map(|(_, build)| build()).collect()
 }
 
+/// Every workload's name, in table order, without building any kernel.
+pub fn names() -> impl ExactSizeIterator<Item = &'static str> + Clone {
+    KERNELS.iter().map(|(name, _)| *name)
+}
+
 /// Looks a workload up by name, building only that kernel.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Workload> {
@@ -149,7 +154,7 @@ mod tests {
     #[test]
     fn kernel_table_names_its_workloads_in_the_published_order() {
         let built: Vec<_> = suite().iter().map(|w| w.name).collect();
-        let table: Vec<_> = KERNELS.iter().map(|(name, _)| *name).collect();
+        let table: Vec<_> = names().collect();
         assert_eq!(built, table, "a table entry's name differs from its workload's name");
         // The row order of `results/*.json` and of the sampled pool.
         assert_eq!(

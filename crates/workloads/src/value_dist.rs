@@ -119,6 +119,36 @@ mod tests {
     }
 
     #[test]
+    fn folding_source_chunks_equals_the_materialized_trace() {
+        use crate::stream::TraceSource;
+        use crate::suite::by_name;
+        use crate::trace::Trace;
+
+        const INSTS: u64 = 20_000;
+        for name in ["string_match", "pointer_chase", "mc_playout"] {
+            let w = by_name(name).expect("suite workload");
+            let mut whole = ValueDistribution::new();
+            whole.add_trace(&w.trace(INSTS));
+
+            let mut folded = ValueDistribution::new();
+            let mut source = w.source();
+            let mut chunk = Trace::default();
+            let mut left = INSTS;
+            while left > 0 {
+                let want = left.min(1_024);
+                chunk.uops.clear();
+                chunk.arch_insts = 0;
+                let got = source.fill(want, &mut chunk).expect("machine source cannot fail");
+                assert_eq!(got, want, "{name} halted early");
+                folded.add_trace(&chunk);
+                left -= got;
+            }
+            assert_eq!(folded.total(), whole.total(), "{name}: total");
+            assert_eq!(folded.top(20), whole.top(20), "{name}: top 20");
+        }
+    }
+
+    #[test]
     fn empty_distribution_is_safe() {
         let dist = ValueDistribution::new();
         assert_eq!(dist.total(), 0);

@@ -137,6 +137,10 @@ fn warm_rerun_is_byte_identical_and_simulates_nothing() {
     assert_eq!(warm.telemetry.jobs_unique, 0, "nothing left to simulate");
     assert_eq!(warm.telemetry.quarantined, 0);
     assert_eq!(warm.telemetry.cache_conflicts, 0);
+    // The cold run builds one trace per workload of the sweep; the warm
+    // run builds none.
+    assert_eq!(cold.telemetry.traces_built, 3, "one trace per distinct workload");
+    assert_eq!(warm.telemetry.traces_built, 0, "a warm rerun builds no trace");
 
     let report = fsck::fsck(&store).expect("fsck");
     assert!(report.clean(), "healthy store must fsck clean: {}", report.summary());
