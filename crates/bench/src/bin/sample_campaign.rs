@@ -38,11 +38,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_u64(flag: &str, v: Option<String>) -> u64 {
-    v.and_then(|s| s.replace('_', "").parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs an unsigned integer");
+/// Parses `--insts N`: a positive instruction budget (`_` separators
+/// allowed).
+fn parse_insts(v: Option<String>) -> u64 {
+    let insts = v.and_then(|s| s.replace('_', "").parse().ok()).unwrap_or_else(|| {
+        eprintln!("--insts needs an unsigned integer");
         usage()
-    })
+    });
+    tvp_bench::insts_or_exit("--insts", insts)
 }
 
 fn parse_spec(v: Option<String>) -> SampleSpec {
@@ -94,7 +97,7 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
     let mut cfg = CoreConfig::default();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--insts" => insts = parse_u64("--insts", args.next()),
+            "--insts" => insts = parse_insts(args.next()),
             "--spec" => spec = parse_spec(args.next()),
             "--jobs" => jobs = tvp_bench::jobs_or_exit(args.next().as_deref()),
             "--store" => store_dir = args.next(),
@@ -212,7 +215,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
     let mut cfg = CoreConfig::with_vp(VpMode::Tvp).with_spsr();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--insts" => insts = parse_u64("--insts", args.next()),
+            "--insts" => insts = parse_insts(args.next()),
             "--spec" => spec = parse_spec(args.next()),
             "--jobs" => jobs = tvp_bench::jobs_or_exit(args.next().as_deref()),
             "--report" => report_path = args.next().unwrap_or_else(|| usage()),

@@ -39,6 +39,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses a `--chaos-*-permille` rate for `flag`: a value above 1000
+/// exits 2 naming the flag, rather than being clamped silently.
+fn permille(flag: &str, raw: Option<&String>) -> u32 {
+    match raw.and_then(|s| s.parse::<u32>().ok()) {
+        Some(rate) if rate <= 1000 => rate,
+        _ => {
+            eprintln!(
+                "error: {flag} needs a rate in 0..=1000, got {:?}",
+                raw.map_or("", String::as_str)
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Sampled-simulation mode (`--sample P:W:M`): fast-forward between
 /// intervals, simulate warmup + measured windows in detail, print the
 /// weighted whole-trace reconstruction. With `--checkpoint DIR`, the
@@ -134,7 +149,7 @@ fn main() {
                 cfg.nine_bit_idiom = cfg.vp.uses_inlining();
             }
             "--spsr" => cfg.spsr = true,
-            "--insts" => insts = parse_num(it.next()),
+            "--insts" => insts = tvp_bench::insts_or_exit("--insts", parse_num(it.next())),
             "--silence" => cfg.silence_cycles = parse_num(it.next()),
             "--adaptive-silencing" => cfg.adaptive_silencing = true,
             "--no-stride-prefetch" => cfg.mem.stride_prefetcher = false,
@@ -142,17 +157,17 @@ fn main() {
             "--baseline-too" => baseline_too = true,
             "--chaos-seed" => chaos = Some(ChaosConfig::campaign(parse_num(it.next()))),
             "--chaos-vp-permille" => {
-                let rate = parse_num(it.next()).min(1000) as u32;
+                let rate = permille(arg, it.next());
                 chaos
                     .get_or_insert_with(|| ChaosConfig::campaign(1))
                     .vp_force_mispredict_permille = rate;
             }
             "--chaos-branch-permille" => {
-                let rate = parse_num(it.next()).min(1000) as u32;
+                let rate = permille(arg, it.next());
                 chaos.get_or_insert_with(|| ChaosConfig::campaign(1)).branch_invert_permille = rate;
             }
             "--chaos-cache-permille" => {
-                let rate = parse_num(it.next()).min(1000) as u32;
+                let rate = permille(arg, it.next());
                 chaos.get_or_insert_with(|| ChaosConfig::campaign(1)).cache_delay_permille = rate;
             }
             "--sabotage" => sabotage = true,

@@ -1,6 +1,7 @@
 //! The experiment engine: enumerate → dedupe → simulate → assemble.
 //!
-//! Used by `run_all` and by every per-figure binary. The phases are:
+//! Used by `run_all`, which selects the experiments to run by name
+//! ([`parse_run_options`]). The phases are:
 //!
 //! 1. **enumerate** — collect each experiment's
 //!    [`Job`](crate::jobs::Job)s, by workload name, and push them
@@ -50,7 +51,7 @@ use crate::DEFAULT_INSTS;
 /// Instruction budget used by `--smoke` (CI-sized).
 pub const SMOKE_INSTS: u64 = 20_000;
 
-/// Parsed engine options, shared by all experiment binaries.
+/// Parsed engine options.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Worker threads (`--jobs N`); `None` sizes to available cores.
@@ -94,22 +95,28 @@ impl Default for RunOptions {
     }
 }
 
-/// Parses the common experiment CLI: `[--jobs N] [--smoke]
-/// [--insts N] [--progress] [--per-job] [--store DIR]`. Budget
-/// precedence: `--insts` flag, then the `TVP_INSTS` environment
-/// variable, then the smoke/default budget. Store precedence:
-/// `--store` flag, then `$TVP_STORE_DIR`; the kill-resume chaos knob
-/// is environment-only (`$TVP_STORE_KILL_AFTER`).
+/// Parses `run_all`'s command line: `[--jobs N] [--smoke] [--insts N]
+/// [--progress] [--per-job] [--store DIR] [NAME…]`. Each NAME is an
+/// [`Experiment::name`]; the named experiments come back in the
+/// canonical [`all`](crate::experiments::all) order, and all eleven
+/// when no name is given. Budget precedence: `--insts` flag, then the
+/// `TVP_INSTS` environment variable, then the smoke/default budget.
+/// Store precedence: `--store` flag, then `$TVP_STORE_DIR`; the
+/// kill-resume chaos knob is environment-only (`$TVP_STORE_KILL_AFTER`).
 ///
 /// # Panics
 ///
-/// Exits the process (code 2) on unknown or malformed arguments.
+/// Exits the process (code 2) on unknown or malformed arguments, a
+/// zero budget, or an unknown experiment name (listing the valid
+/// ones) — before any store is opened or any point is simulated.
 #[must_use]
-pub fn parse_run_options(args: impl Iterator<Item = String>) -> RunOptions {
+pub fn parse_run_options(
+    args: impl Iterator<Item = String>,
+) -> (RunOptions, Vec<Box<dyn Experiment>>) {
     let usage = || -> ! {
         eprintln!(
-            "usage: <experiment> [--jobs N] [--smoke] [--insts N] [--progress] [--per-job] \
-             [--store DIR]"
+            "usage: run_all [--jobs N] [--smoke] [--insts N] [--progress] [--per-job] \
+             [--store DIR] [NAME...]"
         );
         std::process::exit(2);
     };
@@ -119,6 +126,7 @@ pub fn parse_run_options(args: impl Iterator<Item = String>) -> RunOptions {
     let mut progress = false;
     let mut per_job = false;
     let mut store_flag: Option<PathBuf> = None;
+    let mut names: Vec<String> = Vec::new();
     let args: Vec<String> = args.collect();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -126,28 +134,38 @@ pub fn parse_run_options(args: impl Iterator<Item = String>) -> RunOptions {
             "--jobs" | "-j" => workers = Some(crate::jobs_or_exit(it.next().map(String::as_str))),
             "--smoke" => smoke = true,
             "--insts" => {
-                insts_flag =
-                    Some(it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()));
+                let n = it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
+                insts_flag = Some(crate::insts_or_exit("--insts", n));
             }
             "--progress" => progress = true,
             "--per-job" => per_job = true,
             "--store" => {
                 store_flag = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
             }
+            name if !name.starts_with('-') => names.push(name.to_owned()),
             _ => usage(),
         }
+    }
+    let mut experiments = crate::experiments::all();
+    if let Some(bad) = names.iter().find(|n| experiments.iter().all(|e| e.name() != n.as_str())) {
+        let valid: Vec<&str> = experiments.iter().map(|e| e.name()).collect();
+        eprintln!("error: unknown experiment `{bad}`; valid names: {}", valid.join(" "));
+        std::process::exit(2);
+    }
+    if !names.is_empty() {
+        experiments.retain(|e| names.iter().any(|n| n == e.name()));
     }
     // Environment settings fail loudly: a malformed value exits with a
     // message rather than silently running the default (which used to
     // disarm the TVP_STORE_KILL_AFTER chaos knob CI relies on).
-    let insts = insts_flag.or_else(|| crate::env_u64_or_exit("TVP_INSTS")).unwrap_or(if smoke {
-        SMOKE_INSTS
-    } else {
-        DEFAULT_INSTS
-    });
+    let insts = insts_flag
+        .or_else(|| {
+            crate::env_u64_or_exit("TVP_INSTS").map(|n| crate::insts_or_exit("TVP_INSTS", n))
+        })
+        .unwrap_or(if smoke { SMOKE_INSTS } else { DEFAULT_INSTS });
     let store_dir = store_flag.or_else(|| std::env::var_os("TVP_STORE_DIR").map(PathBuf::from));
     let store_kill_after = crate::env_u64_or_exit("TVP_STORE_KILL_AFTER");
-    RunOptions {
+    let opts = RunOptions {
         workers,
         insts,
         smoke,
@@ -157,7 +175,8 @@ pub fn parse_run_options(args: impl Iterator<Item = String>) -> RunOptions {
         store_kill_after,
         results_dir: None,
         telemetry_path: None,
-    }
+    };
+    (opts, experiments)
 }
 
 /// Resolves the results directory (`$TVP_RESULTS_DIR`, default
@@ -184,9 +203,14 @@ pub struct EngineReport {
 /// Exits with code 2 through [`crate::fatal`] when the store cannot be
 /// opened or written, or the results directory, a results file or the
 /// telemetry file cannot be written; job panics are *contained* and
-/// reported through the returned [`EngineReport`].
+/// reported through the returned [`EngineReport`]. The results
+/// directory is created first, so an unusable one fails before the
+/// store is opened or any point is simulated.
 pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineReport {
     let total_start = Instant::now();
+    let dir = opts.results_dir.clone().unwrap_or_else(results_dir);
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| crate::fatal(&format!("cannot create results directory {dir}"), &e));
     let ctx = ExpContext { insts: opts.insts, prepared: Vec::new() };
 
     // 1. enumerate + dedupe ——————————————————————————————————————————
@@ -289,9 +313,6 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     }
 
     // 3. assemble ————————————————————————————————————————————————————
-    let dir = opts.results_dir.clone().unwrap_or_else(results_dir);
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| crate::fatal(&format!("cannot create results directory {dir}"), &e));
     let mut skipped = Vec::new();
     let results = ResultSet::new(&cache);
     for (exp, (name, keys)) in experiments.iter().zip(&wanted) {
@@ -371,12 +392,4 @@ pub fn exit_code(report: &EngineReport) -> i32 {
         eprintln!("[engine] experiment {name} skipped ({} missing point(s))", missing.len());
     }
     1
-}
-
-/// Standard `main` body for an experiment binary: parse the common
-/// CLI, run the given experiments, exit non-zero if anything failed.
-pub fn run_main(experiments: &[Box<dyn Experiment>]) -> ! {
-    let opts = parse_run_options(std::env::args().skip(1));
-    let report = run(experiments, &opts);
-    std::process::exit(exit_code(&report));
 }

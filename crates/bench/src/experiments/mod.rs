@@ -104,7 +104,8 @@ impl<'a> ResultSet<'a> {
 
 /// One figure/table/ablation of the paper.
 pub trait Experiment: Sync {
-    /// Binary-style name (also the legacy `run_all` banner label).
+    /// The name `run_all` selects the experiment by (`run_all NAME`),
+    /// also its banner label when several experiments run.
     fn name(&self) -> &'static str;
     /// Enumerates every simulation point this experiment needs.
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job>;

@@ -1,14 +1,15 @@
 //! # tvp-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). This library holds the shared machinery: the experiment
-//! engine and its pool, configuration shorthand, geometric means and
-//! machine-readable result dumps.
+//! One experiment per table/figure of the paper, all run by one binary:
+//! `run_all [NAME…]` (see DESIGN.md §4 for the index of names). This
+//! library holds the shared machinery: the experiment engine and its
+//! pool, configuration shorthand, geometric means and machine-readable
+//! result dumps.
 //!
-//! All binaries accept the instruction budget through the `TVP_INSTS`
-//! environment variable (architectural instructions per workload;
-//! default 300,000 — a scaled-down SimPoint) and write JSON next to
-//! their stdout tables into `results/`.
+//! `run_all` takes the instruction budget through `--insts` or the
+//! `TVP_INSTS` environment variable (architectural instructions per
+//! workload; default 300,000 — a scaled-down SimPoint) and writes JSON
+//! next to its stdout tables into `results/`.
 
 use tvp_core::config::VpMode;
 use tvp_core::stats::SimStats;
@@ -78,6 +79,19 @@ pub fn jobs_or_exit(raw: Option<&str>) -> usize {
             std::process::exit(2);
         }
     }
+}
+
+/// Checks an instruction budget read from `source` (the `--insts` flag
+/// or the `TVP_INSTS` variable): zero exits with code 2 (the CLI
+/// usage-error code) instead of simulating nothing and printing
+/// all-zero tables — which an accuracy gate would pass.
+#[must_use]
+pub fn insts_or_exit(source: &str, insts: u64) -> u64 {
+    if insts == 0 {
+        eprintln!("error: {source} needs a positive instruction count, got 0");
+        std::process::exit(2);
+    }
+    insts
 }
 
 /// Reports an I/O failure the run cannot continue past (an unusable

@@ -6,10 +6,12 @@
 //! silently *disarmed* the chaos knob the crash-safety CI depends on
 //! — the job would pass without ever exercising the kill path. Same
 //! pattern for `TVP_INSTS`: a typo silently ran the default budget.
-//! `--jobs 0` gets the same treatment: every binary that takes the
-//! flag exits 2 instead of quietly running one worker. An unusable
-//! store or results directory is just as loud: one `FATAL:` line and
-//! exit 2, never a panic.
+//! `--jobs 0` and a zero budget (`--insts 0`, `TVP_INSTS=0`) get the
+//! same treatment: every binary that takes them exits 2 instead of
+//! quietly running one worker or printing all-zero tables, and so does
+//! an out-of-range chaos rate or an unknown experiment name. An
+//! unusable store or results directory is just as loud: one `FATAL:`
+//! line and exit 2, never a panic, and before anything is simulated.
 
 use std::process::Command;
 
@@ -56,9 +58,11 @@ fn run_all_rejects_malformed_kill_after() {
 
 #[test]
 fn run_all_rejects_malformed_insts() {
-    let out =
-        run(env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "1"], &[("TVP_INSTS", "lots")]);
-    assert_loud_rejection(&out, "TVP_INSTS", "lots");
+    for bad in ["lots", "0"] {
+        let out =
+            run(env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "1"], &[("TVP_INSTS", bad)]);
+        assert_loud_rejection(&out, "TVP_INSTS", bad);
+    }
 }
 
 #[test]
@@ -102,24 +106,26 @@ fn well_formed_kill_after_still_arms_the_knob() {
     );
 }
 
-/// `--jobs 0` is a usage error (exit 2, naming the flag), never a
-/// silent one-worker run. Parsing rejects it before any store I/O or
-/// simulation.
-fn assert_zero_jobs_rejected(exe: &str, args: &[&str]) {
+/// `--jobs 0`, `--insts 0` and an out-of-range chaos rate are usage
+/// errors (exit 2, naming the flag), never a silent one-worker,
+/// zero-budget or clamped run. Parsing rejects them before any store
+/// I/O or simulation.
+fn assert_flag_rejected(flag: &str, exe: &str, args: &[&str]) {
     let out = run(exe, args, &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2; stderr: {stderr}");
-    assert!(stderr.contains("--jobs"), "stderr must name the flag: {stderr}");
+    assert!(stderr.contains(flag), "stderr must name {flag}: {stderr}");
 }
 
 #[test]
 fn run_all_rejects_zero_jobs() {
-    assert_zero_jobs_rejected(env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "0"]);
+    assert_flag_rejected("--jobs", env!("CARGO_BIN_EXE_run_all"), &["--smoke", "--jobs", "0"]);
 }
 
 #[test]
 fn sample_campaign_run_rejects_zero_jobs() {
-    assert_zero_jobs_rejected(
+    assert_flag_rejected(
+        "--jobs",
         env!("CARGO_BIN_EXE_sample_campaign"),
         &["run", "--insts", "1000", "--jobs", "0"],
     );
@@ -127,9 +133,47 @@ fn sample_campaign_run_rejects_zero_jobs() {
 
 #[test]
 fn sample_campaign_validate_rejects_zero_jobs() {
-    assert_zero_jobs_rejected(
+    assert_flag_rejected(
+        "--jobs",
         env!("CARGO_BIN_EXE_sample_campaign"),
         &["validate", "--insts", "1000", "--jobs", "0"],
+    );
+}
+
+#[test]
+fn run_all_rejects_zero_insts() {
+    assert_flag_rejected(
+        "--insts",
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--insts", "0", "--jobs", "1"],
+    );
+}
+
+#[test]
+fn simulate_rejects_zero_insts() {
+    let exe = env!("CARGO_BIN_EXE_simulate");
+    assert_flag_rejected("--insts", exe, &["pointer_chase", "--insts", "0"]);
+    assert_flag_rejected(
+        "--insts",
+        exe,
+        &["pointer_chase", "--insts", "0", "--sample", "1000:100:100"],
+    );
+}
+
+#[test]
+fn sample_campaign_rejects_zero_insts() {
+    let exe = env!("CARGO_BIN_EXE_sample_campaign");
+    assert_flag_rejected("--insts", exe, &["run", "--insts", "0", "--jobs", "1"]);
+    assert_flag_rejected("--insts", exe, &["validate", "--insts", "0", "--jobs", "1"]);
+}
+
+/// A chaos rate above 1000 per mille is rejected, not clamped to 1000.
+#[test]
+fn simulate_rejects_an_out_of_range_chaos_rate() {
+    assert_flag_rejected(
+        "--chaos-vp-permille",
+        env!("CARGO_BIN_EXE_simulate"),
+        &["pointer_chase", "--chaos-vp-permille", "1001"],
     );
 }
 
@@ -174,14 +218,68 @@ fn run_all_reports_an_unusable_store_as_fatal() {
 fn run_all_reports_an_unwritable_results_dir_as_fatal() {
     let (dir, file) = scratch_with_file("results-file");
     let telemetry = dir.join("telemetry.json");
+    let store = dir.join("store");
     let out = run(
         env!("CARGO_BIN_EXE_run_all"),
-        &["--insts", "1000"],
+        &["--insts", "1000", "--store", store.to_str().expect("utf8 tempdir")],
         &[
             ("TVP_RESULTS_DIR", &file),
             ("TVP_BENCH_TELEMETRY", telemetry.to_str().expect("utf8 tempdir")),
         ],
     );
+    // The results directory is checked first: no point is simulated,
+    // so none is published.
+    let published =
+        std::fs::read_dir(store.join(tvp_bench::store::BLOBS_DIR)).map_or(0, Iterator::count);
     let _ = std::fs::remove_dir_all(&dir);
     assert_fatal_io(&out, "results directory");
+    assert_eq!(published, 0, "nothing may be published before the results dir fails");
+}
+
+#[test]
+fn run_all_runs_only_the_named_experiments() {
+    let dir = std::env::temp_dir().join(format!("tvp-envval-subset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let results = dir.join("results");
+    let telemetry = dir.join("telemetry.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--insts", "1000", "--jobs", "2", "fig2_uops_ipc"],
+        &[
+            ("TVP_RESULTS_DIR", results.to_str().expect("utf8 tempdir")),
+            ("TVP_BENCH_TELEMETRY", telemetry.to_str().expect("utf8 tempdir")),
+        ],
+    );
+    let files: Vec<String> = std::fs::read_dir(&results)
+        .into_iter()
+        .flatten()
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    let record = std::fs::read_to_string(&telemetry).unwrap_or_default();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(files, ["fig2_uops_ipc.json"]);
+    assert!(record.contains("\"jobs_unique\": 25"), "Fig. 2 is one point per workload: {record}");
+}
+
+#[test]
+fn run_all_rejects_an_unknown_experiment() {
+    let dir = std::env::temp_dir().join(format!("tvp-envval-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let results = dir.join("results");
+    let telemetry = dir.join("telemetry.json");
+    let out = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--insts", "1000", "fig9"],
+        &[
+            ("TVP_RESULTS_DIR", results.to_str().expect("utf8 tempdir")),
+            ("TVP_BENCH_TELEMETRY", telemetry.to_str().expect("utf8 tempdir")),
+        ],
+    );
+    let created = results.exists() || telemetry.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("fig9") && stderr.contains("fig3_vp_speedup"), "{stderr}");
+    assert!(!created, "an unknown name must fail before the run writes anything");
 }

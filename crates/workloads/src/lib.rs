@@ -31,7 +31,7 @@ pub mod value_dist;
 
 pub use machine::{ArchSnapshot, Machine};
 pub use program::{Asm, Program};
-pub use stream::{FileSource, MachineSource, TraceFileReader, TraceFileWriter, TraceSource};
+pub use stream::{MachineSource, TraceFileReader, TraceFileWriter, TraceSource};
 pub use suite::{suite, Workload};
 pub use trace::{BranchOutcome, Trace, TraceUop};
 pub use value_dist::ValueDistribution;

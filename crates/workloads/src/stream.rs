@@ -1,6 +1,12 @@
-//! Streaming trace sources — the record layer of the `DynInst` trace
-//! format plus the [`TraceSource`] abstraction the sampling driver
-//! consumes.
+//! Streaming trace sources — the [`TraceSource`] abstraction the
+//! sampling driver and the trace analyses consume — plus the record
+//! layer of the chunked `DynInst` trace container.
+//!
+//! [`MachineSource`] is the one source: it runs the functional machine
+//! on demand. The container is an in-memory codec: no simulation reads
+//! it and no trace file enters the program from outside. It is kept
+//! for simbench's `stream.*` metrics, which encode and decode each
+//! workload's trace in memory, until ROADMAP item 2(b).
 //!
 //! `tvp_isa::stream` owns the byte-level primitives (varints, the
 //! `Inst` codec, chunk framing and checksums); this module maps one
@@ -15,17 +21,15 @@
 //! * branch targets are zigzag deltas against the record's own `pc`.
 //!
 //! Delta state resets at every chunk boundary, so each chunk decodes
-//! independently of the ones before it — a corrupt chunk quarantines
-//! one chunk, not the rest of the file.
+//! independently of the ones before it. [`TraceFileReader`] verifies
+//! every chunk's checksum before it decodes a record from it.
 //!
 //! Everything is streaming: [`TraceFileWriter`] holds one chunk of
-//! payload in memory, [`TraceFileReader`] one chunk of input, and the
-//! [`TraceSource`] implementations hand out architectural instructions
-//! in bounded batches — memory stays flat no matter how many billions
-//! of instructions a trace holds.
+//! payload in memory, [`TraceFileReader`] one chunk of input, and
+//! [`MachineSource`] hands out architectural instructions in bounded
+//! batches — memory stays flat no matter how long a trace is.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
 
 use tvp_isa::flags::Nzcv;
 use tvp_isa::stream::{
@@ -280,33 +284,6 @@ impl<W: Write> TraceFileWriter<W> {
     }
 }
 
-/// Functionally executes `arch_insts` instructions on `machine`,
-/// streaming the resulting trace into `w` with flat memory use (one
-/// architectural instruction is materialized at a time). Returns the
-/// sealed totals; stops early if the machine halts.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn stream_machine_trace<W: Write>(
-    machine: &mut Machine,
-    arch_insts: u64,
-    w: W,
-) -> io::Result<StreamTotals> {
-    let mut writer = TraceFileWriter::create(w)?;
-    let mut scratch = Trace::default();
-    for _ in 0..arch_insts {
-        if !machine.step_into(&mut scratch) {
-            break;
-        }
-        for u in &scratch.uops {
-            writer.push(u)?;
-        }
-        scratch.uops.clear();
-    }
-    writer.finish()
-}
-
 // --------------------------------------------------------------------
 // file reader
 // --------------------------------------------------------------------
@@ -437,17 +414,6 @@ impl<R: Read> TraceFileReader<R> {
     pub fn totals(&self) -> StreamTotals {
         self.totals
     }
-
-    /// True once the terminator frame has been consumed and verified.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Consumes the reader, returning the underlying byte source.
-    pub fn into_inner(self) -> R {
-        self.r
-    }
 }
 
 fn read_exact_or_torn<R: Read>(
@@ -479,7 +445,8 @@ pub trait TraceSource {
     ///
     /// # Errors
     ///
-    /// File-backed sources surface I/O or corruption errors.
+    /// A source that decodes bytes would surface I/O or corruption
+    /// errors; [`MachineSource`] never fails.
     fn fill(&mut self, arch_insts: u64, out: &mut Trace) -> Result<u64, TraceFileError>;
 
     /// Skips up to `arch_insts` architectural instructions without
@@ -487,7 +454,8 @@ pub trait TraceSource {
     ///
     /// # Errors
     ///
-    /// File-backed sources surface I/O or corruption errors.
+    /// A source that decodes bytes would surface I/O or corruption
+    /// errors; [`MachineSource`] never fails.
     fn skip(&mut self, arch_insts: u64) -> Result<u64, TraceFileError>;
 }
 
@@ -524,88 +492,6 @@ impl TraceSource for MachineSource {
     fn skip(&mut self, arch_insts: u64) -> Result<u64, TraceFileError> {
         Ok(self.m.fast_forward(arch_insts))
     }
-}
-
-/// [`TraceSource`] that decodes a streamed trace file on the fly.
-/// Holds one chunk plus at most one look-ahead record in memory.
-#[derive(Debug)]
-pub struct FileSource<R: Read> {
-    reader: TraceFileReader<R>,
-    pending: Option<TraceUop>,
-}
-
-impl<R: Read> FileSource<R> {
-    /// Opens a byte stream as a trace source.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TraceFileReader::open`] failures.
-    pub fn open(r: R) -> Result<Self, TraceFileError> {
-        Ok(FileSource { reader: TraceFileReader::open(r)?, pending: None })
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceUop>, TraceFileError> {
-        if let Some(u) = self.pending.take() {
-            return Ok(Some(u));
-        }
-        self.reader.next_uop()
-    }
-
-    fn advance(
-        &mut self,
-        arch_insts: u64,
-        mut sink: impl FnMut(TraceUop),
-    ) -> Result<u64, TraceFileError> {
-        let mut done = 0;
-        loop {
-            let Some(u) = self.next_record()? else {
-                return Ok(done);
-            };
-            if u.first_uop {
-                if done == arch_insts {
-                    self.pending = Some(u);
-                    return Ok(done);
-                }
-                done += 1;
-            }
-            sink(u);
-        }
-    }
-}
-
-impl<R: Read> TraceSource for FileSource<R> {
-    fn fill(&mut self, arch_insts: u64, out: &mut Trace) -> Result<u64, TraceFileError> {
-        let done = self.advance(arch_insts, |u| out.uops.push(u))?;
-        out.arch_insts += done;
-        Ok(done)
-    }
-
-    fn skip(&mut self, arch_insts: u64) -> Result<u64, TraceFileError> {
-        self.advance(arch_insts, |_| ())
-    }
-}
-
-// --------------------------------------------------------------------
-// offline validation
-// --------------------------------------------------------------------
-
-/// Walks an entire trace file, verifying header, chunk checksums,
-/// record decode, monotonic sequence numbers and the terminator
-/// totals. Rejects trailing bytes after the terminator.
-///
-/// # Errors
-///
-/// The first I/O or corruption error encountered.
-pub fn validate_file(path: &Path) -> Result<StreamTotals, TraceFileError> {
-    let file = std::fs::File::open(path)?;
-    let mut reader = TraceFileReader::open(io::BufReader::new(file))?;
-    while reader.next_uop()?.is_some() {}
-    let totals = reader.totals();
-    let mut trailing = [0u8; 1];
-    if reader.into_inner().read(&mut trailing)? != 0 {
-        return Err(StreamError::MalformedRecord.into());
-    }
-    Ok(totals)
 }
 
 #[cfg(test)]
@@ -657,27 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn file_source_fills_whole_architectural_instructions() {
-        let trace = sample_trace(1_000);
-        let bytes = encode(&trace);
-        let mut src = FileSource::open(&bytes[..]).expect("opens");
-        let mut head = Trace::default();
-        assert_eq!(src.fill(300, &mut head).expect("fills"), 300);
-        assert_eq!(head.arch_insts, 300);
-        // Whole-instruction batches: each batch begins on an
-        // architectural instruction boundary.
-        assert!(head.uops.first().is_some_and(|u| u.first_uop));
-        assert_eq!(src.skip(400).expect("skips"), 400);
-        let mut tail = Trace::default();
-        assert_eq!(src.fill(10_000, &mut tail).expect("fills rest"), 300);
-        assert!(tail.uops.first().is_some_and(|u| u.first_uop));
-        // head + skipped + tail account for every µop exactly once.
-        let skipped = trace.uops.len() - head.uops.len() - tail.uops.len();
-        assert!(skipped > 0);
-        assert_eq!(tail.uops.last().map(|u| u.seq), trace.uops.last().map(|u| u.seq));
-    }
-
-    #[test]
     fn machine_source_matches_materialized_trace() {
         let w = by_name("pointer_chase").expect("workload exists");
         let full = w.trace(500);
@@ -711,22 +576,5 @@ mod tests {
         let mut r = TraceFileReader::open(bytes)?;
         while r.next_uop()?.is_some() {}
         Ok(r.totals())
-    }
-
-    #[test]
-    fn validate_file_accepts_good_and_rejects_trailing_garbage() {
-        let dir = std::env::temp_dir().join(format!("tvp_stream_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let good = dir.join("good.trace");
-        let trace = sample_trace(1_500);
-        std::fs::write(&good, encode(&trace)).expect("writes");
-        let totals = validate_file(&good).expect("valid file passes");
-        assert_eq!(totals.arch_insts, trace.arch_insts);
-        let bad = dir.join("trailing.trace");
-        let mut bytes = encode(&trace);
-        bytes.push(0xAB);
-        std::fs::write(&bad, bytes).expect("writes");
-        assert!(validate_file(&bad).is_err(), "trailing bytes rejected");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -35,13 +35,6 @@
 //! well-formed and carries the fields the schema promises — the CI
 //! trace-smoke step gates on it. The checks live in [`trace_schema`].
 //!
-//! `cargo xtask validate-trace-file <file>` validates a streamed
-//! `DynInst` trace file end to end (the `validate_trace_file` bin in
-//! `tvp-bench`): header, chunk checksums, record decode, monotonic
-//! sequence numbers and terminator totals; `--encode <workload>
-//! <insts> <file>` writes one first. The CI sampling-smoke job gates
-//! on it.
-//!
 //! `cargo xtask fsck-store <dir> [--json FILE]` validates a durable
 //! result store (the `fsck_store` bin in `tvp-bench`): every blob's
 //! and every sampled-run checkpoint's magic/schema/length/checksum/
@@ -156,27 +149,10 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("validate-trace-file") => {
-            // Delegate to the trace-file checker binary (release: the
-            // walk re-checksums every chunk); remaining arguments pass
-            // through (`<FILE>` or `--encode <WORKLOAD> <INSTS> <FILE>`).
-            let status = std::process::Command::new(env!("CARGO"))
-                .args(["run", "--release", "-p", "tvp-bench", "--bin", "validate_trace_file", "--"])
-                .args(args)
-                .status();
-            match status {
-                Ok(s) if s.success() => ExitCode::SUCCESS,
-                Ok(s) => ExitCode::from(u8::try_from(s.code().unwrap_or(1)).unwrap_or(1)),
-                Err(e) => {
-                    eprintln!("xtask validate-trace-file: cannot run cargo: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         _ => {
             eprintln!(
                 "usage: cargo xtask <lint [--json FILE|-] [--github] | validate-trace FILE | \
-                 fsck-store DIR [--json FILE] | validate-trace-file FILE>"
+                 fsck-store DIR [--json FILE]>"
             );
             ExitCode::from(2)
         }
