@@ -1,20 +1,21 @@
 //! `fsck_store` — validate a durable result store offline.
 //!
 //! ```text
-//! fsck_store <STORE_DIR> [--json FILE]
+//! cargo run --release -p tvp-bench --bin fsck_store -- <STORE_DIR> [--json FILE]
 //! ```
 //!
 //! Walks `blobs/` and `checkpoints/`, re-verifying every blob and
 //! checkpoint (magic, schema, lengths, checksum, content address),
 //! replays the campaign journal, and cross-checks it against the blobs
-//! (orphans, missing blobs, pending leases, quarantines). Prints a human summary; `--json FILE` additionally
-//! writes the machine-readable report (CI uploads it as the
-//! resume-smoke artifact; `-` writes JSON to stdout).
+//! (orphans, missing blobs, pending leases, quarantines). Prints a
+//! human summary; `--json FILE` additionally writes the
+//! machine-readable report (CI uploads it as the resume-smoke
+//! artifact; `-` writes JSON to stdout).
 //!
 //! Exit codes: `0` the store is healthy, `1` problems were found
 //! (corrupt blobs or checkpoints, missing blobs, or mid-journal
-//! corruption), `2`
-//! usage or I/O error. Normally invoked as `cargo xtask fsck-store`.
+//! corruption), `2` usage or I/O error. CI's resume-smoke and
+//! sampling-smoke jobs gate on them directly.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

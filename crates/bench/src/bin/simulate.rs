@@ -15,7 +15,8 @@
 //! chaos seed when a campaign is armed):
 //!
 //! * `3` — the golden-model commit oracle found a divergence;
-//! * `4` — the deadlock watchdog tripped (no commit progress);
+//! * `4` — the deadlock watchdog tripped (no commit progress), in a
+//!   full or a `--sample` run;
 //! * `5` — an invariant auditor reported a violation (`verif` builds).
 
 use tvp_chaos::ChaosConfig;
@@ -54,12 +55,19 @@ fn permille(flag: &str, raw: Option<&String>) -> u32 {
     }
 }
 
+/// The reproducing chaos seed, appended to every verification
+/// `FATAL:` line when a campaign is armed.
+fn seed_note(seed: Option<u64>) -> String {
+    seed.map_or_else(String::new, |seed| format!(" [chaos seed {seed:#x}]"))
+}
+
 /// Sampled-simulation mode (`--sample P:W:M`): fast-forward between
 /// intervals, simulate warmup + measured windows in detail, print the
 /// weighted whole-trace reconstruction. With `--checkpoint DIR`, the
 /// machine state and finished intervals are published through the
 /// durable store after every interval (honouring
 /// `$TVP_STORE_KILL_AFTER`), and a later invocation resumes mid-trace.
+/// A tripped watchdog exits 4 with the deadlock dump, as full runs do.
 fn run_sampled_mode(
     workload: &tvp_workloads::Workload,
     cfg: &CoreConfig,
@@ -85,7 +93,10 @@ fn run_sampled_mode(
         spec.detail_fraction() * 100.0
     );
     let opts = SampleRunOptions { store: store.as_ref(), stop_after_intervals: None };
-    let run = run_sampled(workload, cfg, insts, spec, opts);
+    let run = run_sampled(workload, cfg, insts, spec, opts).unwrap_or_else(|diag| {
+        eprintln!("FATAL: {diag}{}", seed_note(cfg.chaos.as_ref().map(|c| c.seed)));
+        std::process::exit(4);
+    });
     let est = run.estimate();
 
     println!("---------- {} ({}) [sampled] ----------", workload.name, workload.proxy);
@@ -322,10 +333,6 @@ fn main() {
     // Verification gates, most root-cause first. Each prints the
     // reproducing chaos seed (the Divergence embeds it; the others
     // print it explicitly).
-    let seed_note = |core: &Core| match core.chaos_seed() {
-        Some(seed) => format!(" [chaos seed {seed:#x}]"),
-        None => String::new(),
-    };
     let divergence = core.oracle_divergence().cloned().or_else(|| {
         if oracle {
             core.oracle_final_check(&golden)
@@ -338,12 +345,12 @@ fn main() {
         std::process::exit(3);
     }
     if let Some(diag) = core.watchdog_diagnostic() {
-        eprintln!("FATAL: {diag}{}", seed_note(&core));
+        eprintln!("FATAL: {diag}{}", seed_note(core.chaos_seed()));
         std::process::exit(4);
     }
     #[cfg(feature = "verif")]
     if let Some(summary) = core.audit_report().first_violation_summary() {
-        eprintln!("FATAL: invariant auditor violation: {summary}{}", seed_note(&core));
+        eprintln!("FATAL: invariant auditor violation: {summary}{}", seed_note(core.chaos_seed()));
         std::process::exit(5);
     }
 }

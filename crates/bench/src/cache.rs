@@ -97,15 +97,6 @@ impl ResultCache {
         self.conflicts
     }
 
-    /// Publishes the cache's counters into an observability registry
-    /// under the `bench.cache` scope.
-    pub fn fill_registry(&self, registry: &mut tvp_obs::registry::Registry) {
-        registry.counter_scoped("bench.cache", "hits", self.hits);
-        registry.counter_scoped("bench.cache", "misses", self.misses);
-        registry.counter_scoped("bench.cache", "conflicts", self.conflicts);
-        registry.counter_scoped("bench.cache", "points", self.points.len() as u64);
-    }
-
     /// `hits / (hits + misses)`, or 0 for an untouched cache.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -193,21 +184,6 @@ mod tests {
         }));
         assert_eq!(cache.conflicts(), 1);
         assert_eq!(cache.get(&key), Some(&first), "first value wins");
-    }
-
-    #[test]
-    fn registry_export_carries_cache_counters() {
-        let mut cache = ResultCache::new();
-        cache.request(&job("k", VpMode::Off));
-        cache.request(&job("k", VpMode::Off));
-        let mut registry = tvp_obs::registry::Registry::new();
-        cache.fill_registry(&mut registry);
-        let find =
-            |name: &str| registry.counters().iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-        assert_eq!(find("bench.cache.hits"), Some(1));
-        assert_eq!(find("bench.cache.misses"), Some(1));
-        assert_eq!(find("bench.cache.conflicts"), Some(0));
-        assert_eq!(find("bench.cache.points"), Some(0));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use tvp_workloads::value_dist::ValueDistribution;
 use super::{for_each_chunk, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
 use crate::json;
+use crate::json::Layout::{Inline, Lines};
 
 /// Fig. 1 experiment.
 pub struct Fig1;
@@ -51,11 +52,11 @@ impl Experiment for Fig1 {
         let entries: Vec<String> = dist
             .top(20)
             .into_iter()
-            .map(|(v, s)| format!("[\"{v:#x}\", {}]", json::number(s)))
+            .map(|(v, s)| Inline.array(&[json::string(&format!("{v:#x}")), json::number(s)]))
             .collect();
         vec![
             ResultFile::rows("fig1_value_dist", &[]),
-            ResultFile { name: "fig1_top_values".to_owned(), json: json::array(&entries) },
+            ResultFile { name: "fig1_top_values".to_owned(), json: Lines.array(&entries) },
         ]
     }
 }

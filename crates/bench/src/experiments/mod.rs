@@ -59,7 +59,7 @@ impl ResultFile {
     #[must_use]
     pub fn rows(name: &str, rows: &[StatsRow]) -> Self {
         let rendered: Vec<String> = rows.iter().map(StatsRow::to_json).collect();
-        ResultFile { name: name.to_owned(), json: crate::json::array(&rendered) }
+        ResultFile { name: name.to_owned(), json: crate::json::Layout::Lines.array(&rendered) }
     }
 }
 

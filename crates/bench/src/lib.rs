@@ -226,39 +226,17 @@ impl StatsRow {
     }
 }
 
-/// Hand-rolled JSON emission (the offline build environment has no
-/// `serde`; results stay machine-readable without it).
-pub mod json {
-    /// The workspace's one JSON escape table and number rule, from
-    /// `tvp-obs`: `escape` quotes nothing, `number` writes non-finite
-    /// values as `null`, as `serde_json` does.
-    pub use tvp_obs::registry::{json_escape as escape, json_number as number};
-
-    /// Serialises `(key, value)` pairs as one pretty-printed object.
-    #[must_use]
-    pub fn object(fields: &[(&str, String)]) -> String {
-        let body: Vec<String> =
-            fields.iter().map(|(k, v)| format!("    \"{}\": {v}", escape(k))).collect();
-        format!("{{\n{}\n  }}", body.join(",\n"))
-    }
-
-    /// Serialises pre-rendered elements as a pretty-printed array.
-    #[must_use]
-    pub fn array(elements: &[String]) -> String {
-        if elements.is_empty() {
-            return "[]".to_owned();
-        }
-        format!("[\n  {}\n]", elements.join(",\n  "))
-    }
-}
+/// The workspace's one JSON writer, `tvp_obs::json`, re-exported for
+/// this crate's documents and for simbench.
+pub use tvp_obs::json;
 
 impl StatsRow {
     /// Serialises the row as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        json::object(&[
-            ("workload", format!("\"{}\"", json::escape(self.workload))),
-            ("config", format!("\"{}\"", json::escape(&self.config))),
+        json::Layout::Lines.object(&[
+            ("workload", json::string(self.workload)),
+            ("config", json::string(&self.config)),
             ("cycles", self.cycles.to_string()),
             ("insts", self.insts.to_string()),
             ("uops", self.uops.to_string()),

@@ -32,8 +32,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use tvp_chaos::DeadlockDiagnostic;
 use tvp_core::config::CoreConfig;
-use tvp_core::pipeline::Core;
+use tvp_core::pipeline::{simulate, Core};
 use tvp_core::stats::SimStats;
 use tvp_isa::stream::{fnv1a, fnv1a_fold, FNV1A_OFFSET};
 use tvp_workloads::stream::{MachineSource, TraceSource};
@@ -41,6 +42,8 @@ use tvp_workloads::suite::Workload;
 use tvp_workloads::trace::Trace;
 
 use crate::jobs::ExpKey;
+use crate::json;
+use crate::json::Layout::Lines;
 use crate::store::checkpoint::Checkpoint;
 use crate::store::{LoadOutcome, ResultStore};
 
@@ -446,20 +449,20 @@ impl StatErrors {
     /// Machine-readable JSON object for the error report artifact.
     #[must_use]
     pub fn to_json(&self, bounds: &ErrorBounds) -> String {
-        crate::json::object(&[
-            ("workload", format!("\"{}\"", crate::json::escape(&self.workload))),
-            ("full_ipc", crate::json::number(self.full.ipc())),
-            ("sampled_ipc", crate::json::number(self.sampled.ipc())),
-            ("ipc_rel_err", crate::json::number(self.ipc_rel_err)),
-            ("full_branch_mpki", crate::json::number(self.full.branch_mpki())),
-            ("sampled_branch_mpki", crate::json::number(self.sampled.branch_mpki())),
-            ("branch_mpki_err", crate::json::number(self.branch_mpki_err)),
-            ("full_vp_mpki", crate::json::number(self.full.vp_mpki())),
-            ("sampled_vp_mpki", crate::json::number(self.sampled.vp_mpki())),
-            ("vp_mpki_err", crate::json::number(self.vp_mpki_err)),
-            ("full_spsr_coverage", crate::json::number(self.full.spsr_coverage())),
-            ("sampled_spsr_coverage", crate::json::number(self.sampled.spsr_coverage())),
-            ("spsr_coverage_err", crate::json::number(self.spsr_coverage_err)),
+        Lines.object(&[
+            ("workload", json::string(&self.workload)),
+            ("full_ipc", json::number(self.full.ipc())),
+            ("sampled_ipc", json::number(self.sampled.ipc())),
+            ("ipc_rel_err", json::number(self.ipc_rel_err)),
+            ("full_branch_mpki", json::number(self.full.branch_mpki())),
+            ("sampled_branch_mpki", json::number(self.sampled.branch_mpki())),
+            ("branch_mpki_err", json::number(self.branch_mpki_err)),
+            ("full_vp_mpki", json::number(self.full.vp_mpki())),
+            ("sampled_vp_mpki", json::number(self.sampled.vp_mpki())),
+            ("vp_mpki_err", json::number(self.vp_mpki_err)),
+            ("full_spsr_coverage", json::number(self.full.spsr_coverage())),
+            ("sampled_spsr_coverage", json::number(self.sampled.spsr_coverage())),
+            ("spsr_coverage_err", json::number(self.spsr_coverage_err)),
             ("pass", self.passes(bounds).to_string()),
         ])
     }
@@ -483,19 +486,24 @@ pub struct SampleRunOptions<'s> {
 /// interval, optional checkpoint publication and resume through the
 /// durable store.
 ///
+/// # Errors
+///
+/// Returns the watchdog's [`DeadlockDiagnostic`] if the pipeline stops
+/// making commit progress in a warmup or measured segment (a simulator
+/// bug, or a `watchdog_cycles` too short for the machine). Intervals
+/// finished before it are already published to the store.
+///
 /// # Panics
 ///
-/// Panics if the pipeline watchdog trips (simulator bug — same
-/// fail-loud contract as [`tvp_core::pipeline::simulate`]) or if the
-/// machine source fails (it cannot: machine execution is infallible).
-#[must_use]
+/// Panics if the machine source fails (it cannot: machine execution
+/// is infallible).
 pub fn run_sampled(
     workload: &Workload,
     cfg: &CoreConfig,
     insts: u64,
     spec: SampleSpec,
     opts: SampleRunOptions<'_>,
-) -> SampledRun {
+) -> Result<SampledRun, Box<DeadlockDiagnostic>> {
     let key = SampleKey::new(workload.name, insts, cfg, spec);
     let SampleRunOptions { store, stop_after_intervals } = opts;
 
@@ -583,11 +591,11 @@ pub fn run_sampled(
 
         if !warm.uops.is_empty() {
             let _ = core.run_segment(&warm);
-            assert!(core.watchdog_diagnostic().is_none(), "pipeline deadlock in warmup segment");
+            watchdog_ok(&core)?;
         }
         core.begin_measurement();
         let stats = core.run_segment(&meas);
-        assert!(core.watchdog_diagnostic().is_none(), "pipeline deadlock in measured segment");
+        watchdog_ok(&core)?;
 
         let index = u32::try_from(run.intervals.len()).expect("interval count fits u32");
         // The interval represents everything consumed since the last
@@ -626,10 +634,21 @@ pub fn run_sampled(
             break;
         }
         if stop_after_intervals.is_some_and(|n| fresh_intervals >= n) {
-            return run;
+            return Ok(run);
         }
     }
-    run
+    Ok(run)
+}
+
+/// The tripped watchdog's diagnostic as an error.
+fn watchdog_ok(core: &Core) -> Result<(), Box<DeadlockDiagnostic>> {
+    core.watchdog_diagnostic().map_or(Ok(()), |diag| Err(Box::new(diag.clone())))
+}
+
+/// The run, or a panic with the deadlock dump in the wording of
+/// [`tvp_core::pipeline::simulate`], for callers that return no error.
+fn or_deadlock_panic(run: Result<SampledRun, Box<DeadlockDiagnostic>>) -> SampledRun {
+    run.unwrap_or_else(|diag| panic!("pipeline deadlock:\n{diag}"))
 }
 
 /// Maps `f` over `items` on a pool of `jobs` scoped worker threads.
@@ -638,18 +657,25 @@ pub fn run_sampled(
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (propagated).
+/// Panics if a worker thread panics, with that worker's panic payload.
 fn slot_pool<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..jobs.max(1).min(items.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                *slots[i].lock().expect("slot lock poisoned") = Some(result);
-            });
+        let workers: Vec<_> = (0..jobs.max(1).min(items.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let result = f(item);
+                    *slots[i].lock().expect("slot lock poisoned") = Some(result);
+                })
+            })
+            .collect();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
     slots
@@ -666,8 +692,9 @@ fn slot_pool<T: Sync, R: Send>(items: &[T], jobs: usize, f: impl Fn(&T) -> R + S
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (propagated — a failed sampled run
-/// is a simulator bug, not a recoverable condition).
+/// Panics with the deadlock dump if a run's watchdog trips, and
+/// propagates any other worker panic (a failed sampled run is a
+/// simulator bug, not a recoverable condition).
 #[must_use]
 pub fn run_suite_sampled(
     workloads: &[Workload],
@@ -678,7 +705,8 @@ pub fn run_suite_sampled(
     store: Option<&Mutex<ResultStore>>,
 ) -> Vec<SampledRun> {
     slot_pool(workloads, jobs, |w| {
-        run_sampled(w, cfg, insts, spec, SampleRunOptions { store, stop_after_intervals: None })
+        let opts = SampleRunOptions { store, stop_after_intervals: None };
+        or_deadlock_panic(run_sampled(w, cfg, insts, spec, opts))
     })
 }
 
@@ -690,7 +718,9 @@ pub fn run_suite_sampled(
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a simulator bug).
+/// Panics with the deadlock dump if the full-detail reference or a
+/// sampled run trips its watchdog, and propagates any other worker
+/// panic (a simulator bug).
 #[must_use]
 pub fn validate_sampling(
     workloads: &[Workload],
@@ -700,8 +730,8 @@ pub fn validate_sampling(
     jobs: usize,
 ) -> Vec<StatErrors> {
     slot_pool(workloads, jobs, |w| {
-        let full = Core::new(cfg.clone()).run(&w.machine().run(insts));
-        let run = run_sampled(w, cfg, insts, spec, SampleRunOptions::default());
+        let full = simulate(cfg.clone(), &w.machine().run(insts));
+        let run = or_deadlock_panic(run_sampled(w, cfg, insts, spec, SampleRunOptions::default()));
         StatErrors::compare(w.name, &full, &run.estimate())
     })
 }
@@ -714,15 +744,15 @@ pub fn error_report(insts: u64, spec: SampleSpec, results: &[StatErrors]) -> Str
     let b = &DEFAULT_BOUNDS;
     let failures = results.iter().filter(|e| !e.passes(b)).count();
     let rows: Vec<String> = results.iter().map(|e| e.to_json(b)).collect();
-    crate::json::object(&[
+    Lines.object(&[
         ("insts", insts.to_string()),
-        ("spec", format!("\"{}\"", spec.display())),
-        ("bounds_ipc_rel", crate::json::number(b.ipc_rel)),
-        ("bounds_branch_mpki_abs", crate::json::number(b.branch_mpki_abs)),
-        ("bounds_vp_mpki_abs", crate::json::number(b.vp_mpki_abs)),
-        ("bounds_spsr_coverage_abs", crate::json::number(b.spsr_coverage_abs)),
+        ("spec", json::string(&spec.display())),
+        ("bounds_ipc_rel", json::number(b.ipc_rel)),
+        ("bounds_branch_mpki_abs", json::number(b.branch_mpki_abs)),
+        ("bounds_vp_mpki_abs", json::number(b.vp_mpki_abs)),
+        ("bounds_spsr_coverage_abs", json::number(b.spsr_coverage_abs)),
         ("failures", failures.to_string()),
-        ("workloads", crate::json::array(&rows)),
+        ("workloads", Lines.array(&rows)),
     ])
 }
 
@@ -738,7 +768,6 @@ pub fn campaign_fingerprint(runs: &[SampledRun]) -> u64 {
 mod tests {
     use super::*;
     use tvp_core::config::VpMode;
-    use tvp_core::pipeline::simulate;
     use tvp_workloads::suite::by_name;
 
     fn spec() -> SampleSpec {
@@ -774,8 +803,9 @@ mod tests {
     fn sampled_run_is_deterministic_and_covers_the_stream() {
         let w = by_name("pointer_chase").expect("workload");
         let cfg = CoreConfig::with_vp(VpMode::Tvp);
-        let a = run_sampled(&w, &cfg, 20_000, spec(), SampleRunOptions::default());
-        let b = run_sampled(&w, &cfg, 20_000, spec(), SampleRunOptions::default());
+        let run = || run_sampled(&w, &cfg, 20_000, spec(), SampleRunOptions::default());
+        let a = run().expect("no pipeline deadlock");
+        let b = run().expect("no pipeline deadlock");
         assert_eq!(a, b, "sampled runs are pure functions of their key");
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.total_insts, 20_000);
@@ -791,7 +821,8 @@ mod tests {
         let cfg = CoreConfig::with_vp(VpMode::Tvp);
         let insts = 24_000;
         let full = simulate(cfg.clone(), &w.trace(insts));
-        let run = run_sampled(&w, &cfg, insts, spec(), SampleRunOptions::default());
+        let run = run_sampled(&w, &cfg, insts, spec(), SampleRunOptions::default())
+            .expect("no pipeline deadlock");
         let errors = StatErrors::compare(w.name, &full, &run.estimate());
         assert!(
             errors.passes(&DEFAULT_BOUNDS),
@@ -806,9 +837,19 @@ mod tests {
         // exercises the partial-period path.
         let w = by_name("pointer_chase").expect("workload");
         let cfg = CoreConfig::with_vp(VpMode::Off);
-        let run = run_sampled(&w, &cfg, 1_000, spec(), SampleRunOptions::default());
+        let run = run_sampled(&w, &cfg, 1_000, spec(), SampleRunOptions::default())
+            .expect("no pipeline deadlock");
         assert_eq!(run.intervals.len(), 1);
         assert_eq!(run.total_insts, 1_000);
         assert!(run.intervals[0].measured_insts <= 600);
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline deadlock:\npipeline made no commit progress")]
+    fn suite_run_panics_with_the_deadlock_dump() {
+        let mut cfg = CoreConfig::table2();
+        cfg.watchdog_cycles = 1;
+        let w = by_name("pointer_chase").expect("workload");
+        let _ = run_suite_sampled(&[w], &cfg, 20_000, spec(), 1, None);
     }
 }

@@ -10,9 +10,8 @@
 //! points a killed campaign died holding, and everything already in
 //! `quarantine/` is counted. Journals of older stores that hold the
 //! retired fabric's record kinds replay like any other (see
-//! [`manifest`]). `cargo xtask fsck-store <DIR>` is the CLI entry
-//! point; the `fsck_store` bin wires [`FsckReport`] to exit codes and
-//! JSON.
+//! [`manifest`]). The `fsck_store` bin is the CLI entry point: it
+//! wires [`FsckReport`] to exit codes and JSON.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -21,6 +20,8 @@ use std::path::{Path, PathBuf};
 use super::blob::{self, BlobError};
 use super::manifest::{self, JournalState, JOURNAL_FILE};
 use super::{checkpoint, BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR};
+use crate::json;
+use crate::json::Layout::{Inline, Lines};
 
 /// One invalid blob or checkpoint found by the walk.
 #[derive(Clone, Debug)]
@@ -97,23 +98,19 @@ impl FsckReport {
             .corrupt
             .iter()
             .map(|b| {
-                format!(
-                    "{{\"file\": \"{}\", \"error\": \"{}\"}}",
-                    crate::json::escape(&b.file),
-                    crate::json::escape(&b.error)
-                )
+                Inline.object(&[("file", json::string(&b.file)), ("error", json::string(&b.error))])
             })
             .collect();
-        let strings = |v: &[String]| -> Vec<String> {
-            v.iter().map(|s| format!("\"{}\"", crate::json::escape(s))).collect()
+        let strings = |v: &[String]| -> String {
+            Lines.array(&v.iter().map(|s| json::string(s)).collect::<Vec<_>>())
         };
-        crate::json::object(&[
+        Lines.object(&[
             ("clean", self.clean().to_string()),
             ("blobs_ok", self.blobs_ok.to_string()),
             ("checkpoints_ok", self.checkpoints_ok.to_string()),
-            ("corrupt", crate::json::array(&corrupt)),
-            ("orphans", crate::json::array(&strings(&self.orphans))),
-            ("missing", crate::json::array(&strings(&self.missing))),
+            ("corrupt", Lines.array(&corrupt)),
+            ("orphans", strings(&self.orphans)),
+            ("missing", strings(&self.missing)),
             ("quarantined", self.quarantined.to_string()),
             ("pending", self.pending.to_string()),
             ("failed", self.failed.to_string()),
@@ -361,7 +358,8 @@ mod tests {
         let w = tvp_workloads::suite::by_name("pointer_chase").expect("workload");
         let spec = SampleSpec::new(4_000, 500, 500).expect("valid spec");
         let opts = SampleRunOptions { store: Some(&store), stop_after_intervals: Some(1) };
-        let _ = run_sampled(&w, &CoreConfig::with_vp(VpMode::Tvp), 8_000, spec, opts);
+        let _ = run_sampled(&w, &CoreConfig::with_vp(VpMode::Tvp), 8_000, spec, opts)
+            .expect("no pipeline deadlock");
         let report = fsck(&dir).expect("fsck");
         assert!(report.clean(), "a fresh checkpoint is healthy: {}", report.summary());
         assert_eq!(report.checkpoints_ok, 1);

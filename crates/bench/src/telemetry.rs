@@ -14,6 +14,7 @@ use std::io;
 use std::time::Duration;
 
 use crate::json;
+use crate::json::Layout::{Inline, Lines};
 use crate::runner::JobTiming;
 
 /// Default telemetry path (working directory; gitignored).
@@ -79,7 +80,7 @@ impl SamplingTelemetry {
     /// Serialises the section as a JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        json::object(&[
+        Lines.object(&[
             ("period", self.period.to_string()),
             ("warmup", self.warmup.to_string()),
             ("measured", self.measured.to_string()),
@@ -90,7 +91,7 @@ impl SamplingTelemetry {
             ("warmup_insts", self.warmup_insts.to_string()),
             ("measured_insts", self.measured_insts.to_string()),
             ("detail_fraction", json::number(self.detail_fraction)),
-            ("fingerprint", format!("\"{:016x}\"", self.fingerprint)),
+            ("fingerprint", json::string(&format!("{:016x}", self.fingerprint))),
         ])
     }
 }
@@ -232,18 +233,15 @@ impl Telemetry {
         let per_workload: Vec<String> = aggregate_per_workload(&self.per_job)
             .iter()
             .map(|w| {
-                format!(
-                    "{{\"workload\": \"{}\", \"jobs\": {}, \"cycles\": {}, \
-                     \"p50_micros\": {}, \"p95_micros\": {}, \"p99_micros\": {}, \
-                     \"max_micros\": {}}}",
-                    json::escape(w.workload),
-                    w.jobs,
-                    w.cycles,
-                    w.p50_micros,
-                    w.p95_micros,
-                    w.p99_micros,
-                    w.max_micros
-                )
+                Inline.object(&[
+                    ("workload", json::string(w.workload)),
+                    ("jobs", w.jobs.to_string()),
+                    ("cycles", w.cycles.to_string()),
+                    ("p50_micros", w.p50_micros.to_string()),
+                    ("p95_micros", w.p95_micros.to_string()),
+                    ("p99_micros", w.p99_micros.to_string()),
+                    ("max_micros", w.max_micros.to_string()),
+                ])
             })
             .collect();
         let mut fields = vec![
@@ -261,7 +259,7 @@ impl Telemetry {
             ("store_warm_hits", self.store_warm_hits.to_string()),
             ("store_enabled", self.store_enabled.to_string()),
             ("cache_conflicts", self.cache_conflicts.to_string()),
-            ("campaign_fingerprint", format!("\"{:016x}\"", self.campaign_fingerprint)),
+            ("campaign_fingerprint", json::string(&format!("{:016x}", self.campaign_fingerprint))),
             ("traces_built", self.traces_built.to_string()),
             ("sim_wall_seconds", json::number(self.sim_wall.as_secs_f64())),
             ("total_wall_seconds", json::number(self.total_wall.as_secs_f64())),
@@ -269,7 +267,7 @@ impl Telemetry {
             ("sims_per_sec", json::number(self.sims_per_sec())),
             ("simulated_cycles", self.simulated_cycles.to_string()),
             ("simulated_cycles_per_sec", json::number(self.cycles_per_sec())),
-            ("per_workload", json::array(&per_workload)),
+            ("per_workload", Lines.array(&per_workload)),
         ];
         if let Some(sampling) = &self.sampling {
             fields.push(("sampling", sampling.to_json()));
@@ -279,24 +277,23 @@ impl Telemetry {
                 .per_job
                 .iter()
                 .map(|t| {
-                    let cpi: Vec<String> = t
+                    let cpi: Vec<(&str, String)> = t
                         .cpi
                         .components()
                         .iter()
-                        .map(|(name, slots)| format!("\"{name}\": {slots}"))
+                        .map(|&(name, slots)| (name, slots.to_string()))
                         .collect();
-                    format!(
-                        "{{\"point\": \"{}\", \"micros\": {}, \"cycles\": {}, \"cpi\": {{{}}}}}",
-                        json::escape(&t.key.display()),
-                        t.wall.as_micros(),
-                        t.cycles,
-                        cpi.join(", ")
-                    )
+                    Inline.object(&[
+                        ("point", json::string(&t.key.display())),
+                        ("micros", t.wall.as_micros().to_string()),
+                        ("cycles", t.cycles.to_string()),
+                        ("cpi", Inline.object(&cpi)),
+                    ])
                 })
                 .collect();
-            fields.push(("per_job", json::array(&per_job)));
+            fields.push(("per_job", Lines.array(&per_job)));
         }
-        json::object(&fields)
+        Lines.object(&fields)
     }
 
     /// Writes the record to `path`.

@@ -12,6 +12,8 @@
 //! an out-of-range chaos rate or an unknown experiment name. An
 //! unusable store or results directory is just as loud: one `FATAL:`
 //! line and exit 2, never a panic, and before anything is simulated.
+//! A sampled run's watchdog trip exits 4 with its dump, like a full
+//! run's.
 
 use std::process::Command;
 
@@ -175,6 +177,24 @@ fn simulate_rejects_an_out_of_range_chaos_rate() {
         env!("CARGO_BIN_EXE_simulate"),
         &["pointer_chase", "--chaos-vp-permille", "1001"],
     );
+}
+
+/// A watchdog trip in a sampled run exits 4 with the deadlock dump,
+/// as it does in a full run, not with a panic (exit 101).
+#[test]
+fn simulate_sampled_watchdog_trip_is_fatal() {
+    let out = run(
+        env!("CARGO_BIN_EXE_simulate"),
+        &["pointer_chase", "--insts", "20000", "--sample", "20000:5000:5000", "--watchdog", "1"],
+        &[],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("FATAL: pipeline made no commit progress")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// An I/O failure the run cannot continue past exits 2 with one

@@ -53,7 +53,8 @@ fn peak_heap(insts: u64, spec: SampleSpec) -> usize {
     let cfg = CoreConfig::default();
     let before = LIVE.load(Ordering::SeqCst);
     PEAK.store(before, Ordering::SeqCst);
-    let run = run_sampled(&workload, &cfg, insts, spec, SampleRunOptions::default());
+    let run = run_sampled(&workload, &cfg, insts, spec, SampleRunOptions::default())
+        .expect("no pipeline deadlock");
     assert!(!run.halted, "stream_triad must not halt within {insts} instructions");
     assert_eq!(run.total_insts, insts);
     drop(run);

@@ -1784,13 +1784,6 @@ impl Core {
         self.chaos.as_ref().map(ChaosEngine::seed)
     }
 
-    /// Whether the misprediction-storm auto-throttle is currently
-    /// engaged.
-    #[must_use]
-    pub fn throttled(&self) -> bool {
-        self.throttled
-    }
-
     // ----------------------------------------------------------------
     // observability surface (tvp-obs)
     // ----------------------------------------------------------------
@@ -1839,8 +1832,8 @@ impl Core {
 
     /// Walks every statistics struct — core, CPI, memory hierarchy,
     /// TLBs, branch and value predictors — into one flat
-    /// schema-versioned counter [`Registry`] for JSON/Prometheus
-    /// export.
+    /// schema-versioned counter [`Registry`] for JSON export
+    /// ([`Registry::to_json`]).
     #[must_use]
     pub fn export_registry(&self) -> Registry {
         let mut reg = Registry::new();

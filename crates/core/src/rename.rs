@@ -205,12 +205,6 @@ impl Renamer {
         self.spsr = on;
     }
 
-    /// Whether SpSR is currently applied at rename.
-    #[must_use]
-    pub fn spsr_enabled(&self) -> bool {
-        self.spsr
-    }
-
     /// The SpSR frontend NZCV view: flags known at rename time.
     #[must_use]
     pub fn frontend_flags(&self) -> Option<Nzcv> {

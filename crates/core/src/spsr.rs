@@ -12,7 +12,7 @@
 //! baseline's; with name-derived knowledge they are SpSR.
 
 use tvp_isa::exec::{exec_alu, Operands};
-use tvp_isa::flags::{Cond, Nzcv};
+use tvp_isa::flags::Nzcv;
 use tvp_isa::inst::{Inst, Src2};
 use tvp_isa::op::Op;
 
@@ -242,16 +242,10 @@ pub fn is_static_eor_zero(uop: &Inst) -> bool {
         && uop.src1 == uop.src2.reg()
 }
 
-/// The condition a `b.cond`/`csel`-family op evaluates, for frontend
-/// NZCV invalidation bookkeeping.
-#[must_use]
-pub fn consumed_cond(op: Op) -> Option<Cond> {
-    op.cond()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvp_isa::flags::Cond;
     use tvp_isa::inst::build::*;
     use tvp_isa::reg::x;
 

@@ -6,7 +6,7 @@
 //! tests to cross-check trace results, guaranteeing a single source of
 //! truth for semantics.
 
-use crate::flags::{Cond, Nzcv};
+use crate::flags::Nzcv;
 use crate::op::{Op, Width};
 
 /// Operand bundle for [`exec_alu`]. Register operands are pre-read;
@@ -293,16 +293,10 @@ pub fn branch_taken(op: Op, width: Width, src: u64, flags: Nzcv) -> bool {
     }
 }
 
-/// Evaluates a condition against flags (re-export of [`Cond::eval`] for
-/// call sites that have an `Op`-independent condition).
-#[must_use]
-pub fn cond_holds(cond: Cond, flags: Nzcv) -> bool {
-    cond.eval(flags)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flags::Cond;
 
     fn ops(a: u64, b: u64) -> Operands {
         Operands { a, b, ..Default::default() }

@@ -99,13 +99,6 @@ impl AddrMode {
             | AddrMode::PostIndex { base, .. } => base,
         }
     }
-
-    /// Returns `true` for pre/post-increment modes, which expand into two
-    /// micro-ops.
-    #[must_use]
-    pub fn has_writeback(self) -> bool {
-        matches!(self, AddrMode::PreIndex { .. } | AddrMode::PostIndex { .. })
-    }
 }
 
 /// An architectural instruction (and, after [`expand`], a micro-op).

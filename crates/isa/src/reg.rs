@@ -96,12 +96,6 @@ impl Reg {
         matches!(self, Reg::Fp(_))
     }
 
-    /// Returns `true` for the condition-flags register.
-    #[must_use]
-    pub fn is_flags(self) -> bool {
-        self == Reg::Nzcv
-    }
-
     /// A dense index suitable for architectural register-file arrays:
     /// integer registers map to `0..32`, FP registers to `32..64` and
     /// `NZCV` to `64`.

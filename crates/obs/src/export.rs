@@ -8,10 +8,10 @@
 //! (`tid`), with the simulated cycle as the timestamp, and lanes are
 //! labelled with `thread_name` metadata records.
 
-use std::fmt::Write as _;
-
 use crate::event::{EventKind, TraceEvent};
-use crate::registry::{json_string, Registry};
+use crate::json;
+use crate::json::Layout::Compact;
+use crate::registry::Registry;
 
 /// Version of the trace document envelope (the non-`traceEvents`
 /// members). The embedded metrics object carries its own
@@ -23,45 +23,46 @@ pub const TRACE_SCHEMA_VERSION: u32 = 1;
 /// knows the window is a suffix of the run.
 #[must_use]
 pub fn chrome_trace(events: &[TraceEvent], dropped: u64, metrics: &Registry) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 1024);
-    let _ = write!(
-        out,
-        "{{\"schema\":{TRACE_SCHEMA_VERSION},\"displayTimeUnit\":\"ns\",\"traceEvents\":["
-    );
-    let mut first = true;
-    for kind in EventKind::all() {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\"args\":{{\"name\":{}}}}}",
-            kind.lane(),
-            json_string(kind.name()),
-        );
-    }
-    for ev in events {
-        out.push(',');
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"cat\":\"pipeline\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\
-             \"tid\":{},\"args\":{{\"seq\":{},\"pc\":\"0x{:x}\",\"arg\":{}}}}}",
-            json_string(ev.kind.name()),
-            ev.cycle,
-            ev.kind.lane(),
-            ev.seq,
-            ev.pc,
-            ev.arg,
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"otherData\":{{\"event_count\":{},\"dropped_events\":{dropped}}},\"metrics\":{}}}",
-        events.len(),
-        metrics.to_json(),
-    );
-    out
+    let lanes = EventKind::all().into_iter().map(|kind| {
+        Compact.object(&[
+            ("name", json::string("thread_name")),
+            ("ph", json::string("M")),
+            ("pid", "0".to_owned()),
+            ("tid", kind.lane().to_string()),
+            ("args", Compact.object(&[("name", json::string(kind.name()))])),
+        ])
+    });
+    let instants = events.iter().map(|ev| {
+        let args = Compact.object(&[
+            ("seq", ev.seq.to_string()),
+            ("pc", json::string(&format!("{:#x}", ev.pc))),
+            ("arg", ev.arg.to_string()),
+        ]);
+        Compact.object(&[
+            ("name", json::string(ev.kind.name())),
+            ("cat", json::string("pipeline")),
+            ("ph", json::string("i")),
+            ("s", json::string("t")),
+            ("ts", ev.cycle.to_string()),
+            ("pid", "0".to_owned()),
+            ("tid", ev.kind.lane().to_string()),
+            ("args", args),
+        ])
+    });
+    let trace_events: Vec<String> = lanes.chain(instants).collect();
+    Compact.object(&[
+        ("schema", TRACE_SCHEMA_VERSION.to_string()),
+        ("displayTimeUnit", json::string("ns")),
+        ("traceEvents", Compact.array(&trace_events)),
+        (
+            "otherData",
+            Compact.object(&[
+                ("event_count", events.len().to_string()),
+                ("dropped_events", dropped.to_string()),
+            ]),
+        ),
+        ("metrics", metrics.to_json()),
+    ])
 }
 
 #[cfg(test)]

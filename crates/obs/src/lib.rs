@@ -1,7 +1,7 @@
 //! Observability layer for the TVP/SpSR simulator.
 //!
 //! A dependency-free leaf crate so every simulator crate can use it
-//! without cycles. Four pieces:
+//! without cycles. Five pieces:
 //!
 //! - [`counters`] — the saturating counter primitives ([`sat_inc`] /
 //!   [`sat_add`]) every hot-path statistic routes through;
@@ -12,8 +12,12 @@
 //!   buffer behind a runtime-gated [`event::Tracer`] (one branch per
 //!   record when disabled, zero allocation either way);
 //! - [`registry`] / [`export`] — a schema-versioned counter registry
-//!   with JSON and Prometheus text emitters, plus Chrome
-//!   `trace_event` export of captured event rings.
+//!   with its JSON document, plus Chrome `trace_event` export of
+//!   captured event rings;
+//! - [`json`] — the workspace's one JSON writer: the escape table, the
+//!   string and number rules and the three container layouts that
+//!   every document (results, telemetry, reports, metrics, traces,
+//!   lint findings) is written with.
 //!
 //! Everything here is *observation only*: recording an event or
 //! attributing a slot never feeds back into simulated state, which is
@@ -24,6 +28,7 @@ pub mod counters;
 pub mod cpi;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod registry;
 
 pub use counters::{sat_add, sat_inc};

@@ -133,12 +133,6 @@ impl BranchHistory {
     pub fn folded(&self, idx: usize) -> u64 {
         self.folded[idx].comp
     }
-
-    /// Number of folded views.
-    #[must_use]
-    pub fn num_folded(&self) -> usize {
-        self.folded.len()
-    }
 }
 
 impl tvp_verif::StorageBudget for BranchHistory {

@@ -39,12 +39,6 @@ impl StorageReport {
     pub fn total_bits(&self) -> u64 {
         self.items.iter().map(|i| i.bits).sum()
     }
-
-    /// Total kilobytes.
-    #[must_use]
-    pub fn total_kb(&self) -> f64 {
-        self.total_bits() as f64 / 8.0 / 1024.0
-    }
 }
 
 /// Builds a report for the paper's front-end: TAGE + BTB + RAS + IBTC,

@@ -113,18 +113,6 @@ pub struct TageStats {
     pub overflow_events: u64,
 }
 
-impl TageStats {
-    /// Mispredictions per kilo-update.
-    #[must_use]
-    pub fn mpki_per_branch(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
-}
-
 /// The TAGE predictor.
 pub struct Tage {
     cfg: TageConfig,

@@ -82,6 +82,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use tvp_obs::json;
+use tvp_obs::json::Layout::{Inline, Lines};
+
 use crate::items::{self, FileItems};
 use crate::lex::{lex, Tok, TokKind};
 
@@ -902,49 +905,27 @@ pub fn run(root: &Path) -> Vec<Finding> {
     analyze(files)
 }
 
-/// JSON string escaping for [`to_json`].
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders findings as the machine-readable document behind
 /// `cargo xtask lint --json` (parseable by [`crate::trace_schema`]'s
 /// JSON parser — CI validates this round trip).
 #[must_use]
 pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n");
-    out.push_str(&format!("  \"count\": {},\n  \"findings\": [", findings.len()));
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"msg\": \"{}\"}}",
-            esc(&f.file),
-            f.line,
-            esc(f.rule),
-            esc(&f.msg)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
+    let rows: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            Inline.object(&[
+                ("file", json::string(&f.file)),
+                ("line", f.line.to_string()),
+                ("rule", json::string(f.rule)),
+                ("msg", json::string(&f.msg)),
+            ])
+        })
+        .collect();
+    Lines.object(&[
+        ("version", "1".to_owned()),
+        ("count", findings.len().to_string()),
+        ("findings", Lines.array(&rows)),
+    ])
 }
 
 /// Renders one finding as a GitHub Actions workflow annotation

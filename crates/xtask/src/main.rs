@@ -35,12 +35,9 @@
 //! well-formed and carries the fields the schema promises — the CI
 //! trace-smoke step gates on it. The checks live in [`trace_schema`].
 //!
-//! `cargo xtask fsck-store <dir> [--json FILE]` validates a durable
-//! result store (the `fsck_store` bin in `tvp-bench`): every blob's
-//! and every sampled-run checkpoint's magic/schema/length/checksum/
-//! content-address, the campaign journal, and the cross-check between
-//! journal and blobs (orphans, missing blobs, quarantines). The CI
-//! resume-smoke and sampling-smoke jobs gate on it.
+//! Result stores are checked by the `fsck_store` bin in `tvp-bench`
+//! (`cargo run --release -p tvp-bench --bin fsck_store -- <dir>`),
+//! which sets its own exit code; xtask does not wrap it.
 //!
 //! Host-time performance has no xtask: the simulator's one benchmark
 //! is `simbench/` (see `simbench/README.md`).
@@ -93,7 +90,7 @@ fn main() -> ExitCode {
                 }
             }
             if let Some(dest) = json_out {
-                let doc = lint::to_json(&findings);
+                let doc = lint::to_json(&findings) + "\n";
                 if dest == "-" {
                     print!("{doc}");
                 } else if let Err(e) = std::fs::write(&dest, &doc) {
@@ -132,28 +129,8 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Some("fsck-store") => {
-            // Delegate to the store checker binary (release: the walk
-            // re-checksums every blob); remaining arguments pass
-            // through (`<STORE_DIR> [--json FILE]`).
-            let status = std::process::Command::new(env!("CARGO"))
-                .args(["run", "--release", "-p", "tvp-bench", "--bin", "fsck_store", "--"])
-                .args(args)
-                .status();
-            match status {
-                Ok(s) if s.success() => ExitCode::SUCCESS,
-                Ok(s) => ExitCode::from(u8::try_from(s.code().unwrap_or(1)).unwrap_or(1)),
-                Err(e) => {
-                    eprintln!("xtask fsck-store: cannot run cargo: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         _ => {
-            eprintln!(
-                "usage: cargo xtask <lint [--json FILE|-] [--github] | validate-trace FILE | \
-                 fsck-store DIR [--json FILE]>"
-            );
+            eprintln!("usage: cargo xtask <lint [--json FILE|-] [--github] | validate-trace FILE>");
             ExitCode::from(2)
         }
     }

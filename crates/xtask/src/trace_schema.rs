@@ -383,6 +383,13 @@ mod tests {
     }
 
     #[test]
+    fn json_writer_strings_round_trip_through_the_parser() {
+        let s = "quote \" backslash \\ newline \n control \u{1} end";
+        let literal = tvp_obs::json::string(s);
+        assert_eq!(parse(&literal).unwrap(), Value::String(s.to_owned()), "{literal}");
+    }
+
+    #[test]
     fn malformed_json_is_rejected() {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "{\"a\":1}x", "\"open"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
@@ -416,18 +423,12 @@ mod tests {
 
     #[test]
     fn real_exporter_output_validates() {
-        // Mirror the emitter's shape end-to-end without depending on
-        // tvp-obs from host tooling: this literal tracks
-        // `tvp_obs::export::chrome_trace` and the exporter's own unit
-        // tests keep the real emitter aligned with it.
-        let doc = concat!(
-            "{\"schema\":1,\"displayTimeUnit\":\"ns\",\"traceEvents\":[",
-            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"rename\"}},",
-            "{\"name\":\"rename\",\"cat\":\"pipeline\",\"ph\":\"i\",\"s\":\"t\",\"ts\":5,\"pid\":0,",
-            "\"tid\":0,\"args\":{\"seq\":1,\"pc\":\"0x400\",\"arg\":0}}",
-            "],\"otherData\":{\"event_count\":1,\"dropped_events\":0},",
-            "\"metrics\":{\"schema\":1,\"counters\":{\"core.cycles\":13},\"gauges\":{}}}"
-        );
-        validate(doc).expect("exporter-shaped document validates");
+        use tvp_obs::event::{EventKind, TraceEvent};
+        let mut metrics = tvp_obs::Registry::new();
+        metrics.counter("core.cycles", 13);
+        let events = [TraceEvent { cycle: 5, seq: 1, pc: 0x400, arg: 0, kind: EventKind::Rename }];
+        let doc = tvp_obs::export::chrome_trace(&events, 0, &metrics);
+        let summary = validate(&doc).expect("the exporter's document validates");
+        assert!(summary.contains("1 event(s)"), "{summary}");
     }
 }

@@ -20,6 +20,7 @@ use std::sync::Mutex;
 
 use tvp_bench::sampling::{
     campaign_fingerprint, run_sampled, run_suite_sampled, SampleKey, SampleRunOptions, SampleSpec,
+    SampledRun,
 };
 use tvp_bench::store::{ResultStore, StoreConfig, CHECKPOINTS_DIR};
 use tvp_core::config::CoreConfig;
@@ -52,6 +53,18 @@ fn open_store(dir: &Path) -> Mutex<ResultStore> {
     Mutex::new(ResultStore::open(StoreConfig::at(dir.to_path_buf())).expect("store opens"))
 }
 
+/// One sampled run at [`INSTS`] under [`spec`]; a watchdog trip fails
+/// the test.
+fn sampled(
+    w: &Workload,
+    cfg: &CoreConfig,
+    store: Option<&Mutex<ResultStore>>,
+    stop_after_intervals: Option<u32>,
+) -> SampledRun {
+    run_sampled(w, cfg, INSTS, spec(), SampleRunOptions { store, stop_after_intervals })
+        .expect("no pipeline deadlock")
+}
+
 #[test]
 fn killed_campaign_resumes_byte_identical() {
     let dir = scratch("kill_resume");
@@ -60,7 +73,7 @@ fn killed_campaign_resumes_byte_identical() {
 
     // Cold storeless reference: the fingerprint a never-killed,
     // never-checkpointed run produces.
-    let reference = run_sampled(&w, &cfg, INSTS, spec(), SampleRunOptions::default());
+    let reference = sampled(&w, &cfg, None, None);
     assert!(reference.intervals.len() >= 4, "spec must yield several intervals");
     let want = reference.fingerprint();
 
@@ -68,25 +81,13 @@ fn killed_campaign_resumes_byte_identical() {
     // go — the partial run returns with the store holding the newest
     // checkpoint.
     let store = open_store(&dir);
-    let partial = run_sampled(
-        &w,
-        &cfg,
-        INSTS,
-        spec(),
-        SampleRunOptions { store: Some(&store), stop_after_intervals: Some(2) },
-    );
+    let partial = sampled(&w, &cfg, Some(&store), Some(2));
     assert_eq!(partial.intervals.len(), 2, "stopped after exactly two intervals");
     assert!(partial.total_insts < INSTS, "the kill left work behind");
 
     // Resume: the restarted run must pick up the checkpoint (warm hit,
     // resumed intervals) and finish byte-identical to the reference.
-    let resumed = run_sampled(
-        &w,
-        &cfg,
-        INSTS,
-        spec(),
-        SampleRunOptions { store: Some(&store), stop_after_intervals: None },
-    );
+    let resumed = sampled(&w, &cfg, Some(&store), None);
     assert_eq!(resumed.resumed_intervals, 2, "resume replays nothing before the cut");
     assert_eq!(
         resumed.intervals.len(),
@@ -111,19 +112,13 @@ fn corrupt_checkpoint_quarantines_and_falls_back_cold() {
     let cfg = CoreConfig::default();
     let w = workload();
 
-    let reference = run_sampled(&w, &cfg, INSTS, spec(), SampleRunOptions::default());
+    let reference = sampled(&w, &cfg, None, None);
     let want = reference.fingerprint();
 
     // Publish checkpoints up to interval 2, then flip one byte in the
     // middle of the on-disk checkpoint.
     let store = open_store(&dir);
-    let _ = run_sampled(
-        &w,
-        &cfg,
-        INSTS,
-        spec(),
-        SampleRunOptions { store: Some(&store), stop_after_intervals: Some(2) },
-    );
+    let _ = sampled(&w, &cfg, Some(&store), Some(2));
     let digest = SampleKey::new(w.name, INSTS, &cfg, spec()).digest();
     let ckpt_path = dir.join(CHECKPOINTS_DIR).join(format!("{digest:016x}.ckpt"));
     let mut bytes = std::fs::read(&ckpt_path).expect("checkpoint file exists after publish");
@@ -134,13 +129,7 @@ fn corrupt_checkpoint_quarantines_and_falls_back_cold() {
     // The restarted run must detect the corruption, quarantine the
     // checkpoint, start cold — and still land on the reference
     // fingerprint (checkpoints are a cache, never a source of truth).
-    let resumed = run_sampled(
-        &w,
-        &cfg,
-        INSTS,
-        spec(),
-        SampleRunOptions { store: Some(&store), stop_after_intervals: None },
-    );
+    let resumed = sampled(&w, &cfg, Some(&store), None);
     assert_eq!(resumed.resumed_intervals, 0, "corrupt checkpoint must not be resumed from");
     assert_eq!(resumed.fingerprint(), want, "cold fallback is byte-identical");
     {

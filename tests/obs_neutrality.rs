@@ -114,5 +114,4 @@ fn registry_export_matches_stats_and_is_schema_versioned() {
     }
     let json = reg.to_json();
     assert!(json.starts_with(&format!("{{\"schema\":{METRICS_SCHEMA_VERSION},")));
-    assert!(reg.to_prometheus().contains("tvp_core_cycles"));
 }
