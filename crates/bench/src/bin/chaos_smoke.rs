@@ -4,15 +4,16 @@
 //! For every bundled workload, runs the full fault campaign (forced VP
 //! mispredictions at ≥1%, predictor-table corruption, branch
 //! inversion, cache delays, prefetch drops) under the GVP+SpSR
-//! configuration with the golden-model commit oracle and the deadlock
-//! watchdog armed, and requires the committed architectural state to be
-//! identical to the functional machine's. Then proves the oracle has
+//! configuration with the golden-model commit oracle, the deadlock
+//! watchdog and the invariant auditors armed, and requires the
+//! committed architectural state to be identical to the functional
+//! machine's and the audit to be clean. Then proves the oracle has
 //! teeth: the same campaign with recovery deliberately sabotaged
 //! (squashes skip the trace-cursor rollback) must be caught, with the
 //! replaying seed attached. Any failure exits non-zero.
 //!
 //! ```text
-//! cargo run --release -p tvp-bench --features verif --bin chaos_smoke
+//! cargo run --release -p tvp-bench --bin chaos_smoke
 //! ```
 
 use tvp_chaos::{ChaosConfig, DivergenceKind};
@@ -35,6 +36,7 @@ fn main() {
             CoreConfig::with_vp(VpMode::Gvp).with_spsr().with_chaos(ChaosConfig::campaign(SEED));
         let mut core = Core::new(cfg);
         core.enable_oracle(&init);
+        core.enable_audit(1_000);
         let stats = core.run(&trace);
 
         let mut verdict = "ok";
@@ -45,7 +47,6 @@ fn main() {
             eprintln!("{}: {d}", w.name);
             verdict = "DIVERGED";
         }
-        #[cfg(feature = "verif")]
         if let Some(summary) = core.audit_report().first_violation_summary() {
             eprintln!("{}: auditor violation: {summary}", w.name);
             verdict = "AUDIT";

@@ -9,7 +9,8 @@
 //! cargo run --release -p tvp-bench --bin simulate -- pixel_encode --vp tvp --trace trace.json
 //! ```
 //!
-//! Exit code `2` is a usage error or an I/O failure (an unusable
+//! Exit code `2` is a usage error (an unknown workload or flag, or a
+//! flag the chosen mode would ignore) or an I/O failure (an unusable
 //! checkpoint store, an unwritable trace file), reported as one
 //! `FATAL:` line. Verification exit codes (all print the reproducing
 //! chaos seed when a campaign is armed):
@@ -17,7 +18,8 @@
 //! * `3` — the golden-model commit oracle found a divergence;
 //! * `4` — the deadlock watchdog tripped (no commit progress), in a
 //!   full or a `--sample` run;
-//! * `5` — an invariant auditor reported a violation (`verif` builds).
+//! * `5` — an invariant auditor reported a violation (full runs audit
+//!   every 1,000 cycles and at the end).
 
 use tvp_chaos::ChaosConfig;
 use tvp_core::config::{CoreConfig, VpMode};
@@ -32,8 +34,6 @@ fn usage() -> ! {
          chaos: [--chaos-seed N] [--chaos-vp-permille N] \
          [--chaos-branch-permille N] [--chaos-cache-permille N] \
          [--sabotage] [--oracle] [--watchdog CYCLES]\n       \
-         degradation: [--vp-kill-switch] [--spsr-kill-switch] \
-         [--auto-throttle]\n       \
          sampling: [--sample PERIOD:WARMUP:MEASURED] [--checkpoint DIR]\n       \
          simulate --list"
     );
@@ -193,9 +193,6 @@ fn main() {
             }
             "--checkpoint" => checkpoint_dir = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--watchdog" => cfg.watchdog_cycles = parse_num(it.next()),
-            "--vp-kill-switch" => cfg.vp_kill_switch = true,
-            "--spsr-kill-switch" => cfg.spsr_kill_switch = true,
-            "--auto-throttle" => cfg.auto_throttle = true,
             _ => usage(),
         }
     }
@@ -206,9 +203,22 @@ fn main() {
     cfg.chaos = chaos;
 
     let Some(workload) = tvp_workloads::suite::by_name(&name) else {
-        eprintln!("unknown workload `{name}` (try --list)");
-        std::process::exit(1);
+        eprintln!("error: unknown workload `{name}` (try --list)");
+        std::process::exit(2);
     };
+    // A flag the chosen mode never reads is a usage error, not a no-op.
+    let ignored = if sample.is_some() {
+        [("--trace", trace_out.is_some()), ("--oracle", oracle), ("--baseline-too", baseline_too)]
+            .into_iter()
+            .find_map(|(flag, set)| set.then_some(flag))
+    } else {
+        checkpoint_dir.is_some().then_some("--checkpoint")
+    };
+    if let Some(flag) = ignored {
+        let why = if sample.is_some() { "has no effect with --sample" } else { "needs --sample" };
+        eprintln!("error: {flag} {why}");
+        std::process::exit(2);
+    }
 
     if let Some(spec) = sample {
         run_sampled_mode(&workload, &cfg, insts, spec, checkpoint_dir.as_deref());
@@ -222,6 +232,7 @@ fn main() {
     let golden = machine.arch_snapshot();
     eprintln!("simulating...");
     let mut core = Core::new(cfg.clone());
+    core.enable_audit(1_000);
     if oracle {
         core.enable_oracle(&init);
     }
@@ -298,13 +309,6 @@ fn main() {
         println!("cache delays           {:>12}", s.chaos.cache_delays);
         println!("prefetch drop cycles   {:>12}", s.chaos.prefetch_drop_cycles);
     }
-    if cfg.vp_kill_switch || cfg.spsr_kill_switch || cfg.auto_throttle {
-        println!("-- graceful degradation");
-        println!("throttle engagements   {:>12}", s.degrade.throttle_engagements);
-        println!("throttled cycles       {:>12}", s.degrade.throttled_cycles);
-        println!("killswitch suppressed  {:>12}", s.degrade.killswitch_suppressed);
-        println!("throttle suppressed    {:>12}", s.degrade.throttle_suppressed);
-    }
     if s.overflow_events > 0 {
         println!("counter saturations    {:>12}", s.overflow_events);
     }
@@ -348,7 +352,6 @@ fn main() {
         eprintln!("FATAL: {diag}{}", seed_note(core.chaos_seed()));
         std::process::exit(4);
     }
-    #[cfg(feature = "verif")]
     if let Some(summary) = core.audit_report().first_violation_summary() {
         eprintln!("FATAL: invariant auditor violation: {summary}{}", seed_note(core.chaos_seed()));
         std::process::exit(5);

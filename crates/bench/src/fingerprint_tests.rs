@@ -30,7 +30,6 @@ fn mutators() -> Vec<Mutator> {
     vec![
         ("fetch_width", |c| c.fetch_width += 1),
         ("fetch_queue", |c| c.fetch_queue += 1),
-        ("decode_width", |c| c.decode_width += 1),
         ("rename_width", |c| c.rename_width += 1),
         ("issue_width", |c| c.issue_width += 1),
         ("commit_width", |c| c.commit_width += 1),
@@ -67,15 +66,9 @@ fn mutators() -> Vec<Mutator> {
         ("mem.stride_prefetcher", |c| c.mem.stride_prefetcher = !c.mem.stride_prefetcher),
         ("mem.stride_degree", |c| c.mem.stride_degree += 1),
         ("mem.ampm_prefetcher", |c| c.mem.ampm_prefetcher = !c.mem.ampm_prefetcher),
-        ("audit_every", |c| c.audit_every += 1),
         ("chaos", |c| c.chaos = Some(tvp_chaos::ChaosConfig::campaign(7))),
         ("chaos.seed", |c| c.chaos = Some(tvp_chaos::ChaosConfig::campaign(8))),
         ("watchdog_cycles", |c| c.watchdog_cycles += 1),
-        ("vp_kill_switch", |c| c.vp_kill_switch = !c.vp_kill_switch),
-        ("spsr_kill_switch", |c| c.spsr_kill_switch = !c.spsr_kill_switch),
-        ("auto_throttle", |c| c.auto_throttle = !c.auto_throttle),
-        ("throttle_window", |c| c.throttle_window += 1),
-        ("throttle_threshold", |c| c.throttle_threshold += 1),
     ]
 }
 

@@ -34,9 +34,7 @@
 //! updated — the schema version can never silently lie about the
 //! payload shape.
 
-use tvp_core::stats::{
-    ActivityStats, ChaosStats, DegradeStats, FlushStats, RenameStats, SimStats, VpStats,
-};
+use tvp_core::stats::{ActivityStats, ChaosStats, FlushStats, RenameStats, SimStats, VpStats};
 use tvp_isa::stream::fnv1a;
 
 use crate::jobs::{key_digest, ExpKey, SimPoint};
@@ -46,7 +44,7 @@ pub const BLOB_MAGIC: [u8; 8] = *b"TVPSTOR\x01";
 
 /// Blob wire-format version. Bump whenever the key or payload encoding
 /// changes shape; decoders reject every other version.
-pub const BLOB_SCHEMA: u32 = 1;
+pub const BLOB_SCHEMA: u32 = 2;
 
 /// Size of the fixed frame header (magic + schema + two section
 /// lengths).
@@ -288,12 +286,6 @@ impl<'a> Cursor<'a> {
                 cache_delays: next()?,
                 prefetch_drop_cycles: next()?,
             },
-            degrade: DegradeStats {
-                throttle_engagements: next()?,
-                throttled_cycles: next()?,
-                killswitch_suppressed: next()?,
-                throttle_suppressed: next()?,
-            },
             overflow_events: next()?,
         })
     }
@@ -322,7 +314,7 @@ pub(crate) fn push_exp_key(out: &mut Vec<u8>, key: &ExpKey) {
 
 /// Counters in one encoded [`SimStats`]: the length of the array
 /// [`push_stats`] writes, so the two can never drift apart.
-const STATS_COUNTERS: u32 = 40;
+const STATS_COUNTERS: u32 = 36;
 
 /// Appends `stats` as a counted list of u64 counters in wire order. The
 /// exhaustive destructuring (no `..`) is the completeness guarantee: a
@@ -338,7 +330,6 @@ pub(crate) fn push_stats(out: &mut Vec<u8>, s: &SimStats) {
         activity,
         flush,
         chaos,
-        degrade,
         overflow_events,
     } = *s;
     let RenameStats {
@@ -372,12 +363,6 @@ pub(crate) fn push_stats(out: &mut Vec<u8>, s: &SimStats) {
         cache_delays,
         prefetch_drop_cycles,
     } = chaos;
-    let DegradeStats {
-        throttle_engagements,
-        throttled_cycles,
-        killswitch_suppressed,
-        throttle_suppressed,
-    } = degrade;
     let counters: [u64; STATS_COUNTERS as usize] = [
         cycles,
         insts_retired,
@@ -414,10 +399,6 @@ pub(crate) fn push_stats(out: &mut Vec<u8>, s: &SimStats) {
         branch_inversions,
         cache_delays,
         prefetch_drop_cycles,
-        throttle_engagements,
-        throttled_cycles,
-        killswitch_suppressed,
-        throttle_suppressed,
         overflow_events,
     ];
     push_u32(out, STATS_COUNTERS);
@@ -525,7 +506,7 @@ pub(crate) mod tests {
         stats.rename.spsr = 77;
         stats.vp.correct_used = 42;
         stats.flush.vp_flushes = 3;
-        stats.degrade.throttled_cycles = 9;
+        stats.chaos.cache_delays = 9;
         (key, SimPoint { stats })
     }
 
@@ -758,13 +739,7 @@ pub(crate) mod tests {
                 cache_delays: 1_034,
                 prefetch_drop_cycles: 1_035,
             },
-            degrade: DegradeStats {
-                throttle_engagements: 1_036,
-                throttled_cycles: 1_037,
-                killswitch_suppressed: 1_038,
-                throttle_suppressed: 1_039,
-            },
-            overflow_events: 1_040,
+            overflow_events: 1_036,
         }
     }
 
@@ -779,7 +754,7 @@ pub(crate) mod tests {
             config_fp: "CoreConfig { known_answer: 1 }".to_owned(),
         };
         let bytes = encode(&key, &SimPoint { stats: kat_stats() });
-        assert_eq!(bytes.len(), 419);
-        assert_eq!(fnv1a(&bytes), 0x4938_3FD7_BC2B_4AB1, "blob bytes changed: bump BLOB_SCHEMA");
+        assert_eq!(bytes.len(), 387);
+        assert_eq!(fnv1a(&bytes), 0xFC39_5432_C4DE_AE2C, "blob bytes changed: bump BLOB_SCHEMA");
     }
 }

@@ -44,7 +44,7 @@ pub const CKPT_MAGIC: [u8; 8] = *b"TVPCKPT\x01";
 /// shape; decoders reject every other version (the campaign then
 /// simply starts cold — checkpoints are a cache, not a source of
 /// truth).
-pub const CKPT_SCHEMA: u32 = 1;
+pub const CKPT_SCHEMA: u32 = 2;
 
 /// The resumable state of a sampled campaign after its most recent
 /// finished interval.
@@ -462,10 +462,10 @@ mod tests {
             measured_insts: 500,
         };
         let bytes = encode(&key, &ckpt);
-        assert_eq!(bytes.len(), 5_169);
+        assert_eq!(bytes.len(), 5_137);
         assert_eq!(
             fnv1a(&bytes),
-            0x46BC_F871_E719_23FE,
+            0x34A0_6D8B_BA6C_00D3,
             "checkpoint bytes changed: bump CKPT_SCHEMA"
         );
     }

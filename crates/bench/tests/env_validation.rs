@@ -9,9 +9,10 @@
 //! `--jobs 0` and a zero budget (`--insts 0`, `TVP_INSTS=0`) get the
 //! same treatment: every binary that takes them exits 2 instead of
 //! quietly running one worker or printing all-zero tables, and so does
-//! an out-of-range chaos rate or an unknown experiment name. An
-//! unusable store or results directory is just as loud: one `FATAL:`
-//! line and exit 2, never a panic, and before anything is simulated.
+//! an out-of-range chaos rate, an unknown experiment or workload name,
+//! and a `simulate` flag its mode would ignore. An unusable store or
+//! results directory is just as loud: one `FATAL:` line and exit 2,
+//! never a panic, and before anything is simulated.
 //! A sampled run's watchdog trip exits 4 with its dump, like a full
 //! run's.
 
@@ -177,6 +178,39 @@ fn simulate_rejects_an_out_of_range_chaos_rate() {
         env!("CARGO_BIN_EXE_simulate"),
         &["pointer_chase", "--chaos-vp-permille", "1001"],
     );
+}
+
+/// An unknown workload is a usage error like every other: exit 2
+/// naming it, not exit 1.
+#[test]
+fn simulate_rejects_an_unknown_workload() {
+    assert_flag_rejected("no_such_workload", env!("CARGO_BIN_EXE_simulate"), &["no_such_workload"]);
+}
+
+/// A flag the chosen mode never reads exits 2 naming it, before any
+/// trace is built: `--checkpoint` without `--sample`, and `--trace`,
+/// `--oracle` or `--baseline-too` with it. Nothing is written.
+#[test]
+fn simulate_rejects_flags_its_mode_ignores() {
+    let dir = std::env::temp_dir().join(format!("tvp-envval-ignored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let ckpt = dir.join("ckpt");
+    let trace = dir.join("trace.json");
+    let (ckpt, trace) = (ckpt.to_str().expect("utf8"), trace.to_str().expect("utf8"));
+    let sampled = ["string_match", "--insts", "4000", "--sample", "2000:500:500"];
+    let cases = [
+        ("--checkpoint", vec!["string_match", "--insts", "2000", "--checkpoint", ckpt]),
+        ("--trace", [&sampled[..], &["--trace", trace]].concat()),
+        ("--oracle", [&sampled[..], &["--oracle"]].concat()),
+        ("--baseline-too", [&sampled[..], &["--baseline-too"]].concat()),
+    ];
+    for (flag, args) in &cases {
+        assert_flag_rejected(flag, env!("CARGO_BIN_EXE_simulate"), args);
+    }
+    let written = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, 0, "a rejected run must write nothing");
 }
 
 /// A watchdog trip in a sampled run exits 4 with the deadlock dump,

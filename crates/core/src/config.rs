@@ -68,8 +68,6 @@ pub struct CoreConfig {
     pub fetch_width: usize,
     /// Fetch queue capacity (µops).
     pub fetch_queue: usize,
-    /// Decode width — we fold decode into the fetch→rename delay.
-    pub decode_width: usize,
     /// Rename width (µops per cycle).
     pub rename_width: usize,
     /// Maximum µops issued per cycle across all ports.
@@ -131,29 +129,11 @@ pub struct CoreConfig {
     pub tage: TageConfig,
     /// Memory hierarchy geometry.
     pub mem: HierarchyConfig,
-    /// Run the invariant auditors every this many cycles (0 disables
-    /// periodic audits; an end-of-run audit still happens). Only
-    /// effective when the crate is built with the `verif` feature.
-    pub audit_every: u64,
     /// Deterministic fault-injection campaign (`None` = no chaos).
     pub chaos: Option<tvp_chaos::ChaosConfig>,
     /// Deadlock watchdog: trip after this many cycles without a commit
     /// (0 disables the watchdog entirely).
     pub watchdog_cycles: u64,
-    /// Runtime kill-switch: never *use* value predictions, even when
-    /// the predictor is confident (training continues).
-    pub vp_kill_switch: bool,
-    /// Runtime kill-switch: disable speculative strength reduction
-    /// even when [`CoreConfig::spsr`] is set.
-    pub spsr_kill_switch: bool,
-    /// Auto-throttle: temporarily disable VP/SpSR when value
-    /// mispredictions storm (graceful degradation).
-    pub auto_throttle: bool,
-    /// Auto-throttle evaluation window, in cycles.
-    pub throttle_window: u64,
-    /// Mispredictions-per-window score at which the throttle engages
-    /// (it disengages below half this threshold).
-    pub throttle_threshold: u64,
 }
 
 impl CoreConfig {
@@ -163,7 +143,6 @@ impl CoreConfig {
         CoreConfig {
             fetch_width: 16,
             fetch_queue: 32,
-            decode_width: 8,
             rename_width: 8,
             issue_width: 15,
             commit_width: 8,
@@ -190,14 +169,8 @@ impl CoreConfig {
             adaptive_silencing: false,
             tage: TageConfig::default(),
             mem: HierarchyConfig::default(),
-            audit_every: 1_000,
             chaos: None,
             watchdog_cycles: 1_000_000,
-            vp_kill_switch: false,
-            spsr_kill_switch: false,
-            auto_throttle: false,
-            throttle_window: 512,
-            throttle_threshold: 8,
         }
     }
 
@@ -342,7 +315,6 @@ mod tests {
         let c = CoreConfig::table2();
         assert!(c.chaos.is_none());
         assert_eq!(c.watchdog_cycles, 1_000_000);
-        assert!(!c.vp_kill_switch && !c.spsr_kill_switch && !c.auto_throttle);
         let armed = CoreConfig::table2().with_chaos(tvp_chaos::ChaosConfig::campaign(42));
         assert_eq!(armed.chaos.map(|ch| ch.seed), Some(42));
     }

@@ -168,9 +168,7 @@ impl IssuedWindow {
 }
 
 /// Default event-ring capacity when tracing is enabled without an
-/// explicit size (`--trace`, or `TVP_TRACE_EVENTS` set to a
-/// non-numeric value such as `on`; a numeric value picks the
-/// capacity).
+/// explicit size (`simulate --trace`).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// The simulator core. Construct with a configuration, then
@@ -236,9 +234,6 @@ pub struct Core {
     oracle: Option<CommitOracle>,
     divergence: Option<Divergence>,
     watchdog_diag: Option<DeadlockDiagnostic>,
-    throttled: bool,
-    storm_score: u64,
-    next_throttle_eval: u64,
     stats: SimStats,
     // Observability (tvp-obs). All four are observation-only: they
     // read pipeline state but never feed back into it, which is what
@@ -249,12 +244,17 @@ pub struct Core {
     flush_shadow_class: SlotClass,
     flush_shadow_until: u64,
     flush_refill: u64,
-    #[cfg(feature = "verif")]
-    auditors: Vec<Box<dyn tvp_verif::PipelineAuditor>>,
-    #[cfg(feature = "verif")]
+    // Invariant auditing (tvp-verif), switched on by
+    // [`Core::enable_audit`]; like tracing, it only observes.
+    audit: Option<Audit>,
     audit_report: tvp_verif::AuditReport,
-    #[cfg(feature = "verif")]
     last_committed_seq: Option<u64>,
+}
+
+/// The auditors [`Core::enable_audit`] switched on, and their cadence.
+struct Audit {
+    every: u64,
+    auditors: Vec<Box<dyn tvp_verif::PipelineAuditor>>,
 }
 
 impl Core {
@@ -272,19 +272,6 @@ impl Core {
             ras: ras.clone(),
             itc_path: itc.path_checkpoint(),
         };
-        // Environment opt-in for event tracing, read exactly once per
-        // core (never on the per-cycle path): `TVP_TRACE_EVENTS` set to
-        // a number picks the ring capacity, any other value takes the
-        // default. Kept out of CoreConfig so experiment fingerprints
-        // (ExpKey) are untouched; tests use [`Core::enable_tracing`].
-        // audited(determinism-audit): one env read per core construction
-        let tracer = match std::env::var("TVP_TRACE_EVENTS") {
-            Ok(v) => Tracer::enabled(match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => DEFAULT_TRACE_CAPACITY,
-            }),
-            Err(_) => Tracer::disabled(),
-        };
         // Front-end refill depth after a flush redirect: how long the
         // ROB stays empty while refetched µops travel to dispatch. The
         // CPI accountant charges that shadow to the flush's class.
@@ -292,7 +279,7 @@ impl Core {
             + cfg.fetch_to_decode
             + cfg.decode_to_rename
             + cfg.rename_to_dispatch;
-        let mut core = Core {
+        Core {
             fu: FuPool::default(),
             btb: Btb::new(8192, 4),
             mem: Hierarchy::new(cfg.mem.clone()),
@@ -337,28 +324,18 @@ impl Core {
             oracle: None,
             divergence: None,
             watchdog_diag: None,
-            throttled: false,
-            storm_score: 0,
-            next_throttle_eval: 0,
             stats: SimStats::default(),
-            tracer,
+            tracer: Tracer::disabled(),
             cpi: CpiStack::default(),
             commit_fp: FNV1A_OFFSET,
             flush_shadow_class: SlotClass::Frontend,
             flush_shadow_until: 0,
             flush_refill,
-            #[cfg(feature = "verif")]
-            auditors: tvp_verif::standard_suite(),
-            #[cfg(feature = "verif")]
+            audit: None,
             audit_report: tvp_verif::AuditReport::default(),
-            #[cfg(feature = "verif")]
             last_committed_seq: None,
             cfg,
-        };
-        if core.cfg.spsr_kill_switch {
-            core.renamer.set_spsr_enabled(false);
         }
-        core
     }
 
     /// The configuration in effect.
@@ -397,8 +374,9 @@ impl Core {
         // counter lose precision this run?".
         self.stats.overflow_events =
             self.stats.overflow_events.saturating_add(self.renamer.overflow_events);
-        #[cfg(feature = "verif")]
-        self.final_audit();
+        if self.audit.is_some() {
+            self.final_audit();
+        }
         self.stats
     }
 
@@ -560,7 +538,6 @@ impl Core {
     /// Advances one cycle.
     fn step(&mut self, trace: &Trace) {
         self.inject_chaos();
-        self.update_throttle();
         self.apply_pending_replays(trace);
         self.apply_pending_flush(trace);
         let retired = self.commit(trace);
@@ -568,8 +545,11 @@ impl Core {
         self.issue(trace);
         self.rename(trace);
         self.fetch(trace);
-        #[cfg(feature = "verif")]
-        self.maybe_audit();
+        if let Some(audit) = &self.audit {
+            if audit.every != 0 && self.cycle.is_multiple_of(audit.every) {
+                self.run_audit();
+            }
+        }
         self.cycle += 1;
     }
 
@@ -649,35 +629,6 @@ impl Core {
         self.mem.set_prefetch_suppressed(drop_prefetch);
         if drop_prefetch {
             sat_inc(&mut self.stats.chaos.prefetch_drop_cycles, &mut self.stats.overflow_events);
-        }
-    }
-
-    /// Graceful degradation: when value mispredictions storm (score is
-    /// fed at validation), disable VP use and SpSR until the storm
-    /// subsides. Evaluated once per throttle window with exponential
-    /// decay of the score, engaging at the threshold and disengaging
-    /// below half of it (hysteresis).
-    fn update_throttle(&mut self) {
-        if !self.cfg.auto_throttle {
-            return;
-        }
-        if self.cycle >= self.next_throttle_eval {
-            if !self.throttled && self.storm_score >= self.cfg.throttle_threshold {
-                self.throttled = true;
-                self.renamer.set_spsr_enabled(false);
-                sat_inc(
-                    &mut self.stats.degrade.throttle_engagements,
-                    &mut self.stats.overflow_events,
-                );
-            } else if self.throttled && self.storm_score < self.cfg.throttle_threshold / 2 {
-                self.throttled = false;
-                self.renamer.set_spsr_enabled(self.cfg.spsr && !self.cfg.spsr_kill_switch);
-            }
-            self.storm_score /= 2;
-            self.next_throttle_eval = self.cycle + self.cfg.throttle_window.max(1);
-        }
-        if self.throttled {
-            sat_inc(&mut self.stats.degrade.throttled_cycles, &mut self.stats.overflow_events);
         }
     }
 
@@ -771,10 +722,7 @@ impl Core {
             self.commit_fp = fnv1a_fold(self.commit_fp, &entry.seq.to_le_bytes());
             self.commit_fp = fnv1a_fold(self.commit_fp, &u.pc.to_le_bytes());
             self.tracer.record(EventKind::Commit, self.cycle, entry.seq, u.pc, 0);
-            #[cfg(feature = "verif")]
-            {
-                self.last_committed_seq = Some(entry.seq);
-            }
+            self.last_committed_seq = Some(entry.seq);
         }
         retired
     }
@@ -1069,7 +1017,6 @@ impl Core {
                         });
                     }
                     sat_inc(&mut self.stats.vp.incorrect_used, &mut self.stats.overflow_events);
-                    self.storm_score = self.storm_score.saturating_add(1);
                 } else {
                     sat_inc(&mut self.stats.vp.correct_used, &mut self.stats.overflow_events);
                 }
@@ -1173,18 +1120,6 @@ impl Core {
                                 &mut self.stats.vp.silenced_lookups,
                                 &mut self.stats.overflow_events,
                             );
-                        } else if self.cfg.vp_kill_switch {
-                            // Graceful degradation: the kill-switch
-                            // suppresses use (training continues).
-                            sat_inc(
-                                &mut self.stats.degrade.killswitch_suppressed,
-                                &mut self.stats.overflow_events,
-                            );
-                        } else if self.throttled {
-                            sat_inc(
-                                &mut self.stats.degrade.throttle_suppressed,
-                                &mut self.stats.overflow_events,
-                            );
                         } else {
                             prediction = Some(pred.value);
                         }
@@ -1197,8 +1132,8 @@ impl Core {
             // (0, or 1 when the actual result is 0) is admissible in
             // every prediction mode and always differs from the actual
             // result, so validation at issue must flush and recover.
-            // Silencing/suppression above still apply — a forced
-            // mispredict cannot livelock the pipeline.
+            // Silencing above still applies — a forced mispredict
+            // cannot livelock the pipeline.
             if prediction.is_some() {
                 if let Some(ch) = self.chaos.as_mut() {
                     if ch.fire(FaultKind::VpForceMispredict) {
@@ -1868,10 +1803,6 @@ impl Core {
         reg.counter("flush.vp_replays", s.flush.vp_replays);
         reg.counter("flush.replayed_uops", s.flush.replayed_uops);
         reg.counter("chaos.total_faults", s.chaos.total());
-        reg.counter("degrade.throttle_engagements", s.degrade.throttle_engagements);
-        reg.counter("degrade.throttled_cycles", s.degrade.throttled_cycles);
-        reg.counter("degrade.killswitch_suppressed", s.degrade.killswitch_suppressed);
-        reg.counter("degrade.throttle_suppressed", s.degrade.throttle_suppressed);
         self.cpi.fill_registry(&mut reg);
         reg.counter("trace.events_dropped", self.tracer.dropped());
         self.mem.fill_registry(&mut reg);
@@ -1901,11 +1832,22 @@ impl Core {
 }
 
 // --------------------------------------------------------------------
-// verification (the `verif` feature)
+// verification (tvp-verif)
 // --------------------------------------------------------------------
 
-#[cfg(feature = "verif")]
 impl Core {
+    /// Switches on the invariant auditors
+    /// ([`tvp_verif::standard_suite`]). Call before [`Core::run`]. They
+    /// run every `every` cycles (0: only at the end of each run), and
+    /// once more when a run ends, together with the Table 2
+    /// storage-budget check. Auditing is observation-only: the
+    /// `obs_neutrality` harness test locks that enabling it changes
+    /// neither the commit fingerprint nor any statistic. Findings
+    /// accumulate in [`Core::audit_report`].
+    pub fn enable_audit(&mut self, every: u64) {
+        self.audit = Some(Audit { every, auditors: tvp_verif::standard_suite() });
+    }
+
     fn snap_name(name: PhysName) -> tvp_verif::SnapName {
         match name {
             PhysName::Reg(p) => tvp_verif::SnapName::Reg(p),
@@ -1995,16 +1937,11 @@ impl Core {
         }
     }
 
-    fn maybe_audit(&mut self) {
-        let every = self.cfg.audit_every;
-        if every != 0 && self.cycle.is_multiple_of(every) {
-            self.run_audit();
-        }
-    }
-
     fn run_audit(&mut self) {
         let snap = self.snapshot();
-        tvp_verif::run_suite(&mut self.auditors, &snap, &mut self.audit_report);
+        if let Some(audit) = self.audit.as_mut() {
+            tvp_verif::run_suite(&mut audit.auditors, &snap, &mut self.audit_report);
+        }
     }
 
     /// End-of-run audit: one last invariant pass over the drained
@@ -2039,7 +1976,7 @@ impl Core {
     }
 
     /// Everything the auditors have found so far (complete after
-    /// [`Core::run`]).
+    /// [`Core::run`]; empty unless [`Core::enable_audit`] was called).
     #[must_use]
     pub fn audit_report(&self) -> &tvp_verif::AuditReport {
         &self.audit_report
@@ -2111,7 +2048,6 @@ mod tests {
         assert!(ipc > 0.5 && ipc < 8.0, "loop IPC = {ipc}");
     }
 
-    #[cfg(feature = "verif")]
     #[test]
     fn auditors_stay_clean_on_a_small_loop() {
         // Audit every cycle, across every VP/SpSR flavour, so rename,
@@ -2121,8 +2057,8 @@ mod tests {
             for spsr in [false, true] {
                 let mut cfg = CoreConfig::with_vp(vp);
                 cfg.spsr = spsr;
-                cfg.audit_every = 1;
                 let mut core = Core::new(cfg);
+                core.enable_audit(1);
                 let _stats = core.run(&trace);
                 let report = core.audit_report();
                 assert!(report.is_clean(), "vp={vp:?} spsr={spsr}:\n{}", report.render());
@@ -2493,57 +2429,6 @@ mod chaos_tests {
         assert!(core.watchdog_diagnostic().is_none(), "{:?}", core.watchdog_diagnostic());
         assert_eq!(stats.uops_retired, measured.uops.len() as u64);
         assert_eq!(stats.insts_retired, measured.arch_insts);
-    }
-
-    #[test]
-    fn vp_kill_switch_suppresses_all_predictions() {
-        let (_, trace, _) = golden_run("pointer_chase", 10_000);
-        let mut cfg = CoreConfig::with_vp(VpMode::Gvp);
-        cfg.vp_kill_switch = true;
-        let stats = simulate(cfg, &trace);
-        assert_eq!(stats.insts_retired, trace.arch_insts);
-        assert_eq!(stats.vp.used, 0, "kill-switch must stop prediction use");
-        assert!(
-            stats.degrade.killswitch_suppressed > 0,
-            "suppressions must be visible in the stats"
-        );
-    }
-
-    #[test]
-    fn auto_throttle_engages_under_misprediction_storm() {
-        // Every used prediction forced wrong, with silencing disabled:
-        // a worst-case misprediction storm. The auto-throttle must
-        // engage (disabling VP use) and the run must stay correct.
-        let (init, trace, golden) = golden_run("pointer_chase", 12_000);
-        let mut chaos = ChaosConfig::quiet(99);
-        chaos.vp_force_mispredict_permille = 1000;
-        let mut cfg = CoreConfig::with_vp(VpMode::Gvp).with_spsr().with_chaos(chaos);
-        cfg.silence_cycles = 0;
-        cfg.auto_throttle = true;
-        let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
-        let stats = core.run(&trace);
-        assert!(core.watchdog_diagnostic().is_none());
-        assert!(
-            stats.degrade.throttle_engagements > 0,
-            "storm must engage the throttle: {:?}",
-            stats.degrade
-        );
-        assert!(stats.degrade.throttled_cycles > 0);
-        assert!(stats.degrade.throttle_suppressed > 0, "suppressed predictions while throttled");
-        assert_eq!(core.oracle_final_check(&golden), None, "degraded, not broken");
-    }
-
-    #[test]
-    fn spsr_kill_switch_stops_reductions() {
-        let (_, trace, _) = golden_run("mc_playout", 10_000);
-        let with = simulate_vp(VpMode::Mvp, true, &trace);
-        let mut cfg = CoreConfig::with_vp(VpMode::Mvp).with_spsr();
-        cfg.spsr_kill_switch = true;
-        let without = simulate(cfg, &trace);
-        assert!(with.rename.spsr > 0, "control: SpSR active without the switch");
-        assert_eq!(without.rename.spsr, 0, "kill-switch must stop SpSR");
-        assert_eq!(without.insts_retired, trace.arch_insts);
     }
 }
 

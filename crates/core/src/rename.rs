@@ -197,14 +197,6 @@ impl Renamer {
         self.regfile(class)
     }
 
-    /// Runtime enable/disable for speculative strength reduction
-    /// (kill-switch and auto-throttle graceful degradation). Only
-    /// affects µops renamed after the call; in-flight reductions
-    /// complete normally.
-    pub fn set_spsr_enabled(&mut self, on: bool) {
-        self.spsr = on;
-    }
-
     /// The SpSR frontend NZCV view: flags known at rename time.
     #[must_use]
     pub fn frontend_flags(&self) -> Option<Nzcv> {

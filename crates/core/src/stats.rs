@@ -162,21 +162,6 @@ impl ChaosStats {
     }
 }
 
-/// Graceful-degradation accounting: kill-switches and the
-/// misprediction-storm auto-throttle.
-#[must_use = "degradation counters show whether the fallback engaged"]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DegradeStats {
-    /// Times the auto-throttle engaged (VP/SpSR disabled).
-    pub throttle_engagements: u64,
-    /// Cycles spent with the throttle engaged.
-    pub throttled_cycles: u64,
-    /// Confident predictions suppressed by the VP kill-switch.
-    pub killswitch_suppressed: u64,
-    /// Confident predictions suppressed while throttled.
-    pub throttle_suppressed: u64,
-}
-
 /// Top-level simulation result.
 #[must_use = "a simulation result that is dropped was a wasted run"]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -197,8 +182,6 @@ pub struct SimStats {
     pub flush: FlushStats,
     /// Fault-injection counters.
     pub chaos: ChaosStats,
-    /// Graceful-degradation counters.
-    pub degrade: DegradeStats,
     /// Counter saturations observed ([`sat_inc`]): non-zero means some
     /// counter above pinned at `u64::MAX` instead of wrapping.
     pub overflow_events: u64,

@@ -16,9 +16,9 @@
 //! * [`violation`] — the shared, structured [`Violation`] taxonomy.
 //!
 //! The crate is dependency-free by design: `tvp-core` depends on it (to
-//! run the auditors under its `verif` feature), never the other way
-//! around, and tests can fabricate deliberately broken snapshots to
-//! prove the auditors catch real corruption.
+//! run the auditors on a core that calls `Core::enable_audit`), never
+//! the other way around, and tests can fabricate deliberately broken
+//! snapshots to prove the auditors catch real corruption.
 //!
 //! # Examples
 //!

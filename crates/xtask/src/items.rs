@@ -5,8 +5,7 @@
 //! facts the lint rules need and nothing more:
 //!
 //! - which tokens sit inside `#[cfg(test)]` items (rules skip test
-//!   code) and inside `#[cfg(feature = "verif")]` items (diagnostic
-//!   code some rules relax);
+//!   code);
 //! - every `struct` definition with its named fields (visibility,
 //!   line) — the counter-export-coverage and storage-budget rules
 //!   consume these;
@@ -27,8 +26,6 @@ pub struct Flags {
     /// Inside an item gated on `#[cfg(test)]` (or any `cfg` mentioning
     /// `test`).
     pub in_test: bool,
-    /// Inside an item gated on `#[cfg(feature = "verif")]`.
-    pub in_verif: bool,
 }
 
 /// A named struct field.
@@ -92,24 +89,17 @@ pub struct FileItems {
     pub fns: Vec<FnDef>,
 }
 
-/// Region context threaded through the recursive descent.
+/// Region context threaded through the recursive descent; also the
+/// accumulated `#[cfg(...)]` facts for the next item.
 #[derive(Clone, Copy, Default)]
 struct Ctx {
     test: bool,
-    verif: bool,
 }
 
 impl Ctx {
-    fn or(self, p: Pending) -> Ctx {
-        Ctx { test: self.test || p.test, verif: self.verif || p.verif }
+    fn or(self, p: Ctx) -> Ctx {
+        Ctx { test: self.test || p.test }
     }
-}
-
-/// Accumulated `#[cfg(...)]` facts for the next item.
-#[derive(Clone, Copy, Default)]
-struct Pending {
-    test: bool,
-    verif: bool,
 }
 
 struct Parser<'s> {
@@ -172,7 +162,6 @@ impl Parser<'_> {
     fn bump(&mut self, ctx: Ctx) {
         if let Some(&ti) = self.code.get(self.i) {
             self.flags[ti].in_test |= ctx.test;
-            self.flags[ti].in_verif |= ctx.verif;
         }
         self.i += 1;
     }
@@ -242,7 +231,7 @@ impl Parser<'_> {
 
     /// Parses one `#[...]` / `#![...]` attribute (cursor on the `#`)
     /// and folds any `cfg` facts into `pending`.
-    fn attr(&mut self, ctx: Ctx, pending: &mut Pending) {
+    fn attr(&mut self, ctx: Ctx, pending: &mut Ctx) {
         self.bump(ctx); // '#'
         if self.at("!") {
             self.bump(ctx);
@@ -254,8 +243,8 @@ impl Parser<'_> {
         self.skip_group(ctx); // the [...] group
         let end = self.i;
         // `#[cfg(...)]` (incl. `all`/`any` nests): an ident `test`
-        // anywhere marks a test region; `feature = "verif"` marks a
-        // verif region. `cfg_attr` is a different ident and is ignored.
+        // anywhere marks a test region. `cfg_attr` is a different ident
+        // and is ignored.
         let has_cfg = (start..end).any(|ci| self.t(ci) == "cfg");
         if !has_cfg {
             return;
@@ -263,9 +252,6 @@ impl Parser<'_> {
         for ci in start..end {
             if self.t(ci) == "test" && self.kind(ci) == Some(TokKind::Ident) {
                 pending.test = true;
-            }
-            if self.t(ci) == "feature" && self.t(ci + 1) == "=" && self.t(ci + 2) == "\"verif\"" {
-                pending.verif = true;
             }
         }
     }
@@ -275,7 +261,7 @@ impl Parser<'_> {
     /// the matching `}` (or EOF).
     fn items(&mut self, ctx: Ctx) {
         while !self.eof() && !self.at("}") {
-            let mut pending = Pending::default();
+            let mut pending = Ctx::default();
             while self.at("#") {
                 self.attr(ctx, &mut pending);
             }
@@ -402,7 +388,7 @@ impl Parser<'_> {
 
     fn parse_fields(&mut self, ctx: Ctx, out: &mut Vec<FieldDef>) {
         while !self.eof() && !self.at("}") {
-            let mut pending = Pending::default();
+            let mut pending = Ctx::default();
             while self.at("#") {
                 self.attr(ctx, &mut pending);
             }
@@ -587,21 +573,6 @@ mod tests {
         assert!(test.iter().any(|t| t == "vec"));
         assert!(!live.iter().any(|t| t == "vec"));
         assert!(live.iter().any(|t| t == "real"));
-    }
-
-    #[test]
-    fn cfg_verif_regions_are_tracked() {
-        let src = "#[cfg(feature = \"verif\")]\nimpl Core {\n  fn snapshot(&self) { x.collect(); }\n}\nfn live() {}";
-        let toks = lex(src);
-        let items = parse(src, &toks);
-        let verif: Vec<&str> = items
-            .code
-            .iter()
-            .filter(|&&ti| items.flags[ti].in_verif)
-            .map(|&ti| &src[toks[ti].lo..toks[ti].hi])
-            .collect();
-        assert!(verif.contains(&"collect"));
-        assert!(!verif.contains(&"live"));
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! A token-level analysis pass (see [`crate::lex`] and [`crate::items`])
 //! over the workspace, replacing the original regex line scanner: rules
-//! operate on a spanned token stream with `#[cfg(test)]` /
-//! `#[cfg(feature = "verif")]` region tracking, so string literals, doc
-//! comments and test code can never produce false positives, and
-//! cross-file facts (trait coverage, export reachability) are first
-//! class.
+//! operate on a spanned token stream with `#[cfg(test)]` region
+//! tracking, so string literals, doc comments and test code can never
+//! produce false positives, and cross-file facts (trait coverage,
+//! export reachability) are first class.
 //!
 //! Ten rules, each a property a cycle-level simulator must keep but no
 //! off-the-shelf linter checks:
@@ -49,8 +48,8 @@
 //!    hashing (`RandomState`/`DefaultHasher`), no pointer-value
 //!    observation (`.as_ptr() as usize`, `.addr()`, `expose_addr`).
 //!    Any of these makes serial≡parallel and golden-fingerprint
-//!    equivalence silently false. `#[cfg(feature = "verif")]`
-//!    diagnostic regions are exempt. The durable result store under
+//!    equivalence silently false. Feature-gated code is not exempt:
+//!    only test regions are. The durable result store under
 //!    `crates/bench/src/store/` opts in file-by-file
 //!    ([`DETERMINISM_FILES`]) even though the rest of `tvp-bench` is
 //!    exempt: its blob bytes and journal records feed the cold ≡ warm
@@ -268,14 +267,6 @@ impl Fa {
     /// Outside `#[cfg(test)]` regions.
     fn live(&self, ci: usize) -> bool {
         self.items.code.get(ci).is_some_and(|&ti| !self.items.flags[ti].in_test)
-    }
-
-    /// Outside both test and `verif` diagnostic regions.
-    fn live_strict(&self, ci: usize) -> bool {
-        self.items
-            .code
-            .get(ci)
-            .is_some_and(|&ti| !self.items.flags[ti].in_test && !self.items.flags[ti].in_verif)
     }
 
     fn finding(&self, out: &mut Vec<Finding>, ci: usize, rule: &'static str, msg: String) {
@@ -526,7 +517,7 @@ fn is_int_ty(t: &str) -> bool {
 /// Rule 7: nondeterminism sources in simulation crates.
 fn rule_determinism(fa: &Fa, out: &mut Vec<Finding>) {
     for ci in 0..fa.items.code.len() {
-        if !fa.live_strict(ci) || fa.ckind(ci) != Some(TokKind::Ident) {
+        if !fa.live(ci) || fa.ckind(ci) != Some(TokKind::Ident) {
             continue;
         }
         let t = fa.ct(ci);
@@ -1211,12 +1202,12 @@ mod tests {
     }
 
     #[test]
-    fn verif_regions_are_exempt_from_determinism() {
+    fn feature_gated_code_is_not_exempt_from_determinism() {
         let out = check(
             "crates/core/src/x.rs",
-            "#[cfg(feature = \"verif\")]\nfn snapshot_age() { let t = Instant::now(); }\n",
+            "#[cfg(feature = \"x\")]\nfn snapshot_age() { let t = Instant::now(); }\n",
         );
-        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(rules_of(&out), ["determinism-audit"]);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! the simulator-specific rules rustc and clippy cannot express. The
 //! engine is offline and dependency-free: a hand-rolled Rust lexer
 //! ([`lex`]) feeds an item layer ([`items`]) that tracks `#[cfg(test)]`
-//! / `#[cfg(feature = "verif")]` regions, struct fields and impl
-//! blocks; the rules in [`lint`] run over that token stream — not a
-//! `syn` AST walk, which keeps the workspace free of external build
-//! dependencies. The ten rules:
+//! regions, struct fields and impl blocks; the rules in [`lint`] run
+//! over that token stream — not a `syn` AST walk, which keeps the
+//! workspace free of external build dependencies. The ten rules:
 //!
 //! - `no-default-hashmap` — no `RandomState`-hashed collections in
 //!   simulator state;

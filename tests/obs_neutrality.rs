@@ -1,13 +1,14 @@
 //! Observability-layer guarantees: determinism neutrality and the CPI
 //! sum invariant.
 //!
-//! The obs layer (event trace ring, CPI stack, counter registry) must
-//! be a pure *observer*: switching tracing on may never change a single
-//! simulated value. These tests lock that property the strong way — a
-//! traced and an untraced core run the same workload and must produce a
-//! byte-identical `SimStats` rendering and the same always-on commit
-//! fingerprint — and lock the CPI accountant's books: every retire slot
-//! of every cycle lands in exactly one bucket, so the components sum to
+//! The obs layer (event trace ring, CPI stack, counter registry) and
+//! the invariant auditors must be pure *observers*: switching tracing
+//! or auditing on may never change a single simulated value. These
+//! tests lock that property the strong way — an observed and a plain
+//! core run the same workload and must produce a byte-identical
+//! `SimStats` rendering and the same always-on commit fingerprint —
+//! and lock the CPI accountant's books: every retire slot of every
+//! cycle lands in exactly one bucket, so the components sum to
 //! `cycles × commit_width` on every workload in the suite.
 
 use tvp_bench::experiments::vp_cfg;
@@ -49,6 +50,39 @@ fn tracing_is_determinism_neutral() {
         );
         assert!(!traced.trace_events().is_empty(), "{}: ring captured nothing", w.name);
         assert!(plain.trace_events().is_empty(), "{}: untraced core has events", w.name);
+    }
+}
+
+#[test]
+fn auditing_is_determinism_neutral() {
+    // The invariant auditors ship in the measurement build, so pin that
+    // they only observe: auditing every cycle changes no statistic, no
+    // committed instruction and no CPI slot.
+    for w in tvp_workloads::suite().into_iter().take(3) {
+        let trace = w.trace(INSTS / 4);
+        let cfg = vp_cfg(VpMode::Tvp, true);
+
+        let mut plain = Core::new(cfg.clone());
+        let plain_stats = plain.run(&trace);
+
+        let mut audited = Core::new(cfg);
+        audited.enable_audit(1);
+        let audited_stats = audited.run(&trace);
+
+        assert_eq!(
+            format!("{plain_stats:?}"),
+            format!("{audited_stats:?}"),
+            "{}: auditing changed a simulated statistic",
+            w.name
+        );
+        assert_eq!(
+            plain.commit_fingerprint(),
+            audited.commit_fingerprint(),
+            "{}: auditing changed the committed instruction stream",
+            w.name
+        );
+        assert_eq!(plain.cpi_stack(), audited.cpi_stack(), "{}: auditing moved a CPI slot", w.name);
+        assert!(audited.audit_report().is_clean(), "{}", audited.audit_report().render());
     }
 }
 

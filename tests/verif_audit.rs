@@ -1,7 +1,6 @@
 //! End-to-end invariant audit: the full workload suite runs with the
-//! cycle-level auditors enabled and must produce zero violations, in
-//! every value-prediction flavour. Requires the `verif` feature
-//! (`cargo test --features verif`).
+//! cycle-level auditors switched on ([`Core::enable_audit`]) and must
+//! produce zero violations, in every value-prediction flavour.
 
 use tvp_core::{Core, CoreConfig, VpMode};
 
@@ -12,8 +11,8 @@ fn audit_run(kernel: &str, n: u64, vp: VpMode, spsr: bool) -> String {
     let trace = workload.trace(n);
     let mut cfg = CoreConfig::with_vp(vp);
     cfg.spsr = spsr;
-    cfg.audit_every = 64;
     let mut core = Core::new(cfg);
+    core.enable_audit(64);
     let _stats = core.run(&trace);
     core.audit_report().render()
 }
@@ -47,8 +46,8 @@ fn replay_recovery_is_invariant_clean() {
     let trace = workload.trace(15_000);
     let mut cfg = CoreConfig::with_vp(VpMode::Gvp);
     cfg.recovery = tvp_core::config::RecoveryPolicy::Replay;
-    cfg.audit_every = 16;
     let mut core = Core::new(cfg);
+    core.enable_audit(16);
     let _stats = core.run(&trace);
     let report = core.audit_report();
     assert!(report.is_clean(), "{}", report.render());
@@ -67,4 +66,32 @@ fn storage_report_fits_table2_budgets() {
             tvp_verif::budget::check_budgets(&tvp_verif::budget::table2_budgets(), &report);
         assert!(violations.is_empty(), "vp={vp:?}: {violations:?}");
     }
+}
+
+#[test]
+fn enable_audit_checks_the_storage_budget_at_the_end_of_a_run() {
+    // A VTAGE twice the paper's size overruns its Table 2 budget. The
+    // end-of-run check must say so under `enable_audit(0)` (no periodic
+    // audits), and a core that never enables auditing reports nothing.
+    let trace = tvp_workloads::suite::by_name("string_match").expect("kernel exists").trace(2_000);
+    let mut cfg = CoreConfig::with_vp(VpMode::Tvp);
+    let mut vtage = cfg.effective_vtage().expect("TVP has a predictor");
+    for e in &mut vtage.entries {
+        *e *= 2;
+    }
+    cfg.vtage = Some(vtage);
+
+    let mut audited = Core::new(cfg.clone());
+    audited.enable_audit(0);
+    let _stats = audited.run(&trace);
+    let report = audited.audit_report();
+    assert!(
+        report.violations.iter().any(|(_, who, _)| *who == "storage-budget"),
+        "doubled VTAGE passed the budget check:\n{}",
+        report.render()
+    );
+
+    let mut plain = Core::new(cfg);
+    let _stats = plain.run(&trace);
+    assert!(plain.audit_report().is_clean(), "{}", plain.audit_report().render());
 }
