@@ -16,6 +16,7 @@
 //! cargo run --release -p tvp-bench --bin chaos_smoke
 //! ```
 
+use tvp_bench::outln;
 use tvp_chaos::{ChaosConfig, DivergenceKind};
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_core::pipeline::Core;
@@ -54,7 +55,7 @@ fn main() {
         if verdict != "ok" {
             failures += 1;
         }
-        println!(
+        outln!(
             "{:<18} {:>8} faults ({:>4} forced vp) {:>9} cycles  {}",
             w.name,
             stats.chaos.total(),
@@ -77,7 +78,7 @@ fn main() {
     let _stats = core.run(&trace);
     match core.oracle_divergence() {
         Some(d) if matches!(d.kind, DivergenceKind::Order { .. }) && d.chaos_seed == Some(SEED) => {
-            println!("sabotaged recovery caught: {d}");
+            outln!("sabotaged recovery caught: {d}");
         }
         Some(d) => {
             eprintln!("sabotage caught but with the wrong shape: {d}");
@@ -93,7 +94,5 @@ fn main() {
         eprintln!("chaos smoke: {failures} failure(s) [seed {SEED:#x}]");
         std::process::exit(1);
     }
-    println!(
-        "chaos smoke: all workloads architecturally identical under campaign [seed {SEED:#x}]"
-    );
+    outln!("chaos smoke: all workloads architecturally identical under campaign [seed {SEED:#x}]");
 }

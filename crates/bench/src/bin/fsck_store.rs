@@ -20,6 +20,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use tvp_bench::outln;
 use tvp_bench::store::fsck;
 
 fn usage() -> ExitCode {
@@ -54,30 +55,36 @@ fn main() -> ExitCode {
         }
     };
 
-    println!("fsck {}: {}", dir.display(), report.summary());
+    outln!("fsck {}: {}", dir.display(), report.summary());
     for bad in &report.corrupt {
-        println!("  CORRUPT  {}: {}", bad.file, bad.error);
+        outln!("  CORRUPT  {}: {}", bad.file, bad.error);
     }
     for file in &report.missing {
-        println!("  MISSING  blobs/{file} (journal claims it was published)");
+        outln!("  MISSING  blobs/{file} (journal claims it was published)");
     }
     for file in &report.orphans {
-        println!("  orphan   blobs/{file} (valid, no journal record — will warm the next run)");
+        outln!("  orphan   blobs/{file} (valid, no journal record — will warm the next run)");
+    }
+    if report.stale_schema > 0 {
+        outln!(
+            "  note     {} file(s) of an older schema (intact, never loaded again)",
+            report.stale_schema
+        );
     }
     if report.journal_torn_tail {
-        println!("  note     journal has a torn tail (normal after a kill; next run repairs)");
+        outln!("  note     journal has a torn tail (normal after a kill; next run repairs)");
     }
     if report.journal_skipped > 0 {
-        println!("  CORRUPT  journal: {} unreadable mid-file line(s)", report.journal_skipped);
+        outln!("  CORRUPT  journal: {} unreadable mid-file line(s)", report.journal_skipped);
     }
     if report.journal_bad_header {
-        println!("  CORRUPT  journal: missing or unrecognised header");
+        outln!("  CORRUPT  journal: missing or unrecognised header");
     }
 
     if let Some(path) = json_out {
         let json = report.to_json();
         if path == "-" {
-            println!("{json}");
+            outln!("{json}");
         } else if let Err(e) = std::fs::write(&path, json) {
             eprintln!("fsck-store: cannot write {path}: {e}");
             return ExitCode::from(2);
@@ -85,10 +92,10 @@ fn main() -> ExitCode {
     }
 
     if report.clean() {
-        println!("store is clean");
+        outln!("store is clean");
         ExitCode::SUCCESS
     } else {
-        println!("store has problems (see above)");
+        outln!("store has problems (see above)");
         ExitCode::from(1)
     }
 }

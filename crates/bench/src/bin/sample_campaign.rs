@@ -21,6 +21,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
+use tvp_bench::outln;
 use tvp_bench::sampling::{
     campaign_fingerprint, error_report, run_suite_sampled, validate_sampling, SampleSpec,
     SampledRun, DEFAULT_BOUNDS,
@@ -123,13 +124,20 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
     let runs = run_suite_sampled(&workloads, &cfg, insts, spec, jobs, store.as_ref());
     let wall = t0.elapsed();
 
-    println!(
+    outln!(
         "{:<16} {:>9} {:>7} {:>8} {:>12} {:>8} {:>8} {:>8}  fp",
-        "workload", "intervals", "resumed", "ipc", "cycles", "br_mpki", "vp_mpki", "spsr"
+        "workload",
+        "intervals",
+        "resumed",
+        "ipc",
+        "cycles",
+        "br_mpki",
+        "vp_mpki",
+        "spsr"
     );
     for (w, run) in workloads.iter().zip(&runs) {
         let est = run.estimate();
-        println!(
+        outln!(
             "{:<16} {:>9} {:>7} {:>8.4} {:>12.0} {:>8.3} {:>8.3} {:>8.4}  {:016x}",
             w.name,
             run.intervals.len(),
@@ -143,7 +151,7 @@ fn cmd_run(mut args: impl Iterator<Item = String>) {
         );
     }
     let fp = campaign_fingerprint(&runs);
-    println!("campaign fingerprint   {fp:016x}");
+    outln!("campaign fingerprint   {fp:016x}");
 
     let agg = |f: fn(&SampledRun) -> u64| runs.iter().map(f).sum::<u64>();
     let total_insts = agg(|r| r.total_insts);
@@ -243,7 +251,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
     for e in &results {
         let violations = e.violations(&DEFAULT_BOUNDS);
         if violations.is_empty() {
-            println!(
+            outln!(
                 "PASS {:<16} ipc {:.4} vs {:.4} (rel err {:.4})",
                 e.workload,
                 e.sampled.ipc(),
@@ -252,7 +260,7 @@ fn cmd_validate(mut args: impl Iterator<Item = String>) {
             );
         } else {
             failures += 1;
-            println!("FAIL {:<16} {}", e.workload, violations.join("; "));
+            outln!("FAIL {:<16} {}", e.workload, violations.join("; "));
         }
     }
 

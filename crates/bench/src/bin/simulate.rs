@@ -21,6 +21,7 @@
 //! * `5` — an invariant auditor reported a violation (full runs audit
 //!   every 1,000 cycles and at the end).
 
+use tvp_bench::outln;
 use tvp_chaos::ChaosConfig;
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_core::pipeline::Core;
@@ -99,22 +100,22 @@ fn run_sampled_mode(
     });
     let est = run.estimate();
 
-    println!("---------- {} ({}) [sampled] ----------", workload.name, workload.proxy);
-    println!("sample spec            {:>12}", spec.display());
-    println!("intervals              {:>12}", run.intervals.len());
-    println!("resumed intervals      {:>12}", run.resumed_intervals);
-    println!("insts consumed         {:>12}", run.total_insts);
-    println!("insts fast-forwarded   {:>12}", run.skipped_insts);
-    println!("insts warmed up        {:>12}", run.warmup_insts);
-    println!("insts measured         {:>12}", run.measured_insts);
-    println!("halted early           {:>12}", run.halted);
-    println!("run fingerprint        {:>12}", format!("{:016x}", run.fingerprint()));
-    println!("-- reconstructed whole-trace estimates");
-    println!("est. cycles            {:>12.0}", est.cycles);
-    println!("est. IPC               {:>12.4}", est.ipc());
-    println!("est. branch MPKI       {:>12.4}", est.branch_mpki());
-    println!("est. VP MPKI           {:>12.4}", est.vp_mpki());
-    println!("est. SpSR coverage     {:>12.4}", est.spsr_coverage());
+    outln!("---------- {} ({}) [sampled] ----------", workload.name, workload.proxy);
+    outln!("sample spec            {:>12}", spec.display());
+    outln!("intervals              {:>12}", run.intervals.len());
+    outln!("resumed intervals      {:>12}", run.resumed_intervals);
+    outln!("insts consumed         {:>12}", run.total_insts);
+    outln!("insts fast-forwarded   {:>12}", run.skipped_insts);
+    outln!("insts warmed up        {:>12}", run.warmup_insts);
+    outln!("insts measured         {:>12}", run.measured_insts);
+    outln!("halted early           {:>12}", run.halted);
+    outln!("run fingerprint        {:>12}", format!("{:016x}", run.fingerprint()));
+    outln!("-- reconstructed whole-trace estimates");
+    outln!("est. cycles            {:>12.0}", est.cycles);
+    outln!("est. IPC               {:>12.4}", est.ipc());
+    outln!("est. branch MPKI       {:>12.4}", est.branch_mpki());
+    outln!("est. VP MPKI           {:>12.4}", est.vp_mpki());
+    outln!("est. SpSR coverage     {:>12.4}", est.spsr_coverage());
     if let Some(s) = &store {
         eprintln!("[store] {}", s.lock().expect("store lock poisoned").summary());
     }
@@ -126,9 +127,9 @@ fn main() {
         usage();
     }
     if args[0] == "--list" {
-        println!("{:<18} {:<20} {:>6}", "workload", "proxy", "insts");
+        outln!("{:<18} {:<20} {:>6}", "workload", "proxy", "insts");
         for w in tvp_workloads::suite() {
-            println!("{:<18} {:<20} {:>6}", w.name, w.proxy, w.code_size());
+            outln!("{:<18} {:<20} {:>6}", w.name, w.proxy, w.code_size());
         }
         return;
     }
@@ -260,64 +261,64 @@ fn main() {
         );
     }
 
-    println!("---------- {} ({}) ----------", workload.name, workload.proxy);
-    println!(
+    outln!("---------- {} ({}) ----------", workload.name, workload.proxy);
+    outln!(
         "config                 vp={:?} spsr={} silence={}{}",
         cfg.vp,
         cfg.spsr,
         cfg.silence_cycles,
         if cfg.adaptive_silencing { "+adaptive" } else { "" }
     );
-    println!("cycles                 {:>12}", s.cycles);
-    println!("insts retired          {:>12}", s.insts_retired);
-    println!("uops retired           {:>12}", s.uops_retired);
-    println!("IPC                    {:>12.4}", s.ipc());
-    println!("uops per inst          {:>12.4}", s.expansion_ratio());
-    println!("-- front end");
-    println!("branch mispredicts     {:>12}", s.flush.branch_mispredicts);
-    println!("-- value prediction");
-    println!("vp eligible            {:>12}", s.vp.eligible);
-    println!("vp used                {:>12}", s.vp.used);
-    println!("vp coverage            {:>12.4}", s.vp.coverage());
-    println!("vp accuracy            {:>12.4}", s.vp.accuracy());
-    println!("vp flushes             {:>12}", s.flush.vp_flushes);
-    println!("mem-order flushes      {:>12}", s.flush.mem_order_flushes);
-    println!("squashed uops          {:>12}", s.flush.squashed_uops);
-    println!("-- rename eliminations");
-    println!("zero idiom             {:>12}", s.rename.zero_idiom);
-    println!("one idiom              {:>12}", s.rename.one_idiom);
-    println!("move elimination       {:>12}", s.rename.move_elim);
-    println!("9-bit idiom            {:>12}", s.rename.nine_bit_idiom);
-    println!("SpSR                   {:>12}", s.rename.spsr);
-    println!("non-ME moves           {:>12}", s.rename.non_me_move);
-    println!("-- activity");
-    println!("INT PRF reads          {:>12}", s.activity.int_prf_reads);
-    println!("INT PRF writes         {:>12}", s.activity.int_prf_writes);
-    println!("IQ dispatched          {:>12}", s.activity.iq_dispatched);
-    println!("IQ issued              {:>12}", s.activity.iq_issued);
+    outln!("cycles                 {:>12}", s.cycles);
+    outln!("insts retired          {:>12}", s.insts_retired);
+    outln!("uops retired           {:>12}", s.uops_retired);
+    outln!("IPC                    {:>12.4}", s.ipc());
+    outln!("uops per inst          {:>12.4}", s.expansion_ratio());
+    outln!("-- front end");
+    outln!("branch mispredicts     {:>12}", s.flush.branch_mispredicts);
+    outln!("-- value prediction");
+    outln!("vp eligible            {:>12}", s.vp.eligible);
+    outln!("vp used                {:>12}", s.vp.used);
+    outln!("vp coverage            {:>12.4}", s.vp.coverage());
+    outln!("vp accuracy            {:>12.4}", s.vp.accuracy());
+    outln!("vp flushes             {:>12}", s.flush.vp_flushes);
+    outln!("mem-order flushes      {:>12}", s.flush.mem_order_flushes);
+    outln!("squashed uops          {:>12}", s.flush.squashed_uops);
+    outln!("-- rename eliminations");
+    outln!("zero idiom             {:>12}", s.rename.zero_idiom);
+    outln!("one idiom              {:>12}", s.rename.one_idiom);
+    outln!("move elimination       {:>12}", s.rename.move_elim);
+    outln!("9-bit idiom            {:>12}", s.rename.nine_bit_idiom);
+    outln!("SpSR                   {:>12}", s.rename.spsr);
+    outln!("non-ME moves           {:>12}", s.rename.non_me_move);
+    outln!("-- activity");
+    outln!("INT PRF reads          {:>12}", s.activity.int_prf_reads);
+    outln!("INT PRF writes         {:>12}", s.activity.int_prf_writes);
+    outln!("IQ dispatched          {:>12}", s.activity.iq_dispatched);
+    outln!("IQ issued              {:>12}", s.activity.iq_issued);
     if core.chaos_seed().is_some() {
-        println!("-- chaos campaign (seed {:#x})", core.chaos_seed().unwrap_or(0));
-        println!("faults injected        {:>12}", s.chaos.total());
-        println!("forced vp mispredicts  {:>12}", s.chaos.vp_forced_mispredicts);
-        println!("table corruptions      {:>12}", {
+        outln!("-- chaos campaign (seed {:#x})", core.chaos_seed().unwrap_or(0));
+        outln!("faults injected        {:>12}", s.chaos.total());
+        outln!("forced vp mispredicts  {:>12}", s.chaos.vp_forced_mispredicts);
+        outln!("table corruptions      {:>12}", {
             s.chaos.vtage_corruptions
                 + s.chaos.tage_corruptions
                 + s.chaos.btb_corruptions
                 + s.chaos.storeset_corruptions
         });
-        println!("branch inversions      {:>12}", s.chaos.branch_inversions);
-        println!("cache delays           {:>12}", s.chaos.cache_delays);
-        println!("prefetch drop cycles   {:>12}", s.chaos.prefetch_drop_cycles);
+        outln!("branch inversions      {:>12}", s.chaos.branch_inversions);
+        outln!("cache delays           {:>12}", s.chaos.cache_delays);
+        outln!("prefetch drop cycles   {:>12}", s.chaos.prefetch_drop_cycles);
     }
     if s.overflow_events > 0 {
-        println!("counter saturations    {:>12}", s.overflow_events);
+        outln!("counter saturations    {:>12}", s.overflow_events);
     }
     let cpi = core.cpi_stack();
-    println!("-- cycle attribution (CPI stack, retire-slot counts)");
+    outln!("-- cycle attribution (CPI stack, retire-slot counts)");
     for (name, slots) in cpi.components() {
-        println!("{name:<22} {slots:>12} ({:>6.2}%)", cpi.fraction(slots) * 100.0);
+        outln!("{name:<22} {slots:>12} ({:>6.2}%)", cpi.fraction(slots) * 100.0);
     }
-    println!("attributed slots       {:>12} (= cycles x width: {})", cpi.total(), {
+    outln!("attributed slots       {:>12} (= cycles x width: {})", cpi.total(), {
         if cpi.total() == s.cycles.saturating_mul(cfg.commit_width as u64) {
             "ok"
         } else {
@@ -329,9 +330,9 @@ fn main() {
         let mut base_cfg = CoreConfig::table2();
         base_cfg.mem = cfg.mem.clone();
         let base = tvp_core::pipeline::simulate(base_cfg, &trace);
-        println!("-- vs. baseline");
-        println!("baseline cycles        {:>12}", base.cycles);
-        println!("speedup                {:>11.2}%", (s.speedup_over(&base) - 1.0) * 100.0);
+        outln!("-- vs. baseline");
+        outln!("baseline cycles        {:>12}", base.cycles);
+        outln!("speedup                {:>11.2}%", (s.speedup_over(&base) - 1.0) * 100.0);
     }
 
     // Verification gates, most root-cause first. Each prints the

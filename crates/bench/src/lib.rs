@@ -103,6 +103,28 @@ pub fn fatal(context: &str, err: &dyn std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// Writes one line of a binary's stdout report. A closed pipe (a
+/// reader such as `head` that has seen enough) ends the output and
+/// leaves the binary to finish with its own exit status; any other
+/// write error is [`fatal`]. `println!` panics on both. Called through
+/// [`outln!`].
+pub fn out(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            fatal("cannot write to stdout", &e);
+        }
+    }
+}
+
+/// `println!` for the binaries' stdout reports, through [`out`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::out(format_args!($($arg)*))
+    };
+}
+
 /// A workload with its materialized trace, the element of
 /// [`ExpContext::prepared`](experiments::ExpContext::prepared). The
 /// engine builds none: the pool builds each trace on demand

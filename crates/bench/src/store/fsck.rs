@@ -8,16 +8,19 @@
 //! an **orphan** (harmless — it still warms the next run — but worth
 //! knowing about after a kill), leases with no completion are the
 //! points a killed campaign died holding, and everything already in
-//! `quarantine/` is counted. Journals of older stores that hold the
-//! retired fabric's record kinds replay like any other (see
-//! [`manifest`]). The `fsck_store` bin is the CLI entry point: it
-//! wires [`FsckReport`] to exit codes and JSON.
+//! `quarantine/` is counted. A file of an older schema whose frame
+//! still verifies is **stale**, not corrupt: no run loads it again, and
+//! it is counted apart without making the store unhealthy. Journals of
+//! older stores that hold the retired fabric's record kinds replay like
+//! any other (see [`manifest`]). The `fsck_store` bin is the CLI entry
+//! point: it wires [`FsckReport`] to exit codes and JSON.
 
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use super::blob::{self, BlobError};
+use super::blob::{self, BlobError, BLOB_MAGIC, BLOB_SCHEMA};
+use super::checkpoint::{CKPT_MAGIC, CKPT_SCHEMA};
 use super::manifest::{self, JournalState, JOURNAL_FILE};
 use super::{checkpoint, BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR};
 use crate::json;
@@ -40,8 +43,11 @@ pub struct FsckReport {
     /// Checkpoints that decoded and verified completely.
     pub checkpoints_ok: u64,
     /// Blobs and checkpoints that failed verification (checksum,
-    /// schema, torn, or filed under the wrong content address).
+    /// newer schema, torn, or filed under the wrong content address).
     pub corrupt: Vec<BadBlob>,
+    /// Blobs and checkpoints of an older schema whose frame (lengths
+    /// and checksum) verifies: left by an earlier build, never loaded.
+    pub stale_schema: u64,
     /// Valid blobs with no `done` journal record.
     pub orphans: Vec<String>,
     /// `done` journal records with no blob on disk.
@@ -67,6 +73,7 @@ impl FsckReport {
     /// verifies and every journal completion has its blob. Orphans,
     /// pending leases and a torn journal tail are *expected* after a
     /// kill and do not make a store unhealthy — resuming repairs them.
+    /// Nor do files of an older schema, which are intact but stale.
     #[must_use]
     pub fn clean(&self) -> bool {
         self.corrupt.is_empty() && self.missing.is_empty() && self.journal_skipped == 0
@@ -76,11 +83,12 @@ impl FsckReport {
     #[must_use]
     pub fn summary(&self) -> String {
         format!(
-            "{} blob(s) ok, {} checkpoint(s) ok, {} corrupt, {} orphan(s), {} missing, \
-             {} quarantined, {} pending lease(s), {} failed, torn_tail={}",
+            "{} blob(s) ok, {} checkpoint(s) ok, {} corrupt, {} stale-schema, {} orphan(s), \
+             {} missing, {} quarantined, {} pending lease(s), {} failed, torn_tail={}",
             self.blobs_ok,
             self.checkpoints_ok,
             self.corrupt.len(),
+            self.stale_schema,
             self.orphans.len(),
             self.missing.len(),
             self.quarantined,
@@ -109,6 +117,7 @@ impl FsckReport {
             ("blobs_ok", self.blobs_ok.to_string()),
             ("checkpoints_ok", self.checkpoints_ok.to_string()),
             ("corrupt", Lines.array(&corrupt)),
+            ("stale_schema", self.stale_schema.to_string()),
             ("orphans", strings(&self.orphans)),
             ("missing", strings(&self.missing)),
             ("quarantined", self.quarantined.to_string()),
@@ -132,13 +141,17 @@ fn count_files(dir: &Path) -> u64 {
 /// The one verifier loop: walks `<dir>/<sub>/*.<ext>` in sorted order
 /// (deterministic reports) and fully verifies every file with
 /// `echoed_digest` — frame, checksum, and that the echoed key digests
-/// to the file name. Failures land in `report.corrupt`. Returns the
-/// content addresses that verified (one per file) and those whose
-/// file exists but failed.
+/// to the file name. A file framed under `magic` with a schema below
+/// `schema` whose lengths and checksum verify counts as stale; other
+/// failures land in `report.corrupt`. Returns the content addresses
+/// that verified (one per file) and those whose file exists but did
+/// not (corrupt or stale).
 fn verify_files(
     dir: &Path,
     sub: &str,
     ext: &str,
+    magic: &[u8; 8],
+    schema: u32,
     echoed_digest: impl Fn(&[u8]) -> Result<u64, BlobError>,
     report: &mut FsckReport,
 ) -> (Vec<u64>, BTreeSet<u64>) {
@@ -164,6 +177,13 @@ fn verify_files(
         let verdict = match std::fs::read(&path) {
             Err(e) => Err(format!("unreadable: {e}")),
             Ok(bytes) => match echoed_digest(&bytes) {
+                Err(BlobError::SchemaMismatch { found })
+                    if found < schema && blob::unframe(&bytes, magic, found).is_ok() =>
+                {
+                    report.stale_schema += 1;
+                    bad.insert(addr);
+                    continue;
+                }
                 Err(e) => Err(e.to_string()),
                 Ok(digest) if digest == addr => Ok(()),
                 Ok(digest) => Err(format!(
@@ -206,20 +226,29 @@ pub fn fsck(dir: &Path) -> io::Result<FsckReport> {
     report.failed = journal.failed.len() as u64;
 
     let blob_digest = |b: &[u8]| blob::decode(b).map(|(key, _)| key.digest());
-    let (blobs, corrupt_addrs) = verify_files(dir, BLOBS_DIR, "blob", blob_digest, &mut report);
+    let (blobs, unloadable) =
+        verify_files(dir, BLOBS_DIR, "blob", &BLOB_MAGIC, BLOB_SCHEMA, blob_digest, &mut report);
     report.blobs_ok = blobs.len() as u64;
     let ckpt_digest = |b: &[u8]| checkpoint::decode(b).map(|(key, _)| key.digest());
-    let (ckpts, _) = verify_files(dir, CHECKPOINTS_DIR, "ckpt", ckpt_digest, &mut report);
+    let (ckpts, _) = verify_files(
+        dir,
+        CHECKPOINTS_DIR,
+        "ckpt",
+        &CKPT_MAGIC,
+        CKPT_SCHEMA,
+        ckpt_digest,
+        &mut report,
+    );
     report.checkpoints_ok = ckpts.len() as u64;
 
-    // Cross-check journal vs blobs. A corrupt blob is already
-    // reported, so its address does not *also* count as missing.
+    // Cross-check journal vs blobs. A corrupt or stale blob is already
+    // counted, so its address does not *also* count as missing.
     let on_disk: BTreeSet<u64> = blobs.into_iter().collect();
     for digest in on_disk.difference(&journal.completed) {
         report.orphans.push(format!("{digest:016x}.blob"));
     }
     for digest in journal.completed.difference(&on_disk) {
-        if !corrupt_addrs.contains(digest) {
+        if !unloadable.contains(digest) {
             report.missing.push(format!("{digest:016x}.blob"));
         }
     }
@@ -382,6 +411,53 @@ mod tests {
         assert_eq!(report.corrupt.len(), 1, "{:?}", report.corrupt);
         assert!(report.corrupt[0].file.starts_with("checkpoints/"), "{:?}", report.corrupt);
         assert!(report.corrupt[0].error.contains("checksum"), "{:?}", report.corrupt);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Re-frames the blob of `key` in `dir` under `schema`, keeping its
+    /// key and payload sections; `flip` inverts one payload byte after
+    /// the checksum is taken.
+    fn reframe_blob(dir: &Path, key: &ExpKey, schema: u32, flip: bool) {
+        let path = dir.join(BLOBS_DIR).join(format!("{:016x}.blob", key.digest()));
+        let bytes = std::fs::read(&path).expect("read blob");
+        let (key_bytes, body) = blob::unframe(&bytes, &BLOB_MAGIC, BLOB_SCHEMA).expect("unframe");
+        let mut framed = blob::frame(&BLOB_MAGIC, schema, key_bytes, body);
+        if flip {
+            let mid = framed.len() - blob::CHECKSUM_LEN - 1;
+            framed[mid] ^= 0xFF;
+        }
+        std::fs::write(&path, framed).expect("rewrite blob");
+    }
+
+    #[test]
+    fn an_intact_blob_of_an_older_schema_is_stale_not_corrupt() {
+        let dir = scratch("stale");
+        let keys = populate(&dir, 2);
+        reframe_blob(&dir, &keys[0], 1, false);
+        let report = fsck(&dir).expect("fsck");
+        assert!(report.clean(), "a stale blob leaves the store healthy: {}", report.summary());
+        assert_eq!(report.stale_schema, 1);
+        assert!(report.corrupt.is_empty(), "{:?}", report.corrupt);
+        assert!(report.missing.is_empty(), "its journal record is not a missing blob");
+        assert_eq!(report.blobs_ok, 1);
+        assert!(report.summary().contains("1 stale-schema"), "{}", report.summary());
+        assert!(report.to_json().contains("\"stale_schema\": 1"), "{}", report.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_older_blob_or_a_newer_schema_stays_corrupt() {
+        let dir = scratch("stale_damaged");
+        let keys = populate(&dir, 2);
+        reframe_blob(&dir, &keys[0], 1, true);
+        reframe_blob(&dir, &keys[1], BLOB_SCHEMA + 1, false);
+        let report = fsck(&dir).expect("fsck");
+        assert!(!report.clean(), "{}", report.summary());
+        assert_eq!(report.stale_schema, 0);
+        let errors: Vec<&str> = report.corrupt.iter().map(|b| b.error.as_str()).collect();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors.iter().all(|e| e.contains("schema mismatch")), "{errors:?}");
+        assert!(report.missing.is_empty(), "a corrupt blob is not also missing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

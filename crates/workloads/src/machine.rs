@@ -1,7 +1,8 @@
 //! The functional machine: architectural execution and trace emission.
 //!
 //! Executes a [`Program`] at architectural precision — registers, flags,
-//! byte-addressed sparse memory, control flow — and emits a
+//! byte-addressed sparse memory, control flow — running each text
+//! slot's µops as the assembler decoded them, and emits a
 //! [`Trace`] of micro-ops annotated with actual results. The timing
 //! core never re-executes semantics; it replays this trace, which makes
 //! the functional model the single source of architectural truth.
@@ -11,7 +12,7 @@ use std::ops::Range;
 
 use tvp_isa::exec::{branch_taken, exec_alu, Operands};
 use tvp_isa::flags::Nzcv;
-use tvp_isa::inst::{expand, AddrMode, Src2};
+use tvp_isa::inst::{AddrMode, Src2};
 use tvp_isa::op::Op;
 use tvp_isa::reg::{Reg, NUM_FP_REGS, NUM_INT_REGS, ZERO_REG_INDEX};
 
@@ -143,10 +144,11 @@ fn fnv_mix(h: u64, v: u64) -> u64 {
     h
 }
 
-/// A copy of the complete architectural state of a [`Machine`]:
-/// registers, flags, program counter and memory. The chaos commit
-/// oracle seeds its golden model from the pre-run snapshot and compares
-/// its post-run state against the functional machine's final snapshot.
+/// The complete architectural state of a [`Machine`]: registers,
+/// flags, program counter and memory. The machine executes on one;
+/// [`Machine::arch_snapshot`] hands out a copy. The chaos commit oracle
+/// seeds its golden model from the pre-run snapshot and compares its
+/// post-run state against the functional machine's final snapshot.
 #[derive(Clone, Debug)]
 pub struct ArchSnapshot {
     /// Integer register file (`x0`–`x30`; index 31 is the hardwired
@@ -178,40 +180,8 @@ impl ArchSnapshot {
         h = fnv_mix(h, self.pc);
         fnv_mix(h, self.mem.digest())
     }
-}
 
-/// The architectural machine.
-#[derive(Debug, Clone)]
-pub struct Machine {
-    program: Program,
-    int: [u64; NUM_INT_REGS as usize],
-    fp: [u64; NUM_FP_REGS as usize],
-    flags: Nzcv,
-    pc: u64,
-    mem: SparseMem,
-    seq: u64,
-}
-
-impl Machine {
-    /// Creates a machine at the program's entry point with zeroed
-    /// registers and memory.
-    #[must_use]
-    pub fn new(program: Program) -> Self {
-        let pc = program.entry();
-        Machine {
-            program,
-            int: [0; NUM_INT_REGS as usize],
-            fp: [0; NUM_FP_REGS as usize],
-            flags: Nzcv::default(),
-            pc,
-            mem: SparseMem::default(),
-            seq: 0,
-        }
-    }
-
-    /// Reads an architectural register (the zero register reads 0).
-    #[must_use]
-    pub fn reg(&self, r: Reg) -> u64 {
+    fn reg(&self, r: Reg) -> u64 {
         match r {
             Reg::Int(ZERO_REG_INDEX) => 0,
             Reg::Int(i) => self.int[usize::from(i)],
@@ -220,73 +190,12 @@ impl Machine {
         }
     }
 
-    /// Writes an architectural register (writes to the zero register
-    /// are discarded).
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
+    fn set_reg(&mut self, r: Reg, value: u64) {
         match r {
             Reg::Int(ZERO_REG_INDEX) => {}
             Reg::Int(i) => self.int[usize::from(i)] = value,
             Reg::Fp(i) => self.fp[usize::from(i)] = value,
             Reg::Nzcv => self.flags = Nzcv::unpack(value as u8),
-        }
-    }
-
-    /// Direct memory write for workload initialisation.
-    pub fn write_mem(&mut self, addr: u64, size: u8, value: u64) {
-        self.mem.write(addr, size, value);
-    }
-
-    /// Direct memory read, mostly for tests.
-    #[must_use]
-    pub fn read_mem(&self, addr: u64, size: u8) -> u64 {
-        self.mem.read(addr, size)
-    }
-
-    /// Bulk memory initialisation (workload data segments).
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        self.mem.write_bytes(addr, bytes);
-    }
-
-    /// Current program counter.
-    #[must_use]
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
-    /// Global sequence number of the *next* µop this machine will
-    /// execute — the machine's position in the dynamic µop stream.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Reconstructs a machine from an architectural snapshot plus its
-    /// µop sequence position — the checkpoint-resume path. The restored
-    /// machine continues the dynamic instruction stream exactly where
-    /// the snapshotted one left off.
-    #[must_use]
-    pub fn restore(program: Program, snap: &ArchSnapshot, seq: u64) -> Self {
-        Machine {
-            program,
-            int: snap.int,
-            fp: snap.fp,
-            flags: snap.flags,
-            pc: snap.pc,
-            mem: snap.mem.clone(),
-            seq,
-        }
-    }
-
-    /// Snapshots the complete architectural state (registers, flags,
-    /// PC, memory).
-    #[must_use]
-    pub fn arch_snapshot(&self) -> ArchSnapshot {
-        ArchSnapshot {
-            int: self.int,
-            fp: self.fp,
-            flags: self.flags,
-            pc: self.pc,
-            mem: self.mem.clone(),
         }
     }
 
@@ -308,6 +217,88 @@ impl Machine {
                 unreachable!("writeback addressing is removed by µop expansion")
             }
         }
+    }
+}
+
+/// The architectural machine: a decoded [`Program`], the live
+/// architectural state and the µop sequence position.
+#[derive(Debug, Clone)]
+pub struct Machine {
+    program: Program,
+    arch: ArchSnapshot,
+    seq: u64,
+}
+
+impl Machine {
+    /// Creates a machine at the program's entry point with zeroed
+    /// registers and memory.
+    #[must_use]
+    pub fn new(program: Program) -> Self {
+        let arch = ArchSnapshot {
+            int: [0; NUM_INT_REGS as usize],
+            fp: [0; NUM_FP_REGS as usize],
+            flags: Nzcv::default(),
+            pc: program.entry(),
+            mem: SparseMem::default(),
+        };
+        Machine { program, arch, seq: 0 }
+    }
+
+    /// Reads an architectural register (the zero register reads 0).
+    #[must_use]
+    pub fn reg(&self, r: Reg) -> u64 {
+        self.arch.reg(r)
+    }
+
+    /// Writes an architectural register (writes to the zero register
+    /// are discarded).
+    pub fn set_reg(&mut self, r: Reg, value: u64) {
+        self.arch.set_reg(r, value);
+    }
+
+    /// Direct memory write for workload initialisation.
+    pub fn write_mem(&mut self, addr: u64, size: u8, value: u64) {
+        self.arch.mem.write(addr, size, value);
+    }
+
+    /// Direct memory read, mostly for tests.
+    #[must_use]
+    pub fn read_mem(&self, addr: u64, size: u8) -> u64 {
+        self.arch.mem.read(addr, size)
+    }
+
+    /// Bulk memory initialisation (workload data segments).
+    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
+        self.arch.mem.write_bytes(addr, bytes);
+    }
+
+    /// Current program counter.
+    #[must_use]
+    pub fn pc(&self) -> u64 {
+        self.arch.pc
+    }
+
+    /// Global sequence number of the *next* µop this machine will
+    /// execute — the machine's position in the dynamic µop stream.
+    #[must_use]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Reconstructs a machine from an architectural snapshot plus its
+    /// µop sequence position — the checkpoint-resume path. The restored
+    /// machine continues the dynamic instruction stream exactly where
+    /// the snapshotted one left off.
+    #[must_use]
+    pub fn restore(program: Program, snap: &ArchSnapshot, seq: u64) -> Self {
+        Machine { program, arch: snap.clone(), seq }
+    }
+
+    /// Snapshots the complete architectural state (registers, flags,
+    /// PC, memory).
+    #[must_use]
+    pub fn arch_snapshot(&self) -> ArchSnapshot {
+        self.arch.clone()
     }
 
     /// Executes one *architectural* instruction, appending its µops to
@@ -340,20 +331,21 @@ impl Machine {
         done
     }
 
-    /// Executes one architectural instruction, handing each annotated
-    /// µop record to `emit`. Returns `false` (without calling `emit`)
-    /// when the machine has halted.
+    /// Executes one architectural instruction — the µops its text slot
+    /// decoded to at assembly — handing each annotated µop record to
+    /// `emit`. Returns `false` (without calling `emit`) when the
+    /// machine has halted.
     fn step_exec(&mut self, mut emit: impl FnMut(TraceUop)) -> bool {
-        let Some(&inst) = self.program.fetch(self.pc) else {
+        let Machine { program, arch, seq } = self;
+        let pc = arch.pc;
+        let Some(uops) = program.fetch(pc) else {
             return false;
         };
-        let mut next_pc = self.pc + INST_BYTES;
-        let uops = expand(&inst);
-        let n = uops.len();
-        for (k, uop) in uops.into_iter().enumerate() {
+        let mut next_pc = pc + INST_BYTES;
+        for (k, &uop) in uops.iter().enumerate() {
             let mut rec = TraceUop {
-                seq: self.seq,
-                pc: self.pc,
+                seq: *seq,
+                pc,
                 uop,
                 first_uop: k == 0,
                 result: None,
@@ -361,11 +353,11 @@ impl Machine {
                 mem_addr: None,
                 branch: None,
             };
-            self.seq += 1;
+            *seq += 1;
             match uop.op {
                 Op::Load { size, signed } => {
-                    let addr = self.effective_addr(uop.addr.expect("load has addressing"));
-                    let raw = self.mem.read(addr, size);
+                    let addr = arch.effective_addr(uop.addr.expect("load has addressing"));
+                    let raw = arch.mem.read(addr, size);
                     let value = if signed && size < 8 {
                         let shift = 64 - u32::from(size) * 8;
                         (((raw << shift) as i64) >> shift) as u64
@@ -373,26 +365,26 @@ impl Machine {
                         raw
                     };
                     let dst = uop.dst.expect("load has a destination");
-                    self.set_reg(dst, value);
+                    arch.set_reg(dst, value);
                     rec.mem_addr = Some(addr);
                     rec.result = Some(value);
                 }
                 Op::Store { size } => {
-                    let addr = self.effective_addr(uop.addr.expect("store has addressing"));
-                    let data = self.reg(uop.src1.expect("store has a data register"));
-                    self.mem.write(addr, size, data);
+                    let addr = arch.effective_addr(uop.addr.expect("store has addressing"));
+                    let data = arch.reg(uop.src1.expect("store has a data register"));
+                    arch.mem.write(addr, size, data);
                     rec.mem_addr = Some(addr);
                 }
                 op if op.is_branch() => {
-                    let src = uop.src1.map_or(0, |r| self.reg(r));
-                    let taken = branch_taken(op, uop.width, src, self.flags);
+                    let src = uop.src1.map_or(0, |r| arch.reg(r));
+                    let taken = branch_taken(op, uop.width, src, arch.flags);
                     let target = match op {
                         Op::Br | Op::Blr | Op::Ret => src,
                         _ => uop.target.expect("direct branch has a target"),
                     };
                     if matches!(op, Op::Bl | Op::Blr) {
-                        let link = self.pc + INST_BYTES;
-                        self.set_reg(Reg::Int(30), link);
+                        let link = pc + INST_BYTES;
+                        arch.set_reg(Reg::Int(30), link);
                         rec.result = Some(link);
                     }
                     if taken {
@@ -400,31 +392,30 @@ impl Machine {
                     }
                     rec.branch = Some(BranchOutcome {
                         taken,
-                        target: if taken { target } else { self.pc + INST_BYTES },
+                        target: if taken { target } else { pc + INST_BYTES },
                     });
                 }
                 op => {
                     let ops = Operands {
-                        a: uop.src1.map_or(0, |r| self.reg(r)),
-                        b: self.src2_value(uop.src2),
-                        c: uop.src3.map_or(0, |r| self.reg(r)),
-                        flags: self.flags,
+                        a: uop.src1.map_or(0, |r| arch.reg(r)),
+                        b: arch.src2_value(uop.src2),
+                        c: uop.src3.map_or(0, |r| arch.reg(r)),
+                        flags: arch.flags,
                     };
                     let r = exec_alu(op, uop.width, uop.sets_flags, ops);
                     if let Some(dst) = uop.dst {
-                        self.set_reg(dst, r.value);
+                        arch.set_reg(dst, r.value);
                         rec.result = Some(r.value);
                     }
                     if let Some(f) = r.flags {
-                        self.flags = f;
+                        arch.flags = f;
                         rec.flags_out = Some(f);
                     }
                 }
             }
             emit(rec);
         }
-        debug_assert!(n >= 1);
-        self.pc = next_pc;
+        arch.pc = next_pc;
         true
     }
 

@@ -1,8 +1,11 @@
 //! Programs and the assembler DSL.
 //!
 //! A [`Program`] is a sequence of architectural instructions laid out at
-//! [`TEXT_BASE`], four bytes apart. The [`Asm`] builder provides a
-//! label-based assembler so kernels read like assembly listings:
+//! [`TEXT_BASE`], four bytes apart, held already decoded: assembly runs
+//! [`expand`] once per instruction, so the machine executes the µops of
+//! a text slot without decoding them again. The [`Asm`] builder
+//! provides a label-based assembler so kernels read like assembly
+//! listings:
 //!
 //! ```
 //! use tvp_workloads::program::Asm;
@@ -17,13 +20,14 @@
 //! a.b_cond(Cond::Ne, "loop");
 //! let program = a.assemble().unwrap();
 //! assert_eq!(program.len(), 3);
+//! assert_eq!(program.fetch(program.entry()).unwrap().len(), 1, "one µop");
 //! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use tvp_isa::flags::Cond;
-use tvp_isa::inst::Inst;
+use tvp_isa::inst::{expand, Inst};
 use tvp_isa::op::Op;
 use tvp_isa::reg::Reg;
 
@@ -33,44 +37,46 @@ pub const TEXT_BASE: u64 = 0x0001_0000;
 /// Size of one instruction in bytes.
 pub const INST_BYTES: u64 = 4;
 
-/// An assembled program.
+/// An assembled program: the text segment as a table of decoded µops.
 #[derive(Clone, Debug)]
 pub struct Program {
-    insts: Vec<Inst>,
+    /// Every instruction's µops in text order, as [`expand`] produced
+    /// them at assembly.
+    uops: Vec<Inst>,
+    /// Text slot `i` (the instruction at `TEXT_BASE + i * INST_BYTES`)
+    /// owns `uops[starts[i]..starts[i + 1]]`; the last entry is
+    /// `uops.len()`.
+    starts: Vec<usize>,
 }
 
 impl Program {
-    /// The instruction at virtual address `pc`, or `None` outside the
-    /// text segment (the machine halts there).
+    /// The µops of the instruction at virtual address `pc`, or `None`
+    /// outside the text segment or off instruction alignment (the
+    /// machine halts there).
     #[must_use]
-    pub fn fetch(&self, pc: u64) -> Option<&Inst> {
-        if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INST_BYTES) {
-            return None;
-        }
-        self.insts.get(((pc - TEXT_BASE) / INST_BYTES) as usize)
+    pub fn fetch(&self, pc: u64) -> Option<&[Inst]> {
+        let offset = pc.checked_sub(TEXT_BASE).filter(|o| o.is_multiple_of(INST_BYTES))?;
+        let slot = usize::try_from(offset / INST_BYTES).ok()?;
+        let end = *self.starts.get(slot.checked_add(1)?)?;
+        Some(&self.uops[self.starts[slot]..end])
     }
 
     /// Number of instructions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.starts.len() - 1
     }
 
     /// Returns `true` for an empty program.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
+        self.len() == 0
     }
 
     /// The entry point (first instruction).
     #[must_use]
     pub fn entry(&self) -> u64 {
         TEXT_BASE
-    }
-
-    /// Iterates over `(pc, inst)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Inst)> {
-        self.insts.iter().enumerate().map(|(i, inst)| (TEXT_BASE + i as u64 * INST_BYTES, inst))
     }
 }
 
@@ -209,7 +215,8 @@ impl Asm {
         self
     }
 
-    /// Resolves labels and validates every instruction.
+    /// Resolves labels, validates every instruction and expands each
+    /// into its µops.
     ///
     /// # Errors
     ///
@@ -221,10 +228,15 @@ impl Asm {
                 self.labels.get(label).ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
             self.insts[*idx].target = Some(TEXT_BASE + *target as u64 * INST_BYTES);
         }
+        let mut uops = Vec::with_capacity(self.insts.len());
+        let mut starts = Vec::with_capacity(self.insts.len() + 1);
+        starts.push(0);
         for (index, inst) in self.insts.iter().enumerate() {
             inst.validate().map_err(|reason| AsmError::InvalidInst { index, reason })?;
+            uops.extend(expand(inst));
+            starts.push(uops.len());
         }
-        Ok(Program { insts: self.insts })
+        Ok(Program { uops, starts })
     }
 }
 
@@ -232,6 +244,7 @@ impl Asm {
 mod tests {
     use super::*;
     use tvp_isa::inst::build::*;
+    use tvp_isa::inst::AddrMode;
     use tvp_isa::reg::x;
 
     #[test]
@@ -245,9 +258,9 @@ mod tests {
         a.b("top");
         let p = a.assemble().unwrap();
         // b skip at index 1 → target index 3.
-        assert_eq!(p.fetch(TEXT_BASE + 4).unwrap().target, Some(TEXT_BASE + 12));
+        assert_eq!(p.fetch(TEXT_BASE + 4).unwrap()[0].target, Some(TEXT_BASE + 12));
         // b top at index 3 → target index 0.
-        assert_eq!(p.fetch(TEXT_BASE + 12).unwrap().target, Some(TEXT_BASE));
+        assert_eq!(p.fetch(TEXT_BASE + 12).unwrap()[0].target, Some(TEXT_BASE));
     }
 
     #[test]
@@ -277,6 +290,25 @@ mod tests {
     }
 
     #[test]
+    fn each_slot_fetches_its_own_expanded_uops() {
+        let mut a = Asm::new();
+        let pre = ldr(x(1), AddrMode::PreIndex { base: x(0), disp: 8 });
+        let post = str(x(1), AddrMode::PostIndex { base: x(0), disp: -8 });
+        a.i(pre);
+        a.i(nop());
+        a.i(post);
+        a.i(add(x(2), x(1), 1i64));
+        let p = a.assemble().unwrap();
+        assert_eq!(p.len(), 4, "one text slot per instruction, not per µop");
+        for (slot, inst) in [pre, nop(), post, add(x(2), x(1), 1i64)].iter().enumerate() {
+            let pc = TEXT_BASE + slot as u64 * INST_BYTES;
+            assert_eq!(p.fetch(pc).unwrap(), &expand(inst)[..], "slot {slot}");
+        }
+        assert_eq!(p.fetch(TEXT_BASE).unwrap().len(), 2, "pre-index: update, then access");
+        assert!(p.fetch(TEXT_BASE + 4 * INST_BYTES).is_none(), "past the last slot");
+    }
+
+    #[test]
     fn invalid_instruction_reported_with_index() {
         let mut a = Asm::new();
         a.i(nop());
@@ -295,6 +327,6 @@ mod tests {
         a.label("f");
         a.bl("f");
         let p = a.assemble().unwrap();
-        assert_eq!(p.fetch(TEXT_BASE).unwrap().dst, Some(x(30)));
+        assert_eq!(p.fetch(TEXT_BASE).unwrap()[0].dst, Some(x(30)));
     }
 }

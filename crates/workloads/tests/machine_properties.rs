@@ -3,12 +3,84 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use tvp_isa::flags::Cond;
 use tvp_isa::inst::build::*;
 use tvp_isa::inst::AddrMode;
 use tvp_isa::reg::x;
 use tvp_workloads::machine::{SparseMem, PAGE_BYTES};
 use tvp_workloads::program::Asm;
-use tvp_workloads::Machine;
+use tvp_workloads::{Machine, MachineSource, Trace, TraceSource};
+
+/// Skips `skip` instructions of `quiet` and fills the next `fill`, then
+/// checks them against the last `fill` instructions of `traced` filled
+/// `skip + fill` from the same start: every record equal in all eight
+/// fields, and the same `seq`, registers, flags, PC and memory
+/// afterwards.
+/// Returns the compared window.
+fn assert_skip_then_fill_matches(
+    name: &str,
+    mut quiet: MachineSource,
+    mut traced: MachineSource,
+    skip: u64,
+    fill: u64,
+) -> Trace {
+    let mut full = Trace::default();
+    assert_eq!(traced.fill(skip + fill, &mut full).expect("fill"), skip + fill, "{name} halted");
+    assert_eq!(quiet.skip(skip).expect("skip"), skip, "{name} halted while skipping");
+    let mut window = Trace::default();
+    assert_eq!(quiet.fill(fill, &mut window).expect("fill"), fill, "{name} halted");
+    let tail = &full.uops[full.uops.len() - window.uops.len()..];
+    for (got, want) in window.uops.iter().zip(tail) {
+        // `TraceUop`'s equality compares seq, pc, uop, first_uop,
+        // result, flags_out, mem_addr and branch.
+        assert_eq!(got, want, "{name}: skipped-then-filled record differs from the traced one");
+    }
+    assert!(window.uops[0].first_uop, "{name}: the window starts on an instruction boundary");
+    let (q, t) = (quiet.machine().arch_snapshot(), traced.machine().arch_snapshot());
+    assert_eq!(quiet.machine().seq(), traced.machine().seq(), "{name}: seq");
+    // Everything `ArchSnapshot::digest` hashes, compared directly: as
+    // strong, and much faster than hashing the data segments byte by
+    // byte in a debug build.
+    assert_eq!((q.int, q.fp, q.flags, q.pc), (t.int, t.fp, t.flags, t.pc), "{name}: registers");
+    assert!(q.mem.nonzero_pages().eq(t.mem.nonzero_pages()), "{name}: memory differs");
+    window
+}
+
+/// Skip and fill are one semantics on every kernel of the suite.
+#[test]
+fn skip_then_fill_equals_fill_on_every_kernel() {
+    let mut split_insts = 0;
+    for w in tvp_workloads::suite() {
+        let window = assert_skip_then_fill_matches(w.name, w.source(), w.source(), 3_000, 1_000);
+        let extra_uops = window.uops.iter().filter(|u| !u.first_uop).count();
+        if w.name == "pixel_encode" {
+            assert!(extra_uops > 0, "pixel_encode expands some instructions into two µops");
+        }
+        split_insts += extra_uops;
+    }
+    assert!(split_insts > 0, "the suite exercises multi-µop text slots");
+}
+
+/// Pre-index and post-index instructions (two µops each) between
+/// single-µop ones: the suite uses only post-index addressing.
+#[test]
+fn skip_then_fill_equals_fill_across_writeback_addressing() {
+    let mut asm = Asm::new();
+    asm.i(movz(x(0), 0x8000));
+    asm.i(movz(x(3), 400));
+    asm.label("loop");
+    asm.i(ldr(x(1), AddrMode::PreIndex { base: x(0), disp: 8 }));
+    asm.i(add(x(1), x(1), x(3)));
+    asm.i(str(x(1), AddrMode::PostIndex { base: x(0), disp: 16 }));
+    asm.i(subs(x(3), x(3), 1i64));
+    asm.b_cond(Cond::Ne, "loop");
+    let program = asm.assemble().expect("assembles");
+    let source = || MachineSource::new(Machine::new(program.clone()));
+    let window = assert_skip_then_fill_matches("writeback", source(), source(), 1_001, 500);
+    let pairs: Vec<_> = window.uops.windows(2).filter(|p| !p[1].first_uop).collect();
+    assert!(pairs.iter().any(|p| p[0].uop.op == tvp_isa::op::Op::Add), "pre-index: update first");
+    assert!(pairs.iter().any(|p| p[0].uop.op.is_store()), "post-index: access first");
+}
 
 /// One access to sparse memory.
 enum MemOp {
