@@ -20,15 +20,21 @@
 //! `--jobs 1` and `--jobs N` produce byte-identical `results/*.json`.
 //! A failed point never aborts the sequence: the engine finishes
 //! everything else, reports the failed jobs' keys, and exits non-zero.
+//! The experiments' tables print once the run is done; a reader that
+//! closes stdout early (`run_all | head -1`) does not change the exit
+//! status.
 //! The run record (wall time, sims/sec, simulated cycles/sec, cache
 //! hit rate, per-job timings) lands in `telemetry.json`
 //! (`$TVP_BENCH_TELEMETRY` redirects it). Simulator performance is
 //! measured by `simbench/` (see `simbench/README.md`).
 
-use tvp_bench::engine;
+use tvp_bench::{engine, outln};
 
 fn main() {
     let (opts, experiments) = engine::parse_run_options(std::env::args().skip(1));
     let report = engine::run(&experiments, &opts);
+    if let Some(text) = report.text.strip_suffix('\n') {
+        outln!("{text}");
+    }
     std::process::exit(engine::exit_code(&report));
 }

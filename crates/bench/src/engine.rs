@@ -15,9 +15,10 @@
 //!    workload's trace on demand, only for cold points, and frees it
 //!    after the workload's last point; each panicked job is retried
 //!    once; then publish every fresh point durably, in schedule order;
-//! 3. **assemble** — single-threaded, in fixed experiment order: print
-//!    each experiment's tables and write its `results/*.json` from
-//!    cached points only.
+//! 3. **assemble** — single-threaded, in fixed experiment order: render
+//!    each experiment's tables into the report text and write its
+//!    `results/*.json` from cached points only. The engine prints
+//!    nothing to stdout; `run_all` prints the text it returns.
 //!
 //! Failures never abort the sequence: a panicked job is recorded with
 //! its [`ExpKey`], experiments that depend on it are skipped (and
@@ -46,7 +47,7 @@ use crate::jobs::ExpKey;
 use crate::runner::{self, JobFailure};
 use crate::store::{LoadOutcome, ResultStore, StoreConfig, StoreCounters};
 use crate::telemetry::{Telemetry, TELEMETRY_SCHEMA};
-use crate::DEFAULT_INSTS;
+use crate::{textln, DEFAULT_INSTS};
 
 /// Instruction budget used by `--smoke` (CI-sized).
 pub const SMOKE_INSTS: u64 = 20_000;
@@ -188,6 +189,9 @@ pub fn results_dir() -> String {
 
 /// What one engine invocation produced, beyond the files on disk.
 pub struct EngineReport {
+    /// The assembled experiments' tables, under a banner per
+    /// experiment when several ran, one `\n`-terminated line each.
+    pub text: String,
     /// Jobs that panicked, with their keys.
     pub failures: Vec<JobFailure>,
     /// Experiments skipped because one of their points failed, with
@@ -314,22 +318,25 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
 
     // 3. assemble ————————————————————————————————————————————————————
     let mut skipped = Vec::new();
+    let mut text = String::new();
     let results = ResultSet::new(&cache);
     for (exp, (name, keys)) in experiments.iter().zip(&wanted) {
         if experiments.len() > 1 {
-            println!("\n================================================================");
-            println!("== {name}");
-            println!("================================================================\n");
+            textln!(text, "\n================================================================");
+            textln!(text, "== {name}");
+            textln!(text, "================================================================\n");
         }
         let missing: Vec<ExpKey> =
             keys.iter().filter(|k| cache.get(k).is_none()).cloned().collect();
         if missing.is_empty() {
-            for file in exp.assemble(&ctx, &results) {
+            let assembled = exp.assemble(&ctx, &results);
+            text.push_str(&assembled.report);
+            for file in assembled {
                 let path = format!("{dir}/{}.json", file.name);
                 std::fs::write(&path, file.json).unwrap_or_else(|e| {
                     crate::fatal(&format!("cannot write results file {path}"), &e)
                 });
-                println!("\n[results written to {path}]");
+                textln!(text, "\n[results written to {path}]");
             }
         } else {
             eprintln!("[engine] SKIPPED {name}: {} failed point(s)", missing.len());
@@ -373,7 +380,7 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
     eprintln!("[engine] {}", telemetry.summary());
     eprintln!("[engine] telemetry written to {telemetry_path}");
 
-    EngineReport { failures: outcome.failures, skipped, telemetry }
+    EngineReport { text, failures: outcome.failures, skipped, telemetry }
 }
 
 /// Prints the failure report (if any) and returns the process exit

@@ -20,8 +20,9 @@ use tvp_predictors::dvtage::{Dvtage, DvtageConfig};
 use tvp_predictors::vtage::{PredMode, Vtage, VtageConfig};
 use tvp_workloads::suite::names;
 
-use super::{for_each_chunk, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{for_each_chunk, Assembled, ExpContext, Experiment, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 
 /// VTAGE vs. D-VTAGE coverage ablation.
 pub struct AblationDvtage;
@@ -109,9 +110,10 @@ impl Experiment for AblationDvtage {
         Vec::new()
     }
 
-    fn assemble(&self, ctx: &ExpContext, _results: &ResultSet<'_>) -> Vec<ResultFile> {
+    fn assemble(&self, ctx: &ExpContext, _results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
         let insts = ctx.insts.min(MAX_INSTS);
-        println!("=== Ablation: VTAGE vs. D-VTAGE coverage (§2.1/§3.3) ({insts} insts) ===\n");
+        textln!(out, "=== Ablation: VTAGE vs. D-VTAGE coverage (§2.1/§3.3) ({insts} insts) ===\n");
 
         // Real workload value streams, pooled.
         let mut pooled: Vec<Sample> = Vec::new();
@@ -126,14 +128,20 @@ impl Experiment for AblationDvtage {
             v += 8;
         }
 
-        println!(
+        textln!(
+            out,
             "{:<10} {:>14} {:>14} {:>12} {:>12}",
-            "mode", "VTAGE cov %", "D-VTAGE cov %", "VTAGE KB", "D-VTAGE KB"
+            "mode",
+            "VTAGE cov %",
+            "D-VTAGE cov %",
+            "VTAGE KB",
+            "D-VTAGE KB"
         );
         for mode in [PredMode::ZeroOne, PredMode::Narrow9, PredMode::Full64] {
             let (cv, kv) = coverage(&pooled, mode, false);
             let (cd, kd) = coverage(&pooled, mode, true);
-            println!(
+            textln!(
+                out,
                 "{:<10} {:>14.2} {:>14.2} {:>12.1} {:>12.1}",
                 format!("{mode:?}"),
                 cv * 100.0,
@@ -142,11 +150,11 @@ impl Experiment for AblationDvtage {
                 kd
             );
         }
-        println!();
-        println!("paper (§3.3): narrowing the value set makes stride algorithms");
-        println!("mostly irrelevant — the D-VTAGE column should only pull ahead");
-        println!("at Full64 width (the strided synthetic stream), while costing");
-        println!("extra storage and the §2.1 speculative window at every width.");
-        Vec::new()
+        textln!(out);
+        textln!(out, "paper (§3.3): narrowing the value set makes stride algorithms");
+        textln!(out, "mostly irrelevant — the D-VTAGE column should only pull ahead");
+        textln!(out, "at Full64 width (the strided synthetic stream), while costing");
+        textln!(out, "extra storage and the §2.1 speculative window at every width.");
+        Assembled { report: out, files: Vec::new() }
     }
 }

@@ -7,8 +7,9 @@
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_workloads::suite::names;
 
-use super::{ExpContext, Experiment, ResultFile, ResultSet};
+use super::{Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, StatsRow};
 
 /// Stride-prefetcher ablation.
@@ -39,9 +40,14 @@ impl Experiment for AblationPrefetcher {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Ablation: SpSR vs. the stride prefetcher (§6.2) ({} insts) ===\n", ctx.insts);
-        println!("{:<22} {:>14} {:>14}", "config", "TVP geo %", "TVP+SpSR geo %");
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(
+            out,
+            "=== Ablation: SpSR vs. the stride prefetcher (§6.2) ({} insts) ===\n",
+            ctx.insts
+        );
+        textln!(out, "{:<22} {:>14} {:>14}", "config", "TVP geo %", "TVP+SpSR geo %");
         let mut rows = Vec::new();
         for stride_on in [true, false] {
             let mut tvp_pairs = Vec::new();
@@ -56,16 +62,17 @@ impl Experiment for AblationPrefetcher {
                 tvp_pairs.push((tvp, base));
                 spsr_pairs.push((tvps, base));
             }
-            println!(
+            textln!(
+                out,
                 "{:<22} {:>14.2} {:>14.2}",
                 if stride_on { "stride prefetcher ON" } else { "stride prefetcher OFF" },
                 (geomean_speedup(&tvp_pairs) - 1.0) * 100.0,
                 (geomean_speedup(&spsr_pairs) - 1.0) * 100.0,
             );
         }
-        println!();
-        println!("paper: without the stride prefetcher the SpSR slowdowns on");
-        println!("perlbench_2/3, x264_2 and cam4 disappear (+0.06% → +0.11%).");
-        vec![ResultFile::rows("ablation_prefetcher", &rows)]
+        textln!(out);
+        textln!(out, "paper: without the stride prefetcher the SpSR slowdowns on");
+        textln!(out, "perlbench_2/3, x264_2 and cam4 disappear (+0.06% → +0.11%).");
+        Assembled { report: out, files: vec![ResultFile::rows("ablation_prefetcher", &rows)] }
     }
 }

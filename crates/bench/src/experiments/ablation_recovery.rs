@@ -6,8 +6,9 @@
 use tvp_core::config::{CoreConfig, RecoveryPolicy, VpMode};
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, StatsRow};
 
 /// Recovery-policy ablation.
@@ -37,11 +38,18 @@ impl Experiment for AblationRecovery {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Ablation: flush vs. replay recovery (§3.4) ({} insts) ===\n", ctx.insts);
-        println!(
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(out, "=== Ablation: flush vs. replay recovery (§3.4) ({} insts) ===\n", ctx.insts);
+        textln!(
+            out,
             "{:<10} {:>12} {:>10} {:>10} {:>10} {:>12}",
-            "policy", "geomean %", "flushes", "replays", "squashed", "replayed"
+            "policy",
+            "geomean %",
+            "flushes",
+            "replays",
+            "squashed",
+            "replayed"
         );
         let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
         let mut rows = Vec::new();
@@ -58,7 +66,8 @@ impl Experiment for AblationRecovery {
                 pairs.push((s, *base));
             }
             let g = (geomean_speedup(&pairs) - 1.0) * 100.0;
-            println!(
+            textln!(
+                out,
                 "{:<10} {:>12.2} {:>10} {:>10} {:>10} {:>12}",
                 format!("{policy:?}"),
                 g,
@@ -68,9 +77,9 @@ impl Experiment for AblationRecovery {
                 replayed
             );
         }
-        println!();
-        println!("paper: flush is chosen for simplicity (§3.4); replay avoids the");
-        println!("refetch but risks replay tornadoes [24] — silencing guards both.");
-        vec![ResultFile::rows("ablation_recovery", &rows)]
+        textln!(out);
+        textln!(out, "paper: flush is chosen for simplicity (§3.4); replay avoids the");
+        textln!(out, "refetch but risks replay tornadoes [24] — silencing guards both.");
+        Assembled { report: out, files: vec![ResultFile::rows("ablation_recovery", &rows)] }
     }
 }

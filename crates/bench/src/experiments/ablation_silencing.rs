@@ -10,8 +10,9 @@
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, StatsRow};
 
 /// Silencing-window ablation.
@@ -45,11 +46,17 @@ impl Experiment for AblationSilencing {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Ablation: VP silencing window (§3.4.1) ({} insts) ===\n", ctx.insts);
-        println!(
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(out, "=== Ablation: VP silencing window (§3.4.1) ({} insts) ===\n", ctx.insts);
+        textln!(
+            out,
             "{:<10} {:<10} {:>12} {:>14} {:>12}",
-            "vp", "silence", "geomean %", "vp flushes", "squashed"
+            "vp",
+            "silence",
+            "geomean %",
+            "vp flushes",
+            "squashed"
         );
         let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
         let mut rows = Vec::new();
@@ -72,7 +79,8 @@ impl Experiment for AblationSilencing {
                 }
                 let g = (geomean_speedup(&pairs) - 1.0) * 100.0;
                 let label = if adaptive { format!("{silence}+adapt") } else { silence.to_string() };
-                println!(
+                textln!(
+                    out,
                     "{:<10} {:<10} {:>12.2} {:>14} {:>12}",
                     format!("{vp:?}"),
                     label,
@@ -82,11 +90,11 @@ impl Experiment for AblationSilencing {
                 );
             }
         }
-        println!();
-        println!("paper: 15 cycles performs like 250 except for roms under TVP;");
-        println!("250 is used everywhere as it costs nothing in MVP/GVP. The");
-        println!("adaptive row is this reproduction's extension (§3.4.1 future");
-        println!("work): geometric backoff on clustered mispredictions.");
-        vec![ResultFile::rows("ablation_silencing", &rows)]
+        textln!(out);
+        textln!(out, "paper: 15 cycles performs like 250 except for roms under TVP;");
+        textln!(out, "250 is used everywhere as it costs nothing in MVP/GVP. The");
+        textln!(out, "adaptive row is this reproduction's extension (§3.4.1 future");
+        textln!(out, "work): geometric backoff on clustered mispredictions.");
+        Assembled { report: out, files: vec![ResultFile::rows("ablation_silencing", &rows)] }
     }
 }

@@ -7,8 +7,9 @@
 
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, speedup_pct, StatsRow, VP_FLAVOURS};
 
 /// Fig. 3 experiment.
@@ -30,11 +31,19 @@ impl Experiment for Fig3 {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Fig. 3: MVP/TVP/GVP speedup over baseline ({} insts) ===\n", ctx.insts);
-        println!(
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(out, "=== Fig. 3: MVP/TVP/GVP speedup over baseline ({} insts) ===\n", ctx.insts);
+        textln!(
+            out,
             "{:<16} {:>8} {:>8} {:>8}   {:>7} {:>7} {:>7}",
-            "workload", "MVP %", "TVP %", "GVP %", "covM", "covT", "covG"
+            "workload",
+            "MVP %",
+            "TVP %",
+            "GVP %",
+            "covM",
+            "covT",
+            "covG"
         );
         let mut rows = Vec::new();
         let mut pairs: [Vec<_>; 3] = [Vec::new(), Vec::new(), Vec::new()];
@@ -54,26 +63,34 @@ impl Experiment for Fig3 {
                 rows.push(StatsRow::new(name, label.to_lowercase(), &s));
                 pairs[i].push((s, base));
             }
-            println!(
+            textln!(
+                out,
                 "{:<16} {:>8.2} {:>8.2} {:>8.2}   {:>7.3} {:>7.3} {:>7.3}",
-                name, pcts[0], pcts[1], pcts[2], covs[0], covs[1], covs[2]
+                name,
+                pcts[0],
+                pcts[1],
+                pcts[2],
+                covs[0],
+                covs[1],
+                covs[2]
             );
         }
 
-        println!();
+        textln!(out);
         #[allow(clippy::cast_precision_loss)]
         let n = names().len() as f64;
         for (i, (_, label)) in VP_FLAVOURS.iter().enumerate() {
             let g = (geomean_speedup(&pairs[i]) - 1.0) * 100.0;
-            println!(
+            textln!(
+                out,
                 "{label}: geomean {g:+.2}%   avg coverage {:.1}%   min accuracy {:.4}",
                 coverage_sums[i] / n * 100.0,
                 accuracy_min[i]
             );
         }
-        println!();
-        println!("paper: MVP +0.54% (cov 5.3%), TVP +1.11% (cov 12.6%), GVP +4.67%");
-        println!("(cov 32.7%); accuracy > 99.9%; xalancbmk outlier GVP +52.65%.");
-        vec![ResultFile::rows("fig3_vp_speedup", &rows)]
+        textln!(out);
+        textln!(out, "paper: MVP +0.54% (cov 5.3%), TVP +1.11% (cov 12.6%), GVP +4.67%");
+        textln!(out, "(cov 32.7%); accuracy > 99.9%; xalancbmk outlier GVP +52.65%.");
+        Assembled { report: out, files: vec![ResultFile::rows("fig3_vp_speedup", &rows)] }
     }
 }

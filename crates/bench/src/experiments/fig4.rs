@@ -8,8 +8,9 @@
 use tvp_core::config::VpMode;
 use tvp_workloads::suite::names;
 
-use super::{per_workload_jobs, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{per_workload_jobs, vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{amean, StatsRow};
 
 /// Fig. 4 experiment.
@@ -26,26 +27,41 @@ impl Experiment for Fig4 {
         PANELS.iter().flat_map(|(_, vp)| per_workload_jobs(ctx, &vp_cfg(*vp, true))).collect()
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!(
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(
+            out,
             "=== Fig. 4: dynamic instructions eliminated at rename ({} insts) ===\n",
             ctx.insts
         );
         let mut rows = Vec::new();
         for (panel, vp) in PANELS {
-            rows.extend(report(panel, vp, ctx, results));
+            rows.extend(report(&mut out, panel, vp, ctx, results));
         }
-        println!("paper (amean): (a) MVP: 0-idiom 0.72, 1-idiom 0.39, move 3.96,");
-        println!("SpSR 1.73, non-ME 0.44; (b) TVP: move 4.06, 9-bit 0.48, SpSR 1.70.");
-        vec![ResultFile::rows("fig4_rename_fractions", &rows)]
+        textln!(out, "paper (amean): (a) MVP: 0-idiom 0.72, 1-idiom 0.39, move 3.96,");
+        textln!(out, "SpSR 1.73, non-ME 0.44; (b) TVP: move 4.06, 9-bit 0.48, SpSR 1.70.");
+        Assembled { report: out, files: vec![ResultFile::rows("fig4_rename_fractions", &rows)] }
     }
 }
 
-fn report(panel: &str, vp: VpMode, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<StatsRow> {
-    println!("--- Fig. 4{panel}: rename-eliminated fractions under {vp:?} + SpSR ---\n");
-    println!(
+fn report(
+    out: &mut String,
+    panel: &str,
+    vp: VpMode,
+    ctx: &ExpContext,
+    results: &ResultSet<'_>,
+) -> Vec<StatsRow> {
+    textln!(out, "--- Fig. 4{panel}: rename-eliminated fractions under {vp:?} + SpSR ---\n");
+    textln!(
+        out,
         "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "workload", "0-idm %", "1-idm %", "move %", "9bit %", "SpSR %", "nonME %"
+        "workload",
+        "0-idm %",
+        "1-idm %",
+        "move %",
+        "9bit %",
+        "SpSR %",
+        "nonME %"
     );
     let cfg = vp_cfg(vp, true);
     let mut rows = Vec::new();
@@ -62,16 +78,24 @@ fn report(panel: &str, vp: VpMode, ctx: &ExpContext, results: &ResultSet<'_>) ->
             f(r.spsr),
             f(r.non_me_move),
         ];
-        println!(
+        textln!(
+            out,
             "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-            name, cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
+            name,
+            cols[0],
+            cols[1],
+            cols[2],
+            cols[3],
+            cols[4],
+            cols[5]
         );
         for (acc, v) in sums.iter_mut().zip(cols) {
             acc.push(v);
         }
         rows.push(StatsRow::new(name, format!("{vp:?}+spsr"), &s));
     }
-    println!(
+    textln!(
+        out,
         "{:<16} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}\n",
         "amean",
         amean(&sums[0]),

@@ -7,8 +7,9 @@
 use tvp_core::config::VpMode;
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, speedup_pct, StatsRow};
 
 /// Fig. 5 experiment.
@@ -37,11 +38,21 @@ impl Experiment for Fig5 {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Fig. 5: MVP/TVP ± SpSR speedup over baseline ({} insts) ===\n", ctx.insts);
-        println!(
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(
+            out,
+            "=== Fig. 5: MVP/TVP ± SpSR speedup over baseline ({} insts) ===\n",
+            ctx.insts
+        );
+        textln!(
+            out,
             "{:<16} {:>8} {:>10} {:>8} {:>10}",
-            "workload", "MVP %", "MVP+SpSR %", "TVP %", "TVP+SpSR %"
+            "workload",
+            "MVP %",
+            "MVP+SpSR %",
+            "TVP %",
+            "TVP+SpSR %"
         );
         let mut rows = Vec::new();
         let mut pairs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -54,18 +65,23 @@ impl Experiment for Fig5 {
                 rows.push(StatsRow::new(name, *label, &s));
                 pairs[i].push((s, base));
             }
-            println!(
+            textln!(
+                out,
                 "{:<16} {:>8.2} {:>10.2} {:>8.2} {:>10.2}",
-                name, pcts[0], pcts[1], pcts[2], pcts[3]
+                name,
+                pcts[0],
+                pcts[1],
+                pcts[2],
+                pcts[3]
             );
         }
-        println!();
+        textln!(out);
         for (i, (_, _, label)) in CONFIGS.iter().enumerate() {
             let g = (geomean_speedup(&pairs[i]) - 1.0) * 100.0;
-            println!("{label:<10} geomean {g:+.2}%");
+            textln!(out, "{label:<10} geomean {g:+.2}%");
         }
-        println!();
-        println!("paper: MVP +0.54 → +0.64 with SpSR; TVP +1.11 → +1.17 with SpSR.");
-        vec![ResultFile::rows("fig5_spsr_speedup", &rows)]
+        textln!(out);
+        textln!(out, "paper: MVP +0.54 → +0.64 with SpSR; TVP +1.11 → +1.17 with SpSR.");
+        Assembled { report: out, files: vec![ResultFile::rows("fig5_spsr_speedup", &rows)] }
     }
 }

@@ -8,8 +8,9 @@
 use tvp_core::config::VpMode;
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{amean, StatsRow};
 
 /// Fig. 6 experiment.
@@ -40,15 +41,21 @@ impl Experiment for Fig6 {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Fig. 6: activity normalized to baseline ({} insts) ===\n", ctx.insts);
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(out, "=== Fig. 6: activity normalized to baseline ({} insts) ===\n", ctx.insts);
         let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
         let mut rows: Vec<StatsRow> =
             names().zip(&bases).map(|(name, s)| StatsRow::new(name, "baseline", s)).collect();
 
-        println!(
+        textln!(
+            out,
             "{:<16} {:>10} {:>10} {:>12} {:>10}",
-            "config", "PRF rd %", "PRF wr %", "IQ disp %", "IQ iss %"
+            "config",
+            "PRF rd %",
+            "PRF wr %",
+            "IQ disp %",
+            "IQ iss %"
         );
         for (vp, spsr, label) in CONFIGS {
             let mut rd = Vec::new();
@@ -65,7 +72,8 @@ impl Experiment for Fig6 {
                 iss.push(pct(s.activity.iq_issued, base.activity.iq_issued));
                 rows.push(StatsRow::new(name, label, &s));
             }
-            println!(
+            textln!(
+                out,
                 "{:<16} {:>10.2} {:>10.2} {:>12.2} {:>10.2}",
                 label,
                 amean(&rd),
@@ -74,9 +82,9 @@ impl Experiment for Fig6 {
                 amean(&iss)
             );
         }
-        println!();
-        println!("paper: MVP 97.6/95.8 rd/wr; TVP 90.5/88.7; GVP writes > 100%;");
-        println!("SpSR: −1.6%/−1.5% (MVP) and −2.4%/−2.0% (TVP) IQ disp/issue.");
-        vec![ResultFile::rows("fig6_activity", &rows)]
+        textln!(out);
+        textln!(out, "paper: MVP 97.6/95.8 rd/wr; TVP 90.5/88.7; GVP writes > 100%;");
+        textln!(out, "SpSR: −1.6%/−1.5% (MVP) and −2.4%/−2.0% (TVP) IQ disp/issue.");
+        Assembled { report: out, files: vec![ResultFile::rows("fig6_activity", &rows)] }
     }
 }

@@ -4,11 +4,12 @@
 //! An [`Experiment`] no longer simulates anything itself. It
 //! *enumerates* the simulation points it needs as keyed [`Job`]s, the
 //! engine runs the deduplicated union of all experiments' jobs on the
-//! thread pool, and then each experiment *assembles* its stdout tables
-//! and JSON files from the cached [`SimPoint`](crate::jobs::SimPoint)
-//! results. Enumeration and assembly are pure and single-threaded;
-//! only the keyed simulations run concurrently — which is why serial
-//! and parallel runs of the same grid emit byte-identical JSON.
+//! thread pool, and then each experiment *assembles* its report tables
+//! (as text; it prints nothing) and JSON files from the cached
+//! [`SimPoint`](crate::jobs::SimPoint) results. Enumeration and
+//! assembly are pure and single-threaded; only the keyed simulations
+//! run concurrently — which is why serial and parallel runs of the same
+//! grid emit byte-identical JSON.
 
 use tvp_core::config::{CoreConfig, VpMode};
 use tvp_core::stats::SimStats;
@@ -63,6 +64,25 @@ impl ResultFile {
     }
 }
 
+/// What assembling one experiment produced: its report tables as text,
+/// and its JSON artefacts. Iterating it yields the artefacts, for a
+/// caller that only writes the files.
+pub struct Assembled {
+    /// The tables, one `\n`-terminated line each.
+    pub report: String,
+    /// The JSON artefacts.
+    pub files: Vec<ResultFile>,
+}
+
+impl IntoIterator for Assembled {
+    type Item = ResultFile;
+    type IntoIter = std::vec::IntoIter<ResultFile>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.files.into_iter()
+    }
+}
+
 /// Read-only view of the simulated points, for assembly.
 pub struct ResultSet<'a> {
     cache: &'a ResultCache,
@@ -109,9 +129,9 @@ pub trait Experiment: Sync {
     fn name(&self) -> &'static str;
     /// Enumerates every simulation point this experiment needs.
     fn jobs(&self, ctx: &ExpContext) -> Vec<Job>;
-    /// Prints the experiment's tables and returns its JSON artefacts,
-    /// reading every simulated point from `results`.
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile>;
+    /// Renders the experiment's tables and its JSON artefacts, reading
+    /// every simulated point from `results`.
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled;
 }
 
 /// The paper configuration shorthand shared by the experiments

@@ -14,8 +14,9 @@ use tvp_core::config::{CoreConfig, VpMode};
 use tvp_predictors::vtage::VtageConfig;
 use tvp_workloads::suite::names;
 
-use super::{baseline_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use super::{baseline_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use crate::jobs::Job;
+use crate::textln;
 use crate::{geomean_speedup, StatsRow, VP_FLAVOURS};
 
 /// Table 3 experiment.
@@ -66,11 +67,12 @@ impl Experiment for Table3 {
         jobs
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
-        println!("=== Table 3: storage sweep ({} insts) ===\n", ctx.insts);
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
+        let mut out = String::new();
+        textln!(out, "=== Table 3: storage sweep ({} insts) ===\n", ctx.insts);
         let bases: Vec<_> = names().map(|name| results.of(ctx, name, &baseline_cfg())).collect();
 
-        println!("{:<20} {:>10} {:>10} {:>10}", "budget", "MVP", "TVP", "GVP");
+        textln!(out, "{:<20} {:>10} {:>10} {:>10}", "budget", "MVP", "TVP", "GVP");
         let mut rows = Vec::new();
         for (label, target_bits) in BUDGETS {
             let mut cells = Vec::new();
@@ -85,11 +87,11 @@ impl Experiment for Table3 {
                 let g = (geomean_speedup(&pairs) - 1.0) * 100.0;
                 cells.push(format!("{g:+.2}%"));
             }
-            println!("{:<20} {:>10} {:>10} {:>10}", label, cells[0], cells[1], cells[2]);
+            textln!(out, "{:<20} {:>10} {:>10} {:>10}", label, cells[0], cells[1], cells[2]);
         }
-        println!();
-        println!("paper: +0.50/+0.74/+2.54 | +0.54/+0.96/+2.86 | +0.60/+1.11/+3.51 |");
-        println!("       +0.66/+1.24/+4.67 (rows: 4/8/14/55KB; columns MVP/TVP/GVP)");
-        vec![ResultFile::rows("table3_storage_sweep", &rows)]
+        textln!(out);
+        textln!(out, "paper: +0.50/+0.74/+2.54 | +0.54/+0.96/+2.86 | +0.60/+1.11/+3.51 |");
+        textln!(out, "       +0.66/+1.24/+4.67 (rows: 4/8/14/55KB; columns MVP/TVP/GVP)");
+        Assembled { report: out, files: vec![ResultFile::rows("table3_storage_sweep", &rows)] }
     }
 }

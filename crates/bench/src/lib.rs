@@ -9,7 +9,9 @@
 //! `run_all` takes the instruction budget through `--insts` or the
 //! `TVP_INSTS` environment variable (architectural instructions per
 //! workload; default 300,000 — a scaled-down SimPoint) and writes JSON
-//! next to its stdout tables into `results/`.
+//! next to its stdout tables into `results/`. The library itself prints
+//! nothing to stdout: the engine returns the tables as text and the
+//! binary prints them ([`outln!`]).
 
 use tvp_core::config::VpMode;
 use tvp_core::stats::SimStats;
@@ -124,6 +126,19 @@ macro_rules! outln {
         $crate::out(format_args!($($arg)*))
     };
 }
+
+/// `println!` into a `String`: appends one line to a report that a
+/// binary prints later. Writing to a `String` cannot fail.
+macro_rules! textln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+pub(crate) use textln;
 
 /// A workload with its materialized trace, the element of
 /// [`ExpContext::prepared`](experiments::ExpContext::prepared). The

@@ -93,7 +93,9 @@ struct SqEntry {
     pc: u64,
 }
 
-#[derive(Clone, Debug)]
+/// Speculative front-end state after one fetched branch, held inline
+/// so pushing one allocates nothing.
+#[derive(Clone, Copy, Debug)]
 struct Checkpoint {
     seq: u64,
     tage: BranchHistory,
@@ -269,7 +271,7 @@ impl Core {
             seq: 0,
             tage: tage.history_checkpoint(),
             vtage: vtage.as_ref().map(Vtage::history_checkpoint),
-            ras: ras.clone(),
+            ras,
             itc_path: itc.path_checkpoint(),
         };
         // Front-end refill depth after a flush redirect: how long the
@@ -1373,7 +1375,7 @@ impl Core {
                     seq: u.seq,
                     tage: self.tage.history_checkpoint(),
                     vtage: self.vtage.as_ref().map(Vtage::history_checkpoint),
-                    ras: self.ras.clone(),
+                    ras: self.ras,
                     itc_path: self.itc.path_checkpoint(),
                 });
                 if mispredicted {
@@ -1648,9 +1650,9 @@ impl Core {
         while self.checkpoints.back().is_some_and(|c| c.seq >= cut) {
             self.checkpoints.pop_back();
         }
-        let ckpt = self.checkpoints.back().unwrap_or(&self.floor).clone();
-        self.tage.restore_history(ckpt.tage.clone());
-        if let (Some(vp), Some(h)) = (self.vtage.as_mut(), ckpt.vtage.clone()) {
+        let ckpt = *self.checkpoints.back().unwrap_or(&self.floor);
+        self.tage.restore_history(ckpt.tage);
+        if let (Some(vp), Some(h)) = (self.vtage.as_mut(), ckpt.vtage) {
             vp.restore_history(h);
         }
         self.ras = ckpt.ras;

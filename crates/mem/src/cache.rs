@@ -8,6 +8,8 @@
 //! are busy the access stalls until the earliest one frees — the same
 //! first-order behaviour a full event-driven model produces.
 
+use std::ops::Range;
+
 use tvp_obs::counters::sat_inc;
 
 /// Configuration of one cache level.
@@ -77,7 +79,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set by set: way `w` of set `s` is `lines[s * ways + w]`.
+    lines: Vec<Line>,
     set_shift: u32,
     set_mask: u64,
     mshrs: Vec<(u64, u64)>, // (line address, completion cycle)
@@ -102,7 +105,7 @@ impl Cache {
         Cache {
             set_shift: cfg.line_size.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            sets: vec![vec![Line::default(); cfg.ways]; sets], // audited(no-alloc-in-hot-path): constructor
+            lines: vec![Line::default(); sets * cfg.ways], // audited(no-alloc-in-hot-path): constructor
             mshrs: Vec::with_capacity(cfg.mshrs), // audited(no-alloc-in-hot-path): constructor
             clock: 0,
             stats: CacheStats::default(),
@@ -126,6 +129,11 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
+    /// Where set `set`'s ways sit in `lines`.
+    fn set_range(&self, set: usize) -> Range<usize> {
+        set * self.cfg.ways..(set + 1) * self.cfg.ways
+    }
+
     fn tag_of(&self, line: u64) -> u64 {
         line >> self.set_mask.count_ones()
     }
@@ -135,7 +143,7 @@ impl Cache {
     pub fn peek(&self, addr: u64) -> Probe {
         let line = self.line_addr(addr);
         let (set, tag) = (self.set_of(line), self.tag_of(line));
-        if self.sets[set].iter().any(|l| l.valid && l.tag == tag) {
+        if self.lines[self.set_range(set)].iter().any(|l| l.valid && l.tag == tag) {
             Probe::Hit
         } else {
             Probe::Miss
@@ -148,7 +156,8 @@ impl Cache {
         let line = self.line_addr(addr);
         let (set, tag) = (self.set_of(line), self.tag_of(line));
         let clock = self.clock;
-        for l in &mut self.sets[set] {
+        let ways = self.set_range(set);
+        for l in &mut self.lines[ways] {
             if l.valid && l.tag == tag {
                 l.lru = clock;
                 l.dirty |= write;
@@ -176,7 +185,8 @@ impl Cache {
         if prefetch {
             sat_inc(&mut self.stats.prefetch_fills, &mut self.stats.overflow_events);
         }
-        let ways = &mut self.sets[set];
+        let ways = self.set_range(set);
+        let ways = &mut self.lines[ways];
         if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             l.lru = clock;
             return None; // already resident (e.g. MSHR merge)
@@ -248,8 +258,8 @@ impl tvp_verif::StorageBudget for Cache {
     fn storage_bits(&self) -> u64 {
         // Per line: data + tag (48-bit VA minus set/offset bits) +
         // valid/dirty/prefetched + log2(ways) replacement state.
-        let sets = self.sets.len() as u64;
         let ways = self.cfg.ways as u64;
+        let sets = self.lines.len() as u64 / ways;
         let set_bits = u64::from(self.set_mask.count_ones());
         let tag_bits = 48 - set_bits - u64::from(self.set_shift);
         let lru_bits = u64::from(ways.next_power_of_two().trailing_zeros());

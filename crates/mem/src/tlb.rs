@@ -11,7 +11,10 @@ use tvp_obs::counters::sat_inc;
 /// One TLB level.
 #[derive(Debug)]
 pub struct Tlb {
-    entries: Vec<Vec<(bool, u64, u64)>>, // (valid, vpn, lru)
+    /// `(valid, vpn, lru)` per entry, set by set: way `w` of set `s`
+    /// is `entries[s * ways + w]`.
+    entries: Vec<(bool, u64, u64)>,
+    ways: usize,
     set_mask: u64,
     clock: u64,
     hits: u64,
@@ -35,7 +38,8 @@ impl Tlb {
         let sets = entries / ways;
         assert!(sets.is_power_of_two(), "TLB set count must be a power of two");
         Tlb {
-            entries: vec![vec![(false, 0, 0); ways]; sets], // audited(no-alloc-in-hot-path): constructor
+            entries: vec![(false, 0, 0); entries], // audited(no-alloc-in-hot-path): constructor
+            ways,
             set_mask: sets as u64 - 1,
             clock: 0,
             hits: 0,
@@ -51,7 +55,8 @@ impl Tlb {
         let vpn = vaddr >> Self::PAGE_SHIFT;
         let set = (vpn & self.set_mask) as usize;
         let clock = self.clock;
-        for e in &mut self.entries[set] {
+        let ways = &mut self.entries[set * self.ways..(set + 1) * self.ways];
+        for e in ways.iter_mut() {
             if e.0 && e.1 == vpn {
                 e.2 = clock;
                 sat_inc(&mut self.hits, &mut self.overflow_events);
@@ -59,10 +64,7 @@ impl Tlb {
             }
         }
         sat_inc(&mut self.misses, &mut self.overflow_events);
-        let victim = self.entries[set]
-            .iter_mut()
-            .min_by_key(|e| if e.0 { e.2 } else { 0 })
-            .expect("ways > 0");
+        let victim = ways.iter_mut().min_by_key(|e| if e.0 { e.2 } else { 0 }).expect("ways > 0");
         *victim = (true, vpn, clock);
         false
     }
@@ -135,8 +137,8 @@ impl tvp_verif::StorageBudget for Tlb {
     fn storage_bits(&self) -> u64 {
         // Per entry: valid + VPN tag (36-bit VPN minus set bits) +
         // log2(ways) replacement state.
-        let sets = self.entries.len() as u64;
-        let ways = self.entries.first().map_or(0, Vec::len) as u64;
+        let ways = self.ways as u64;
+        let sets = self.entries.len() as u64 / ways;
         let set_bits = u64::from(self.set_mask.count_ones());
         let lru_bits = u64::from(ways.next_power_of_two().trailing_zeros());
         sets * ways * (1 + (36 - set_bits) + lru_bits)

@@ -4,6 +4,8 @@
 //! stage detects BTB misses ("mistarget detection") and redirects fetch,
 //! which the pipeline models as a small bubble.
 
+use std::ops::Range;
+
 use tvp_isa::op::BranchKind;
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -31,7 +33,10 @@ struct BtbEntry {
 /// ```
 #[derive(Debug)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    /// Every entry, set by set: way `w` of set `s` is
+    /// `entries[s * ways + w]`.
+    entries: Vec<BtbEntry>,
+    ways: usize,
     set_mask: u64,
     clock: u64,
     stats: BtbStats,
@@ -72,7 +77,8 @@ impl Btb {
         assert!(num_sets.is_power_of_two(), "BTB set count must be a power of two");
         Btb {
             // audited(no-alloc-in-hot-path): constructor
-            sets: vec![vec![BtbEntry::default(); ways]; num_sets],
+            entries: vec![BtbEntry::default(); entries],
+            ways,
             set_mask: num_sets as u64 - 1,
             clock: 0,
             stats: BtbStats::default(),
@@ -87,12 +93,18 @@ impl Btb {
         (pc >> 2) >> self.set_mask.count_ones()
     }
 
+    /// Where set `set`'s ways sit in `entries`.
+    fn set_range(&self, set: usize) -> Range<usize> {
+        set * self.ways..(set + 1) * self.ways
+    }
+
     /// Looks up the branch at `pc`, updating LRU state on a hit.
     pub fn lookup(&mut self, pc: u64) -> Option<BtbHit> {
         self.clock += 1;
         let (set, tag) = (self.set_of(pc), self.tag_of(pc));
         let clock = self.clock;
-        for e in &mut self.sets[set] {
+        let ways = self.set_range(set);
+        for e in &mut self.entries[ways] {
             if e.valid && e.tag == tag {
                 e.lru = clock;
                 tvp_obs::counters::sat_inc(&mut self.stats.hits, &mut self.stats.overflow_events);
@@ -108,7 +120,8 @@ impl Btb {
         self.clock += 1;
         let (set, tag) = (self.set_of(pc), self.tag_of(pc));
         let clock = self.clock;
-        let ways = &mut self.sets[set];
+        let ways = self.set_range(set);
+        let ways = &mut self.entries[ways];
         if let Some(e) = ways.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.target = target;
             e.kind = Some(kind);
@@ -134,14 +147,14 @@ impl Btb {
     /// re-insert at retirement — timing-only damage. Returns `true` if
     /// an entry was dropped.
     pub fn inject_fault(&mut self, r: u64) -> bool {
-        let num_sets = self.sets.len() as u64;
-        let start_set = (r % num_sets) as usize;
-        let way = ((r >> 32) % self.sets[start_set].len().max(1) as u64) as usize;
-        for i in 0..self.sets.len() {
-            let set = &mut self.sets[(start_set + i) % num_sets as usize];
-            let way = way % set.len().max(1);
-            if set[way].valid {
-                set[way].valid = false;
+        let num_sets = self.entries.len() / self.ways;
+        let start_set = (r % num_sets as u64) as usize;
+        let way = ((r >> 32) % self.ways as u64) as usize;
+        for i in 0..num_sets {
+            let set = (start_set + i) % num_sets;
+            let entry = &mut self.entries[set * self.ways + way];
+            if entry.valid {
+                entry.valid = false;
                 return true;
             }
         }
@@ -157,8 +170,7 @@ impl tvp_verif::StorageBudget for Btb {
     fn storage_bits(&self) -> u64 {
         // Per entry: tag 16 + compressed target 32 + kind 3 (valid is
         // folded into the kind encoding), matching Table 2's costing.
-        let entries = self.sets.len() as u64 * self.sets.first().map_or(0, Vec::len) as u64;
-        entries * 51
+        self.entries.len() as u64 * 51
     }
 }
 

@@ -17,7 +17,7 @@
 //! per entry instead of a single value field.
 
 use crate::fpc::Fpc;
-use crate::history::{BranchHistory, FoldedSpec};
+use crate::history::{BranchHistory, FoldedSpec, HistoryFolds};
 use crate::util::{pc_hash, XorShift64};
 use crate::vtage::{PredMode, VtageConfig};
 
@@ -102,6 +102,7 @@ pub struct Dvtage {
     cfg: DvtageConfig,
     base: Vec<Entry>,
     tables: Vec<Vec<Entry>>,
+    folds: HistoryFolds,
     history: BranchHistory,
     window: Vec<SpecSlot>,
     rng: XorShift64,
@@ -139,7 +140,8 @@ impl Dvtage {
             tables: (1..b.entries.len())
                 .map(|i| vec![empty.clone(); b.entries[i] as usize])
                 .collect(),
-            history: BranchHistory::new(&specs),
+            folds: HistoryFolds::new(&specs),
+            history: BranchHistory::new(),
             window: Vec::new(),
             rng: XorShift64::new(b.seed ^ 0xD57A),
             cfg,
@@ -322,7 +324,7 @@ impl Dvtage {
 
     /// Pushes a branch outcome into the predictor's history.
     pub fn push_history(&mut self, taken: bool) {
-        self.history.push(taken);
+        self.history.push(&self.folds, taken);
     }
 
     /// Current speculative window occupancy (tests/diagnostics).

@@ -8,12 +8,19 @@
 //! history lengths of several hundred bits practical — both in hardware
 //! and in this simulator.
 //!
-//! A [`BranchHistory`] owns the raw bit buffer *and* every folded
-//! register its predictor needs, so checkpointing speculative history
-//! across a pipeline flush is a plain [`Clone`].
+//! The fold geometry ([`HistoryFolds`]: each view's length, width and
+//! out-point) is fixed when a predictor is built and stays in the
+//! predictor. A [`BranchHistory`] holds only what a branch changes —
+//! the raw bits, the push count and one register per view — inline, so
+//! the pipeline checkpoints it per fetched branch with a plain copy and
+//! no heap allocation.
 
 /// Maximum supported history length in bits.
 pub const MAX_HISTORY_BITS: usize = 1024;
+
+/// Maximum number of folded views one history carries: three per
+/// tagged table (index, tag, second tag hash) for TAGE's 15 tables.
+pub const MAX_FOLDED_VIEWS: usize = 45;
 
 const WORDS: usize = MAX_HISTORY_BITS / 64;
 
@@ -27,65 +34,93 @@ pub struct FoldedSpec {
     pub width: u32,
 }
 
-#[derive(Clone, Debug)]
-struct Folded {
-    spec: FoldedSpec,
-    comp: u64,
+#[derive(Clone, Copy, Debug)]
+struct Fold {
+    hist_len: u32,
+    width: u32,
     out_point: u32,
 }
 
-impl Folded {
+impl Fold {
     fn new(spec: FoldedSpec) -> Self {
         assert!(spec.width >= 1 && spec.width < 64, "folded width out of range");
         assert!(spec.hist_len as usize <= MAX_HISTORY_BITS);
-        Folded { spec, comp: 0, out_point: spec.hist_len % spec.width }
+        Fold { hist_len: spec.hist_len, width: spec.width, out_point: spec.hist_len % spec.width }
     }
 
-    fn update(&mut self, inserted: bool, evicted: bool) {
-        let mask = (1u64 << self.spec.width) - 1;
-        self.comp = (self.comp << 1) | u64::from(inserted);
-        self.comp ^= u64::from(evicted) << self.out_point;
-        self.comp ^= self.comp >> self.spec.width;
-        self.comp &= mask;
+    fn update(self, comp: &mut u64, inserted: bool, evicted: bool) {
+        let mask = (1u64 << self.width) - 1;
+        *comp = (*comp << 1) | u64::from(inserted);
+        *comp ^= u64::from(evicted) << self.out_point;
+        *comp ^= *comp >> self.width;
+        *comp &= mask;
     }
 }
 
-/// Global branch history register with folded views.
+/// The fold geometry of one predictor's history: per view, the folded
+/// length, the width and the out-point. View `i` is `specs[i]`.
+#[derive(Clone, Debug)]
+pub struct HistoryFolds {
+    folds: Vec<Fold>,
+}
+
+impl HistoryFolds {
+    /// Builds the geometry of the given views, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_FOLDED_VIEWS`] views, a width outside
+    /// 1–63 or a length beyond [`MAX_HISTORY_BITS`].
+    #[must_use]
+    pub fn new(specs: &[FoldedSpec]) -> Self {
+        assert!(
+            specs.len() <= MAX_FOLDED_VIEWS,
+            "{} folded views exceed the capacity",
+            specs.len()
+        );
+        HistoryFolds { folds: specs.iter().copied().map(Fold::new).collect() } // audited(no-alloc-in-hot-path): constructor
+    }
+}
+
+/// Global branch history register with folded views: the speculative
+/// state a branch changes, checkpointed by copy.
 ///
 /// # Examples
 ///
 /// ```
-/// use tvp_predictors::history::{BranchHistory, FoldedSpec};
+/// use tvp_predictors::history::{BranchHistory, FoldedSpec, HistoryFolds};
 ///
-/// let mut h = BranchHistory::new(&[FoldedSpec { hist_len: 8, width: 4 }]);
-/// h.push(true);
-/// h.push(false);
+/// let folds = HistoryFolds::new(&[FoldedSpec { hist_len: 8, width: 4 }]);
+/// let mut h = BranchHistory::new();
+/// h.push(&folds, true);
+/// h.push(&folds, false);
 /// assert_eq!(h.bit(0), false); // most recent
 /// assert_eq!(h.bit(1), true);
-/// let checkpoint = h.clone();
-/// h.push(true);
+/// let checkpoint = h;
+/// h.push(&folds, true);
 /// let _ = h.folded(0);
 /// // Restoring after a squash is plain assignment:
 /// h = checkpoint;
 /// assert_eq!(h.len(), 2);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct BranchHistory {
     bits: [u64; WORDS],
     pushed: u64,
-    folded: Vec<Folded>,
+    comp: [u64; MAX_FOLDED_VIEWS],
+}
+
+impl Default for BranchHistory {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BranchHistory {
-    /// Creates a history register with the given folded views. The view
-    /// order is preserved: `folded(i)` corresponds to `specs[i]`.
+    /// An empty history: no bits pushed, every view zero.
     #[must_use]
-    pub fn new(specs: &[FoldedSpec]) -> Self {
-        BranchHistory {
-            bits: [0; WORDS],
-            pushed: 0,
-            folded: specs.iter().copied().map(Folded::new).collect(), // audited(no-alloc-in-hot-path): constructor
-        }
+    pub fn new() -> Self {
+        BranchHistory { bits: [0; WORDS], pushed: 0, comp: [0; MAX_FOLDED_VIEWS] }
     }
 
     /// Number of bits pushed so far (saturating view; the buffer itself
@@ -112,11 +147,11 @@ impl BranchHistory {
         self.bits[pos / 64] >> (pos % 64) & 1 == 1
     }
 
-    /// Pushes one branch outcome, updating every folded view.
-    pub fn push(&mut self, taken: bool) {
-        for i in 0..self.folded.len() {
-            let evicted = self.bit(u64::from(self.folded[i].spec.hist_len) - 1);
-            self.folded[i].update(taken, evicted);
+    /// Pushes one branch outcome, updating every view of `folds`.
+    pub fn push(&mut self, folds: &HistoryFolds, taken: bool) {
+        for (i, &fold) in folds.folds.iter().enumerate() {
+            let evicted = self.bit(u64::from(fold.hist_len) - 1);
+            fold.update(&mut self.comp[i], taken, evicted);
         }
         let pos = self.pushed as usize % MAX_HISTORY_BITS;
         let (w, b) = (pos / 64, pos % 64);
@@ -128,10 +163,10 @@ impl BranchHistory {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range.
+    /// Panics if `idx` is not below [`MAX_FOLDED_VIEWS`].
     #[must_use]
     pub fn folded(&self, idx: usize) -> u64 {
-        self.folded[idx].comp
+        self.comp[idx]
     }
 }
 
@@ -141,9 +176,20 @@ impl tvp_verif::StorageBudget for BranchHistory {
     }
 
     fn storage_bits(&self) -> u64 {
-        // The raw circular buffer plus one shift register per folded
-        // view.
-        MAX_HISTORY_BITS as u64 + self.folded.iter().map(|f| u64::from(f.spec.width)).sum::<u64>()
+        // The raw circular buffer; the folded registers are counted by
+        // their geometry ([`HistoryFolds`]).
+        MAX_HISTORY_BITS as u64
+    }
+}
+
+impl tvp_verif::StorageBudget for HistoryFolds {
+    fn storage_name(&self) -> &'static str {
+        "history-folds"
+    }
+
+    fn storage_bits(&self) -> u64 {
+        // One shift register per folded view, as wide as the view.
+        self.folds.iter().map(|f| u64::from(f.width)).sum()
     }
 }
 
@@ -158,10 +204,11 @@ mod tests {
         // change toggles a fixed non-zero pattern.
         let spec = FoldedSpec { hist_len: 13, width: 5 };
         let base: Vec<bool> = (0..200).map(|i| i % 3 == 0).collect();
+        let folds = HistoryFolds::new(&[spec]);
         let fold_of = |bits: &[bool]| {
-            let mut h = BranchHistory::new(&[spec]);
+            let mut h = BranchHistory::new();
             for &b in bits {
-                h.push(b);
+                h.push(&folds, b);
             }
             h.folded(0)
         };
@@ -189,28 +236,30 @@ mod tests {
         // identically once enough bits are pushed.
         let spec = FoldedSpec { hist_len: 8, width: 4 };
         let pattern = [true, false, true, true, false, false, true, false];
-        let mut a = BranchHistory::new(&[spec]);
-        let mut b = BranchHistory::new(&[spec]);
+        let folds = HistoryFolds::new(&[spec]);
+        let mut a = BranchHistory::new();
+        let mut b = BranchHistory::new();
         // Different prefixes.
         for i in 0..40 {
-            a.push(i % 3 == 0);
+            a.push(&folds, i % 3 == 0);
         }
         for i in 0..52 {
-            b.push(i % 5 == 0);
+            b.push(&folds, i % 5 == 0);
         }
         for &t in &pattern {
-            a.push(t);
-            b.push(t);
+            a.push(&folds, t);
+            b.push(&folds, t);
         }
         assert_eq!(a.folded(0), b.folded(0));
     }
 
     #[test]
     fn bit_accessor_orders_most_recent_first() {
-        let mut h = BranchHistory::new(&[]);
-        h.push(true);
-        h.push(false);
-        h.push(true);
+        let folds = HistoryFolds::new(&[]);
+        let mut h = BranchHistory::new();
+        h.push(&folds, true);
+        h.push(&folds, false);
+        h.push(&folds, true);
         assert!(h.bit(0));
         assert!(!h.bit(1));
         assert!(h.bit(2));
@@ -220,14 +269,15 @@ mod tests {
     #[test]
     fn clone_checkpoints_folded_state() {
         let spec = FoldedSpec { hist_len: 16, width: 7 };
-        let mut h = BranchHistory::new(&[spec]);
+        let folds = HistoryFolds::new(&[spec]);
+        let mut h = BranchHistory::new();
         for i in 0..100 {
-            h.push(i % 7 < 3);
+            h.push(&folds, i % 7 < 3);
         }
-        let ckpt = h.clone();
+        let ckpt = h;
         let folded_at_ckpt = h.folded(0);
         for i in 0..20 {
-            h.push(i % 2 == 0);
+            h.push(&folds, i % 2 == 0);
         }
         let restored = ckpt;
         assert_eq!(restored.folded(0), folded_at_ckpt);
@@ -235,16 +285,17 @@ mod tests {
         // The restored copy evolves identically to the original's past.
         let mut replay = restored;
         for i in 0..20 {
-            replay.push(i % 2 == 0);
+            replay.push(&folds, i % 2 == 0);
         }
         assert_eq!(replay.folded(0), h.folded(0));
     }
 
     #[test]
     fn buffer_wraps_beyond_capacity() {
-        let mut h = BranchHistory::new(&[]);
+        let folds = HistoryFolds::new(&[]);
+        let mut h = BranchHistory::new();
         for i in 0..(MAX_HISTORY_BITS as u64 + 10) {
-            h.push(i % 2 == 0);
+            h.push(&folds, i % 2 == 0);
         }
         // Most recent bit was pushed with i = MAX+9 (odd index → false).
         assert!(!h.bit(0));
@@ -254,6 +305,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "folded width out of range")]
     fn zero_width_fold_rejected() {
-        let _ = BranchHistory::new(&[FoldedSpec { hist_len: 8, width: 0 }]);
+        let _ = HistoryFolds::new(&[FoldedSpec { hist_len: 8, width: 0 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the capacity")]
+    fn views_beyond_the_capacity_are_rejected() {
+        let spec = FoldedSpec { hist_len: 8, width: 4 };
+        let _ = HistoryFolds::new(&[spec; MAX_FOLDED_VIEWS + 1]);
     }
 }

@@ -3,7 +3,11 @@
 //! A 32-entry circular RAS (Table 2). Calls push the return address at
 //! prediction time, returns pop speculatively; the pipeline checkpoints
 //! the whole (small) stack alongside branch history and restores it on
-//! a squash, which sidesteps the classic corrupted-RAS problem.
+//! a squash, which sidesteps the classic corrupted-RAS problem. The
+//! slots live inline, so a checkpoint is a copy, not an allocation.
+
+/// Maximum RAS capacity in entries (Table 2).
+pub const RAS_SLOTS: usize = 32;
 
 /// A fixed-capacity circular return address stack.
 ///
@@ -19,9 +23,10 @@
 /// assert_eq!(ras.pop(), Some(0x1004));
 /// assert_eq!(ras.pop(), None);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Ras {
-    entries: Vec<u64>,
+    entries: [u64; RAS_SLOTS],
+    capacity: usize,
     top: usize,
     depth: usize,
 }
@@ -31,19 +36,20 @@ impl Ras {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or exceeds [`RAS_SLOTS`].
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RAS capacity must be non-zero");
-        Ras { entries: vec![0; capacity], top: 0, depth: 0 } // audited(no-alloc-in-hot-path): constructor
+        assert!(capacity <= RAS_SLOTS, "RAS capacity {capacity} exceeds {RAS_SLOTS} slots");
+        Ras { entries: [0; RAS_SLOTS], capacity, top: 0, depth: 0 }
     }
 
     /// Pushes a return address (on a predicted call). Overflow wraps,
     /// silently overwriting the oldest entry, as real hardware does.
     pub fn push(&mut self, return_addr: u64) {
-        self.top = (self.top + 1) % self.entries.len();
+        self.top = (self.top + 1) % self.capacity;
         self.entries[self.top] = return_addr;
-        self.depth = (self.depth + 1).min(self.entries.len());
+        self.depth = (self.depth + 1).min(self.capacity);
     }
 
     /// Pops the predicted return address (on a predicted return), or
@@ -53,7 +59,7 @@ impl Ras {
             return None;
         }
         let addr = self.entries[self.top];
-        self.top = (self.top + self.entries.len() - 1) % self.entries.len();
+        self.top = (self.top + self.capacity - 1) % self.capacity;
         self.depth -= 1;
         Some(addr)
     }
@@ -72,7 +78,7 @@ impl tvp_verif::StorageBudget for Ras {
 
     fn storage_bits(&self) -> u64 {
         // 48-bit virtual return addresses per slot.
-        self.entries.len() as u64 * 48
+        self.capacity as u64 * 48
     }
 }
 
@@ -110,7 +116,7 @@ mod tests {
     fn clone_checkpoints_state() {
         let mut ras = Ras::new(8);
         ras.push(0xAAAA);
-        let ckpt = ras.clone();
+        let ckpt = ras;
         ras.push(0xBBBB);
         let _ = ras.pop();
         let _ = ras.pop();

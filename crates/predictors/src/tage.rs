@@ -6,16 +6,19 @@
 //! reuses the same folded-history indexing (see [`crate::vtage`]).
 //!
 //! History is updated *speculatively* at prediction time; the pipeline
-//! checkpoints it (cheap [`BranchHistory::clone`]) and restores it on a
-//! squash. Table update happens in retirement order using the indices
+//! checkpoints it (a copy of the inline [`BranchHistory`]) and restores
+//! it on a squash. Table update happens in retirement order using the indices
 //! and tags captured in the [`TageToken`] at prediction time, so the
 //! updater never needs to reconstruct stale history.
 
-use crate::history::{BranchHistory, FoldedSpec};
+use crate::history::{BranchHistory, FoldedSpec, HistoryFolds, MAX_FOLDED_VIEWS};
 use crate::util::{pc_hash, XorShift64};
 
 /// Maximum number of tagged tables supported by the fixed-size token.
 pub const MAX_TAGGED_TABLES: usize = 15;
+
+// Three folded views per tagged table must fit one history.
+const _: () = assert!(3 * MAX_TAGGED_TABLES <= MAX_FOLDED_VIEWS);
 
 /// TAGE geometry and behaviour parameters.
 #[derive(Clone, Debug)]
@@ -118,6 +121,7 @@ pub struct Tage {
     cfg: TageConfig,
     base: Vec<u8>, // 2-bit counters
     tables: Vec<Vec<TaggedEntry>>,
+    folds: HistoryFolds,
     history: BranchHistory,
     use_alt_on_na: i8, // 4-bit signed
     rng: XorShift64,
@@ -136,20 +140,20 @@ impl Tage {
     pub fn new(cfg: TageConfig) -> Self {
         assert!(cfg.num_tables <= MAX_TAGGED_TABLES, "too many tagged tables");
         assert_eq!(cfg.tag_bits.len(), cfg.num_tables, "tag_bits length mismatch");
-        let mut specs = Vec::new(); // audited(no-alloc-in-hot-path): constructor
+        let mut specs = Vec::with_capacity(3 * cfg.num_tables); // audited(no-alloc-in-hot-path): constructor
         for i in 0..cfg.num_tables {
             let len = cfg.history_length(i);
             specs.push(FoldedSpec { hist_len: len, width: cfg.tagged_log2 });
             specs.push(FoldedSpec { hist_len: len, width: cfg.tag_bits[i] });
             specs.push(FoldedSpec { hist_len: len, width: cfg.tag_bits[i] - 1 });
         }
-        let history = BranchHistory::new(&specs);
         Tage {
             base: vec![1; 1 << cfg.base_log2], // weakly not-taken // audited(no-alloc-in-hot-path): constructor
             tables: (0..cfg.num_tables)
                 .map(|_| vec![TaggedEntry::default(); 1 << cfg.tagged_log2]) // audited(no-alloc-in-hot-path): constructor
                 .collect(), // audited(no-alloc-in-hot-path): constructor
-            history,
+            folds: HistoryFolds::new(&specs),
+            history: BranchHistory::new(),
             use_alt_on_na: 0,
             rng: XorShift64::new(cfg.seed),
             tick: 0,
@@ -234,14 +238,14 @@ impl Tage {
     /// the global history. Call once per predicted conditional branch,
     /// right after [`Tage::predict`].
     pub fn push_history(&mut self, taken: bool) {
-        self.history.push(taken);
+        self.history.push(&self.folds, taken);
     }
 
     /// Checkpoints the speculative history (attach to the in-flight
     /// branch; restore on squash).
     #[must_use]
     pub fn history_checkpoint(&self) -> BranchHistory {
-        self.history.clone()
+        self.history
     }
 
     /// Restores a previously checkpointed history after a squash.

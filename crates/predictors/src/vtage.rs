@@ -14,7 +14,7 @@
 //! Probabilistic Counter saturates (accuracy > 99.9% in the paper).
 
 use crate::fpc::Fpc;
-use crate::history::{BranchHistory, FoldedSpec};
+use crate::history::{BranchHistory, FoldedSpec, HistoryFolds};
 use crate::util::{pc_hash, XorShift64};
 
 /// Maximum number of tagged tables supported by the fixed-size token.
@@ -204,6 +204,7 @@ pub struct Vtage {
     cfg: VtageConfig,
     base: Vec<VtageEntry>,
     tables: Vec<Vec<VtageEntry>>,
+    folds: HistoryFolds,
     history: BranchHistory,
     rng: XorShift64,
     stats: VtageStats,
@@ -229,7 +230,7 @@ impl Vtage {
             conf: Fpc::new(cfg.conf_bits, cfg.conf_inv_prob),
             useful: 0,
         };
-        let mut specs = Vec::new(); // audited(no-alloc-in-hot-path): constructor
+        let mut specs = Vec::with_capacity(3 * cfg.num_tagged()); // audited(no-alloc-in-hot-path): constructor
         for i in 0..cfg.num_tagged() {
             let len = cfg.history_length(i);
             // Fold history to ~log2(entries) bits for the index and to
@@ -244,7 +245,8 @@ impl Vtage {
             tables: (1..cfg.entries.len())
                 .map(|i| vec![empty.clone(); cfg.entries[i] as usize]) // audited(no-alloc-in-hot-path): constructor
                 .collect(), // audited(no-alloc-in-hot-path): constructor
-            history: BranchHistory::new(&specs),
+            folds: HistoryFolds::new(&specs),
+            history: BranchHistory::new(),
             rng: XorShift64::new(cfg.seed),
             stats: VtageStats::default(),
             cfg,
@@ -316,13 +318,13 @@ impl Vtage {
     /// Pushes a conditional-branch outcome into the value predictor's
     /// history (speculatively, at prediction time).
     pub fn push_history(&mut self, taken: bool) {
-        self.history.push(taken);
+        self.history.push(&self.folds, taken);
     }
 
     /// Checkpoints the speculative history.
     #[must_use]
     pub fn history_checkpoint(&self) -> BranchHistory {
-        self.history.clone()
+        self.history
     }
 
     /// Restores a history checkpoint after a squash.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tvp_predictors::fpc::Fpc;
-use tvp_predictors::history::{BranchHistory, FoldedSpec};
+use tvp_predictors::history::{BranchHistory, FoldedSpec, HistoryFolds};
 use tvp_predictors::util::XorShift64;
 use tvp_predictors::vtage::{PredMode, Vtage, VtageConfig};
 
@@ -15,11 +15,11 @@ proptest! {
         hist_len in 4u32..32,
         width in 2u32..16,
     ) {
-        let spec = FoldedSpec { hist_len, width };
+        let folds = HistoryFolds::new(&[FoldedSpec { hist_len, width }]);
         let fold = |prefix: &[bool]| {
-            let mut h = BranchHistory::new(&[spec]);
+            let mut h = BranchHistory::new();
             for &b in prefix.iter().chain(&window) {
-                h.push(b);
+                h.push(&folds, b);
             }
             h.folded(0)
         };
@@ -33,10 +33,10 @@ proptest! {
         bits in proptest::collection::vec(any::<bool>(), 1..200),
         width in 1u32..20,
     ) {
-        let spec = FoldedSpec { hist_len: 16, width };
-        let mut h = BranchHistory::new(&[spec]);
+        let folds = HistoryFolds::new(&[FoldedSpec { hist_len: 16, width }]);
+        let mut h = BranchHistory::new();
         for b in bits {
-            h.push(b);
+            h.push(&folds, b);
             prop_assert!(h.folded(0) < (1u64 << width));
         }
     }

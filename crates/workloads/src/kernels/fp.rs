@@ -7,7 +7,7 @@ use tvp_isa::reg::{v, x};
 
 use super::{DataRng, HEAP};
 use crate::program::Asm;
-use crate::suite::{words_to_bytes, Workload};
+use crate::suite::{words_to_bytes, DataSegments, Workload};
 
 fn f64_array(rng: &mut DataRng, n: usize, scale: f64) -> Vec<u8> {
     words_to_bytes(
@@ -39,10 +39,6 @@ pub fn stream_triad_2() -> Workload {
 #[allow(non_snake_case)]
 fn stream_triad_variant(name: &'static str, seed: u64, n: usize) -> Workload {
     let N: usize = n;
-    let mut rng = DataRng::new(seed);
-    let b = f64_array(&mut rng, N, 10.0);
-    let c = f64_array(&mut rng, N, 2.0);
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(4), 0)); // element index
@@ -66,7 +62,11 @@ fn stream_triad_variant(name: &'static str, seed: u64, n: usize) -> Workload {
         proxy: "603.bwaves_s",
         program: a.assemble().expect("stream_triad assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), b_base), (x(22), c_base), (v(0), 3.0f64.to_bits())],
-        init_mem: vec![(b_base, b), (c_base, c)],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(seed);
+            let b = f64_array(&mut rng, N, 10.0);
+            vec![(b_base, b), (c_base, f64_array(&mut rng, N, 2.0))]
+        }),
     }
 }
 
@@ -75,8 +75,6 @@ fn stream_triad_variant(name: &'static str, seed: u64, n: usize) -> Workload {
 #[must_use]
 pub fn stencil_grid() -> Workload {
     const DIM: usize = 256;
-    let mut rng = DataRng::new(0x607);
-    let grid = f64_array(&mut rng, DIM * DIM, 1.0);
     let row_bytes = (DIM * 8) as i64;
 
     let mut a = Asm::new();
@@ -114,7 +112,9 @@ pub fn stencil_grid() -> Workload {
             (x(1), out_base),
             (v(0), 0.25f64.to_bits()),
         ],
-        init_mem: vec![(HEAP, grid)],
+        init_mem: DataSegments::new(|| {
+            vec![(HEAP, f64_array(&mut DataRng::new(0x607), DIM * DIM, 1.0))]
+        }),
     }
 }
 
@@ -124,9 +124,6 @@ pub fn stencil_grid() -> Workload {
 #[must_use]
 pub fn lattice_fluid() -> Workload {
     const CELLS: usize = 64 * 1024; // ×4 f64 per cell = 2MB
-    let mut rng = DataRng::new(0x619);
-    let lattice = f64_array(&mut rng, CELLS * 4, 1.0);
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(mov(x(0), x(20)));
@@ -152,7 +149,9 @@ pub fn lattice_fluid() -> Workload {
         proxy: "619.lbm_s",
         program: a.assemble().expect("lattice_fluid assembles"),
         init_regs: vec![(x(20), HEAP), (v(0), 0.875f64.to_bits())],
-        init_mem: vec![(HEAP, lattice)],
+        init_mem: DataSegments::new(|| {
+            vec![(HEAP, f64_array(&mut DataRng::new(0x619), CELLS * 4, 1.0))]
+        }),
     }
 }
 
@@ -162,9 +161,6 @@ pub fn lattice_fluid() -> Workload {
 #[must_use]
 pub fn weather_loop() -> Workload {
     const N: usize = 32 * 1024;
-    let mut rng = DataRng::new(0x621);
-    let field = f64_array(&mut rng, N, 100.0);
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(3), N as i64));
@@ -195,7 +191,7 @@ pub fn weather_loop() -> Workload {
         proxy: "621.wrf_s",
         program: a.assemble().expect("weather_loop assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), 9), (v(0), 1.0625f64.to_bits())],
-        init_mem: vec![(HEAP, field)],
+        init_mem: DataSegments::new(|| vec![(HEAP, f64_array(&mut DataRng::new(0x621), N, 100.0))]),
     }
 }
 
@@ -205,9 +201,6 @@ pub fn weather_loop() -> Workload {
 #[must_use]
 pub fn climate_ocean() -> Workload {
     const N: usize = 64 * 1024;
-    let mut rng = DataRng::new(0x628);
-    let ocean = f64_array(&mut rng, N, 2.0);
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(mov(x(0), x(20)));
@@ -232,7 +225,7 @@ pub fn climate_ocean() -> Workload {
         proxy: "628.pop2_s",
         program: a.assemble().expect("climate_ocean assembles"),
         init_regs: vec![(x(20), HEAP), (v(0), 1.9f64.to_bits())],
-        init_mem: vec![(HEAP, ocean)],
+        init_mem: DataSegments::new(|| vec![(HEAP, f64_array(&mut DataRng::new(0x628), N, 2.0))]),
     }
 }
 
@@ -243,10 +236,6 @@ pub fn climate_ocean() -> Workload {
 pub fn md_force() -> Workload {
     const ATOMS: u64 = 16 * 1024;
     const PAIRS: u64 = 32 * 1024;
-    let mut rng = DataRng::new(0x644);
-    let pos = f64_array(&mut rng, (ATOMS * 2) as usize, 50.0);
-    let pairs = words_to_bytes(&(0..PAIRS * 2).map(|_| rng.below(ATOMS)).collect::<Vec<_>>());
-
     let pos_base = HEAP;
     let pair_base = HEAP + ATOMS * 16;
     let mut a = Asm::new();
@@ -279,7 +268,12 @@ pub fn md_force() -> Workload {
         proxy: "644.nab_s",
         program: a.assemble().expect("md_force assembles"),
         init_regs: vec![(x(20), pos_base), (x(21), pair_base)],
-        init_mem: vec![(pos_base, pos), (pair_base, pairs)],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(0x644);
+            let pos = f64_array(&mut rng, (ATOMS * 2) as usize, 50.0);
+            let pairs: Vec<u64> = (0..PAIRS * 2).map(|_| rng.below(ATOMS)).collect();
+            vec![(pos_base, pos), (pair_base, words_to_bytes(&pairs))]
+        }),
     }
 }
 
@@ -292,10 +286,6 @@ pub fn md_force() -> Workload {
 pub fn stencil_roms() -> Workload {
     const ROWS: usize = 512;
     const COLS: usize = 512; // ROWS×COLS f64 = 2MB
-    let mut rng = DataRng::new(0x654);
-    let grid = f64_array(&mut rng, ROWS * COLS, 1.0);
-    // Column bounds: all 255 (stable narrow value; 9-bit admissible).
-    let bounds: Vec<u8> = vec![255; COLS];
     let row_bytes = (COLS * 8) as i64;
 
     let bounds_base = HEAP + (ROWS * COLS * 8) as u64;
@@ -325,7 +315,11 @@ pub fn stencil_roms() -> Workload {
         proxy: "654.roms_s",
         program: a.assemble().expect("stencil_roms assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), bounds_base), (v(0), 0.5f64.to_bits())],
-        init_mem: vec![(HEAP, grid), (bounds_base, bounds)],
+        // Column bounds: all 255 (stable narrow value; 9-bit admissible).
+        init_mem: DataSegments::new(move || {
+            let grid = f64_array(&mut DataRng::new(0x654), ROWS * COLS, 1.0);
+            vec![(HEAP, grid), (bounds_base, vec![255; COLS])]
+        }),
     }
 }
 

@@ -7,7 +7,7 @@ use tvp_isa::reg::x;
 
 use super::{DataRng, HEAP};
 use crate::program::Asm;
-use crate::suite::Workload;
+use crate::suite::{DataSegments, Workload};
 
 fn base_disp(base: u8, disp: i64) -> AddrMode {
     AddrMode::BaseDisp { base: x(base), disp }
@@ -42,9 +42,6 @@ pub fn string_match_3() -> Workload {
 
 fn string_match_variant(name: &'static str, seed: u64, alphabet: u64) -> Workload {
     const LEN: u64 = 64 * 1024;
-    let mut rng = DataRng::new(seed);
-    let text: Vec<u8> = (0..LEN).map(|_| b'a' + rng.below(alphabet) as u8).collect();
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(mov(x(0), x(20))); // cursor
@@ -76,7 +73,10 @@ fn string_match_variant(name: &'static str, seed: u64, alphabet: u64) -> Workloa
         proxy: "600.perlbench_s",
         program: a.assemble().expect("string_match assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), LEN)],
-        init_mem: vec![(HEAP, text)],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(seed);
+            vec![(HEAP, (0..LEN).map(|_| b'a' + rng.below(alphabet) as u8).collect())]
+        }),
     }
 }
 
@@ -103,8 +103,9 @@ pub fn expr_tree_3() -> Workload {
     expr_tree_variant("expr_tree_3", 0x2602, 256)
 }
 
+/// The `nodes`-node tree of an `expr_tree` slice.
 #[allow(non_snake_case)]
-fn expr_tree_variant(name: &'static str, seed: u64, nodes: u64) -> Workload {
+fn expr_tree_data(seed: u64, nodes: u64) -> Vec<u8> {
     let NODES: u64 = nodes;
     const NODE_BYTES: u64 = 24; // left, right, value
     let mut rng = DataRng::new(seed);
@@ -121,7 +122,10 @@ fn expr_tree_variant(name: &'static str, seed: u64, nodes: u64) -> Workload {
         data[off + 8..off + 16].copy_from_slice(&right.to_le_bytes());
         data[off + 16..off + 24].copy_from_slice(&value.to_le_bytes());
     }
+    data
+}
 
+fn expr_tree_variant(name: &'static str, seed: u64, nodes: u64) -> Workload {
     let mut a = Asm::new();
     a.label("outer");
     a.i(mov(x(0), x(20))); // current node
@@ -146,7 +150,7 @@ fn expr_tree_variant(name: &'static str, seed: u64, nodes: u64) -> Workload {
         proxy: "602.gcc_s",
         program: a.assemble().expect("expr_tree assembles"),
         init_regs: vec![(x(20), HEAP)],
-        init_mem: vec![(HEAP, data)],
+        init_mem: DataSegments::new(move || vec![(HEAP, expr_tree_data(seed, nodes))]),
     }
 }
 
@@ -174,9 +178,6 @@ pub fn pixel_encode_3() -> Workload {
 #[allow(non_snake_case)]
 fn pixel_encode_variant(name: &'static str, seed: u64, frame: u64) -> Workload {
     let FRAME: u64 = frame;
-    let mut rng = DataRng::new(seed);
-    let frame: Vec<u8> = (0..FRAME).map(|_| rng.below(256) as u8).collect();
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(and(x(12), x(19), 0x3FFi64)); // block index (wraps)
@@ -207,7 +208,10 @@ fn pixel_encode_variant(name: &'static str, seed: u64, frame: u64) -> Workload {
         proxy: "625.x264_s",
         program: a.assemble().expect("pixel_encode assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), HEAP + FRAME / 2)],
-        init_mem: vec![(HEAP, frame)],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(seed);
+            vec![(HEAP, (0..FRAME).map(|_| rng.below(256) as u8).collect())]
+        }),
     }
 }
 
@@ -217,10 +221,6 @@ fn pixel_encode_variant(name: &'static str, seed: u64, frame: u64) -> Workload {
 #[must_use]
 pub fn minimax() -> Workload {
     const BOARD: u64 = 64 * 1024; // 8K positions × 8B
-    let mut rng = DataRng::new(0x631);
-    let board =
-        crate::suite::words_to_bytes(&(0..BOARD / 8).map(|_| rng.next()).collect::<Vec<_>>());
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(2), 4096)); // positions to evaluate
@@ -255,7 +255,11 @@ pub fn minimax() -> Workload {
         proxy: "631.deepsjeng_s",
         program: a.assemble().expect("minimax assembles"),
         init_regs: vec![(x(20), HEAP)],
-        init_mem: vec![(HEAP, board)],
+        init_mem: DataSegments::new(|| {
+            let mut rng = DataRng::new(0x631);
+            let board: Vec<u64> = (0..BOARD / 8).map(|_| rng.next()).collect();
+            vec![(HEAP, crate::suite::words_to_bytes(&board))]
+        }),
     }
 }
 
@@ -265,11 +269,6 @@ pub fn minimax() -> Workload {
 #[must_use]
 pub fn image_filter() -> Workload {
     const IMAGE: u64 = 256 * 1024;
-    let mut rng = DataRng::new(0x638);
-    let image: Vec<u8> = (0..IMAGE)
-        .map(|_| if rng.below(4) == 0 { rng.below(256) as u8 } else { rng.below(32) as u8 })
-        .collect();
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(mov(x(0), x(20)));
@@ -296,7 +295,13 @@ pub fn image_filter() -> Workload {
         proxy: "638.imagick_s",
         program: a.assemble().expect("image_filter assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), IMAGE)],
-        init_mem: vec![(HEAP, image)],
+        init_mem: DataSegments::new(|| {
+            let mut rng = DataRng::new(0x638);
+            let image = (0..IMAGE)
+                .map(|_| if rng.below(4) == 0 { rng.below(256) as u8 } else { rng.below(32) as u8 })
+                .collect();
+            vec![(HEAP, image)]
+        }),
     }
 }
 
@@ -307,11 +312,6 @@ pub fn image_filter() -> Workload {
 #[must_use]
 pub fn mc_playout() -> Workload {
     const BOARD: u64 = 512 * 1024; // big enough to live in L2
-    let mut rng = DataRng::new(0x641);
-    // A nearly-empty board: 1 in 1024 points occupied, so the occupancy
-    // load is stable enough (≈99.9%) for FPC confidence to saturate.
-    let board: Vec<u8> = (0..BOARD).map(|_| u8::from(rng.below(1024) == 0)).collect();
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(2), 2048)); // playout moves
@@ -348,7 +348,13 @@ pub fn mc_playout() -> Workload {
         proxy: "641.leela_s",
         program: a.assemble().expect("mc_playout assembles"),
         init_regs: vec![(x(20), HEAP), (x(8), 0x9E37_79B9)],
-        init_mem: vec![(HEAP, board)],
+        // A nearly-empty board: 1 in 1024 points occupied, so the
+        // occupancy load is stable enough (≈99.9%) for FPC confidence
+        // to saturate.
+        init_mem: DataSegments::new(|| {
+            let mut rng = DataRng::new(0x641);
+            vec![(HEAP, (0..BOARD).map(|_| u8::from(rng.below(1024) == 0)).collect())]
+        }),
     }
 }
 
@@ -370,11 +376,6 @@ pub fn entropy_coder_2() -> Workload {
 
 fn entropy_coder_variant(name: &'static str, seed: u64, stability: u64) -> Workload {
     const TABLE: u64 = 512 * 1024; // L2-resident probability table
-    let mut rng = DataRng::new(seed);
-    let table: Vec<u8> = (0..TABLE)
-        .map(|_| if rng.below(stability) == 0 { rng.below(200) as u8 } else { 16 })
-        .collect();
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(2), 4096));
@@ -402,7 +403,13 @@ fn entropy_coder_variant(name: &'static str, seed: u64, stability: u64) -> Workl
         proxy: "657.xz_s",
         program: a.assemble().expect("entropy_coder assembles"),
         init_regs: vec![(x(20), HEAP), (x(9), 255)],
-        init_mem: vec![(HEAP, table)],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(seed);
+            let table = (0..TABLE)
+                .map(|_| if rng.below(stability) == 0 { rng.below(200) as u8 } else { 16 })
+                .collect();
+            vec![(HEAP, table)]
+        }),
     }
 }
 

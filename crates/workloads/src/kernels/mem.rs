@@ -8,7 +8,7 @@ use tvp_isa::reg::x;
 
 use super::{DataRng, HEAP};
 use crate::program::Asm;
-use crate::suite::{words_to_bytes, Workload};
+use crate::suite::{words_to_bytes, DataSegments, Workload};
 
 fn base_disp(base: u8, disp: i64) -> AddrMode {
     AddrMode::BaseDisp { base: x(base), disp }
@@ -24,16 +24,6 @@ fn base_index(base: u8, index: u8, shift: u8) -> AddrMode {
 #[must_use]
 pub fn sparse_graph() -> Workload {
     const NODES: u64 = 1024 * 1024; // × 8B = 8MB (≈ L3-sized)
-    let mut rng = DataRng::new(0x605);
-    // Sattolo's algorithm: a single cycle covering every node, so the
-    // walk never falls into a short cached loop.
-    let mut perm: Vec<u64> = (0..NODES).collect();
-    for i in (1..NODES as usize).rev() {
-        let j = rng.below(i as u64) as usize;
-        perm.swap(i, j);
-    }
-    let data = words_to_bytes(&perm);
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(2), 4096));
@@ -64,7 +54,17 @@ pub fn sparse_graph() -> Workload {
             (x(13), 3 * NODES / 4),
             (x(14), 7 * NODES / 8),
         ],
-        init_mem: vec![(HEAP, data)],
+        init_mem: DataSegments::new(|| {
+            let mut rng = DataRng::new(0x605);
+            // Sattolo's algorithm: a single cycle covering every node,
+            // so the walk never falls into a short cached loop.
+            let mut perm: Vec<u64> = (0..NODES).collect();
+            for i in (1..NODES as usize).rev() {
+                let j = rng.below(i as u64) as usize;
+                perm.swap(i, j);
+            }
+            vec![(HEAP, words_to_bytes(&perm))]
+        }),
     }
 }
 
@@ -75,17 +75,6 @@ pub fn sparse_graph() -> Workload {
 #[must_use]
 pub fn discrete_event() -> Workload {
     const SLOTS: u64 = 64 * 1024; // × 16B = 1MB
-    let mut rng = DataRng::new(0x620);
-    let mut data = vec![0u8; (SLOTS * 16) as usize];
-    for i in 0..SLOTS {
-        // Timestamps: 75% small (processed fast path), 25% large.
-        let t = if rng.below(4) == 0 { 1_000_000 + rng.below(1 << 20) } else { rng.below(1 << 16) };
-        let next = rng.below(SLOTS);
-        let off = (i * 16) as usize;
-        data[off..off + 8].copy_from_slice(&t.to_le_bytes());
-        data[off + 8..off + 16].copy_from_slice(&next.to_le_bytes());
-    }
-
     let mut a = Asm::new();
     a.label("outer");
     a.i(movz(x(2), 4096));
@@ -117,7 +106,23 @@ pub fn discrete_event() -> Workload {
         proxy: "620.omnetpp_s",
         program: a.assemble().expect("discrete_event assembles"),
         init_regs: vec![(x(20), HEAP), (x(21), 1 << 17)],
-        init_mem: vec![(HEAP, data)],
+        init_mem: DataSegments::new(|| {
+            let mut rng = DataRng::new(0x620);
+            let mut data = vec![0u8; (SLOTS * 16) as usize];
+            for i in 0..SLOTS {
+                // Timestamps: 75% small (processed fast path), 25% large.
+                let t = if rng.below(4) == 0 {
+                    1_000_000 + rng.below(1 << 20)
+                } else {
+                    rng.below(1 << 16)
+                };
+                let next = rng.below(SLOTS);
+                let off = (i * 16) as usize;
+                data[off..off + 8].copy_from_slice(&t.to_le_bytes());
+                data[off + 8..off + 16].copy_from_slice(&next.to_le_bytes());
+            }
+            vec![(HEAP, data)]
+        }),
     }
 }
 
@@ -134,13 +139,10 @@ pub fn discrete_event() -> Workload {
 #[must_use]
 pub fn pointer_chase() -> Workload {
     const ELEMS: u64 = 4096; // 2-byte elements
-    let mut rng = DataRng::new(0x623);
-
     let cell_a = HEAP; // holds &cell_b
     let cell_b = HEAP + 0x400; // holds &cell_c
     let cell_c = HEAP + 0x800; // holds elem_base
     let elem_base = HEAP + 0x1000;
-    let elems: Vec<u8> = (0..ELEMS * 2).map(|_| rng.below(256) as u8).collect();
 
     let mut a = Asm::new();
     a.label("outer");
@@ -177,12 +179,15 @@ pub fn pointer_chase() -> Workload {
         proxy: "623.xalancbmk_s",
         program: a.assemble().expect("pointer_chase assembles"),
         init_regs: vec![(x(20), cell_a)],
-        init_mem: vec![
-            (cell_a, cell_b.to_le_bytes().to_vec()),
-            (cell_b, cell_c.to_le_bytes().to_vec()),
-            (cell_c, elem_base.to_le_bytes().to_vec()),
-            (elem_base, elems),
-        ],
+        init_mem: DataSegments::new(move || {
+            let mut rng = DataRng::new(0x623);
+            vec![
+                (cell_a, cell_b.to_le_bytes().to_vec()),
+                (cell_b, cell_c.to_le_bytes().to_vec()),
+                (cell_c, elem_base.to_le_bytes().to_vec()),
+                (elem_base, (0..ELEMS * 2).map(|_| rng.below(256) as u8).collect()),
+            ]
+        }),
     }
 }
 

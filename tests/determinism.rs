@@ -76,8 +76,10 @@ fn serial_and_parallel_grids_assemble_byte_identical_json() {
     let workloads = distinct_workloads(&jobs);
     assert_eq!((built_serial, built_parallel), (workloads, workloads));
 
-    let files_serial = exp.assemble(&ctx, &ResultSet::new(&serial));
-    let files_parallel = exp.assemble(&ctx, &ResultSet::new(&parallel));
+    let serial = exp.assemble(&ctx, &ResultSet::new(&serial));
+    let parallel = exp.assemble(&ctx, &ResultSet::new(&parallel));
+    assert_eq!(serial.report, parallel.report, "the tables must not depend on the worker count");
+    let (files_serial, files_parallel) = (serial.files, parallel.files);
     assert_eq!(files_serial.len(), files_parallel.len());
     for (s, p) in files_serial.iter().zip(&files_parallel) {
         assert_eq!(s.name, p.name);

@@ -8,7 +8,7 @@
 //! a deterministic in-job panic with no special-casing in the engine.
 
 use tvp_bench::engine::{self, RunOptions};
-use tvp_bench::experiments::{vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use tvp_bench::experiments::{vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use tvp_bench::jobs::Job;
 use tvp_core::config::VpMode;
 
@@ -26,7 +26,7 @@ impl Experiment for Poisoned {
         vec![Job::new("mc_playout", ctx.insts, cfg)]
     }
 
-    fn assemble(&self, _ctx: &ExpContext, _results: &ResultSet<'_>) -> Vec<ResultFile> {
+    fn assemble(&self, _ctx: &ExpContext, _results: &ResultSet<'_>) -> Assembled {
         unreachable!("assemble must not run for an experiment with a failed point")
     }
 }
@@ -43,10 +43,11 @@ impl Experiment for Healthy {
         vec![Job::new("mc_playout", ctx.insts, vp_cfg(VpMode::Tvp, true))]
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
         let key = Job::new("mc_playout", ctx.insts, vp_cfg(VpMode::Tvp, true)).key;
         assert!(results.stats(&key).cycles > 0);
-        vec![ResultFile { name: "healthy_probe".to_owned(), json: "[]".to_owned() }]
+        let probe = ResultFile { name: "healthy_probe".to_owned(), json: "[]".to_owned() };
+        Assembled { report: String::new(), files: vec![probe] }
     }
 }
 

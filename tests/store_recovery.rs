@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use tvp_bench::engine::{self, EngineReport, RunOptions};
-use tvp_bench::experiments::{vp_cfg, ExpContext, Experiment, ResultFile, ResultSet};
+use tvp_bench::experiments::{vp_cfg, Assembled, ExpContext, Experiment, ResultFile, ResultSet};
 use tvp_bench::jobs::{ExpKey, Job, SimPoint};
 use tvp_bench::store::{
     blob, fsck, LoadOutcome, ResultStore, StoreConfig, BLOBS_DIR, QUARANTINE_DIR, TMP_DIR,
@@ -47,7 +47,7 @@ impl Experiment for Sweep {
         sweep_jobs(ctx.insts)
     }
 
-    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Vec<ResultFile> {
+    fn assemble(&self, ctx: &ExpContext, results: &ResultSet<'_>) -> Assembled {
         let rows: Vec<String> = sweep_jobs(ctx.insts)
             .into_iter()
             .map(|job| {
@@ -60,7 +60,11 @@ impl Experiment for Sweep {
                 )
             })
             .collect();
-        vec![ResultFile { name: "store_sweep".to_owned(), json: format!("[{}]", rows.join(",")) }]
+        let json = format!("[{}]", rows.join(","));
+        Assembled {
+            report: String::new(),
+            files: vec![ResultFile { name: "store_sweep".to_owned(), json }],
+        }
     }
 }
 
