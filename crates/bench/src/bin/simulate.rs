@@ -269,49 +269,14 @@ fn main() {
         cfg.silence_cycles,
         if cfg.adaptive_silencing { "+adaptive" } else { "" }
     );
-    outln!("cycles                 {:>12}", s.cycles);
-    outln!("insts retired          {:>12}", s.insts_retired);
-    outln!("uops retired           {:>12}", s.uops_retired);
-    outln!("IPC                    {:>12.4}", s.ipc());
-    outln!("uops per inst          {:>12.4}", s.expansion_ratio());
-    outln!("-- front end");
-    outln!("branch mispredicts     {:>12}", s.flush.branch_mispredicts);
-    outln!("-- value prediction");
-    outln!("vp eligible            {:>12}", s.vp.eligible);
-    outln!("vp used                {:>12}", s.vp.used);
-    outln!("vp coverage            {:>12.4}", s.vp.coverage());
-    outln!("vp accuracy            {:>12.4}", s.vp.accuracy());
-    outln!("vp flushes             {:>12}", s.flush.vp_flushes);
-    outln!("mem-order flushes      {:>12}", s.flush.mem_order_flushes);
-    outln!("squashed uops          {:>12}", s.flush.squashed_uops);
-    outln!("-- rename eliminations");
-    outln!("zero idiom             {:>12}", s.rename.zero_idiom);
-    outln!("one idiom              {:>12}", s.rename.one_idiom);
-    outln!("move elimination       {:>12}", s.rename.move_elim);
-    outln!("9-bit idiom            {:>12}", s.rename.nine_bit_idiom);
-    outln!("SpSR                   {:>12}", s.rename.spsr);
-    outln!("non-ME moves           {:>12}", s.rename.non_me_move);
-    outln!("-- activity");
-    outln!("INT PRF reads          {:>12}", s.activity.int_prf_reads);
-    outln!("INT PRF writes         {:>12}", s.activity.int_prf_writes);
-    outln!("IQ dispatched          {:>12}", s.activity.iq_dispatched);
-    outln!("IQ issued              {:>12}", s.activity.iq_issued);
-    if core.chaos_seed().is_some() {
-        outln!("-- chaos campaign (seed {:#x})", core.chaos_seed().unwrap_or(0));
-        outln!("faults injected        {:>12}", s.chaos.total());
-        outln!("forced vp mispredicts  {:>12}", s.chaos.vp_forced_mispredicts);
-        outln!("table corruptions      {:>12}", {
-            s.chaos.vtage_corruptions
-                + s.chaos.tage_corruptions
-                + s.chaos.btb_corruptions
-                + s.chaos.storeset_corruptions
-        });
-        outln!("branch inversions      {:>12}", s.chaos.branch_inversions);
-        outln!("cache delays           {:>12}", s.chaos.cache_delays);
-        outln!("prefetch drop cycles   {:>12}", s.chaos.prefetch_drop_cycles);
+    if let Some(seed) = core.chaos_seed() {
+        outln!("chaos seed             {seed:#x}");
     }
-    if s.overflow_events > 0 {
-        outln!("counter saturations    {:>12}", s.overflow_events);
+    for (name, value) in s.counters() {
+        outln!("{name:<27} {value:>12}");
+    }
+    for (name, value) in s.gauges() {
+        outln!("{name:<27} {value:>12.4}");
     }
     let cpi = core.cpi_stack();
     outln!("-- cycle attribution (CPI stack, retire-slot counts)");

@@ -189,109 +189,54 @@ pub fn speedup_pct(new: &SimStats, base: &SimStats) -> f64 {
     (new.speedup_over(base) - 1.0) * 100.0
 }
 
-/// JSON-friendly snapshot of one simulation.
+/// The workspace's one JSON writer, `tvp_obs::json`, re-exported for
+/// this crate's documents and for simbench.
+pub use tvp_obs::json;
+
+/// One simulation as a row of a results file.
 #[derive(Clone, Debug)]
 pub struct StatsRow {
     /// Workload name.
     pub workload: &'static str,
     /// Configuration label (e.g. `"tvp+spsr"`).
     pub config: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Architectural instructions retired.
-    pub insts: u64,
-    /// µops retired.
-    pub uops: u64,
-    /// Instructions per cycle.
-    pub ipc: f64,
-    /// VP coverage (`correct_used / eligible`).
-    pub vp_coverage: f64,
-    /// VP accuracy.
-    pub vp_accuracy: f64,
-    /// VP-misprediction pipeline flushes.
-    pub vp_flushes: u64,
-    /// Branch mispredictions.
-    pub branch_mispredicts: u64,
-    /// Integer PRF reads.
-    pub prf_reads: u64,
-    /// Integer PRF writes.
-    pub prf_writes: u64,
-    /// µops dispatched into the IQ.
-    pub iq_dispatched: u64,
-    /// µops issued.
-    pub iq_issued: u64,
-    /// Rename eliminations: zero idiom.
-    pub zero_idiom: u64,
-    /// Rename eliminations: one idiom.
-    pub one_idiom: u64,
-    /// Rename eliminations: move elimination.
-    pub move_elim: u64,
-    /// Rename eliminations: 9-bit idiom.
-    pub nine_bit_idiom: u64,
-    /// Rename eliminations: SpSR.
-    pub spsr: u64,
-    /// Moves blocked by the width restriction.
-    pub non_me_move: u64,
+    /// The simulation's counters.
+    pub stats: SimStats,
 }
 
 impl StatsRow {
     /// Builds a row from a simulation result.
     #[must_use]
     pub fn new(workload: &'static str, config: impl Into<String>, s: &SimStats) -> Self {
-        StatsRow {
-            workload,
-            config: config.into(),
-            cycles: s.cycles,
-            insts: s.insts_retired,
-            uops: s.uops_retired,
-            ipc: s.ipc(),
-            vp_coverage: s.vp.coverage(),
-            vp_accuracy: s.vp.accuracy(),
-            vp_flushes: s.flush.vp_flushes,
-            branch_mispredicts: s.flush.branch_mispredicts,
-            prf_reads: s.activity.int_prf_reads,
-            prf_writes: s.activity.int_prf_writes,
-            iq_dispatched: s.activity.iq_dispatched,
-            iq_issued: s.activity.iq_issued,
-            zero_idiom: s.rename.zero_idiom,
-            one_idiom: s.rename.one_idiom,
-            move_elim: s.rename.move_elim,
-            nine_bit_idiom: s.rename.nine_bit_idiom,
-            spsr: s.rename.spsr,
-            non_me_move: s.rename.non_me_move,
-        }
+        StatsRow { workload, config: config.into(), stats: *s }
     }
-}
 
-/// The workspace's one JSON writer, `tvp_obs::json`, re-exported for
-/// this crate's documents and for simbench.
-pub use tvp_obs::json;
-
-impl StatsRow {
-    /// Serialises the row as a JSON object.
+    /// Serialises the row as a JSON object: the published columns of
+    /// `results/*.json`.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let s = &self.stats;
         json::Layout::Lines.object(&[
             ("workload", json::string(self.workload)),
             ("config", json::string(&self.config)),
-            ("cycles", self.cycles.to_string()),
-            ("insts", self.insts.to_string()),
-            ("uops", self.uops.to_string()),
-            ("ipc", json::number(self.ipc)),
-            ("vp_coverage", json::number(self.vp_coverage)),
-            ("vp_accuracy", json::number(self.vp_accuracy)),
-            ("vp_flushes", self.vp_flushes.to_string()),
-            ("branch_mispredicts", self.branch_mispredicts.to_string()),
-            ("prf_reads", self.prf_reads.to_string()),
-            ("prf_writes", self.prf_writes.to_string()),
-            ("iq_dispatched", self.iq_dispatched.to_string()),
-            ("iq_issued", self.iq_issued.to_string()),
-            ("zero_idiom", self.zero_idiom.to_string()),
-            ("one_idiom", self.one_idiom.to_string()),
-            ("move_elim", self.move_elim.to_string()),
-            ("nine_bit_idiom", self.nine_bit_idiom.to_string()),
-            ("spsr", self.spsr.to_string()),
-            ("non_me_move", self.non_me_move.to_string()),
+            ("cycles", s.cycles.to_string()),
+            ("insts", s.insts_retired.to_string()),
+            ("uops", s.uops_retired.to_string()),
+            ("ipc", json::number(s.ipc())),
+            ("vp_coverage", json::number(s.vp.coverage())),
+            ("vp_accuracy", json::number(s.vp.accuracy())),
+            ("vp_flushes", s.flush.vp_flushes.to_string()),
+            ("branch_mispredicts", s.flush.branch_mispredicts.to_string()),
+            ("prf_reads", s.activity.int_prf_reads.to_string()),
+            ("prf_writes", s.activity.int_prf_writes.to_string()),
+            ("iq_dispatched", s.activity.iq_dispatched.to_string()),
+            ("iq_issued", s.activity.iq_issued.to_string()),
+            ("zero_idiom", s.rename.zero_idiom.to_string()),
+            ("one_idiom", s.rename.one_idiom.to_string()),
+            ("move_elim", s.rename.move_elim.to_string()),
+            ("nine_bit_idiom", s.rename.nine_bit_idiom.to_string()),
+            ("spsr", s.rename.spsr.to_string()),
+            ("non_me_move", s.rename.non_me_move.to_string()),
         ])
     }
 }
@@ -333,8 +278,9 @@ mod tests {
     #[test]
     fn stats_row_snapshot() {
         let s = SimStats { cycles: 10, insts_retired: 20, uops_retired: 22, ..Default::default() };
-        let row = StatsRow::new("k", "base", &s);
-        assert_eq!(row.ipc, 2.0);
-        assert_eq!(row.uops, 22);
+        let json = StatsRow::new("k", "base", &s).to_json();
+        for column in [format!("\"ipc\": {}", json::number(2.0)), "\"uops\": 22".to_owned()] {
+            assert!(json.contains(&column), "{column} missing from {json}");
+        }
     }
 }

@@ -28,13 +28,13 @@
 //! for it, and the `ExpKey` and `SimStats` section codecs here serve
 //! both kinds.
 //!
-//! The payload codec destructures [`SimStats`] and every sub-struct
-//! without `..` rest patterns, so adding a counter to any stats struct
-//! is a compile error here until the codec (and [`BLOB_SCHEMA`]) are
-//! updated — the schema version can never silently lie about the
-//! payload shape.
+//! The payload codec writes and reads the counters in the order of
+//! [`SimStats::counters_mut`], the one table of them, and counts them
+//! with [`tvp_core::stats::COUNTERS`]. A counter added to that table
+//! changes every blob's length and the known-answer bytes below, so
+//! [`BLOB_SCHEMA`] must be bumped with it.
 
-use tvp_core::stats::{ActivityStats, ChaosStats, FlushStats, RenameStats, SimStats, VpStats};
+use tvp_core::stats::{SimStats, COUNTERS};
 use tvp_isa::stream::fnv1a;
 
 use crate::jobs::{key_digest, ExpKey, SimPoint};
@@ -239,55 +239,11 @@ impl<'a> Cursor<'a> {
         if self.u32()? != STATS_COUNTERS {
             return None;
         }
-        let mut next = || self.u64();
-        Some(SimStats {
-            cycles: next()?,
-            insts_retired: next()?,
-            uops_retired: next()?,
-            rename: RenameStats {
-                arch_insts: next()?,
-                uops: next()?,
-                zero_idiom: next()?,
-                one_idiom: next()?,
-                move_elim: next()?,
-                non_me_move: next()?,
-                nine_bit_idiom: next()?,
-                spsr: next()?,
-                spsr_squashed: next()?,
-            },
-            vp: VpStats {
-                eligible: next()?,
-                used: next()?,
-                correct_used: next()?,
-                incorrect_used: next()?,
-                silenced_lookups: next()?,
-            },
-            activity: ActivityStats {
-                int_prf_reads: next()?,
-                int_prf_writes: next()?,
-                iq_dispatched: next()?,
-                iq_issued: next()?,
-            },
-            flush: FlushStats {
-                branch_mispredicts: next()?,
-                vp_flushes: next()?,
-                mem_order_flushes: next()?,
-                squashed_uops: next()?,
-                vp_replays: next()?,
-                replayed_uops: next()?,
-            },
-            chaos: ChaosStats {
-                vp_forced_mispredicts: next()?,
-                vtage_corruptions: next()?,
-                tage_corruptions: next()?,
-                btb_corruptions: next()?,
-                storeset_corruptions: next()?,
-                branch_inversions: next()?,
-                cache_delays: next()?,
-                prefetch_drop_cycles: next()?,
-            },
-            overflow_events: next()?,
-        })
+        let mut stats = SimStats::default();
+        for (_, counter) in stats.counters_mut() {
+            *counter = self.u64()?;
+        }
+        Some(stats)
     }
 }
 
@@ -312,98 +268,15 @@ pub(crate) fn push_exp_key(out: &mut Vec<u8>, key: &ExpKey) {
     push_str(out, &key.config_fp);
 }
 
-/// Counters in one encoded [`SimStats`]: the length of the array
-/// [`push_stats`] writes, so the two can never drift apart.
-const STATS_COUNTERS: u32 = 36;
+/// Counters in one encoded [`SimStats`], as written on the wire.
+const STATS_COUNTERS: u32 = COUNTERS as u32;
 
-/// Appends `stats` as a counted list of u64 counters in wire order. The
-/// exhaustive destructuring (no `..`) is the completeness guarantee: a
-/// new stats field fails to compile here until it is added to the wire
-/// order, [`STATS_COUNTERS`] grows and [`BLOB_SCHEMA`] is bumped.
+/// Appends `stats` as a counted list of u64 counters in the order of
+/// [`SimStats::counters`].
 pub(crate) fn push_stats(out: &mut Vec<u8>, s: &SimStats) {
-    let SimStats {
-        cycles,
-        insts_retired,
-        uops_retired,
-        rename,
-        vp,
-        activity,
-        flush,
-        chaos,
-        overflow_events,
-    } = *s;
-    let RenameStats {
-        arch_insts,
-        uops,
-        zero_idiom,
-        one_idiom,
-        move_elim,
-        non_me_move,
-        nine_bit_idiom,
-        spsr,
-        spsr_squashed,
-    } = rename;
-    let VpStats { eligible, used, correct_used, incorrect_used, silenced_lookups } = vp;
-    let ActivityStats { int_prf_reads, int_prf_writes, iq_dispatched, iq_issued } = activity;
-    let FlushStats {
-        branch_mispredicts,
-        vp_flushes,
-        mem_order_flushes,
-        squashed_uops,
-        vp_replays,
-        replayed_uops,
-    } = flush;
-    let ChaosStats {
-        vp_forced_mispredicts,
-        vtage_corruptions,
-        tage_corruptions,
-        btb_corruptions,
-        storeset_corruptions,
-        branch_inversions,
-        cache_delays,
-        prefetch_drop_cycles,
-    } = chaos;
-    let counters: [u64; STATS_COUNTERS as usize] = [
-        cycles,
-        insts_retired,
-        uops_retired,
-        arch_insts,
-        uops,
-        zero_idiom,
-        one_idiom,
-        move_elim,
-        non_me_move,
-        nine_bit_idiom,
-        spsr,
-        spsr_squashed,
-        eligible,
-        used,
-        correct_used,
-        incorrect_used,
-        silenced_lookups,
-        int_prf_reads,
-        int_prf_writes,
-        iq_dispatched,
-        iq_issued,
-        branch_mispredicts,
-        vp_flushes,
-        mem_order_flushes,
-        squashed_uops,
-        vp_replays,
-        replayed_uops,
-        vp_forced_mispredicts,
-        vtage_corruptions,
-        tage_corruptions,
-        btb_corruptions,
-        storeset_corruptions,
-        branch_inversions,
-        cache_delays,
-        prefetch_drop_cycles,
-        overflow_events,
-    ];
     push_u32(out, STATS_COUNTERS);
-    for c in counters {
-        push_u64(out, c);
+    for (_, value) in s.counters() {
+        push_u64(out, value);
     }
 }
 
@@ -472,7 +345,7 @@ pub(crate) fn unframe<'a>(
 pub fn encode(key: &ExpKey, point: &SimPoint) -> Vec<u8> {
     let mut key_bytes = Vec::with_capacity(32 + key.config_fp.len());
     push_exp_key(&mut key_bytes, key);
-    let mut payload = Vec::with_capacity(4 + 8 * STATS_COUNTERS as usize);
+    let mut payload = Vec::with_capacity(4 + 8 * COUNTERS);
     push_stats(&mut payload, &point.stats);
     frame(&BLOB_MAGIC, BLOB_SCHEMA, &key_bytes, &payload)
 }
@@ -690,57 +563,15 @@ pub(crate) mod tests {
         assert_eq!(BlobError::MalformedPayload.tag(), "payload");
     }
 
-    /// A `SimStats` built field by field with forty distinct counter
-    /// values, so a reordered or dropped counter changes the bytes.
+    /// A `SimStats` whose counters are 1001, 1002, … in table order, so
+    /// an added or dropped counter changes the bytes. The table's order
+    /// itself is held to the struct's by `tvp_core::stats`' tests.
     pub(crate) fn kat_stats() -> SimStats {
-        SimStats {
-            cycles: 1_001,
-            insts_retired: 1_002,
-            uops_retired: 1_003,
-            rename: RenameStats {
-                arch_insts: 1_004,
-                uops: 1_005,
-                zero_idiom: 1_006,
-                one_idiom: 1_007,
-                move_elim: 1_008,
-                non_me_move: 1_009,
-                nine_bit_idiom: 1_010,
-                spsr: 1_011,
-                spsr_squashed: 1_012,
-            },
-            vp: VpStats {
-                eligible: 1_013,
-                used: 1_014,
-                correct_used: 1_015,
-                incorrect_used: 1_016,
-                silenced_lookups: 1_017,
-            },
-            activity: ActivityStats {
-                int_prf_reads: 1_018,
-                int_prf_writes: 1_019,
-                iq_dispatched: 1_020,
-                iq_issued: 1_021,
-            },
-            flush: FlushStats {
-                branch_mispredicts: 1_022,
-                vp_flushes: 1_023,
-                mem_order_flushes: 1_024,
-                squashed_uops: 1_025,
-                vp_replays: 1_026,
-                replayed_uops: 1_027,
-            },
-            chaos: ChaosStats {
-                vp_forced_mispredicts: 1_028,
-                vtage_corruptions: 1_029,
-                tage_corruptions: 1_030,
-                btb_corruptions: 1_031,
-                storeset_corruptions: 1_032,
-                branch_inversions: 1_033,
-                cache_delays: 1_034,
-                prefetch_drop_cycles: 1_035,
-            },
-            overflow_events: 1_036,
+        let mut stats = SimStats::default();
+        for ((_, counter), value) in stats.counters_mut().into_iter().zip(1_001..) {
+            *counter = value;
         }
+        stats
     }
 
     #[test]

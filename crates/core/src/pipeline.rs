@@ -24,6 +24,7 @@ use tvp_chaos::{
 use tvp_isa::op::{BranchKind, ExecClass, Op};
 use tvp_isa::stream::{fnv1a_fold, FNV1A_OFFSET};
 use tvp_mem::hierarchy::Hierarchy;
+use tvp_obs::counters::{sat_add, sat_inc};
 use tvp_obs::cpi::{CpiStack, SlotClass};
 use tvp_obs::event::{EventKind, TraceEvent, Tracer};
 use tvp_obs::registry::Registry;
@@ -40,7 +41,7 @@ use crate::inline_vec::{InlineVec, MAX_DST_REGS};
 use crate::physreg::PhysName;
 use crate::rename::{Dep, ElimCategory, PredApply, RegClass, RenamedUop, Renamer};
 use crate::scheduler::Scheduler;
-use crate::stats::{sat_add, sat_inc, SimStats};
+use crate::stats::SimStats;
 use crate::storesets::StoreSets;
 use tvp_workloads::machine::ArchSnapshot;
 
@@ -1775,35 +1776,10 @@ impl Core {
     pub fn export_registry(&self) -> Registry {
         let mut reg = Registry::new();
         let s = &self.stats;
-        reg.counter("core.cycles", s.cycles);
-        reg.counter("core.insts_retired", s.insts_retired);
-        reg.counter("core.uops_retired", s.uops_retired);
-        reg.counter("core.overflow_events", s.overflow_events);
+        for (name, value) in s.counters() {
+            reg.counter(name, value);
+        }
         reg.counter("core.commit_fingerprint", self.commit_fp);
-        reg.counter("rename.arch_insts", s.rename.arch_insts);
-        reg.counter("rename.uops", s.rename.uops);
-        reg.counter("rename.zero_idiom", s.rename.zero_idiom);
-        reg.counter("rename.one_idiom", s.rename.one_idiom);
-        reg.counter("rename.move_elim", s.rename.move_elim);
-        reg.counter("rename.non_me_move", s.rename.non_me_move);
-        reg.counter("rename.nine_bit_idiom", s.rename.nine_bit_idiom);
-        reg.counter("rename.spsr", s.rename.spsr);
-        reg.counter("rename.spsr_squashed", s.rename.spsr_squashed);
-        reg.counter("vp.eligible", s.vp.eligible);
-        reg.counter("vp.used", s.vp.used);
-        reg.counter("vp.correct_used", s.vp.correct_used);
-        reg.counter("vp.incorrect_used", s.vp.incorrect_used);
-        reg.counter("vp.silenced_lookups", s.vp.silenced_lookups);
-        reg.counter("activity.int_prf_reads", s.activity.int_prf_reads);
-        reg.counter("activity.int_prf_writes", s.activity.int_prf_writes);
-        reg.counter("activity.iq_dispatched", s.activity.iq_dispatched);
-        reg.counter("activity.iq_issued", s.activity.iq_issued);
-        reg.counter("flush.branch_mispredicts", s.flush.branch_mispredicts);
-        reg.counter("flush.vp_flushes", s.flush.vp_flushes);
-        reg.counter("flush.mem_order_flushes", s.flush.mem_order_flushes);
-        reg.counter("flush.squashed_uops", s.flush.squashed_uops);
-        reg.counter("flush.vp_replays", s.flush.vp_replays);
-        reg.counter("flush.replayed_uops", s.flush.replayed_uops);
         reg.counter("chaos.total_faults", s.chaos.total());
         self.cpi.fill_registry(&mut reg);
         reg.counter("trace.events_dropped", self.tracer.dropped());
@@ -1824,10 +1800,9 @@ impl Core {
             reg.counter("vtage.incorrect", v.incorrect);
             reg.counter("vtage.overflow_events", v.overflow_events);
         }
-        reg.gauge("core.ipc", s.ipc());
-        reg.gauge("core.expansion_ratio", s.expansion_ratio());
-        reg.gauge("vp.coverage", s.vp.coverage());
-        reg.gauge("vp.accuracy", s.vp.accuracy());
+        for (name, value) in s.gauges() {
+            reg.gauge(name, value);
+        }
         reg.gauge("cpi.base_fraction", self.cpi.fraction(self.cpi.base));
         reg
     }

@@ -12,12 +12,13 @@ use tvp_isa::flags::Nzcv;
 use tvp_isa::inst::Inst;
 use tvp_isa::op::{Op, Width};
 use tvp_isa::reg::{Reg, NUM_DENSE_REGS};
+use tvp_obs::counters::sat_inc;
 
 use crate::config::CoreConfig;
 use crate::inline_vec::{InlineVec, MAX_DST_REGS, MAX_SRC_REGS};
 use crate::physreg::{PhysName, RegFile, PHYS_ONE, PHYS_ZERO};
 use crate::spsr::{is_static_eor_zero, reduce, Known, Reduction};
-use crate::stats::{sat_inc, RenameStats};
+use crate::stats::RenameStats;
 
 /// Register file class.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]

@@ -1,16 +1,15 @@
 //! Simulation statistics: everything the paper's figures report.
 //!
-//! Counters on fault-campaign paths are hardened: [`sat_inc`] /
-//! [`sat_add`] saturate at `u64::MAX` instead of wrapping and bump
+//! Counters on fault-campaign paths are hardened:
+//! [`tvp_obs::counters::sat_inc`] / [`tvp_obs::counters::sat_add`]
+//! saturate at `u64::MAX` instead of wrapping and bump
 //! [`SimStats::overflow_events`], so an arbitrarily long chaos run can
 //! degrade a counter's precision but never silently corrupt reported
 //! IPC.
-
-// The saturating primitives moved to the dependency-free observability
-// crate so mem/predictor statistics can share the discipline; the
-// re-export keeps every existing `tvp_core::stats::sat_inc` call site
-// and import working unchanged.
-pub use tvp_obs::counters::{sat_add, sat_inc};
+//!
+//! [`SimStats::counters_mut`] is the one list of the counters: each
+//! has its dotted name there, and the blob codec, the registry export,
+//! `simulate`'s report and the golden snapshot all walk that table.
 
 /// Rename-time elimination categories (Fig. 4's stacked bars).
 #[must_use = "rename counters feed Fig. 4; dropping them silently skews the elimination breakdown"]
@@ -182,12 +181,97 @@ pub struct SimStats {
     pub flush: FlushStats,
     /// Fault-injection counters.
     pub chaos: ChaosStats,
-    /// Counter saturations observed ([`sat_inc`]): non-zero means some
-    /// counter above pinned at `u64::MAX` instead of wrapping.
+    /// Counter saturations observed ([`tvp_obs::counters::sat_inc`]):
+    /// non-zero means some counter above pinned at `u64::MAX` instead
+    /// of wrapping.
     pub overflow_events: u64,
 }
 
+/// Counters in one [`SimStats`]: the length of
+/// [`SimStats::counters_mut`]'s table.
+pub const COUNTERS: usize = 36;
+
+// Every field of `SimStats` is a `u64` counter, so its size counts the
+// fields. With the table's disjoint `&mut` borrows this makes a field
+// left out of the table, or listed twice, a compile error.
+const _: () = assert!(std::mem::size_of::<SimStats>() == COUNTERS * 8);
+
 impl SimStats {
+    /// Every counter with its dotted name (`scope.field`), in
+    /// declaration order, which is the blob wire order: the one place
+    /// the counters are listed.
+    pub fn counters_mut(&mut self) -> [(&'static str, &mut u64); COUNTERS] {
+        let SimStats {
+            cycles,
+            insts_retired,
+            uops_retired,
+            rename: r,
+            vp,
+            activity: a,
+            flush: f,
+            chaos: c,
+            overflow_events,
+        } = self;
+        [
+            ("core.cycles", cycles),
+            ("core.insts_retired", insts_retired),
+            ("core.uops_retired", uops_retired),
+            ("rename.arch_insts", &mut r.arch_insts),
+            ("rename.uops", &mut r.uops),
+            ("rename.zero_idiom", &mut r.zero_idiom),
+            ("rename.one_idiom", &mut r.one_idiom),
+            ("rename.move_elim", &mut r.move_elim),
+            ("rename.non_me_move", &mut r.non_me_move),
+            ("rename.nine_bit_idiom", &mut r.nine_bit_idiom),
+            ("rename.spsr", &mut r.spsr),
+            ("rename.spsr_squashed", &mut r.spsr_squashed),
+            ("vp.eligible", &mut vp.eligible),
+            ("vp.used", &mut vp.used),
+            ("vp.correct_used", &mut vp.correct_used),
+            ("vp.incorrect_used", &mut vp.incorrect_used),
+            ("vp.silenced_lookups", &mut vp.silenced_lookups),
+            ("activity.int_prf_reads", &mut a.int_prf_reads),
+            ("activity.int_prf_writes", &mut a.int_prf_writes),
+            ("activity.iq_dispatched", &mut a.iq_dispatched),
+            ("activity.iq_issued", &mut a.iq_issued),
+            ("flush.branch_mispredicts", &mut f.branch_mispredicts),
+            ("flush.vp_flushes", &mut f.vp_flushes),
+            ("flush.mem_order_flushes", &mut f.mem_order_flushes),
+            ("flush.squashed_uops", &mut f.squashed_uops),
+            ("flush.vp_replays", &mut f.vp_replays),
+            ("flush.replayed_uops", &mut f.replayed_uops),
+            ("chaos.vp_forced_mispredicts", &mut c.vp_forced_mispredicts),
+            ("chaos.vtage_corruptions", &mut c.vtage_corruptions),
+            ("chaos.tage_corruptions", &mut c.tage_corruptions),
+            ("chaos.btb_corruptions", &mut c.btb_corruptions),
+            ("chaos.storeset_corruptions", &mut c.storeset_corruptions),
+            ("chaos.branch_inversions", &mut c.branch_inversions),
+            ("chaos.cache_delays", &mut c.cache_delays),
+            ("chaos.prefetch_drop_cycles", &mut c.prefetch_drop_cycles),
+            ("core.overflow_events", overflow_events),
+        ]
+    }
+
+    /// Every counter's name and value, in [`SimStats::counters_mut`]'s
+    /// order.
+    #[must_use]
+    pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+        let mut copy = *self;
+        copy.counters_mut().map(|(name, value)| (name, *value))
+    }
+
+    /// The derived ratios under their registry names: IPC, µops per
+    /// instruction, VP coverage and VP accuracy.
+    #[must_use]
+    pub fn gauges(&self) -> [(&'static str, f64); 4] {
+        [
+            ("core.ipc", self.ipc()),
+            ("core.expansion_ratio", self.expansion_ratio()),
+            ("vp.coverage", self.vp.coverage()),
+            ("vp.accuracy", self.vp.accuracy()),
+        ]
+    }
+
     /// Architectural instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
@@ -254,22 +338,53 @@ mod tests {
     }
 
     #[test]
-    fn saturating_counters_never_wrap() {
-        let mut counter = u64::MAX - 1;
-        let mut overflows = 0;
-        sat_inc(&mut counter, &mut overflows);
-        assert_eq!(counter, u64::MAX);
-        assert_eq!(overflows, 0);
-        sat_inc(&mut counter, &mut overflows);
-        assert_eq!(counter, u64::MAX, "pins instead of wrapping");
-        assert_eq!(overflows, 1);
-        sat_add(&mut counter, 1_000, &mut overflows);
-        assert_eq!(counter, u64::MAX);
-        assert_eq!(overflows, 2);
-        let mut fresh = 10;
-        sat_add(&mut fresh, 5, &mut overflows);
-        assert_eq!(fresh, 15);
-        assert_eq!(overflows, 2, "no spurious overflow events");
+    fn counter_table_names_each_field_once() {
+        let mut s = SimStats::default();
+        for ((_, counter), value) in s.counters_mut().into_iter().zip(1_001..) {
+            *counter = value;
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for ((name, value), expected) in s.counters().into_iter().zip(1_001..) {
+            assert!(seen.insert(name), "`{name}` is listed twice");
+            assert_eq!(value, expected, "`{name}` reads back another counter");
+            let (scope, field) =
+                name.split_once('.').unwrap_or_else(|| panic!("`{name}` is not `scope.field`"));
+            assert!(!scope.is_empty() && !field.is_empty() && !field.contains('.'), "{name}");
+            // The value must sit in the field the name ends with, inside
+            // the struct the scope names.
+            let rendered = match scope {
+                "core" => format!(
+                    "{:?}",
+                    SimStats {
+                        rename: RenameStats::default(),
+                        vp: VpStats::default(),
+                        activity: ActivityStats::default(),
+                        flush: FlushStats::default(),
+                        chaos: ChaosStats::default(),
+                        ..s
+                    }
+                ),
+                "rename" => format!("{:?}", s.rename),
+                "vp" => format!("{:?}", s.vp),
+                "activity" => format!("{:?}", s.activity),
+                "flush" => format!("{:?}", s.flush),
+                "chaos" => format!("{:?}", s.chaos),
+                _ => panic!("`{name}` has an unknown scope"),
+            };
+            assert!(
+                rendered.contains(&format!(" {field}: {value}")),
+                "`{name}` does not name the field holding {value}: {rendered}"
+            );
+        }
+        assert_eq!(seen.len(), COUNTERS);
+        // The table lists the fields in declaration order, so the blob
+        // wire order moves only with the struct, never by a table edit.
+        let in_declaration_order: Vec<u64> = format!("{s:?}")
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|digits| digits.parse().ok())
+            .collect();
+        let table_order: Vec<u64> = (1_001..).take(COUNTERS).collect();
+        assert_eq!(in_declaration_order, table_order, "the table must follow declaration order");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! [`sat_add`] saturate at `u64::MAX` instead of wrapping and bump an
 //! `overflow_events` sink, so an arbitrarily long chaos run can
 //! degrade a counter's precision but never silently corrupt reported
-//! IPC. Originally in `tvp_core::stats` (which still re-exports them);
-//! they live here so mem/predictor statistics can use the same
-//! discipline without depending on the core.
+//! IPC. They live here, not in `tvp_core::stats`, so the core, mem and
+//! predictor statistics share one discipline without depending on the
+//! core; each of them imports `tvp_obs::counters` directly.
 
 /// Saturating counter increment. On overflow the counter pins at
 /// `u64::MAX` and `overflow_events` records the loss.

@@ -8,7 +8,7 @@ use tvp_isa::reg::x;
 
 use super::{DataRng, HEAP};
 use crate::program::Asm;
-use crate::suite::{words_to_bytes, DataSegments, Workload};
+use crate::suite::{DataSegments, Workload};
 
 fn base_disp(base: u8, disp: i64) -> AddrMode {
     AddrMode::BaseDisp { base: x(base), disp }
@@ -57,13 +57,19 @@ pub fn sparse_graph() -> Workload {
         init_mem: DataSegments::new(|| {
             let mut rng = DataRng::new(0x605);
             // Sattolo's algorithm: a single cycle covering every node,
-            // so the walk never falls into a short cached loop.
-            let mut perm: Vec<u64> = (0..NODES).collect();
+            // so the walk never falls into a short cached loop. The
+            // permutation is shuffled in its little-endian image, one
+            // 8-byte word per node, so no second copy of it is built.
+            let mut perm = Vec::with_capacity(NODES as usize * 8);
+            for node in 0..NODES {
+                perm.extend_from_slice(&node.to_le_bytes());
+            }
             for i in (1..NODES as usize).rev() {
                 let j = rng.below(i as u64) as usize;
-                perm.swap(i, j);
+                let (head, tail) = perm.split_at_mut(i * 8);
+                head[j * 8..j * 8 + 8].swap_with_slice(&mut tail[..8]);
             }
-            vec![(HEAP, words_to_bytes(&perm))]
+            vec![(HEAP, perm)]
         }),
     }
 }

@@ -202,6 +202,11 @@ impl Parser<'_> {
                 "<<" => depth += 2,
                 ">" => depth -= 1,
                 ">>" => depth -= 2,
+                // An array type's `;` is inside its brackets.
+                "[" | "(" => {
+                    self.skip_group(ctx);
+                    continue;
+                }
                 // Tolerate a header we misread rather than swallowing
                 // the whole file.
                 "{" | ";" => return,
@@ -508,10 +513,13 @@ impl Parser<'_> {
         if self.at("(") {
             self.skip_group(ctx); // params
         }
-        // Return type / where clause, up to the body or `;`.
+        // Return type / where clause, up to the body or `;`. An array
+        // type's `;` sits inside its brackets.
         while !self.eof() && !self.at("{") && !self.at(";") {
             if self.at("<") {
                 self.skip_angles(ctx);
+            } else if self.at("[") || self.at("(") {
+                self.skip_group(ctx);
             } else {
                 self.bump(ctx);
             }
@@ -628,6 +636,18 @@ mod tests {
             .collect();
         assert!(body.contains(&"cycles"));
         assert!(!body.contains(&"helper"), "body range stops at the closing brace");
+    }
+
+    #[test]
+    fn array_return_types_keep_their_fn_body() {
+        let src = concat!(
+            "fn table(&mut self) -> [(&'static str, &mut u64); 2] { [(\"a\", a), (\"b\", b)] }\n",
+            "fn wrapped() -> Option<[u8; 4]> { None }\nfn after() {}",
+        );
+        let items = parse_src(src);
+        let names: Vec<&str> = items.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["table", "wrapped", "after"]);
+        assert!(items.fns.iter().all(|f| f.body != (0, 0)), "every fn keeps its body");
     }
 
     #[test]

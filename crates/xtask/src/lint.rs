@@ -33,7 +33,7 @@
 //!    heap-allocate (`Vec::new`/`vec!`/`.collect()`/`Box::new`/
 //!    `format!`/…) on the simulation path; per-µop structures have
 //!    architecturally bounded cardinality and belong in inline arrays
-//!    ([`tvp_core::inline_vec`]) or reusable scratch buffers owned by
+//!    (`tvp_core::inline_vec`) or reusable scratch buffers owned by
 //!    the component. One-time construction, reset and diagnostic paths
 //!    are fine — waive them.
 //! 6. **no-println-in-sim-crates** — the simulation crates (`core`,

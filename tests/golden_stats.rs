@@ -1,17 +1,14 @@
-//! Golden-snapshot regression layer: per-workload commit fingerprints
-//! and key statistics under the default Table 2 configuration.
+//! Golden-snapshot regression layer: every `SimStats` counter of every
+//! workload under the paper's configuration.
 //!
 //! Every workload in the bundled suite is simulated at a fixed budget
-//! with the paper's full TVP+SpSR configuration, and the resulting
-//! statistics are compared line-by-line against the checked-in
-//! snapshot at `tests/golden/golden_stats.txt`. The snapshot locks:
-//!
-//! - a **commit fingerprint** — FNV-1a over the `Debug` rendering of
-//!   the complete `SimStats`, so *any* counter drift is caught, not
-//!   just the headline numbers;
-//! - the headline numbers themselves (cycles, retired µops, IPC, VP
-//!   coverage, SpSR conversions), so a mismatch names the statistic
-//!   that moved in human units rather than only a hash.
+//! with the paper's full TVP+SpSR configuration, and each of its
+//! counters is written as one `workload counter value` line, in the
+//! order of `SimStats::counters`, to compare against the checked-in
+//! snapshot at `tests/golden/golden_stats.txt`. A mismatch names the
+//! counter: a behaviour change shows as a changed value, a renamed
+//! counter as one line gone and one new line with the same value, and
+//! a removed counter as a line gone.
 //!
 //! On an intentional behaviour change, regenerate with:
 //!
@@ -21,13 +18,13 @@
 //!
 //! and review the snapshot diff like any other code change.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tvp_bench::experiments::vp_cfg;
 use tvp_core::config::VpMode;
 use tvp_core::pipeline::simulate;
-use tvp_isa::stream::fnv1a;
 
 /// Fixed budget: small enough to keep the suite fast, large enough
 /// that predictors warm up and SpSR conversions occur.
@@ -39,8 +36,8 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/golden_stats.txt")
 }
 
-/// Renders the current per-workload snapshot, one `workload field
-/// value` triple per line, in suite order.
+/// Renders the current snapshot, one `workload counter value` line per
+/// counter, in suite order.
 fn render_snapshot() -> String {
     let cfg = vp_cfg(VpMode::Tvp, true);
     let mut out = String::new();
@@ -50,21 +47,17 @@ fn render_snapshot() -> String {
         "# regenerate: GOLDEN_UPDATE=1 cargo test --release -p tvp-harness --test golden_stats"
     );
     for w in tvp_workloads::suite::suite() {
-        let trace = w.trace(INSTS);
-        let stats = simulate(cfg.clone(), &trace);
-        let name = w.name;
-        let _ = writeln!(out, "{name} fingerprint {:016x}", fnv1a(format!("{stats:?}").as_bytes()));
-        let _ = writeln!(out, "{name} cycles {}", stats.cycles);
-        let _ = writeln!(out, "{name} insts_retired {}", stats.insts_retired);
-        let _ = writeln!(out, "{name} uops_retired {}", stats.uops_retired);
-        let _ = writeln!(out, "{name} ipc {:.6}", stats.ipc());
-        let _ = writeln!(out, "{name} vp_coverage {:.6}", stats.vp.coverage());
-        let _ = writeln!(out, "{name} vp_used {}", stats.vp.used);
-        let _ = writeln!(out, "{name} spsr_conversions {}", stats.rename.spsr);
-        let _ = writeln!(out, "{name} spsr_squashed {}", stats.rename.spsr_squashed);
-        let _ = writeln!(out, "{name} vp_flushes {}", stats.flush.vp_flushes);
+        let stats = simulate(cfg.clone(), &w.trace(INSTS));
+        for (counter, value) in stats.counters() {
+            let _ = writeln!(out, "{} {counter} {value}", w.name);
+        }
     }
     out
+}
+
+/// The snapshot's `workload counter` → value entries.
+fn entries(snapshot: &str) -> BTreeMap<&str, &str> {
+    snapshot.lines().filter(|l| !l.starts_with('#')).filter_map(|l| l.rsplit_once(' ')).collect()
 }
 
 #[test]
@@ -91,24 +84,31 @@ fn suite_matches_golden_snapshot() {
         return;
     }
 
-    // Build a clear field-level diff instead of dumping both files.
+    // Name each counter that moved, appeared or went away.
+    let (golden, now) = (entries(&expected), entries(&actual));
     let mut diff = String::new();
-    let exp_lines: Vec<&str> = expected.lines().collect();
-    let act_lines: Vec<&str> = actual.lines().collect();
-    for i in 0..exp_lines.len().max(act_lines.len()) {
-        let e = exp_lines.get(i).copied().unwrap_or("<missing>");
-        let a = act_lines.get(i).copied().unwrap_or("<missing>");
-        if e != a {
-            let _ = writeln!(diff, "  line {:>4}: golden  {e}", i + 1);
-            let _ = writeln!(diff, "  line {:>4}: actual  {a}", i + 1);
+    for (key, want) in &golden {
+        match now.get(key) {
+            Some(got) if got == want => {}
+            Some(got) => {
+                let _ = writeln!(diff, "  {key}: golden {want}, actual {got}");
+            }
+            None => {
+                let _ = writeln!(diff, "  {key}: golden {want}, no longer reported");
+            }
         }
     }
+    for (key, got) in now.iter().filter(|(key, _)| !golden.contains_key(*key)) {
+        let _ = writeln!(diff, "  {key}: not in the snapshot, actual {got}");
+    }
+    if diff.is_empty() {
+        diff.push_str("  same entries, in a different order or with a different header\n");
+    }
     panic!(
-        "golden stats drifted ({} differing line(s)):\n{diff}\
+        "golden stats drifted:\n{diff}\
          if the change is intentional, regenerate with \
          GOLDEN_UPDATE=1 cargo test --release -p tvp-harness --test golden_stats \
-         and review the snapshot diff",
-        diff.lines().count() / 2
+         and review the snapshot diff"
     );
 }
 
@@ -121,9 +121,5 @@ fn snapshot_rendering_is_stable_within_a_process() {
     let trace = w.trace(5_000);
     let a = simulate(cfg.clone(), &trace);
     let b = simulate(cfg, &trace);
-    assert_eq!(
-        fnv1a(format!("{a:?}").as_bytes()),
-        fnv1a(format!("{b:?}").as_bytes()),
-        "same trace, same stats"
-    );
+    assert_eq!(a, b, "same trace, same stats");
 }

@@ -138,8 +138,9 @@ fn registry_export_matches_stats_and_is_schema_versioned() {
             .unwrap_or_else(|| panic!("registry is missing `{name}`"))
             .1
     };
-    assert_eq!(counter("core.cycles"), stats.cycles);
-    assert_eq!(counter("core.uops_retired"), stats.uops_retired);
+    for (name, value) in stats.counters() {
+        assert_eq!(counter(name), value, "registry `{name}` differs from `SimStats`");
+    }
     assert_eq!(counter("cpi.total_slots"), core.cpi_stack().total());
     assert_eq!(counter("core.commit_fingerprint"), core.commit_fingerprint());
     // The memory and predictor walks contribute their scopes.
