@@ -1,11 +1,11 @@
 //! Scoped work-stealing thread pool for simulation jobs.
 //!
 //! Workers run on `std::thread::scope` threads (no `'static` bounds,
-//! no dependencies): each worker owns a deque seeded round-robin with
-//! job indices, pops from its own front, and steals from the back of
-//! the busiest sibling when empty. Jobs are coarse (one full pipeline
-//! simulation each, typically 10⁵–10⁶ cycles), so the per-steal mutex
-//! cost is noise.
+//! no dependencies): each worker owns a deque seeded with one
+//! contiguous block of job indices, pops from its own front, and steals
+//! from the back of the busiest sibling when empty. Jobs are coarse
+//! (one full pipeline simulation each, typically 10⁵–10⁶ cycles), so
+//! the per-steal mutex cost is noise.
 //!
 //! Every job runs under `catch_unwind`: a panicking simulation (e.g. a
 //! watchdog-diagnosed deadlock) is captured as a [`JobFailure`] carrying
@@ -16,10 +16,13 @@
 //! that workload's trace at the job's budget, the workload's other jobs
 //! share it, and it is dropped once every one of them has succeeded. A
 //! cold schedule comes in [`ExpKey`] order, so a workload's jobs are
-//! adjacent and every worker's round-robin deque sweeps it front to
-//! back: only the few workloads between the slowest and the fastest
-//! worker hold a trace, not the whole suite. A run with nothing to
-//! simulate builds no trace.
+//! adjacent, and the blocks are cut where a workload begins: each
+//! worker sweeps workloads of its own one at a time, and a thief works
+//! inward from the far end of its victim's block. Live traces stay at
+//! the ends being worked on, so two workers hold at most two however
+//! far apart they drift; a round-robin deal let one worker run ahead
+//! and kept every workload between the two alive. A run with nothing
+//! to simulate builds no trace.
 //!
 //! Determinism: results are keyed, a trace is a pure function of
 //! (workload, budget) and the simulator a pure function of (trace,
@@ -219,12 +222,19 @@ pub fn run_jobs_with(
     sim: impl Fn(&Job) -> (SimPoint, CpiStack) + Sync,
 ) -> RunOutcome {
     let workers = workers.max(1).min(jobs.len().max(1));
-    // Round-robin seeding gives every worker a balanced starting deque;
-    // stealing evens out whatever imbalance the workloads create.
+    // Block seeding: worker `w` starts with the `w`-th contiguous slice
+    // of the schedule, cut where a trace (workload, budget) begins, so
+    // no trace is shared by two starting blocks. Stealing evens out
+    // whatever imbalance the workloads create.
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, _) in jobs.iter().enumerate() {
-        deques[i % workers].lock().expect("seed deque").push_back(i);
+    let mut group_start = 0;
+    for (i, job) in jobs.iter().enumerate() {
+        let first = &jobs[group_start].key;
+        if (first.workload, first.insts) != (job.key.workload, job.key.insts) {
+            group_start = i;
+        }
+        deques[group_start * workers / jobs.len()].lock().expect("seed deque").push_back(i);
     }
 
     let slots: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
@@ -398,6 +408,36 @@ mod tests {
         traces.succeeded(&jobs[1].key);
         assert!(trace.upgrade().is_none(), "the last success drops it");
         assert_eq!(traces.built.into_inner(), 1);
+    }
+
+    #[test]
+    fn block_seeding_keeps_at_most_workers_plus_one_traces_alive() {
+        // Two configs per workload, one of them slow: a round-robin deal
+        // gives one worker every slow job, so the other runs ahead and
+        // every workload between them holds its trace.
+        let workers = 2;
+        let jobs: Vec<Job> = names()
+            .take(8)
+            .flat_map(|name| {
+                [VpMode::Off, VpMode::Tvp].map(|vp| Job::new(name, 500, CoreConfig::with_vp(vp)))
+            })
+            .collect();
+        let traces = Traces::new(&jobs);
+        let peak = AtomicUsize::new(0);
+        let outcome = run_jobs_with(&jobs, workers, false, |job| {
+            let _trace = traces.acquire(&job.key);
+            let live = traces.slots.values().filter(|s| s.lock().expect("slot").trace.is_some());
+            peak.fetch_max(live.count(), Ordering::Relaxed);
+            if job.cfg.vp == VpMode::Off {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            traces.succeeded(&job.key);
+            (SimPoint { stats: Default::default() }, CpiStack::default())
+        });
+        assert!(outcome.failures.is_empty());
+        assert_eq!(traces.built.into_inner(), 8, "one trace per workload");
+        let peak = peak.into_inner();
+        assert!(peak <= workers + 1, "{peak} traces alive at once with {workers} workers");
     }
 
     #[test]

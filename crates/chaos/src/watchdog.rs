@@ -41,6 +41,14 @@ impl Watchdog {
         self.threshold > 0 && cycle.saturating_sub(self.last_progress_cycle) >= self.threshold
     }
 
+    /// The cycle at which [`Watchdog::observe`] trips if nothing
+    /// retires before it (`None` when the watchdog is disabled). A
+    /// caller that skips cycles stops short of it.
+    #[must_use]
+    pub fn deadline(&self) -> Option<u64> {
+        (self.threshold > 0).then(|| self.last_progress_cycle.saturating_add(self.threshold))
+    }
+
     /// Cycles elapsed since the last observed retirement.
     #[must_use]
     pub fn stalled_for(&self, cycle: u64) -> u64 {

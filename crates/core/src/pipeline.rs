@@ -29,7 +29,7 @@ use tvp_obs::cpi::{CpiStack, SlotClass};
 use tvp_obs::event::{EventKind, TraceEvent, Tracer};
 use tvp_obs::registry::Registry;
 use tvp_predictors::btb::Btb;
-use tvp_predictors::history::BranchHistory;
+use tvp_predictors::history::{HistoryMark, MAX_REWIND};
 use tvp_predictors::indirect::IndirectTargetCache;
 use tvp_predictors::ras::Ras;
 use tvp_predictors::tage::{Tage, TageToken};
@@ -95,15 +95,21 @@ struct SqEntry {
 }
 
 /// Speculative front-end state after one fetched branch, held inline
-/// so pushing one allocates nothing.
-#[derive(Clone, Copy, Debug)]
+/// so pushing one allocates nothing. The branch histories live once,
+/// in their predictors, and a checkpoint keeps only their positions;
+/// the return-address stack and the indirect path are copied whole.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Checkpoint {
     seq: u64,
-    tage: BranchHistory,
-    vtage: Option<BranchHistory>,
+    tage: HistoryMark,
+    vtage: Option<HistoryMark>,
     ras: Ras,
     itc_path: u64,
 }
+
+// Positions, not histories: a checkpoint is copied at every fetched
+// branch and again at its commit.
+const _: () = assert!(std::mem::size_of::<Checkpoint>() <= 330);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FlushKind {
@@ -199,6 +205,10 @@ pub struct Core {
     fetch_wait_branch: Option<u64>,
     current_line: u64,
     rob: VecDeque<RobEntry>,
+    // ROB position base: counts every pop_front, so the entry at index
+    // `i` has position `rob_base + i` for as long as it lives (the
+    // scheduler's ready set is keyed by position).
+    rob_base: u64,
     iq_count: usize,
     lq: VecDeque<LqEntry>,
     sq: VecDeque<SqEntry>,
@@ -268,6 +278,14 @@ impl Core {
         let vtage = cfg.effective_vtage().map(Vtage::new);
         let ras = Ras::new(32);
         let itc = IndirectTargetCache::new(1024, 12);
+        // Every branch in flight may have to be squashed, so a history
+        // must be able to rewind over all of them.
+        assert!(
+            (cfg.rob_size + cfg.fetch_queue) as u64 <= MAX_REWIND,
+            "{} ROB and {} fetch-queue entries exceed the {MAX_REWIND} branches a history rewinds",
+            cfg.rob_size,
+            cfg.fetch_queue
+        );
         let floor = Checkpoint {
             seq: 0,
             tage: tage.history_checkpoint(),
@@ -300,6 +318,7 @@ impl Core {
             fetch_wait_branch: None,
             current_line: u64::MAX,
             rob: VecDeque::new(),
+            rob_base: 0,
             iq_count: 0,
             lq: VecDeque::new(),
             sq: VecDeque::new(),
@@ -307,7 +326,7 @@ impl Core {
             sq_base: 0,
             lq_issued: IssuedWindow::new(),
             sq_issued: IssuedWindow::new(),
-            sched: Scheduler::new(cfg.int_regs, cfg.fp_regs),
+            sched: Scheduler::new(cfg.rob_size, cfg.int_regs, cfg.fp_regs),
             wake_scratch: Vec::new(), // audited(no-alloc-in-hot-path): constructor
             replay_wake_scratch: Vec::new(), // audited(no-alloc-in-hot-path): constructor
             checkpoints: VecDeque::new(),
@@ -357,17 +376,28 @@ impl Core {
     /// the full dump as the message). The stall is measured from the
     /// cycle and retired count this call starts at, so a warmed core
     /// whose `cycle` is already past the threshold is not a stall.
+    ///
+    /// After a quiet cycle the run jumps straight to the next cycle at
+    /// which anything can happen; the result is the same as stepping
+    /// through them (DESIGN.md §12.1). Cores with chaos or auditing
+    /// armed step through every cycle.
     pub fn run(&mut self, trace: &Trace) -> SimStats {
         let mut watchdog =
             Watchdog::new(self.cfg.watchdog_cycles, self.cycle, self.stats.uops_retired);
+        // Chaos rolls its dice and the auditors look once per cycle, so
+        // those cores live through quiet cycles one by one.
+        let skip_quiet = self.chaos.is_none() && self.audit.is_none();
         while self.cursor < trace.uops.len() || !self.rob.is_empty() || !self.fetch_queue.is_empty()
         {
-            self.step(trace);
+            let quiet = self.step(trace);
             if watchdog.observe(self.cycle, self.stats.uops_retired) {
                 let stalled = watchdog.stalled_for(self.cycle);
                 self.tracer.record(EventKind::Watchdog, self.cycle, 0, 0, stalled);
                 self.watchdog_diag = Some(self.deadlock_diagnostic(trace, stalled));
                 break;
+            }
+            if quiet && skip_quiet {
+                self.skip_quiet_cycles(trace, watchdog.deadline());
             }
         }
         self.stats.cycles = self.cycle - self.cycle_base;
@@ -501,6 +531,21 @@ impl Core {
 
             self.cycle += 1;
         }
+        // The predictors' histories, the RAS and the indirect path moved
+        // on: a squash that finds no in-flight branch checkpoint must
+        // restore this state, not the one from before the warming.
+        self.floor = self.front_end_checkpoint(self.floor.seq);
+    }
+
+    /// The speculative front-end state as it stands, labelled `seq`.
+    fn front_end_checkpoint(&self, seq: u64) -> Checkpoint {
+        Checkpoint {
+            seq,
+            tage: self.tage.history_checkpoint(),
+            vtage: self.vtage.as_ref().map(Vtage::history_checkpoint),
+            ras: self.ras,
+            itc_path: self.itc.path_checkpoint(),
+        }
     }
 
     /// Assembles the watchdog's structured dump of the stalled
@@ -538,22 +583,68 @@ impl Core {
         }
     }
 
-    /// Advances one cycle.
-    fn step(&mut self, trace: &Trace) {
+    /// Advances one cycle. Returns whether the cycle was quiet: no
+    /// replay or flush applied, nothing retired, no event fired, nothing
+    /// issued, rename and fetch did not touch a µop, and no issue
+    /// candidate is left waiting.
+    fn step(&mut self, trace: &Trace) -> bool {
         self.inject_chaos();
-        self.apply_pending_replays(trace);
-        self.apply_pending_flush(trace);
+        let replayed = self.apply_pending_replays(trace);
+        let flushed = self.apply_pending_flush(trace);
         let retired = self.commit(trace);
         self.account_cycle(retired, trace);
-        self.issue(trace);
-        self.rename(trace);
-        self.fetch(trace);
+        let issued = self.issue(trace);
+        let renamed = self.rename(trace);
+        let fetched = self.fetch(trace);
         if let Some(audit) = &self.audit {
             if audit.every != 0 && self.cycle.is_multiple_of(audit.every) {
                 self.run_audit();
             }
         }
         self.cycle += 1;
+        let busy = replayed || flushed || retired > 0 || issued || renamed || fetched;
+        !busy && !self.sched.has_ready()
+    }
+
+    /// Jumps over the cycles after a quiet step (see [`Core::step`])
+    /// in which nothing can happen. Such a step changed nothing that a
+    /// later cycle reads, so the pipeline stays as it is until the
+    /// earliest of: the ROB head finishing, a dispatch or writeback
+    /// event, the fetch-queue head reaching rename, fetch resuming, or
+    /// a pending flush or replay coming due. Every skipped cycle would
+    /// have retired nothing and charged its slots to the class
+    /// [`Core::stall_class`] gives, which changes only where the flush
+    /// shadow ends. The jump stops one cycle short of the watchdog's
+    /// `deadline`, so a trip lands on the cycle it would have without
+    /// skipping.
+    fn skip_quiet_cycles(&mut self, trace: &Trace, deadline: Option<u64>) {
+        let head_done = self.rob.front().map_or(u64::MAX, |e| e.done_cycle);
+        let rename_ready = self.fetch_queue.front().map_or(u64::MAX, |f| f.rename_ready);
+        let wakes = [
+            head_done,
+            self.sched.next_event(),
+            rename_ready,
+            self.fetch_resume,
+            self.flushes_next_due,
+            self.replays_next_due,
+        ];
+        // A time already passed wakes nothing: what it gated is waiting
+        // on one of the others (a full queue on a commit, say).
+        let mut next = wakes.into_iter().filter(|&at| at >= self.cycle).min().unwrap_or(u64::MAX);
+        if let Some(deadline) = deadline {
+            next = next.min(deadline.saturating_sub(1));
+        }
+        if next == u64::MAX || next <= self.cycle {
+            return;
+        }
+        let width = self.cfg.commit_width as u64;
+        let shadow_end = self.flush_shadow_until.clamp(self.cycle, next);
+        for (from, to) in [(self.cycle, shadow_end), (shadow_end, next)] {
+            if to > from {
+                self.cpi.lose(self.stall_class(trace, from), (to - from) * width);
+            }
+        }
+        self.cycle = next;
     }
 
     /// CPI-stack attribution for this cycle: `retired` slots are
@@ -569,7 +660,14 @@ impl Core {
         if retired >= width {
             return;
         }
-        let class = match self.rob.front() {
+        let class = self.stall_class(trace, self.cycle);
+        self.cpi.lose(class, width - retired);
+    }
+
+    /// The loss class of a commit slot left empty at `cycle`, from the
+    /// post-commit pipeline state.
+    fn stall_class(&self, trace: &Trace, cycle: u64) -> SlotClass {
+        match self.rob.front() {
             // Commit stopped on an unfinished head: memory if the head
             // is waiting on the data path, otherwise back-end
             // latency/contention.
@@ -586,7 +684,7 @@ impl Core {
             // unresolved mispredicted branch, and plain front-end
             // latency (i-cache misses, redirect bubbles, trace drain).
             None => {
-                if self.cycle < self.flush_shadow_until {
+                if cycle < self.flush_shadow_until {
                     self.flush_shadow_class
                 } else if self.fetch_wait_branch.is_some() {
                     SlotClass::BranchMispredict
@@ -594,8 +692,7 @@ impl Core {
                     SlotClass::Frontend
                 }
             }
-        };
-        self.cpi.lose(class, width - retired);
+        }
     }
 
     /// Per-cycle fault sites: predictor-table corruption and prefetch
@@ -649,6 +746,10 @@ impl Core {
                 break;
             }
             let entry = self.rob.pop_front().expect("head exists");
+            // Issue cleared its ready bit; clearing it again keeps the
+            // next µop at this position from inheriting a stale one.
+            self.sched.remove_ready(self.rob_base);
+            self.rob_base += 1;
             let u = &trace.uops[entry.idx];
 
             // Golden-model lockstep check: re-execute the committed µop
@@ -774,7 +875,7 @@ impl Core {
             return;
         }
         match self.first_unready_dep(&e.renamed) {
-            None => self.sched.insert_ready(seq),
+            None => self.sched.insert_ready(self.rob_base + i as u64),
             Some(d) => self.sched.subscribe(d.class, d.p, seq),
         }
     }
@@ -816,20 +917,27 @@ impl Core {
     /// register writebacks completing now. A writeback event is stale
     /// — skipped, keeping its subscribers — unless the register still
     /// becomes ready at exactly the event's cycle; a replay may have
-    /// un-produced the register after the event was scheduled.
-    fn wake_due(&mut self) {
+    /// un-produced the register after the event was scheduled. Returns
+    /// whether any event fired.
+    fn wake_due(&mut self) -> bool {
+        let mut fired = false;
         while let Some(seq) = self.sched.pop_due_dispatch(self.cycle) {
             self.try_wake(seq);
+            fired = true;
         }
         while let Some((at, class, p)) = self.sched.pop_due_wake(self.cycle) {
             if self.renamer.file(class).ready_at(p) == at {
                 self.wake_consumers(class, p);
             }
+            fired = true;
         }
+        fired
     }
 
-    fn issue(&mut self, trace: &Trace) {
-        self.wake_due();
+    /// Wakeup, select and execute. Returns whether an event fired or a
+    /// µop issued.
+    fn issue(&mut self, trace: &Trace) -> bool {
+        let woke = self.wake_due();
         let mut issued_total = 0usize;
         let mut class_counts = [0usize; 12];
         let class_slot = |c: ExecClass| -> usize {
@@ -866,19 +974,19 @@ impl Core {
         // structural rejections — FU caps, busy dividers, store-set
         // gates — keep the entry for later cycles exactly as the old
         // O(ROB) scan's `continue` did. Every candidate is visited in
-        // seq (= age) order under the same width and per-slot caps, so
-        // the selected set each cycle is identical to the scan's.
-        let mut next_seq = 0u64;
+        // ROB position (= age) order under the same width and per-slot
+        // caps, so the selected set each cycle is identical to the
+        // scan's.
+        let rob_end = self.rob_base + self.rob.len() as u64;
+        let mut next_pos = self.rob_base;
         while issued_total < self.cfg.issue_width {
-            let Some(seq) = self.sched.first_ready_at_or_after(next_seq) else { break };
-            next_seq = seq + 1;
-            let Some(i) = self.rob_index(seq) else {
-                self.sched.remove_ready(seq);
-                continue;
-            };
+            let Some(pos) = self.sched.first_ready_in(next_pos, rob_end) else { break };
+            next_pos = pos + 1;
+            let i = (pos - self.rob_base) as usize;
             let entry = &self.rob[i];
+            let seq = entry.seq;
             if !entry.in_iq || entry.issued || entry.dispatch_ready > self.cycle {
-                self.sched.remove_ready(seq);
+                self.sched.remove_ready(pos);
                 continue;
             }
             let u = &trace.uops[entry.idx];
@@ -890,7 +998,7 @@ impl Core {
             if let Some(d) = self.first_unready_dep(&entry.renamed) {
                 // An operand was un-produced after this µop woke
                 // (poisoned VP replay); wait on it like any other.
-                self.sched.remove_ready(seq);
+                self.sched.remove_ready(pos);
                 self.sched.subscribe(d.class, d.p, seq);
                 continue;
             }
@@ -1048,7 +1156,7 @@ impl Core {
             let flags_alloc = entry.renamed.flags_alloc;
             let unpredicted = entry.renamed.predicted.is_none();
             let prf_reads = u64::from(entry.renamed.prf_reads);
-            self.sched.remove_ready(seq);
+            self.sched.remove_ready(pos);
             if let Some((class, p)) = dest_alloc {
                 // GVP wide predictions were made ready at rename; the
                 // µop still performs its datapath write at execute
@@ -1079,6 +1187,7 @@ impl Core {
             class_counts[slot] += 1;
             issued_total += 1;
         }
+        woke || issued_total > 0
     }
 
     // ----------------------------------------------------------------
@@ -1089,7 +1198,11 @@ impl Core {
         u.pc | (u64::from(!u.first_uop) * 2)
     }
 
-    fn rename(&mut self, trace: &Trace) {
+    /// Renames and dispatches up to `rename_width` µops. Returns whether
+    /// any µop got past the queue-capacity checks: from there on, even a
+    /// rename that fails has looked up the value predictor.
+    fn rename(&mut self, trace: &Trace) -> bool {
+        let mut touched = false;
         for _ in 0..self.cfg.rename_width {
             let Some(front) = self.fetch_queue.front() else { break };
             if front.rename_ready > self.cycle {
@@ -1107,6 +1220,7 @@ impl Core {
             if u.uop.op.is_store() && self.sq.len() >= self.cfg.sq_size {
                 break;
             }
+            touched = true;
 
             // Value prediction lookup (always, for training; used only
             // when confident, admissible and not silenced).
@@ -1277,15 +1391,22 @@ impl Core {
                 self.sched.push_dispatch(dispatch_ready, u.seq);
             }
         }
+        touched
     }
 
     // ----------------------------------------------------------------
     // fetch
     // ----------------------------------------------------------------
 
-    fn fetch(&mut self, trace: &Trace) {
-        if self.cycle < self.fetch_resume || self.fetch_wait_branch.is_some() {
-            return;
+    /// Fetches up to `fetch_width` µops. Returns whether fetch touched
+    /// a µop (looked it up in the instruction cache).
+    fn fetch(&mut self, trace: &Trace) -> bool {
+        if self.cycle < self.fetch_resume
+            || self.fetch_wait_branch.is_some()
+            || self.fetch_queue.len() >= self.cfg.fetch_queue
+            || self.cursor >= trace.uops.len()
+        {
+            return false;
         }
         let mut fetched = 0usize;
         while fetched < self.cfg.fetch_width
@@ -1305,7 +1426,7 @@ impl Core {
                 }
                 if done > self.cycle + 1 {
                     self.fetch_resume = done;
-                    return;
+                    return true;
                 }
                 self.current_line = line;
             }
@@ -1372,13 +1493,7 @@ impl Core {
                 }
                 // Checkpoint speculative front-end state after this
                 // branch, for later squash recovery.
-                self.checkpoints.push_back(Checkpoint {
-                    seq: u.seq,
-                    tage: self.tage.history_checkpoint(),
-                    vtage: self.vtage.as_ref().map(Vtage::history_checkpoint),
-                    ras: self.ras,
-                    itc_path: self.itc.path_checkpoint(),
-                });
+                self.checkpoints.push_back(self.front_end_checkpoint(u.seq));
                 if mispredicted {
                     sat_inc(
                         &mut self.stats.flush.branch_mispredicts,
@@ -1403,9 +1518,10 @@ impl Core {
             self.cursor += 1;
             fetched += 1;
             if fetch_wait || taken_bubble {
-                return;
+                break;
             }
         }
+        true
     }
 
     // ----------------------------------------------------------------
@@ -1418,11 +1534,12 @@ impl Core {
     /// value, and their own destinations propagate the poison set
     /// transitively (paper §2.2's "replay wavefront"). Falls back to a
     /// flush when the scheduler cannot reabsorb the wavefront.
-    fn apply_pending_replays(&mut self, trace: &Trace) {
+    /// Returns whether any replay came due.
+    fn apply_pending_replays(&mut self, trace: &Trace) -> bool {
         // Next-due watermark: quiet cycles (the overwhelmingly common
         // case) skip the due filter entirely.
         if self.pending_replays.is_empty() || self.cycle < self.replays_next_due {
-            return;
+            return false;
         }
         let mut due = std::mem::take(&mut self.replay_due_scratch);
         due.clear();
@@ -1527,27 +1644,30 @@ impl Core {
                 });
             }
         }
+        let replayed = !due.is_empty();
         self.replay_due_scratch = due;
         self.replay_poison_scratch = poisoned;
         self.replay_wake_scratch = rewake;
+        replayed
     }
 
     // ----------------------------------------------------------------
     // flush
     // ----------------------------------------------------------------
 
-    fn apply_pending_flush(&mut self, trace: &Trace) {
+    /// Applies the oldest due flush, if any; returns whether it did.
+    fn apply_pending_flush(&mut self, trace: &Trace) -> bool {
         // Next-due watermark: quiet cycles (the overwhelmingly common
         // case) skip the due scan entirely.
         if self.pending_flushes.is_empty() || self.cycle < self.flushes_next_due {
-            return;
+            return false;
         }
         let due = self.pending_flushes.iter().filter(|f| f.at_cycle <= self.cycle);
         let Some(flush) = due.min_by_key(|f| f.first_squashed_seq).copied() else {
             // The watermark was conservative (stale-low); tighten it.
             self.flushes_next_due =
                 self.pending_flushes.iter().map(|f| f.at_cycle).min().unwrap_or(u64::MAX);
-            return;
+            return false;
         };
         // The chosen flush supersedes any pending flush of a younger
         // µop (they will be squashed and, if still relevant, re-arise
@@ -1595,11 +1715,11 @@ impl Core {
             if entry.in_iq {
                 self.iq_count -= 1;
             }
-            // Squashed µops leave the ready set; their sequence number
-            // may be reused after refetch and must not carry a stale
-            // candidacy. (Dispatch-FIFO and wake-heap events for them
+            // Squashed µops leave the ready set; their ROB position is
+            // reused after refetch and must not carry a stale
+            // candidacy. (Dispatch-FIFO and wake-wheel events for them
             // are re-verified on delivery, so they can stay.)
-            self.sched.remove_ready(entry.seq);
+            self.sched.remove_ready(self.rob_base + self.rob.len() as u64);
             if entry.renamed.eliminated == Some(ElimCategory::Spsr) {
                 // Kept on the renamer's stats so the end-of-run
                 // `stats.rename = renamer.stats()` fold preserves it
@@ -1671,6 +1791,7 @@ impl Core {
             FlushKind::MemOrder => SlotClass::Memory,
         };
         self.flush_shadow_until = self.cycle + self.flush_refill;
+        true
     }
 
     /// Statistics snapshot (valid after [`Core::run`]).
@@ -1900,7 +2021,7 @@ impl Core {
             rat,
             rob,
             iq_count: self.iq_count,
-            ready_seqs: self.sched.ready_seqs(),
+            ready_seqs: self.ready_seqs(),
             lq_seqs: self.lq.iter().map(|l| l.seq).collect(), // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
             sq_seqs: self.sq.iter().map(|s| s.seq).collect(), // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
             limits: tvp_verif::QueueLimits {
@@ -1912,6 +2033,18 @@ impl Core {
             committed_seq: self.last_committed_seq,
             uops_retired: self.stats.uops_retired,
         }
+    }
+
+    /// The issue candidates' sequence numbers, oldest first.
+    fn ready_seqs(&self) -> Vec<u64> {
+        let rob_end = self.rob_base + self.rob.len() as u64;
+        let mut seqs = Vec::new(); // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
+        let mut pos = self.rob_base;
+        while let Some(hit) = self.sched.first_ready_in(pos, rob_end) {
+            seqs.push(self.rob[(hit - self.rob_base) as usize].seq);
+            pos = hit + 1;
+        }
+        seqs
     }
 
     fn run_audit(&mut self) {
@@ -2385,6 +2518,40 @@ mod chaos_tests {
         assert!(diag.stalled_cycles >= 20);
         let text = diag.to_string();
         assert!(text.contains("no commit progress"), "{text}");
+    }
+
+    #[test]
+    fn functional_warming_moves_the_squash_floor_with_the_front_end() {
+        // A squash that finds no in-flight branch checkpoint restores the
+        // floor, so after warming the floor must hold the warmed front
+        // end (histories, RAS, indirect path), not the cold one.
+        let (_, warm, _) = golden_run("mc_playout", 5_000);
+        let mut core = Core::new(CoreConfig::with_vp(VpMode::Tvp));
+        let cold = core.floor;
+        core.functional_warm(&warm);
+        assert_ne!(core.tage.history_checkpoint(), cold.tage, "warming pushed branch history");
+        assert_eq!(core.floor, core.front_end_checkpoint(cold.seq));
+    }
+
+    #[test]
+    fn a_skipping_core_trips_the_watchdog_on_the_stepping_cycle() {
+        // The cold start stalls for hundreds of quiet cycles. A plain
+        // core jumps over them, an audited one steps through each; both
+        // must trip on the same cycle with the same dump and books.
+        let (_, trace, _) = golden_run("stream_triad", 2_000);
+        for threshold in [20, 100, 200] {
+            let mut cfg = CoreConfig::table2();
+            cfg.watchdog_cycles = threshold;
+            let mut skipping = Core::new(cfg.clone());
+            let mut stepping = Core::new(cfg);
+            stepping.enable_audit(0);
+            let (a, b) = (skipping.run(&trace), stepping.run(&trace));
+            let dump = |core: &Core| core.watchdog_diagnostic().map(ToString::to_string);
+            assert!(dump(&skipping).is_some(), "threshold {threshold}: the cold stall trips");
+            assert_eq!(dump(&skipping), dump(&stepping), "threshold {threshold}");
+            assert_eq!(a, b, "threshold {threshold}");
+            assert_eq!(skipping.cpi_stack(), stepping.cpi_stack(), "threshold {threshold}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::fpc::Fpc;
 use crate::history::{BranchHistory, FoldedSpec, HistoryFolds};
-use crate::util::{pc_hash, XorShift64};
+use crate::util::{pc_hash, TableIndex, XorShift64};
 use crate::vtage::{PredMode, VtageConfig};
 
 /// Maximum tagged tables (mirrors VTAGE).
@@ -102,6 +102,9 @@ pub struct Dvtage {
     cfg: DvtageConfig,
     base: Vec<Entry>,
     tables: Vec<Vec<Entry>>,
+    /// Index reduction per table: `[0]` is the base table, `[t + 1]`
+    /// tagged table `t`.
+    table_index: [TableIndex; MAX_DVTAGE_TABLES + 1],
     folds: HistoryFolds,
     history: BranchHistory,
     window: Vec<SpecSlot>,
@@ -140,6 +143,9 @@ impl Dvtage {
             tables: (1..b.entries.len())
                 .map(|i| vec![empty.clone(); b.entries[i] as usize])
                 .collect(),
+            table_index: std::array::from_fn(|t| {
+                TableIndex::new(b.entries.get(t).copied().unwrap_or(1))
+            }),
             folds: HistoryFolds::new(&specs),
             history: BranchHistory::new(),
             window: Vec::new(),
@@ -149,7 +155,7 @@ impl Dvtage {
     }
 
     fn base_index(&self, pc: u64) -> u32 {
-        (pc_hash(pc) % u64::from(self.cfg.base.entries[0])) as u32
+        self.table_index[0].of(pc_hash(pc))
     }
 
     fn base_tag(&self, pc: u64) -> u16 {
@@ -158,7 +164,7 @@ impl Dvtage {
 
     fn index(&self, pc: u64, t: usize) -> u32 {
         let h = self.history.folded(t * 3);
-        ((pc_hash(pc) ^ h ^ (pc >> 9)) % u64::from(self.cfg.base.entries[t + 1])) as u32
+        self.table_index[t + 1].of(pc_hash(pc) ^ h ^ (pc >> 9))
     }
 
     fn tag(&self, pc: u64, t: usize) -> u16 {

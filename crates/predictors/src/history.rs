@@ -10,10 +10,14 @@
 //!
 //! The fold geometry ([`HistoryFolds`]: each view's length, width and
 //! out-point) is fixed when a predictor is built and stays in the
-//! predictor. A [`BranchHistory`] holds only what a branch changes —
-//! the raw bits, the push count and one register per view — inline, so
-//! the pipeline checkpoints it per fetched branch with a plain copy and
-//! no heap allocation.
+//! predictor. A [`BranchHistory`] holds what a branch changes — the raw
+//! bits, the push count and one register per view — once, in its
+//! predictor. The pipeline checkpoints a fetched branch by its
+//! [`HistoryMark`], the push count alone, and a squash rewinds to a
+//! mark: the raw bits sit in a ring of [`RING_BITS`], which keeps the
+//! longest fold's window plus [`MAX_REWIND`] younger pushes intact, and
+//! each folded view is a function of its window alone, so it is rebuilt
+//! from the ring.
 
 /// Maximum supported history length in bits.
 pub const MAX_HISTORY_BITS: usize = 1024;
@@ -22,7 +26,15 @@ pub const MAX_HISTORY_BITS: usize = 1024;
 /// tagged table (index, tag, second tag hash) for TAGE's 15 tables.
 pub const MAX_FOLDED_VIEWS: usize = 45;
 
-const WORDS: usize = MAX_HISTORY_BITS / 64;
+/// Capacity of the raw-bit ring.
+pub const RING_BITS: usize = 2 * MAX_HISTORY_BITS;
+
+/// How many pushes [`BranchHistory::rewind`] can undo: the ring keeps
+/// every bit a fold of [`MAX_HISTORY_BITS`] reads at any mark this far
+/// back. A pipeline keeps no more branches in flight than this.
+pub const MAX_REWIND: u64 = (RING_BITS - MAX_HISTORY_BITS) as u64;
+
+const WORDS: usize = RING_BITS / 64;
 
 /// Specification of one folded view: fold the most recent `hist_len`
 /// bits down to `width` bits.
@@ -82,8 +94,14 @@ impl HistoryFolds {
     }
 }
 
+/// A position in a [`BranchHistory`]: how many outcomes had been pushed.
+/// Taking one copies eight bytes; [`BranchHistory::rewind`] returns the
+/// history to it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HistoryMark(u64);
+
 /// Global branch history register with folded views: the speculative
-/// state a branch changes, checkpointed by copy.
+/// state a branch changes, rewound to a [`HistoryMark`] after a squash.
 ///
 /// # Examples
 ///
@@ -96,14 +114,15 @@ impl HistoryFolds {
 /// h.push(&folds, false);
 /// assert_eq!(h.bit(0), false); // most recent
 /// assert_eq!(h.bit(1), true);
-/// let checkpoint = h;
+/// let mark = h.mark();
+/// let folded = h.folded(0);
 /// h.push(&folds, true);
-/// let _ = h.folded(0);
-/// // Restoring after a squash is plain assignment:
-/// h = checkpoint;
+/// // Restoring after a squash rewinds to the mark:
+/// h.rewind(&folds, mark);
 /// assert_eq!(h.len(), 2);
+/// assert_eq!(h.folded(0), folded);
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct BranchHistory {
     bits: [u64; WORDS],
     pushed: u64,
@@ -136,15 +155,20 @@ impl BranchHistory {
         self.pushed == 0
     }
 
-    /// The `age`-th most recent bit (0 = latest). Bits older than the
-    /// buffer (or never pushed) read as `false`.
+    /// The bit pushed at position `pos` (the `pos`-th push, from 0).
+    fn bit_at(&self, pos: u64) -> bool {
+        let pos = pos as usize % RING_BITS;
+        self.bits[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    /// The `age`-th most recent bit (0 = latest). Bits older than
+    /// [`MAX_HISTORY_BITS`] (or never pushed) read as `false`.
     #[must_use]
     pub fn bit(&self, age: u64) -> bool {
         if age >= self.pushed || age as usize >= MAX_HISTORY_BITS {
             return false;
         }
-        let pos = (self.pushed - 1 - age) as usize % MAX_HISTORY_BITS;
-        self.bits[pos / 64] >> (pos % 64) & 1 == 1
+        self.bit_at(self.pushed - 1 - age)
     }
 
     /// Pushes one branch outcome, updating every view of `folds`.
@@ -153,10 +177,44 @@ impl BranchHistory {
             let evicted = self.bit(u64::from(fold.hist_len) - 1);
             fold.update(&mut self.comp[i], taken, evicted);
         }
-        let pos = self.pushed as usize % MAX_HISTORY_BITS;
+        let pos = self.pushed as usize % RING_BITS;
         let (w, b) = (pos / 64, pos % 64);
         self.bits[w] = (self.bits[w] & !(1 << b)) | (u64::from(taken) << b);
         self.pushed += 1;
+    }
+
+    /// The current position, to [`BranchHistory::rewind`] to later.
+    #[must_use]
+    pub fn mark(&self) -> HistoryMark {
+        HistoryMark(self.pushed)
+    }
+
+    /// Returns the history to `mark`, as if the pushes made since had
+    /// never happened: the push count goes back and every view of
+    /// `folds` is rebuilt from the bits of its window, which the ring
+    /// still holds. A view's value depends on its window alone (each
+    /// bit's contribution is cancelled when it leaves the window), so
+    /// replaying the window into a zero register gives it exactly.
+    /// Costs one fold step per view per window bit: a squash, not a
+    /// branch, pays it.
+    ///
+    /// `mark` must come from this history, at most [`MAX_REWIND`]
+    /// pushes back, with no rewind past it in between.
+    pub fn rewind(&mut self, folds: &HistoryFolds, mark: HistoryMark) {
+        debug_assert!(
+            mark.0 <= self.pushed && self.pushed - mark.0 <= MAX_REWIND,
+            "rewind from {} to {} exceeds the ring",
+            self.pushed,
+            mark.0
+        );
+        self.pushed = mark.0;
+        for (i, &fold) in folds.folds.iter().enumerate() {
+            let mut comp = 0;
+            for pos in self.pushed.saturating_sub(u64::from(fold.hist_len))..self.pushed {
+                fold.update(&mut comp, self.bit_at(pos), false);
+            }
+            self.comp[i] = comp;
+        }
     }
 
     /// The current value of folded view `idx`.
@@ -176,8 +234,10 @@ impl tvp_verif::StorageBudget for BranchHistory {
     }
 
     fn storage_bits(&self) -> u64 {
-        // The raw circular buffer; the folded registers are counted by
-        // their geometry ([`HistoryFolds`]).
+        // The architectural history register; the folded registers are
+        // counted by their geometry ([`HistoryFolds`]). The ring's other
+        // half stands in for the per-branch checkpoint copies a
+        // hardware front end keeps, which no Table 2 budget counts.
         MAX_HISTORY_BITS as u64
     }
 }
@@ -274,7 +334,7 @@ mod tests {
         for i in 0..100 {
             h.push(&folds, i % 7 < 3);
         }
-        let ckpt = h;
+        let ckpt = h.clone();
         let folded_at_ckpt = h.folded(0);
         for i in 0..20 {
             h.push(&folds, i % 2 == 0);
@@ -291,15 +351,59 @@ mod tests {
     }
 
     #[test]
+    fn rewind_restores_folded_state() {
+        let spec = FoldedSpec { hist_len: 16, width: 7 };
+        let folds = HistoryFolds::new(&[spec]);
+        let mut h = BranchHistory::new();
+        for i in 0..100 {
+            h.push(&folds, i % 7 < 3);
+        }
+        let mark = h.mark();
+        let folded_at_mark = h.folded(0);
+        let original = h.clone();
+        for i in 0..20 {
+            h.push(&folds, i % 2 == 0);
+        }
+        let pushed_on = h.folded(0);
+        h.rewind(&folds, mark);
+        assert_eq!(h.folded(0), folded_at_mark);
+        assert_eq!(h.len(), 100);
+        // The rewound history evolves identically to the original's past.
+        let mut replay = original;
+        for i in 0..20 {
+            replay.push(&folds, i % 2 == 0);
+            h.push(&folds, i % 2 == 0);
+        }
+        assert_eq!(replay.folded(0), pushed_on);
+        assert_eq!(h.folded(0), pushed_on);
+    }
+
+    #[test]
+    fn rewind_rebuilds_a_window_that_began_before_the_first_push() {
+        let folds = HistoryFolds::new(&[FoldedSpec { hist_len: 40, width: 9 }]);
+        let mut h = BranchHistory::new();
+        for i in 0..10 {
+            h.push(&folds, i % 3 == 0);
+        }
+        let (mark, folded) = (h.mark(), h.folded(0));
+        for _ in 0..50 {
+            h.push(&folds, true);
+        }
+        h.rewind(&folds, mark);
+        assert_eq!(h.folded(0), folded);
+    }
+
+    #[test]
     fn buffer_wraps_beyond_capacity() {
         let folds = HistoryFolds::new(&[]);
         let mut h = BranchHistory::new();
-        for i in 0..(MAX_HISTORY_BITS as u64 + 10) {
+        for i in 0..(RING_BITS as u64 + 10) {
             h.push(&folds, i % 2 == 0);
         }
-        // Most recent bit was pushed with i = MAX+9 (odd index → false).
+        // Most recent bit was pushed with i = RING_BITS+9 (odd → false).
         assert!(!h.bit(0));
         assert!(h.bit(1));
+        assert!(!h.bit(MAX_HISTORY_BITS as u64), "bits past the longest fold read as false");
     }
 
     #[test]

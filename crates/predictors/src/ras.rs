@@ -23,7 +23,7 @@ pub const RAS_SLOTS: usize = 32;
 /// assert_eq!(ras.pop(), Some(0x1004));
 /// assert_eq!(ras.pop(), None);
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Ras {
     entries: [u64; RAS_SLOTS],
     capacity: usize,

@@ -6,12 +6,13 @@
 //! reuses the same folded-history indexing (see [`crate::vtage`]).
 //!
 //! History is updated *speculatively* at prediction time; the pipeline
-//! checkpoints it (a copy of the inline [`BranchHistory`]) and restores
-//! it on a squash. Table update happens in retirement order using the indices
-//! and tags captured in the [`TageToken`] at prediction time, so the
-//! updater never needs to reconstruct stale history.
+//! checkpoints its position (a [`HistoryMark`]) and rewinds the
+//! [`BranchHistory`] to it on a squash. Table update happens in
+//! retirement order using the indices and tags captured in the
+//! [`TageToken`] at prediction time, so the updater never needs to
+//! reconstruct stale history.
 
-use crate::history::{BranchHistory, FoldedSpec, HistoryFolds, MAX_FOLDED_VIEWS};
+use crate::history::{BranchHistory, FoldedSpec, HistoryFolds, HistoryMark, MAX_FOLDED_VIEWS};
 use crate::util::{pc_hash, XorShift64};
 
 /// Maximum number of tagged tables supported by the fixed-size token.
@@ -242,15 +243,16 @@ impl Tage {
     }
 
     /// Checkpoints the speculative history (attach to the in-flight
-    /// branch; restore on squash).
+    /// branch; restore on squash): its position, not a copy.
     #[must_use]
-    pub fn history_checkpoint(&self) -> BranchHistory {
-        self.history
+    pub fn history_checkpoint(&self) -> HistoryMark {
+        self.history.mark()
     }
 
-    /// Restores a previously checkpointed history after a squash.
-    pub fn restore_history(&mut self, h: BranchHistory) {
-        self.history = h;
+    /// Rewinds the history to a checkpoint after a squash (see
+    /// [`BranchHistory::rewind`] for how far back that may be).
+    pub fn restore_history(&mut self, mark: HistoryMark) {
+        self.history.rewind(&self.folds, mark);
     }
 
     /// Trains the predictor with the architectural outcome. Call in

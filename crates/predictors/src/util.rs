@@ -58,8 +58,40 @@ pub fn pc_hash(pc: u64) -> u64 {
     pc ^ (pc >> 17) ^ (pc >> 33)
 }
 
+/// Reduces a hash to an index into a table of `n` entries: `hash % n`,
+/// as a mask when `n` is a power of two (every Table 2 size) and a
+/// division only for the fractional sizes of Table 3's storage sweep.
+/// Built once per table, so a lookup pays no division for the common
+/// sizes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TableIndex {
+    entries: u64,
+    pow2: bool,
+}
+
+impl TableIndex {
+    /// The reduction for a table of `entries` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero.
+    pub(crate) fn new(entries: u32) -> Self {
+        assert!(entries > 0, "a table needs at least one entry");
+        TableIndex { entries: u64::from(entries), pow2: entries.is_power_of_two() }
+    }
+
+    /// `hash % entries`.
+    #[inline]
+    pub(crate) fn of(self, hash: u64) -> u32 {
+        let index = if self.pow2 { hash & (self.entries - 1) } else { hash % self.entries };
+        index as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -98,5 +130,27 @@ mod tests {
     fn pc_hash_distinguishes_nearby_pcs() {
         assert_ne!(pc_hash(0x1000), pc_hash(0x1004));
         assert_ne!(pc_hash(0x1000), pc_hash(0x2000));
+    }
+
+    proptest! {
+        #[test]
+        fn table_index_reduction_equals_modulo(
+            hash in any::<u64>(),
+            log2 in 4u32..16,
+            fraction in 1u32..1_000,
+        ) {
+            // Table 2's power-of-two sizes, and Table 3's scaled ones.
+            let pow2 = 1u32 << log2;
+            let scaled =
+                (u64::from(pow2) * u64::from(fraction) / 1_000).max(16) as u32 + fraction % 7;
+            for entries in [pow2, scaled, 1] {
+                prop_assert_eq!(
+                    u64::from(TableIndex::new(entries).of(hash)),
+                    hash % u64::from(entries),
+                    "{} entries",
+                    entries
+                );
+            }
+        }
     }
 }

@@ -14,8 +14,8 @@
 //! Probabilistic Counter saturates (accuracy > 99.9% in the paper).
 
 use crate::fpc::Fpc;
-use crate::history::{BranchHistory, FoldedSpec, HistoryFolds};
-use crate::util::{pc_hash, XorShift64};
+use crate::history::{BranchHistory, FoldedSpec, HistoryFolds, HistoryMark};
+use crate::util::{pc_hash, TableIndex, XorShift64};
 
 /// Maximum number of tagged tables supported by the fixed-size token.
 pub const MAX_VTAGE_TABLES: usize = 8;
@@ -204,6 +204,9 @@ pub struct Vtage {
     cfg: VtageConfig,
     base: Vec<VtageEntry>,
     tables: Vec<Vec<VtageEntry>>,
+    /// Index reduction per table: `[0]` is the base table, `[t + 1]`
+    /// tagged table `t`.
+    table_index: [TableIndex; MAX_VTAGE_TABLES + 1],
     folds: HistoryFolds,
     history: BranchHistory,
     rng: XorShift64,
@@ -245,6 +248,9 @@ impl Vtage {
             tables: (1..cfg.entries.len())
                 .map(|i| vec![empty.clone(); cfg.entries[i] as usize]) // audited(no-alloc-in-hot-path): constructor
                 .collect(), // audited(no-alloc-in-hot-path): constructor
+            table_index: std::array::from_fn(|t| {
+                TableIndex::new(cfg.entries.get(t).copied().unwrap_or(1))
+            }),
             folds: HistoryFolds::new(&specs),
             history: BranchHistory::new(),
             rng: XorShift64::new(cfg.seed),
@@ -254,7 +260,7 @@ impl Vtage {
     }
 
     fn base_index(&self, pc: u64) -> u32 {
-        (pc_hash(pc) % u64::from(self.cfg.entries[0])) as u32
+        self.table_index[0].of(pc_hash(pc))
     }
 
     fn base_tag(&self, pc: u64) -> u16 {
@@ -263,7 +269,7 @@ impl Vtage {
 
     fn index(&self, pc: u64, table: usize) -> u32 {
         let h = self.history.folded(table * 3);
-        ((pc_hash(pc) ^ h ^ (pc >> 9)) % u64::from(self.cfg.entries[table + 1])) as u32
+        self.table_index[table + 1].of(pc_hash(pc) ^ h ^ (pc >> 9))
     }
 
     fn tag(&self, pc: u64, table: usize) -> u16 {
@@ -321,15 +327,16 @@ impl Vtage {
         self.history.push(&self.folds, taken);
     }
 
-    /// Checkpoints the speculative history.
+    /// Checkpoints the speculative history: its position, not a copy.
     #[must_use]
-    pub fn history_checkpoint(&self) -> BranchHistory {
-        self.history
+    pub fn history_checkpoint(&self) -> HistoryMark {
+        self.history.mark()
     }
 
-    /// Restores a history checkpoint after a squash.
-    pub fn restore_history(&mut self, h: BranchHistory) {
-        self.history = h;
+    /// Rewinds the history to a checkpoint after a squash (see
+    /// [`BranchHistory::rewind`] for how far back that may be).
+    pub fn restore_history(&mut self, mark: HistoryMark) {
+        self.history.rewind(&self.folds, mark);
     }
 
     /// Trains the predictor with the retired instruction's actual

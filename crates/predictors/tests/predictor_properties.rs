@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use tvp_predictors::fpc::Fpc;
-use tvp_predictors::history::{BranchHistory, FoldedSpec, HistoryFolds};
+use tvp_predictors::history::{
+    BranchHistory, FoldedSpec, HistoryFolds, MAX_HISTORY_BITS, MAX_REWIND,
+};
 use tvp_predictors::util::XorShift64;
 use tvp_predictors::vtage::{PredMode, Vtage, VtageConfig};
 
@@ -38,6 +40,50 @@ proptest! {
         for b in bits {
             h.push(&folds, b);
             prop_assert!(h.folded(0) < (1u64 << width));
+        }
+    }
+
+    #[test]
+    fn rewinding_the_ring_matches_a_copied_history(
+        ops in proptest::collection::vec((0u8..16, any::<bool>(), 0u64..1_000), 1..600),
+    ) {
+        // TAGE's fold geometry (lengths 5..640) plus the longest fold
+        // the ring supports. Marks are taken and rewound to as a
+        // pipeline does: a rewind drops every younger mark, and no mark
+        // is older than the in-flight bound.
+        let mut specs: Vec<FoldedSpec> = [5u32, 9, 15, 25, 44, 76, 130, 224, 384, 640]
+            .iter()
+            .map(|&hist_len| FoldedSpec { hist_len, width: 10 })
+            .collect();
+        specs.push(FoldedSpec { hist_len: MAX_HISTORY_BITS as u32, width: 13 });
+        let folds = HistoryFolds::new(&specs);
+        let mut h = BranchHistory::new();
+        let mut marks: Vec<(_, BranchHistory)> = Vec::new();
+        for (op, taken, pick) in ops {
+            match op {
+                0 => marks.push((h.mark(), h.clone())),
+                1 if !marks.is_empty() => {
+                    let keep = pick as usize % marks.len();
+                    let (mark, copy) = marks[keep].clone();
+                    marks.truncate(keep + 1);
+                    h.rewind(&folds, mark);
+                    prop_assert_eq!(h.len(), copy.len());
+                    for view in 0..specs.len() {
+                        prop_assert_eq!(h.folded(view), copy.folded(view), "view {}", view);
+                    }
+                    for age in [0, 1, 63, 64, 639, MAX_HISTORY_BITS as u64 - 1] {
+                        prop_assert_eq!(h.bit(age), copy.bit(age), "age {}", age);
+                    }
+                }
+                _ => {
+                    // Long runs of pushes, so the ring wraps many times.
+                    for i in 0..=(pick % 8) {
+                        h.push(&folds, taken ^ (i % 3 == 0));
+                    }
+                }
+            }
+            // Marks older than the in-flight bound have committed.
+            marks.retain(|(_, copy)| h.len() - copy.len() <= MAX_REWIND);
         }
     }
 

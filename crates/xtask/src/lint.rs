@@ -187,7 +187,7 @@ const BUDGET_EXEMPT_SUFFIXES: &[&str] =
     &["Config", "Stats", "Token", "Pred", "Hit", "Item", "Report", "Spec"];
 
 /// Named rule-4 exemptions: helper types that are not hardware tables.
-const BUDGET_EXEMPT_NAMES: &[&str] = &["XorShift64"];
+const BUDGET_EXEMPT_NAMES: &[&str] = &["XorShift64", "HistoryMark", "TableIndex"];
 
 /// The registry exporter functions whose bodies root the rule-8
 /// reachability closure.

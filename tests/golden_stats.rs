@@ -1,10 +1,13 @@
-//! Golden-snapshot regression layer: every `SimStats` counter of every
-//! workload under the paper's configuration.
+//! Golden-snapshot regression layer: every `SimStats` counter and every
+//! CPI-stack class of every workload under the paper's configuration.
 //!
 //! Every workload in the bundled suite is simulated at a fixed budget
 //! with the paper's full TVP+SpSR configuration, and each of its
 //! counters is written as one `workload counter value` line, in the
-//! order of `SimStats::counters`, to compare against the checked-in
+//! order of `SimStats::counters`, followed by one `workload cpi.class
+//! slots` line per CPI-stack class (so where the lost slots went is
+//! pinned by value, not only by the stack's sum invariant), to compare
+//! against the checked-in
 //! snapshot at `tests/golden/golden_stats.txt`. A mismatch names the
 //! counter: a behaviour change shows as a changed value, a renamed
 //! counter as one line gone and one new line with the same value, and
@@ -24,7 +27,7 @@ use std::path::PathBuf;
 
 use tvp_bench::experiments::vp_cfg;
 use tvp_core::config::VpMode;
-use tvp_core::pipeline::simulate;
+use tvp_core::pipeline::{simulate, Core};
 
 /// Fixed budget: small enough to keep the suite fast, large enough
 /// that predictors warm up and SpSR conversions occur.
@@ -37,7 +40,7 @@ fn golden_path() -> PathBuf {
 }
 
 /// Renders the current snapshot, one `workload counter value` line per
-/// counter, in suite order.
+/// counter and CPI class, in suite order.
 fn render_snapshot() -> String {
     let cfg = vp_cfg(VpMode::Tvp, true);
     let mut out = String::new();
@@ -47,9 +50,14 @@ fn render_snapshot() -> String {
         "# regenerate: GOLDEN_UPDATE=1 cargo test --release -p tvp-harness --test golden_stats"
     );
     for w in tvp_workloads::suite::suite() {
-        let stats = simulate(cfg.clone(), &w.trace(INSTS));
+        let mut core = Core::new(cfg.clone());
+        let stats = core.run(&w.trace(INSTS));
+        assert!(core.watchdog_diagnostic().is_none(), "{} deadlocked", w.name);
         for (counter, value) in stats.counters() {
             let _ = writeln!(out, "{} {counter} {value}", w.name);
+        }
+        for (class, slots) in core.cpi_stack().components() {
+            let _ = writeln!(out, "{} cpi.{class} {slots}", w.name);
         }
     }
     out

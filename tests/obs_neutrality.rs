@@ -12,9 +12,10 @@
 //! `cycles × commit_width` on every workload in the suite.
 
 use tvp_bench::experiments::vp_cfg;
-use tvp_core::config::VpMode;
+use tvp_core::config::{CoreConfig, VpMode};
 use tvp_core::pipeline::Core;
 use tvp_obs::registry::METRICS_SCHEMA_VERSION;
+use tvp_workloads::Trace;
 
 /// Instruction budget: large enough for flushes, replays and cache
 /// misses to occur (the interesting attribution cases), small enough
@@ -53,6 +54,32 @@ fn tracing_is_determinism_neutral() {
     }
 }
 
+/// Runs `trace` on a plain core and on one audited every `every`
+/// cycles, and asserts that the two agree on every statistic, on the
+/// committed instruction stream and on every CPI slot, and that the
+/// audit found nothing.
+fn assert_auditing_is_neutral(point: &str, trace: &Trace, cfg: &CoreConfig, every: u64) {
+    let mut plain = Core::new(cfg.clone());
+    let plain_stats = plain.run(trace);
+
+    let mut audited = Core::new(cfg.clone());
+    audited.enable_audit(every);
+    let audited_stats = audited.run(trace);
+
+    assert_eq!(
+        format!("{plain_stats:?}"),
+        format!("{audited_stats:?}"),
+        "{point}: auditing changed a simulated statistic"
+    );
+    assert_eq!(
+        plain.commit_fingerprint(),
+        audited.commit_fingerprint(),
+        "{point}: auditing changed the committed instruction stream"
+    );
+    assert_eq!(plain.cpi_stack(), audited.cpi_stack(), "{point}: auditing moved a CPI slot");
+    assert!(audited.audit_report().is_clean(), "{point}: {}", audited.audit_report().render());
+}
+
 #[test]
 fn auditing_is_determinism_neutral() {
     // The invariant auditors ship in the measurement build, so pin that
@@ -60,29 +87,32 @@ fn auditing_is_determinism_neutral() {
     // committed instruction and no CPI slot.
     for w in tvp_workloads::suite().into_iter().take(3) {
         let trace = w.trace(INSTS / 4);
-        let cfg = vp_cfg(VpMode::Tvp, true);
+        assert_auditing_is_neutral(w.name, &trace, &vp_cfg(VpMode::Tvp, true), 1);
+    }
+}
 
-        let mut plain = Core::new(cfg.clone());
-        let plain_stats = plain.run(&trace);
-
-        let mut audited = Core::new(cfg);
-        audited.enable_audit(1);
-        let audited_stats = audited.run(&trace);
-
-        assert_eq!(
-            format!("{plain_stats:?}"),
-            format!("{audited_stats:?}"),
-            "{}: auditing changed a simulated statistic",
-            w.name
-        );
-        assert_eq!(
-            plain.commit_fingerprint(),
-            audited.commit_fingerprint(),
-            "{}: auditing changed the committed instruction stream",
-            w.name
-        );
-        assert_eq!(plain.cpi_stack(), audited.cpi_stack(), "{}: auditing moved a CPI slot", w.name);
-        assert!(audited.audit_report().is_clean(), "{}", audited.audit_report().render());
+#[test]
+fn skipping_quiet_cycles_matches_stepping_on_every_workload_and_flavour() {
+    // An audited core steps through every cycle while a plain one jumps
+    // over quiet cycles, so an audited run is the stepping reference for
+    // the jump, on every workload under every value-prediction flavour.
+    // The audit runs every eighth cycle here, as one costs far more than
+    // a simulated cycle; `auditing_is_determinism_neutral` audits every
+    // cycle.
+    let flavours = [
+        (VpMode::Off, false),
+        (VpMode::Mvp, false),
+        (VpMode::Tvp, false),
+        (VpMode::Gvp, false),
+        (VpMode::Mvp, true),
+        (VpMode::Tvp, true),
+    ];
+    for w in tvp_workloads::suite() {
+        let trace = w.trace(INSTS / 8);
+        for (vp, spsr) in flavours {
+            let point = format!("{} {vp:?} spsr={spsr}", w.name);
+            assert_auditing_is_neutral(&point, &trace, &vp_cfg(vp, spsr), 8);
+        }
     }
 }
 
