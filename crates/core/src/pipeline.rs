@@ -1229,7 +1229,6 @@ impl Core {
             if let Some(vp) = self.vtage.as_mut() {
                 if u.vp_eligible() {
                     let pred = vp.predict(Self::vp_key(u));
-                    sat_inc(&mut self.stats.vp.eligible, &mut self.stats.overflow_events);
                     let mode = self.cfg.vp.pred_mode().expect("vtage implies a mode");
                     if pred.confident && mode.admits(pred.value) {
                         if self.cycle < self.silence_until {
@@ -1264,18 +1263,10 @@ impl Core {
                 }
             }
 
-            let Ok(renamed) = self.renamer.rename_uop(&u.uop, u.first_uop, prediction) else {
-                // Out of physical registers; retry next cycle (the
-                // retry will re-count eligibility, so back it out).
-                if vp_token.is_some() {
-                    // audited(saturating-counter): backs out this cycle's increment
-                    self.stats.vp.eligible -= 1;
-                }
+            let Ok(renamed) = self.renamer.rename_uop(&u.uop, prediction) else {
+                // Out of physical registers; retry next cycle.
                 break;
             };
-            if prediction.is_some() {
-                sat_inc(&mut self.stats.vp.used, &mut self.stats.overflow_events);
-            }
 
             // IQ capacity — checked after rename so eliminated µops
             // (which skip the IQ) are not throttled by a full
@@ -1283,23 +1274,6 @@ impl Core {
             let needs_iq = renamed.eliminated.is_none();
             if needs_iq && self.iq_count >= self.cfg.iq_size {
                 self.renamer.rollback(&renamed);
-                // Back out the optimistic rename statistics (each
-                // decrement reverses an increment made this cycle, so
-                // underflow is impossible).
-                // audited(saturating-counter): backs out this cycle's increment
-                self.renamer.stats.uops -= 1;
-                if u.first_uop {
-                    // audited(saturating-counter): backs out this cycle's increment
-                    self.renamer.stats.arch_insts -= 1;
-                }
-                if prediction.is_some() {
-                    // audited(saturating-counter): backs out this cycle's increment
-                    self.stats.vp.used -= 1;
-                }
-                if vp_token.is_some() {
-                    // audited(saturating-counter): backs out this cycle's increment
-                    self.stats.vp.eligible -= 1;
-                }
                 break;
             }
 
@@ -1365,6 +1339,18 @@ impl Core {
             if needs_iq {
                 self.iq_count += 1;
                 sat_inc(&mut self.stats.activity.iq_dispatched, &mut self.stats.overflow_events);
+            }
+            // The µop enters the ROB: only now do the rename and VP
+            // counters count it, so a retried rename counts once.
+            sat_inc(&mut self.renamer.stats.uops, &mut self.renamer.overflow_events);
+            if u.first_uop {
+                sat_inc(&mut self.renamer.stats.arch_insts, &mut self.renamer.overflow_events);
+            }
+            if vp_token.is_some() {
+                sat_inc(&mut self.stats.vp.eligible, &mut self.stats.overflow_events);
+            }
+            if prediction.is_some() {
+                sat_inc(&mut self.stats.vp.used, &mut self.stats.overflow_events);
             }
             self.tracer.record(EventKind::Rename, self.cycle, u.seq, u.pc, 0);
             let dispatch_ready = self.cycle + self.cfg.rename_to_dispatch;
@@ -2183,6 +2169,37 @@ mod tests {
         let b = simulate(CoreConfig::table2(), &trace);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.activity.int_prf_reads, b.activity.int_prf_reads);
+    }
+
+    #[test]
+    fn rename_counts_each_uop_once_across_stalls() {
+        // A 4-entry IQ and a PRF with 5 free registers make rename fail
+        // both ways, out of registers and out of IQ slots, and retry. The
+        // loop never flushes, so each µop enters the ROB once and retires
+        // once, and each count must match.
+        let mut a = Asm::new();
+        a.i(movz(x(0), 300));
+        a.i(movz(x(4), 3));
+        a.i(movz(x(5), 4));
+        a.i(movz(x(6), 1));
+        a.label("loop");
+        a.i(add(x(3), x(4), x(5))); // always 7: predicted and used
+        a.i(mul(x(6), x(6), x(3))); // a chain of multi-cycle µops
+        a.i(add(x(1), x(1), x(0)));
+        a.i(subs(x(0), x(0), 1i64));
+        a.b_cond(Cond::Ne, "loop");
+        let trace = Machine::new(a.assemble().unwrap()).run(100_000);
+        let mut cfg = CoreConfig::with_vp(VpMode::Tvp);
+        cfg.iq_size = 4;
+        cfg.int_regs = 40;
+        let stats = simulate(cfg, &trace);
+        assert_eq!(stats.flush.squashed_uops, 0, "the loop must not flush");
+        assert_eq!(stats.rename.uops, stats.uops_retired);
+        assert_eq!(stats.rename.arch_insts, stats.insts_retired);
+        let eligible = trace.uops.iter().filter(|u| u.vp_eligible()).count() as u64;
+        assert_eq!(stats.vp.eligible, eligible);
+        assert!(stats.vp.used > 0, "the constant add was never predicted");
+        assert_eq!(stats.vp.used, stats.vp.correct_used + stats.vp.incorrect_used);
     }
 
     #[test]

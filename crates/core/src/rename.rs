@@ -350,19 +350,15 @@ impl Renamer {
     /// # Errors
     ///
     /// Returns [`RenameStall`] when a physical register is needed and
-    /// the free list is empty. No state is modified in that case.
+    /// the free list is empty. No mapping or register changes in that
+    /// case.
     pub fn rename_uop(
         &mut self,
         uop: &Inst,
-        first_uop: bool,
         prediction: Option<u64>,
     ) -> Result<RenamedUop, RenameStall> {
         let mut out = RenamedUop::default();
         self.collect_deps(uop, &mut out);
-        sat_inc(&mut self.stats.uops, &mut self.overflow_events);
-        if first_uop {
-            sat_inc(&mut self.stats.arch_insts, &mut self.overflow_events);
-        }
 
         // --- move-immediate idioms -------------------------------------
         if uop.op == Op::MovImm {
@@ -486,7 +482,7 @@ impl Renamer {
         if let Some(value) = prediction {
             if let Some(name) = self.representable(value) {
                 if uop.sets_flags && self.int.free_count() < 1 {
-                    return Err(self.unwind_stall(first_uop));
+                    return Err(RenameStall);
                 }
                 self.map_dest(uop.dst.expect("VP-eligible µops have a GPR dest"), name, &mut out);
                 out.predicted = Some((value, PredApply::Named));
@@ -499,7 +495,7 @@ impl Renamer {
             }
             // GVP wide prediction: allocate and pre-write the PRF.
             if self.int.free_count() < 1 + usize::from(uop.sets_flags) {
-                return Err(self.unwind_stall(first_uop));
+                return Err(RenameStall);
             }
             let p = self.int.alloc().expect("checked above");
             self.int.set_ready(p, 0);
@@ -524,7 +520,7 @@ impl Renamer {
         let int_need = usize::from(uop.sets_flags) + usize::from(dest_class == Some(RegClass::Int));
         let fp_need = usize::from(dest_class == Some(RegClass::Fp));
         if self.int.free_count() < int_need || self.fp.free_count() < fp_need {
-            return Err(self.unwind_stall(first_uop));
+            return Err(RenameStall);
         }
         if let Some(class) = dest_class {
             let dst = uop.dst.expect("dest_class implies a destination");
@@ -543,18 +539,6 @@ impl Renamer {
             self.map_dest(Reg::Nzcv, PhysName::Reg(p), &mut out);
         }
         Ok(out)
-    }
-
-    /// Backs out the statistics counted optimistically at the top of
-    /// [`Renamer::rename_uop`] when the µop stalls.
-    fn unwind_stall(&mut self, first_uop: bool) -> RenameStall {
-        // audited(saturating-counter): backs out this call's increment
-        self.stats.uops -= 1;
-        if first_uop {
-            // audited(saturating-counter): backs out this call's increment
-            self.stats.arch_insts -= 1;
-        }
-        RenameStall
     }
 
     /// Rolls back one µop's mappings (squash). Must be called in
@@ -625,7 +609,7 @@ mod tests {
     fn baseline_allocates_and_tracks_deps() {
         let mut r = renamer(VpMode::Off, false);
         let u = add(x(0), x(1), x(2));
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert!(out.eliminated.is_none());
         assert!(out.dest_alloc.is_some());
         assert_eq!(out.deps.len(), 2);
@@ -637,25 +621,25 @@ mod tests {
     #[test]
     fn movz_zero_one_idioms() {
         let mut r = renamer(VpMode::Off, false);
-        let out = r.rename_uop(&movz(x(0), 0), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(0), 0), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::ZeroIdiom));
         assert_eq!(r.name_of(x(0)), PhysName::Reg(PHYS_ZERO));
-        let out = r.rename_uop(&movz(x(1), 1), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(1), 1), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::OneIdiom));
         assert_eq!(r.name_of(x(1)), PhysName::Reg(PHYS_ONE));
         // Without inlining, movz #42 executes normally.
-        let out = r.rename_uop(&movz(x(2), 42), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(2), 42), None).unwrap();
         assert!(out.eliminated.is_none());
     }
 
     #[test]
     fn nine_bit_idiom_elimination_under_tvp() {
         let mut r = renamer(VpMode::Tvp, false);
-        let out = r.rename_uop(&movz(x(0), 42), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(0), 42), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::NineBit));
         assert_eq!(r.name_of(x(0)), PhysName::Inline(42));
         // Out of range still executes.
-        let out = r.rename_uop(&movz(x(1), 300), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(1), 300), None).unwrap();
         assert!(out.eliminated.is_none());
     }
 
@@ -664,7 +648,7 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         let src_p = r.name_of(x(5)).reg().unwrap();
         let rc_before = r.file(RegClass::Int).ref_count(src_p);
-        let out = r.rename_uop(&mov(x(6), x(5)), true, None).unwrap();
+        let out = r.rename_uop(&mov(x(6), x(5)), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::MoveElim));
         assert_eq!(r.name_of(x(6)).reg(), Some(src_p));
         assert_eq!(r.file(RegClass::Int).ref_count(src_p), rc_before + 1);
@@ -675,12 +659,12 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         // x5's initial mapping is not known-32-bit → w-move not
         // eliminated (§5).
-        let out = r.rename_uop(&w32(mov(x(6), x(5))), true, None).unwrap();
+        let out = r.rename_uop(&w32(mov(x(6), x(5))), None).unwrap();
         assert!(out.eliminated.is_none());
         assert!(out.non_me_move);
         // After a 32-bit producer, the move eliminates.
-        let _ = r.rename_uop(&w32(add(x(7), x(1), x(2))), true, None).unwrap();
-        let out = r.rename_uop(&w32(mov(x(8), x(7))), true, None).unwrap();
+        let _ = r.rename_uop(&w32(add(x(7), x(1), x(2))), None).unwrap();
+        let out = r.rename_uop(&w32(mov(x(8), x(7))), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::MoveElim));
     }
 
@@ -689,14 +673,14 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         // add x0, x1, xzr → move of x1.
         let u = add(x(0), x(1), XZR);
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::MoveElim));
         assert_eq!(r.name_of(x(0)), r.name_of(x(1)));
         // eor x2, x3, x3 → zero idiom.
-        let out = r.rename_uop(&eor(x(2), x(3), x(3)), true, None).unwrap();
+        let out = r.rename_uop(&eor(x(2), x(3), x(3)), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::ZeroIdiom));
         // and x4, x5, xzr → zero idiom.
-        let out = r.rename_uop(&and(x(4), x(5), XZR), true, None).unwrap();
+        let out = r.rename_uop(&and(x(4), x(5), XZR), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::ZeroIdiom));
     }
 
@@ -704,7 +688,7 @@ mod tests {
     fn mvp_prediction_uses_hardwired_registers() {
         let mut r = renamer(VpMode::Mvp, false);
         let u = ldr(x(0), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let out = r.rename_uop(&u, true, Some(0)).unwrap();
+        let out = r.rename_uop(&u, Some(0)).unwrap();
         assert_eq!(out.predicted, Some((0, PredApply::Named)));
         assert!(out.dest_alloc.is_none(), "MVP predictions need no register");
         assert_eq!(r.name_of(x(0)), PhysName::Reg(PHYS_ZERO));
@@ -714,7 +698,7 @@ mod tests {
     fn tvp_prediction_inlines_value() {
         let mut r = renamer(VpMode::Tvp, false);
         let u = add(x(0), x(1), x(2));
-        let out = r.rename_uop(&u, true, Some(42)).unwrap();
+        let out = r.rename_uop(&u, Some(42)).unwrap();
         assert_eq!(out.predicted, Some((42, PredApply::Named)));
         assert_eq!(r.name_of(x(0)), PhysName::Inline(42));
     }
@@ -723,7 +707,7 @@ mod tests {
     fn gvp_wide_prediction_writes_prf() {
         let mut r = renamer(VpMode::Gvp, false);
         let u = ldr(x(0), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let out = r.rename_uop(&u, true, Some(0xDEAD_BEEF_0000)).unwrap();
+        let out = r.rename_uop(&u, Some(0xDEAD_BEEF_0000)).unwrap();
         let (_, p) = out.dest_alloc.expect("wide prediction allocates");
         assert_eq!(out.predicted, Some((0xDEAD_BEEF_0000, PredApply::WidePrfWrite)));
         assert_eq!(r.file(RegClass::Int).ready_at(p), 0, "prediction ready immediately");
@@ -734,10 +718,10 @@ mod tests {
         let mut r = renamer(VpMode::Mvp, true);
         // x2 gets predicted to 0 (its producer).
         let producer = ldr(x(2), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let _ = r.rename_uop(&producer, true, Some(0)).unwrap();
+        let _ = r.rename_uop(&producer, Some(0)).unwrap();
         // add x0, x3, x2 now SpSRs to a move of x3.
         let u = add(x(0), x(3), x(2));
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::Spsr));
         assert_eq!(r.name_of(x(0)), r.name_of(x(3)));
         assert_eq!(r.stats().spsr, 1);
@@ -747,20 +731,20 @@ mod tests {
     fn spsr_ands_installs_frontend_flags_and_enables_csel() {
         let mut r = renamer(VpMode::Mvp, true);
         let producer = ldr(x(2), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let _ = r.rename_uop(&producer, true, Some(0)).unwrap();
+        let _ = r.rename_uop(&producer, Some(0)).unwrap();
         // ands x0, x3, x2 → nop + NZCV = zero-result.
         let u = ands(x(0), x(3), x(2));
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::Spsr));
         assert_eq!(r.frontend_flags(), Some(Nzcv::ZERO_RESULT));
         // csel x4, x5, x6, eq — condition known true → move of x5.
         let u = csel(x(4), x(5), x(6), Cond::Eq);
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::Spsr));
         assert_eq!(r.name_of(x(4)), r.name_of(x(5)));
         // A non-reduced flag writer invalidates the frontend view.
         let u = subs(x(7), x(8), x(9));
-        let _ = r.rename_uop(&u, true, None).unwrap();
+        let _ = r.rename_uop(&u, None).unwrap();
         assert_eq!(r.frontend_flags(), None);
     }
 
@@ -768,11 +752,11 @@ mod tests {
     fn spsr_resolves_branches_on_known_values() {
         let mut r = renamer(VpMode::Mvp, true);
         let producer = ldr(x(2), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let _ = r.rename_uop(&producer, true, Some(0)).unwrap();
+        let _ = r.rename_uop(&producer, Some(0)).unwrap();
         let mut cbz_u = Inst::new(Op::Cbz);
         cbz_u.src1 = Some(x(2));
         cbz_u.target = Some(0x40);
-        let out = r.rename_uop(&cbz_u, true, None).unwrap();
+        let out = r.rename_uop(&cbz_u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::Spsr));
         assert_eq!(out.resolved_branch, Some(true));
     }
@@ -782,15 +766,15 @@ mod tests {
         // MVP has no inlining: a KnownValue of 5 is unrepresentable.
         let mut r = renamer(VpMode::Mvp, true);
         let producer = ldr(x(2), AddrMode::BaseDisp { base: x(1), disp: 0 });
-        let _ = r.rename_uop(&producer, true, Some(1)).unwrap();
+        let _ = r.rename_uop(&producer, Some(1)).unwrap();
         // add x0, x2, #4 → result 5 → cannot be named in MVP.
         let u = add(x(0), x(2), 4i64);
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert!(out.eliminated.is_none());
         // Under TVP the same pattern inlines.
         let mut r = renamer(VpMode::Tvp, true);
-        let _ = r.rename_uop(&producer, true, Some(1)).unwrap();
-        let out = r.rename_uop(&u, true, None).unwrap();
+        let _ = r.rename_uop(&producer, Some(1)).unwrap();
+        let out = r.rename_uop(&u, None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::Spsr));
         assert_eq!(r.name_of(x(0)), PhysName::Inline(5));
     }
@@ -800,7 +784,7 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         let before = r.name_of(x(0));
         let free_before = r.file(RegClass::Int).free_count();
-        let out = r.rename_uop(&add(x(0), x(1), x(2)), true, None).unwrap();
+        let out = r.rename_uop(&add(x(0), x(1), x(2)), None).unwrap();
         assert_eq!(r.file(RegClass::Int).free_count(), free_before - 1);
         r.rollback(&out);
         assert_eq!(r.name_of(x(0)), before);
@@ -812,7 +796,7 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         let p = r.name_of(x(5)).reg().unwrap();
         let rc = r.file(RegClass::Int).ref_count(p);
-        let out = r.rename_uop(&mov(x(6), x(5)), true, None).unwrap();
+        let out = r.rename_uop(&mov(x(6), x(5)), None).unwrap();
         assert_eq!(r.file(RegClass::Int).ref_count(p), rc + 1);
         r.rollback(&out);
         assert_eq!(r.file(RegClass::Int).ref_count(p), rc);
@@ -822,7 +806,7 @@ mod tests {
     fn commit_releases_previous_crat_mapping() {
         let mut r = renamer(VpMode::Off, false);
         let old = r.crat_entry(x(0).dense_index());
-        let out = r.rename_uop(&add(x(0), x(1), x(2)), true, None).unwrap();
+        let out = r.rename_uop(&add(x(0), x(1), x(2)), None).unwrap();
         let new_name = r.name_of(x(0));
         let old_p = old.reg().unwrap();
         let rc = r.file(RegClass::Int).ref_count(old_p);
@@ -837,11 +821,11 @@ mod tests {
         let mut cfg = CoreConfig::table2();
         cfg.int_regs = 36; // 2 hardwired + 32 initial + 2 spare
         let mut r = Renamer::new(&cfg);
-        assert!(r.rename_uop(&add(x(0), x(1), x(2)), true, None).is_ok());
-        assert!(r.rename_uop(&add(x(3), x(1), x(2)), true, None).is_ok());
-        assert!(r.rename_uop(&add(x(4), x(1), x(2)), true, None).is_err(), "free list exhausted");
+        assert!(r.rename_uop(&add(x(0), x(1), x(2)), None).is_ok());
+        assert!(r.rename_uop(&add(x(3), x(1), x(2)), None).is_ok());
+        assert!(r.rename_uop(&add(x(4), x(1), x(2)), None).is_err(), "free list exhausted");
         // Eliminations still succeed without registers.
-        let out = r.rename_uop(&movz(x(5), 0), true, None).unwrap();
+        let out = r.rename_uop(&movz(x(5), 0), None).unwrap();
         assert_eq!(out.eliminated, Some(ElimCategory::ZeroIdiom));
     }
 
@@ -850,7 +834,7 @@ mod tests {
         let mut r = renamer(VpMode::Off, false);
         let free = r.file(RegClass::Int).free_count();
         // cmp = subs xzr, …: allocates only the flags register.
-        let out = r.rename_uop(&cmp(x(1), x(2)), true, None).unwrap();
+        let out = r.rename_uop(&cmp(x(1), x(2)), None).unwrap();
         assert!(out.dest_alloc.is_none());
         assert!(out.flags_alloc.is_some());
         assert_eq!(r.file(RegClass::Int).free_count(), free - 1);

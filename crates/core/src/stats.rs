@@ -15,9 +15,9 @@
 #[must_use = "rename counters feed Fig. 4; dropping them silently skews the elimination breakdown"]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RenameStats {
-    /// Architectural instructions processed at rename (first µops).
+    /// Architectural instructions dispatched into the ROB (first µops).
     pub arch_insts: u64,
-    /// µops processed at rename.
+    /// µops dispatched into the ROB.
     pub uops: u64,
     /// Static zero-idiom eliminations (e.g. `eor x, x`, `movz #0`).
     pub zero_idiom: u64,
@@ -53,9 +53,10 @@ impl RenameStats {
 #[must_use = "value-prediction counters feed the coverage/accuracy tables; dropping them hides mispredictions"]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VpStats {
-    /// VP-eligible µops seen at rename.
+    /// VP-eligible µops dispatched into the ROB.
     pub eligible: u64,
-    /// Predictions used (confident, admissible, not silenced).
+    /// Predictions used (confident, admissible, not silenced) by
+    /// dispatched µops.
     pub used: u64,
     /// Used predictions that validated correct.
     pub correct_used: u64,

@@ -13,16 +13,12 @@
 //! strided sequence leaves the admissible range after a handful of
 //! instances.
 //!
-//! The entry layout also shows the storage cost: `last value + stride`
-//! per entry instead of a single value field.
+//! D-VTAGE shares VTAGE's tables, indexing, history and prediction
+//! token ([`VtagePred`]); its entry shows the storage cost:
+//! `last value + stride` per entry instead of a single value field.
 
-use crate::fpc::Fpc;
-use crate::history::{BranchHistory, FoldedSpec, HistoryFolds};
-use crate::util::{pc_hash, TableIndex, XorShift64};
-use crate::vtage::{PredMode, VtageConfig};
-
-/// Maximum tagged tables (mirrors VTAGE).
-pub const MAX_DVTAGE_TABLES: usize = 8;
+use crate::util::XorShift64;
+use crate::vtage::{PredMode, ValueEntry, ValueTables, VtageConfig, VtagePred};
 
 /// D-VTAGE geometry: VTAGE geometry plus the stride field width and
 /// the speculative window capacity.
@@ -63,16 +59,6 @@ impl DvtageConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    valid: bool,
-    tag: u16,
-    last_value: u64,
-    stride: i64,
-    conf: Fpc,
-    useful: u8,
-}
-
 /// A speculative in-flight instance.
 #[derive(Clone, Copy, Debug)]
 struct SpecSlot {
@@ -81,32 +67,10 @@ struct SpecSlot {
     value: u64,
 }
 
-/// Prediction token (indices/tags captured at prediction time).
-#[derive(Clone, Copy, Debug)]
-pub struct DvtagePred {
-    /// Predicted value (`last committed + stride × (inflight + 1)`).
-    pub value: u64,
-    /// A matching entry was found.
-    pub hit: bool,
-    /// Confidence is saturated — usable by a pipeline.
-    pub confident: bool,
-    base_index: u32,
-    base_tag: u16,
-    indices: [u32; MAX_DVTAGE_TABLES],
-    tags: [u16; MAX_DVTAGE_TABLES],
-    provider: u8,
-}
-
 /// The D-VTAGE predictor.
 pub struct Dvtage {
     cfg: DvtageConfig,
-    base: Vec<Entry>,
-    tables: Vec<Vec<Entry>>,
-    /// Index reduction per table: `[0]` is the base table, `[t + 1]`
-    /// tagged table `t`.
-    table_index: [TableIndex; MAX_DVTAGE_TABLES + 1],
-    folds: HistoryFolds,
-    history: BranchHistory,
+    tables: ValueTables<i64>,
     window: Vec<SpecSlot>,
     rng: XorShift64,
 }
@@ -116,138 +80,51 @@ impl Dvtage {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent geometry (as [`crate::vtage::Vtage`]).
+    /// Panics where [`crate::vtage::Vtage::new`] does.
     #[must_use]
     pub fn new(cfg: DvtageConfig) -> Self {
-        let b = &cfg.base;
-        assert_eq!(b.entries.len(), b.tag_bits.len());
-        assert!(b.num_tagged() <= MAX_DVTAGE_TABLES);
-        let empty = Entry {
-            valid: false,
-            tag: 0,
-            last_value: 0,
-            stride: 0,
-            conf: Fpc::new(b.conf_bits, b.conf_inv_prob),
-            useful: 0,
-        };
-        let mut specs = Vec::new();
-        for i in 0..b.num_tagged() {
-            let len = b.history_length(i);
-            let idx_width = 32 - b.entries[i + 1].leading_zeros().min(31);
-            specs.push(FoldedSpec { hist_len: len, width: idx_width.max(1) });
-            specs.push(FoldedSpec { hist_len: len, width: b.tag_bits[i + 1] });
-            specs.push(FoldedSpec { hist_len: len, width: (b.tag_bits[i + 1] - 1).max(1) });
-        }
         Dvtage {
-            base: vec![empty.clone(); b.entries[0] as usize],
-            tables: (1..b.entries.len())
-                .map(|i| vec![empty.clone(); b.entries[i] as usize])
-                .collect(),
-            table_index: std::array::from_fn(|t| {
-                TableIndex::new(b.entries.get(t).copied().unwrap_or(1))
-            }),
-            folds: HistoryFolds::new(&specs),
-            history: BranchHistory::new(),
+            tables: ValueTables::new(&cfg.base),
             window: Vec::new(),
-            rng: XorShift64::new(b.seed ^ 0xD57A),
+            rng: XorShift64::new(cfg.base.seed ^ 0xD57A),
             cfg,
         }
     }
 
-    fn base_index(&self, pc: u64) -> u32 {
-        self.table_index[0].of(pc_hash(pc))
-    }
-
-    fn base_tag(&self, pc: u64) -> u16 {
-        (((pc >> 2) ^ (pc >> 13)) & ((1 << self.cfg.base.tag_bits[0]) - 1)) as u16
-    }
-
-    fn index(&self, pc: u64, t: usize) -> u32 {
-        let h = self.history.folded(t * 3);
-        self.table_index[t + 1].of(pc_hash(pc) ^ h ^ (pc >> 9))
-    }
-
-    fn tag(&self, pc: u64, t: usize) -> u16 {
-        let h1 = self.history.folded(t * 3 + 1);
-        let h2 = self.history.folded(t * 3 + 2);
-        (((pc >> 2) ^ h1 ^ (h2 << 1)) & ((1 << self.cfg.base.tag_bits[t + 1]) - 1)) as u16
-    }
-
-    fn entry(&self, provider: u8, pred: &DvtagePred) -> &Entry {
-        if provider == 0 {
-            &self.base[pred.base_index as usize]
-        } else {
-            &self.tables[provider as usize - 1][pred.indices[provider as usize - 1] as usize]
-        }
-    }
-
-    /// Looks up a prediction. `seq` identifies the in-flight instance
-    /// for speculative-window tracking (pipeline µop sequence number);
-    /// when the prediction is *used*, call [`Dvtage::note_inflight`].
-    pub fn predict(&mut self, pc: u64) -> DvtagePred {
-        let mut pred = DvtagePred {
-            value: 0,
-            hit: false,
-            confident: false,
-            base_index: self.base_index(pc),
-            base_tag: self.base_tag(pc),
-            indices: [0; MAX_DVTAGE_TABLES],
-            tags: [0; MAX_DVTAGE_TABLES],
-            provider: 0,
-        };
-        for t in 0..self.cfg.base.num_tagged() {
-            pred.indices[t] = self.index(pc, t);
-            pred.tags[t] = self.tag(pc, t);
-        }
-        for t in (0..self.cfg.base.num_tagged()).rev() {
-            let e = &self.tables[t][pred.indices[t] as usize];
-            if e.valid && e.tag == pred.tags[t] {
-                pred.hit = true;
-                pred.provider = t as u8 + 1;
-                break;
-            }
-        }
-        if !pred.hit {
-            let e = &self.base[pred.base_index as usize];
-            if e.valid && e.tag == pred.base_tag {
-                pred.hit = true;
-                pred.provider = 0;
-            }
-        }
+    /// Looks up a prediction: the provider's stride added to its newest
+    /// in-flight instance, else to its last committed value. When the
+    /// prediction is *used*, call [`Dvtage::note_inflight`].
+    pub fn predict(&mut self, pc: u64) -> VtagePred {
+        let mut pred = self.tables.lookup(pc);
         if pred.hit {
-            let key = self.key_of(&pred);
-            let e = self.entry(pred.provider, &pred);
+            let key = Self::key_of(&pred);
             // The stride chains from the *newest speculative instance*
             // of this entry, or the committed value when none is in
             // flight — the §2.1 speculative-state requirement.
             let newest_spec = self.window.iter().rev().find(|s| s.key == key).map(|s| s.value);
-            let chain_base = newest_spec.unwrap_or(e.last_value);
-            pred.value = chain_base.wrapping_add(e.stride as u64);
-            pred.confident = e.conf.is_saturated();
+            let stride = self.tables.provider_mut(&pred).stride;
+            pred.value = newest_spec.unwrap_or(pred.value).wrapping_add(stride as u64);
         }
         pred
     }
 
-    fn key_of(&self, pred: &DvtagePred) -> (u8, u32) {
-        if pred.provider == 0 {
-            (0, pred.base_index)
-        } else {
-            (pred.provider, pred.indices[pred.provider as usize - 1])
-        }
+    fn key_of(pred: &VtagePred) -> (u8, u32) {
+        let p = pred.provider as usize;
+        (pred.provider, if p == 0 { pred.base_index } else { pred.probe.indices[p - 1] })
     }
 
     /// Registers a *used* prediction in the speculative window so later
     /// instances chain from it. Oldest slots spill when the window is
     /// full (their chains then mispredict — the structural hazard the
     /// paper notes grows with instruction-window size).
-    pub fn note_inflight(&mut self, pred: &DvtagePred, seq: u64) {
+    pub fn note_inflight(&mut self, pred: &VtagePred, seq: u64) {
         if !pred.hit {
             return;
         }
         if self.window.len() >= self.cfg.spec_window {
             self.window.remove(0);
         }
-        self.window.push(SpecSlot { key: self.key_of(pred), seq, value: pred.value });
+        self.window.push(SpecSlot { key: Self::key_of(pred), seq, value: pred.value });
     }
 
     /// Squashes speculative window state at or after `seq` (pipeline
@@ -258,21 +135,15 @@ impl Dvtage {
 
     /// Trains with the committed value; also retires the instance from
     /// the speculative window.
-    pub fn update(&mut self, pred: &DvtagePred, actual: u64, seq: u64) {
+    pub fn update(&mut self, pred: &VtagePred, actual: u64, seq: u64) {
         self.window.retain(|s| s.seq != seq);
         let admissible = self.cfg.base.mode.admits(actual);
         let mut correct = false;
         if pred.hit {
-            let predicted = pred.value;
-            let e = if pred.provider == 0 {
-                &mut self.base[pred.base_index as usize]
-            } else {
-                let t = pred.provider as usize - 1;
-                &mut self.tables[t][pred.indices[t] as usize]
-            };
+            let e = self.tables.provider_mut(pred);
             if e.valid {
-                let new_stride = actual.wrapping_sub(e.last_value) as i64;
-                correct = predicted == actual;
+                let new_stride = actual.wrapping_sub(e.value) as i64;
+                correct = pred.value == actual;
                 if correct {
                     e.conf.on_correct(&mut self.rng);
                     e.useful = (e.useful + 1).min((1 << self.cfg.base.useful_bits) - 1);
@@ -283,54 +154,30 @@ impl Dvtage {
                 // Stride fields are bounded; out-of-range strides learn 0.
                 let max = 1i64 << (self.cfg.stride_bits - 1);
                 e.stride = if (-max..max).contains(&new_stride) { new_stride } else { 0 };
-                e.last_value = if admissible { actual } else { e.last_value };
+                e.value = if admissible { actual } else { e.value };
                 if !admissible {
                     e.valid = false;
                 }
             }
         }
+        // Allocate as VTAGE does, but without ageing the entries when
+        // none is free.
         if !correct && admissible {
-            let first = pred.provider as usize;
-            if first < self.cfg.base.num_tagged() {
-                let candidates: Vec<usize> = (first..self.cfg.base.num_tagged())
-                    .filter(|&t| {
-                        let e = &self.tables[t][pred.indices[t] as usize];
-                        !e.valid || e.useful == 0
-                    })
-                    .collect();
-                if let Some(&t) = candidates.first() {
-                    let pick = if candidates.len() > 1 && !self.rng.one_in(3) {
-                        t
-                    } else {
-                        candidates[self.rng.below(candidates.len() as u32) as usize]
-                    };
-                    self.tables[pick][pred.indices[pick] as usize] = Entry {
-                        valid: true,
-                        tag: pred.tags[pick],
-                        last_value: actual,
-                        stride: 0,
-                        conf: Fpc::new(self.cfg.base.conf_bits, self.cfg.base.conf_inv_prob),
-                        useful: 0,
-                    };
-                }
+            let tagged = &mut self.tables.tagged;
+            if let Some(t) = tagged.allocate(&pred.probe, pred.provider as usize, &mut self.rng) {
+                *tagged.entry_mut(&pred.probe, t) =
+                    ValueEntry::new(&self.cfg.base, pred.probe.tags[t], actual);
             }
-            let b = &mut self.base[pred.base_index as usize];
+            let b = &mut self.tables.base[pred.base_index as usize];
             if !b.valid || b.conf.level() == 0 {
-                *b = Entry {
-                    valid: true,
-                    tag: pred.base_tag,
-                    last_value: actual,
-                    stride: 0,
-                    conf: Fpc::new(self.cfg.base.conf_bits, self.cfg.base.conf_inv_prob),
-                    useful: 0,
-                };
+                *b = ValueEntry::new(&self.cfg.base, pred.base_tag, actual);
             }
         }
     }
 
     /// Pushes a branch outcome into the predictor's history.
     pub fn push_history(&mut self, taken: bool) {
-        self.history.push(&self.folds, taken);
+        self.tables.tagged.push_history(taken);
     }
 
     /// Current speculative window occupancy (tests/diagnostics).
@@ -488,6 +335,25 @@ mod tests {
         let small = DvtageConfig { spec_window: 16, ..DvtageConfig::paper(PredMode::Full64) };
         let big = DvtageConfig { spec_window: 512, ..DvtageConfig::paper(PredMode::Full64) };
         assert!(big.storage_bits() > small.storage_bits());
+    }
+
+    #[test]
+    fn a_miss_with_no_free_entry_ages_nothing() {
+        // Unlike TAGE and VTAGE, D-VTAGE leaves the usefulness of the
+        // longer tables' entries alone when none of them is free.
+        let mut vp = Dvtage::new(DvtageConfig::paper(PredMode::Full64));
+        let pred = vp.predict(0x7000);
+        assert!(!pred.hit);
+        let mut held = ValueEntry::new(&vp.cfg.base, 0, 0);
+        held.useful = 2;
+        let n = vp.tables.tagged.num_tables();
+        for t in 0..n {
+            *vp.tables.tagged.entry_mut(&pred.probe, t) = held.clone();
+        }
+        vp.update(&pred, 5, 0);
+        for t in 0..n {
+            assert_eq!(vp.tables.tagged.entry(&pred.probe, t).useful, 2, "table {t}");
+        }
     }
 
     #[test]

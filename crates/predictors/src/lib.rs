@@ -13,6 +13,9 @@
 //! * [`dvtage`] — the stride-based D-VTAGE variant with a faithful
 //!   speculative in-flight window, quantifying the §2.1 complexity
 //!   that MVP/TVP eliminate;
+//! * `tagged` (crate-private) — the tagged-table engine the three
+//!   share: geometric history lengths, folded views, index and tag
+//!   hashes, the longest-match lookup and the allocation rule;
 //! * [`storage`] — bit-exact storage accounting (55.2 / 13.9 / 7.9 KB).
 //!
 //! All structures are deterministic: probabilistic behaviour draws from
@@ -42,11 +45,12 @@ pub mod indirect;
 pub mod ras;
 pub mod storage;
 pub mod tage;
+mod tagged;
 pub mod util;
 pub mod vtage;
 
 pub use btb::{Btb, BtbHit};
-pub use dvtage::{Dvtage, DvtageConfig, DvtagePred};
+pub use dvtage::{Dvtage, DvtageConfig};
 pub use indirect::IndirectTargetCache;
 pub use ras::Ras;
 pub use tage::{Tage, TageConfig, TageToken};

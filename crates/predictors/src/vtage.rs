@@ -2,9 +2,10 @@
 //! Minimal / Targeted / Generic prediction-width modes.
 //!
 //! VTAGE associates a predicted *value* with (PC, global branch history),
-//! using the same geometric tagged-table structure as TAGE. The paper's
-//! key storage insight (§3.3) is that restricting the set of predictable
-//! values shrinks each entry's prediction field:
+//! on the tagged-table engine TAGE also runs on; D-VTAGE shares its
+//! tables and its token. The paper's key storage insight (§3.3) is that
+//! restricting the set of predictable values shrinks each entry's
+//! prediction field:
 //!
 //! * **GVP** (generic) — 64-bit predictions, 55.2 KB;
 //! * **TVP** (targeted) — 9-bit signed predictions, 13.9 KB;
@@ -13,8 +14,11 @@
 //! A prediction is *used* by the pipeline only once its Forward
 //! Probabilistic Counter saturates (accuracy > 99.9% in the paper).
 
+use tvp_obs::counters::sat_inc;
+
 use crate::fpc::Fpc;
-use crate::history::{BranchHistory, FoldedSpec, HistoryFolds, HistoryMark};
+use crate::history::HistoryMark;
+use crate::tagged::{self, Entry, Probe, Table, Tagged};
 use crate::util::{pc_hash, TableIndex, XorShift64};
 
 /// Maximum number of tagged tables supported by the fixed-size token.
@@ -123,13 +127,7 @@ impl VtageConfig {
     /// Geometric history length of tagged table `i` (0 = shortest).
     #[must_use]
     pub fn history_length(&self, i: usize) -> u32 {
-        let n = self.num_tagged();
-        if n == 1 {
-            return self.min_hist;
-        }
-        let ratio = f64::from(self.max_hist) / f64::from(self.min_hist);
-        let exp = i as f64 / (n - 1) as f64;
-        (f64::from(self.min_hist) * ratio.powf(exp)).round() as u32
+        tagged::history_length(self.min_hist, self.max_hist, self.num_tagged(), i)
     }
 
     /// Total predictor state in bits.
@@ -156,16 +154,38 @@ impl VtageConfig {
     }
 }
 
+/// A VTAGE entry (`S = ()`), or a D-VTAGE one, whose stride `S` is
+/// added to the value, its last committed value.
 #[derive(Clone, Debug)]
-struct VtageEntry {
-    valid: bool,
+pub(crate) struct ValueEntry<S> {
+    pub(crate) valid: bool,
     tag: u16,
-    value: u64,
-    conf: Fpc,
-    useful: u8,
+    pub(crate) value: u64,
+    pub(crate) stride: S,
+    pub(crate) conf: Fpc,
+    pub(crate) useful: u8,
 }
 
-/// Prediction result plus the bookkeeping the in-order updater needs.
+impl<S: Clone + Default> ValueEntry<S> {
+    /// A fresh entry of `cfg`'s geometry, holding `value` under `tag`.
+    pub(crate) fn new(cfg: &VtageConfig, tag: u16, value: u64) -> Self {
+        let conf = Fpc::new(cfg.conf_bits, cfg.conf_inv_prob);
+        ValueEntry { valid: true, tag, value, stride: S::default(), conf, useful: 0 }
+    }
+}
+
+impl<S: Clone> Entry for ValueEntry<S> {
+    fn matches(&self, tag: u16) -> bool {
+        self.valid && self.tag == tag
+    }
+
+    fn is_free(&self) -> bool {
+        !self.valid || self.useful == 0
+    }
+}
+
+/// A prediction of VTAGE or D-VTAGE, plus the bookkeeping the in-order
+/// updater needs.
 #[derive(Clone, Copy, Debug)]
 pub struct VtagePred {
     /// The predicted value (meaningful only when `hit`).
@@ -175,12 +195,68 @@ pub struct VtagePred {
     /// The entry's confidence is saturated — the pipeline may *use*
     /// the prediction.
     pub confident: bool,
-    base_index: u32,
-    base_tag: u16,
-    indices: [u32; MAX_VTAGE_TABLES],
-    tags: [u16; MAX_VTAGE_TABLES],
+    pub(crate) base_index: u32,
+    pub(crate) base_tag: u16,
+    pub(crate) probe: Probe<MAX_VTAGE_TABLES>,
     /// Provider table: 0 = base, 1..=N = tagged table index + 1.
-    provider: u8,
+    pub(crate) provider: u8,
+}
+
+/// The tables VTAGE and D-VTAGE share: a base table with short tags
+/// beside the tagged tables, each of any size (Table 3 scales them
+/// fractionally).
+pub(crate) struct ValueTables<S> {
+    pub(crate) base: Vec<ValueEntry<S>>,
+    base_index: TableIndex,
+    base_tag_mask: u64,
+    pub(crate) tagged: Tagged<ValueEntry<S>, MAX_VTAGE_TABLES>,
+}
+
+impl<S: Clone + Default> ValueTables<S> {
+    /// The empty tables of `cfg`; panics where [`Vtage::new`] does.
+    pub(crate) fn new(cfg: &VtageConfig) -> Self {
+        assert_eq!(cfg.entries.len(), cfg.tag_bits.len(), "entries/tag_bits mismatch");
+        assert!(!cfg.entries.is_empty(), "a base table is required");
+        let empty = ValueEntry { valid: false, ..ValueEntry::new(cfg, 0, 0) };
+        // Fold history to ~log2(entries) bits for the index (one more
+        // for a power of two) and to the tag width for the tag.
+        let geometry = (1..cfg.entries.len()).map(|t| Table {
+            entries: cfg.entries[t],
+            index_bits: (32 - cfg.entries[t].leading_zeros().min(31)).max(1),
+            tag_bits: cfg.tag_bits[t],
+            history: cfg.history_length(t - 1),
+        });
+        ValueTables {
+            base: vec![empty.clone(); cfg.entries[0] as usize], // audited(no-alloc-in-hot-path): constructor
+            base_index: TableIndex::new(cfg.entries[0]),
+            base_tag_mask: (1 << cfg.tag_bits[0]) - 1,
+            tagged: Tagged::new(geometry, 9, &empty),
+        }
+    }
+
+    /// Looks `pc` up under the current history: the longest tagged
+    /// match provides, else a matching base entry, with its value and
+    /// confidence.
+    pub(crate) fn lookup(&self, pc: u64) -> VtagePred {
+        let base_index = self.base_index.of(pc_hash(pc));
+        let base_tag = (((pc >> 2) ^ (pc >> 13)) & self.base_tag_mask) as u16;
+        let probe = self.tagged.probe(pc);
+        let (provider, e) = match self.tagged.longest_match(&probe, self.tagged.num_tables()) {
+            Some(t) => (t as u8 + 1, self.tagged.entry(&probe, t)),
+            None => (0, &self.base[base_index as usize]),
+        };
+        let hit = provider > 0 || e.matches(base_tag);
+        let (value, confident) = if hit { (e.value, e.conf.is_saturated()) } else { (0, false) };
+        VtagePred { value, hit, confident, base_index, base_tag, probe, provider }
+    }
+
+    /// The entry that provided `pred`, or the base entry on a miss.
+    pub(crate) fn provider_mut(&mut self, pred: &VtagePred) -> &mut ValueEntry<S> {
+        match pred.provider {
+            0 => &mut self.base[pred.base_index as usize],
+            p => self.tagged.entry_mut(&pred.probe, p as usize - 1),
+        }
+    }
 }
 
 /// Aggregate statistics (kept by the predictor; the pipeline keeps its
@@ -202,13 +278,7 @@ pub struct VtageStats {
 /// The VTAGE value predictor.
 pub struct Vtage {
     cfg: VtageConfig,
-    base: Vec<VtageEntry>,
-    tables: Vec<Vec<VtageEntry>>,
-    /// Index reduction per table: `[0]` is the base table, `[t + 1]`
-    /// tagged table `t`.
-    table_index: [TableIndex; MAX_VTAGE_TABLES + 1],
-    folds: HistoryFolds,
-    history: BranchHistory,
+    tables: ValueTables<()>,
     rng: XorShift64,
     stats: VtageStats,
 }
@@ -223,100 +293,21 @@ impl Vtage {
     /// tables).
     #[must_use]
     pub fn new(cfg: VtageConfig) -> Self {
-        assert_eq!(cfg.entries.len(), cfg.tag_bits.len(), "entries/tag_bits mismatch");
-        assert!(cfg.num_tagged() <= MAX_VTAGE_TABLES, "too many tagged tables");
-        assert!(!cfg.entries.is_empty());
-        let empty = VtageEntry {
-            valid: false,
-            tag: 0,
-            value: 0,
-            conf: Fpc::new(cfg.conf_bits, cfg.conf_inv_prob),
-            useful: 0,
-        };
-        let mut specs = Vec::with_capacity(3 * cfg.num_tagged()); // audited(no-alloc-in-hot-path): constructor
-        for i in 0..cfg.num_tagged() {
-            let len = cfg.history_length(i);
-            // Fold history to ~log2(entries) bits for the index and to
-            // the tag width for the tag.
-            let idx_width = 32 - cfg.entries[i + 1].leading_zeros().min(31);
-            specs.push(FoldedSpec { hist_len: len, width: idx_width.max(1) });
-            specs.push(FoldedSpec { hist_len: len, width: cfg.tag_bits[i + 1] });
-            specs.push(FoldedSpec { hist_len: len, width: (cfg.tag_bits[i + 1] - 1).max(1) });
-        }
         Vtage {
-            base: vec![empty.clone(); cfg.entries[0] as usize], // audited(no-alloc-in-hot-path): constructor
-            tables: (1..cfg.entries.len())
-                .map(|i| vec![empty.clone(); cfg.entries[i] as usize]) // audited(no-alloc-in-hot-path): constructor
-                .collect(), // audited(no-alloc-in-hot-path): constructor
-            table_index: std::array::from_fn(|t| {
-                TableIndex::new(cfg.entries.get(t).copied().unwrap_or(1))
-            }),
-            folds: HistoryFolds::new(&specs),
-            history: BranchHistory::new(),
+            tables: ValueTables::new(&cfg),
             rng: XorShift64::new(cfg.seed),
             stats: VtageStats::default(),
             cfg,
         }
     }
 
-    fn base_index(&self, pc: u64) -> u32 {
-        self.table_index[0].of(pc_hash(pc))
-    }
-
-    fn base_tag(&self, pc: u64) -> u16 {
-        (((pc >> 2) ^ (pc >> 13)) & ((1 << self.cfg.tag_bits[0]) - 1)) as u16
-    }
-
-    fn index(&self, pc: u64, table: usize) -> u32 {
-        let h = self.history.folded(table * 3);
-        self.table_index[table + 1].of(pc_hash(pc) ^ h ^ (pc >> 9))
-    }
-
-    fn tag(&self, pc: u64, table: usize) -> u16 {
-        let h1 = self.history.folded(table * 3 + 1);
-        let h2 = self.history.folded(table * 3 + 2);
-        (((pc >> 2) ^ h1 ^ (h2 << 1)) & ((1 << self.cfg.tag_bits[table + 1]) - 1)) as u16
-    }
-
     /// Looks up a prediction for the (VP-eligible) instruction at `pc`
     /// using the current speculative branch history.
     pub fn predict(&mut self, pc: u64) -> VtagePred {
-        tvp_obs::counters::sat_inc(&mut self.stats.lookups, &mut self.stats.overflow_events);
-        let mut pred = VtagePred {
-            value: 0,
-            hit: false,
-            confident: false,
-            base_index: self.base_index(pc),
-            base_tag: self.base_tag(pc),
-            indices: [0; MAX_VTAGE_TABLES],
-            tags: [0; MAX_VTAGE_TABLES],
-            provider: 0,
-        };
-        for t in 0..self.cfg.num_tagged() {
-            pred.indices[t] = self.index(pc, t);
-            pred.tags[t] = self.tag(pc, t);
-        }
-        for t in (0..self.cfg.num_tagged()).rev() {
-            let e = &self.tables[t][pred.indices[t] as usize];
-            if e.valid && e.tag == pred.tags[t] {
-                pred.hit = true;
-                pred.value = e.value;
-                pred.confident = e.conf.is_saturated();
-                pred.provider = t as u8 + 1;
-                break;
-            }
-        }
-        if !pred.hit {
-            let e = &self.base[pred.base_index as usize];
-            if e.valid && e.tag == pred.base_tag {
-                pred.hit = true;
-                pred.value = e.value;
-                pred.confident = e.conf.is_saturated();
-                pred.provider = 0;
-            }
-        }
+        sat_inc(&mut self.stats.lookups, &mut self.stats.overflow_events);
+        let pred = self.tables.lookup(pc);
         if pred.hit {
-            tvp_obs::counters::sat_inc(&mut self.stats.hits, &mut self.stats.overflow_events);
+            sat_inc(&mut self.stats.hits, &mut self.stats.overflow_events);
         }
         pred
     }
@@ -324,19 +315,20 @@ impl Vtage {
     /// Pushes a conditional-branch outcome into the value predictor's
     /// history (speculatively, at prediction time).
     pub fn push_history(&mut self, taken: bool) {
-        self.history.push(&self.folds, taken);
+        self.tables.tagged.push_history(taken);
     }
 
     /// Checkpoints the speculative history: its position, not a copy.
     #[must_use]
     pub fn history_checkpoint(&self) -> HistoryMark {
-        self.history.mark()
+        self.tables.tagged.history_mark()
     }
 
     /// Rewinds the history to a checkpoint after a squash (see
-    /// [`BranchHistory::rewind`] for how far back that may be).
+    /// [`crate::history::BranchHistory::rewind`] for how far back that
+    /// may be).
     pub fn restore_history(&mut self, mark: HistoryMark) {
-        self.history.rewind(&self.folds, mark);
+        self.tables.tagged.rewind_history(mark);
     }
 
     /// Trains the predictor with the retired instruction's actual
@@ -344,26 +336,12 @@ impl Vtage {
     /// [`Vtage::predict`].
     pub fn update(&mut self, pred: &VtagePred, actual: u64) {
         let admissible = self.cfg.mode.admits(actual);
-        let mut provider_correct = false;
+        let provider_correct = pred.hit && pred.value == actual;
         if pred.hit {
-            if pred.value == actual {
-                tvp_obs::counters::sat_inc(
-                    &mut self.stats.correct,
-                    &mut self.stats.overflow_events,
-                );
-                provider_correct = true;
-            } else {
-                tvp_obs::counters::sat_inc(
-                    &mut self.stats.incorrect,
-                    &mut self.stats.overflow_events,
-                );
-            }
-            let entry = if pred.provider == 0 {
-                &mut self.base[pred.base_index as usize]
-            } else {
-                let t = pred.provider as usize - 1;
-                &mut self.tables[t][pred.indices[t] as usize]
-            };
+            let outcome =
+                if provider_correct { &mut self.stats.correct } else { &mut self.stats.incorrect };
+            sat_inc(outcome, &mut self.stats.overflow_events);
+            let entry = self.tables.provider_mut(pred);
             // The entry may have been replaced between prediction and
             // retirement; only train it if it still holds our value.
             if entry.valid && entry.value == pred.value {
@@ -389,50 +367,20 @@ impl Vtage {
         }
 
         // Allocate on a miss or an incorrect provider, in a table with
-        // longer history, TAGE-style.
+        // longer history, TAGE-style; when no entry there is free, age
+        // them all instead.
         if !provider_correct && admissible {
-            let first = pred.provider as usize; // tagged table index to start from
-            if first < self.cfg.num_tagged() {
-                let is_candidate = |tables: &[Vec<VtageEntry>], t: usize| {
-                    let e = &tables[t][pred.indices[t] as usize];
-                    !e.valid || e.useful == 0
-                };
-                let candidates = (first..self.cfg.num_tagged())
-                    .filter(|&t| is_candidate(&self.tables, t))
-                    .count();
-                if candidates == 0 {
-                    for t in first..self.cfg.num_tagged() {
-                        let e = &mut self.tables[t][pred.indices[t] as usize];
-                        e.useful = e.useful.saturating_sub(1);
-                    }
-                } else {
-                    let pick = if candidates > 1 && !self.rng.one_in(3) {
-                        0
-                    } else {
-                        self.rng.below(candidates as u32) as usize
-                    };
-                    let t = (first..self.cfg.num_tagged())
-                        .filter(|&t| is_candidate(&self.tables, t))
-                        .nth(pick)
-                        .expect("pick < candidate count: below() is exclusive");
-                    let conf = Fpc::new(self.cfg.conf_bits, self.cfg.conf_inv_prob);
-                    self.tables[t][pred.indices[t] as usize] = VtageEntry {
-                        valid: true,
-                        tag: pred.tags[t],
-                        value: actual,
-                        conf,
-                        useful: 0,
-                    };
-                }
+            let (tagged, first) = (&mut self.tables.tagged, pred.provider as usize);
+            if let Some(t) = tagged.allocate(&pred.probe, first, &mut self.rng) {
+                let entry = ValueEntry::new(&self.cfg, pred.probe.tags[t], actual);
+                *tagged.entry_mut(&pred.probe, t) = entry;
+            } else {
+                tagged.for_each_from(&pred.probe, first, |e| e.useful = e.useful.saturating_sub(1));
             }
             // Also install into the base table if it is empty or cold.
-            let b = &mut self.base[pred.base_index as usize];
-            if !b.valid
-                || (b.tag != pred.base_tag && b.conf.level() == 0)
-                || (b.tag == pred.base_tag && b.value != actual && b.conf.level() == 0)
-            {
-                let conf = Fpc::new(self.cfg.conf_bits, self.cfg.conf_inv_prob);
-                *b = VtageEntry { valid: true, tag: pred.base_tag, value: actual, conf, useful: 0 };
+            let b = &mut self.tables.base[pred.base_index as usize];
+            if !b.valid || (b.conf.level() == 0 && (b.tag != pred.base_tag || b.value != actual)) {
+                *b = ValueEntry::new(&self.cfg, pred.base_tag, actual);
             } else if b.tag != pred.base_tag {
                 b.conf.reset();
             }
@@ -446,9 +394,10 @@ impl Vtage {
     /// keeps the value admissible in every [`PredMode`]. Returns `true`
     /// if a valid entry was found and corrupted.
     pub fn inject_fault(&mut self, r: u64) -> bool {
-        let num_tables = self.tables.len() + 1;
-        let t = (r % num_tables as u64) as usize;
-        let table = if t == 0 { &mut self.base } else { &mut self.tables[t - 1] };
+        let table = match (r % (self.tables.tagged.num_tables() + 1) as u64) as usize {
+            0 => &mut self.tables.base[..],
+            t => self.tables.tagged.table_mut(t - 1),
+        };
         let len = table.len();
         let start = ((r >> 8) % len as u64) as usize;
         for i in 0..len {
@@ -535,10 +484,26 @@ mod tests {
     fn history_lengths_are_geometric_2_to_128() {
         let cfg = VtageConfig::paper(PredMode::Full64);
         assert_eq!(cfg.num_tagged(), 7);
-        assert_eq!(cfg.history_length(0), 2);
-        assert_eq!(cfg.history_length(6), 128);
-        for i in 1..7 {
-            assert!(cfg.history_length(i) > cfg.history_length(i - 1));
+        let lengths: Vec<u32> = (0..7).map(|i| cfg.history_length(i)).collect();
+        assert_eq!(lengths, [2, 4, 8, 16, 32, 64, 128]);
+    }
+
+    #[test]
+    fn indices_and_tags_match_known_answers() {
+        // The Table 2 VTAGE and a Table 3-style scaled one (fractional
+        // sizes, reduced by `%`) after 40 outcomes of a period-3 pattern.
+        for (scale, base_index, indices) in [
+            (1.0, 1165, [133, 141, 205, 132, 196, 32, 32, 0]),
+            (0.37, 1513, [110, 118, 17, 47, 89, 3, 3, 0]),
+        ] {
+            let mut v = Vtage::new(VtageConfig::paper(PredMode::Full64).scaled(scale));
+            for i in 0..40 {
+                v.push_history(i % 3 == 0);
+            }
+            let p = v.predict(0x4_1234);
+            assert_eq!((p.base_index, p.base_tag), (base_index, 13), "x{scale}");
+            assert_eq!(p.probe.indices, indices, "x{scale}");
+            assert_eq!(p.probe.tags, [142, 150, 86, 736, 1166, 87, 2465, 0], "x{scale}");
         }
     }
 
@@ -642,8 +607,7 @@ mod tests {
         v.push_history(false);
         v.restore_history(ckpt);
         let after = v.predict(0x8000);
-        assert_eq!(before.indices, after.indices);
-        assert_eq!(before.tags, after.tags);
+        assert_eq!(before.probe, after.probe);
     }
 
     #[test]

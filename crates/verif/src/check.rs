@@ -59,9 +59,10 @@ impl AuditReport {
     }
 }
 
-/// The standard auditor suite the pipeline runs under the `verif`
-/// feature: register conservation, rename-map consistency, occupancy
-/// bounds, commit monotonicity and scheduler wakeup consistency.
+/// The standard auditor suite a core runs once `Core::enable_audit`
+/// switches auditing on: register conservation, rename-map consistency,
+/// occupancy bounds, commit monotonicity and scheduler wakeup
+/// consistency.
 #[must_use]
 pub fn standard_suite() -> Vec<Box<dyn PipelineAuditor>> {
     vec![

@@ -3,8 +3,9 @@
 //! The verification layer cannot depend on `tvp-core` (core depends on
 //! *it*), so the auditors operate on a plain-data mirror of the state
 //! they check. The pipeline assembles a [`PipelineSnapshot`] every N
-//! cycles under the `verif` feature; tests can also build snapshots by
-//! hand to exercise the checkers against deliberately broken states.
+//! cycles once `Core::enable_audit(N)` switches auditing on; tests can
+//! also build snapshots by hand to exercise the checkers against
+//! deliberately broken states.
 
 /// Physical register class.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -46,7 +46,8 @@ pub struct StructDef {
     pub name: String,
     /// 1-based line of the `struct` keyword.
     pub line: usize,
-    /// Declared `pub`.
+    /// Declared plain `pub`: `pub(crate)`, `pub(super)` and `pub(in …)`
+    /// do not count.
     pub is_pub: bool,
     /// Defined inside a `#[cfg(test)]` region.
     pub in_test: bool,
@@ -381,14 +382,15 @@ impl Parser<'_> {
         self.structs.push(StructDef { name, line: kw_line, is_pub, in_test: ctx.test, fields });
     }
 
-    /// Was the item whose keyword sits on `kw_line` declared `pub`?
-    /// The visibility token was consumed generically before dispatch,
-    /// so look back over recent tokens on the same or previous line.
+    /// Was the item whose keyword sits on `kw_line` declared plain
+    /// `pub`, without a `(crate)`-style restriction? The visibility
+    /// tokens were consumed generically before dispatch, so look back
+    /// over recent tokens on the same or previous line.
     fn lookback_pub(&self, kw_line: usize) -> bool {
         (0..self.i)
             .rev()
             .take_while(|&ci| self.line(ci) + 1 >= kw_line)
-            .any(|ci| self.t(ci) == "pub" && self.line(ci) == kw_line)
+            .any(|ci| self.t(ci) == "pub" && self.t(ci + 1) != "(" && self.line(ci) == kw_line)
     }
 
     fn parse_fields(&mut self, ctx: Ctx, out: &mut Vec<FieldDef>) {

@@ -95,10 +95,8 @@ fn auditing_is_determinism_neutral() {
 fn skipping_quiet_cycles_matches_stepping_on_every_workload_and_flavour() {
     // An audited core steps through every cycle while a plain one jumps
     // over quiet cycles, so an audited run is the stepping reference for
-    // the jump, on every workload under every value-prediction flavour.
-    // The audit runs every eighth cycle here, as one costs far more than
-    // a simulated cycle; `auditing_is_determinism_neutral` audits every
-    // cycle.
+    // the jump, on every workload under every value-prediction flavour,
+    // and its auditors check every one of those cycles.
     let flavours = [
         (VpMode::Off, false),
         (VpMode::Mvp, false),
@@ -111,7 +109,7 @@ fn skipping_quiet_cycles_matches_stepping_on_every_workload_and_flavour() {
         let trace = w.trace(INSTS / 8);
         for (vp, spsr) in flavours {
             let point = format!("{} {vp:?} spsr={spsr}", w.name);
-            assert_auditing_is_neutral(&point, &trace, &vp_cfg(vp, spsr), 8);
+            assert_auditing_is_neutral(&point, &trace, &vp_cfg(vp, spsr), 1);
         }
     }
 }
