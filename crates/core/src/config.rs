@@ -266,19 +266,29 @@ impl Default for FuPool {
 }
 
 impl FuPool {
+    /// How many pools there are, one per field.
+    pub const POOLS: usize = 8;
+
+    /// The pool a class draws from, numbered in field order.
+    #[must_use]
+    pub fn pool(class: ExecClass) -> usize {
+        match class {
+            ExecClass::IntAlu | ExecClass::Branch | ExecClass::Nop => 0,
+            ExecClass::IntMul => 1,
+            ExecClass::IntDiv => 2,
+            ExecClass::FpAlu => 3,
+            ExecClass::FpMul | ExecClass::FpMac => 4,
+            ExecClass::FpDiv => 5,
+            ExecClass::Load => 6,
+            ExecClass::Store => 7,
+        }
+    }
+
     /// Units of the pool a class draws from.
     #[must_use]
     pub fn capacity(&self, class: ExecClass) -> usize {
-        match class {
-            ExecClass::IntAlu | ExecClass::Branch | ExecClass::Nop => self.int_alu,
-            ExecClass::IntMul => self.int_mul,
-            ExecClass::IntDiv => self.int_div,
-            ExecClass::FpAlu => self.fp_alu,
-            ExecClass::FpMul | ExecClass::FpMac => self.fp_mul,
-            ExecClass::FpDiv => self.fp_div,
-            ExecClass::Load => self.load,
-            ExecClass::Store => self.store,
-        }
+        let FuPool { int_alu, int_mul, int_div, fp_alu, fp_mul, fp_div, load, store } = *self;
+        [int_alu, int_mul, int_div, fp_alu, fp_mul, fp_div, load, store][Self::pool(class)]
     }
 
     /// Whether the class's unit is occupied for the whole operation

@@ -8,15 +8,14 @@
 //! * [`ras`] — 32-entry return address stack;
 //! * [`indirect`] — 1k-entry indirect branch target cache;
 //! * [`vtage`] — 1+7-table VTAGE value predictor with the paper's
-//!   MVP / TVP / GVP prediction-width modes and FPC confidence
-//!   ([`fpc`]);
+//!   MVP / TVP / GVP prediction-width modes (7.9 / 13.9 / 55.2 KB) and
+//!   FPC confidence ([`fpc`]);
 //! * [`dvtage`] — the stride-based D-VTAGE variant with a faithful
 //!   speculative in-flight window, quantifying the §2.1 complexity
 //!   that MVP/TVP eliminate;
 //! * `tagged` (crate-private) — the tagged-table engine the three
 //!   share: geometric history lengths, folded views, index and tag
-//!   hashes, the longest-match lookup and the allocation rule;
-//! * [`storage`] — bit-exact storage accounting (55.2 / 13.9 / 7.9 KB).
+//!   hashes, the longest-match lookup and the allocation rule.
 //!
 //! All structures are deterministic: probabilistic behaviour draws from
 //! a seeded [`util::XorShift64`], so a simulation is reproducible from
@@ -43,7 +42,6 @@ pub mod fpc;
 pub mod history;
 pub mod indirect;
 pub mod ras;
-pub mod storage;
 pub mod tage;
 mod tagged;
 pub mod util;

@@ -466,6 +466,11 @@ mod tests {
         let mvp = VtageConfig::paper(PredMode::ZeroOne);
         assert_eq!(mvp.storage_bits(), 65_152);
         assert!((mvp.storage_kb() - 7.95).abs() < 0.06, "MVP = {}", mvp.storage_kb());
+
+        // §6.1: MVP uses 14.4% of GVP's storage, TVP 25.1%.
+        let share = |c: &VtageConfig| c.storage_kb() / gvp.storage_kb();
+        assert!((share(&mvp) - 0.144).abs() < 0.01, "MVP/GVP = {}", share(&mvp));
+        assert!((share(&tvp) - 0.251).abs() < 0.015, "TVP/GVP = {}", share(&tvp));
     }
 
     #[test]

@@ -1,14 +1,24 @@
 //! Golden-snapshot regression layer: every `SimStats` counter and every
-//! CPI-stack class of every workload under the paper's configuration.
+//! CPI-stack class of every workload under the paper's configuration,
+//! plus three runs that reach what that configuration does not.
 //!
 //! Every workload in the bundled suite is simulated at a fixed budget
 //! with the paper's full TVP+SpSR configuration, and each of its
 //! counters is written as one `workload counter value` line, in the
 //! order of `SimStats::counters`, followed by one `workload cpi.class
 //! slots` line per CPI-stack class (so where the lost slots went is
-//! pinned by value, not only by the stack's sum invariant), to compare
-//! against the checked-in
-//! snapshot at `tests/golden/golden_stats.txt`. A mismatch names the
+//! pinned by value, not only by the stack's sum invariant). Three more
+//! runs per workload follow:
+//!
+//! * `sampled.run_fingerprint`: a sampled run of the same configuration
+//!   whose fast-forward ends in functional warming;
+//! * `campaign.*`: the `chaos_smoke` fault campaign (GVP+SpSR), its
+//!   cycles and its eight fault-site counters;
+//! * `replay.*`: GVP with selective replay and adaptive silencing, its
+//!   cycles and its replay and flush counts.
+//!
+//! The lines are compared against the checked-in snapshot at
+//! `tests/golden/golden_stats.txt`. A mismatch names the
 //! counter: a behaviour change shows as a changed value, a renamed
 //! counter as one line gone and one new line with the same value, and
 //! a removed counter as a line gone.
@@ -26,12 +36,27 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use tvp_bench::experiments::vp_cfg;
-use tvp_core::config::VpMode;
+use tvp_bench::sampling::{run_sampled, SampleRunOptions, SampleSpec};
+use tvp_chaos::ChaosConfig;
+use tvp_core::config::{CoreConfig, RecoveryPolicy, VpMode};
 use tvp_core::pipeline::{simulate, Core};
+use tvp_core::SimStats;
+use tvp_workloads::trace::Trace;
 
 /// Fixed budget: small enough to keep the suite fast, large enough
 /// that predictors warm up and SpSR conversions occur.
 const INSTS: u64 = 20_000;
+
+/// The sampled run: five 20k-instruction periods, each a 10k-instruction
+/// functional warm ahead of a 5k warmup and a 5k measured window.
+const SAMPLED_INSTS: u64 = 100_000;
+const SAMPLE_SPEC: &str = "20000:5000:5000";
+
+/// The `chaos_smoke` campaign's seed.
+const CHAOS_SEED: u64 = 0x7C4A_5EED;
+
+/// The replay run's counters beside its cycles.
+const REPLAY_COUNTERS: [&str; 3] = ["flush.vp_replays", "flush.replayed_uops", "flush.vp_flushes"];
 
 fn golden_path() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/harness; the snapshot lives next to
@@ -39,25 +64,63 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/golden_stats.txt")
 }
 
+/// Runs `trace` to completion on a fresh core.
+fn run(cfg: &CoreConfig, trace: &Trace, name: &str) -> (SimStats, Core) {
+    let mut core = Core::new(cfg.clone());
+    let stats = core.run(trace);
+    assert!(core.watchdog_diagnostic().is_none(), "{name} deadlocked");
+    (stats, core)
+}
+
 /// Renders the current snapshot, one `workload counter value` line per
 /// counter and CPI class, in suite order.
 fn render_snapshot() -> String {
     let cfg = vp_cfg(VpMode::Tvp, true);
+    let chaos =
+        CoreConfig::with_vp(VpMode::Gvp).with_spsr().with_chaos(ChaosConfig::campaign(CHAOS_SEED));
+    let mut replay = CoreConfig::with_vp(VpMode::Gvp);
+    replay.recovery = RecoveryPolicy::Replay;
+    replay.adaptive_silencing = true;
+    let spec = SampleSpec::parse(SAMPLE_SPEC).expect("valid sample spec");
     let mut out = String::new();
-    let _ = writeln!(out, "# golden stats: suite @ {INSTS} insts, Table 2 + TVP + SpSR");
+    let _ = writeln!(
+        out,
+        "# golden stats: suite @ {INSTS} insts, Table 2 + TVP + SpSR; then per workload \
+         sampled @ {SAMPLED_INSTS} insts {SAMPLE_SPEC}, chaos campaign {CHAOS_SEED:#x} \
+         (GVP + SpSR) and replay recovery (GVP, adaptive silencing) @ {INSTS} insts"
+    );
     let _ = writeln!(
         out,
         "# regenerate: GOLDEN_UPDATE=1 cargo test --release -p tvp-harness --test golden_stats"
     );
     for w in tvp_workloads::suite::suite() {
-        let mut core = Core::new(cfg.clone());
-        let stats = core.run(&w.trace(INSTS));
-        assert!(core.watchdog_diagnostic().is_none(), "{} deadlocked", w.name);
+        let trace = w.trace(INSTS);
+        let (stats, core) = run(&cfg, &trace, w.name);
         for (counter, value) in stats.counters() {
             let _ = writeln!(out, "{} {counter} {value}", w.name);
         }
         for (class, slots) in core.cpi_stack().components() {
             let _ = writeln!(out, "{} cpi.{class} {slots}", w.name);
+        }
+
+        let sampled = run_sampled(&w, &cfg, SAMPLED_INSTS, spec, SampleRunOptions::default())
+            .unwrap_or_else(|diag| panic!("{} deadlocked sampled:\n{diag}", w.name));
+        let _ = writeln!(out, "{} sampled.run_fingerprint {:016x}", w.name, sampled.fingerprint());
+
+        let (stats, _) = run(&chaos, &trace, w.name);
+        let _ = writeln!(out, "{} campaign.core.cycles {}", w.name, stats.cycles);
+        for (counter, value) in
+            stats.counters().into_iter().filter(|(c, _)| c.starts_with("chaos."))
+        {
+            let _ = writeln!(out, "{} campaign.{counter} {value}", w.name);
+        }
+
+        let (stats, _) = run(&replay, &trace, w.name);
+        let _ = writeln!(out, "{} replay.core.cycles {}", w.name, stats.cycles);
+        for (counter, value) in
+            stats.counters().into_iter().filter(|(c, _)| REPLAY_COUNTERS.contains(c))
+        {
+            let _ = writeln!(out, "{} replay.{counter} {value}", w.name);
         }
     }
     out
