@@ -5,16 +5,15 @@
 //! ```
 //!
 //! Walks `blobs/` and `checkpoints/`, re-verifying every blob and
-//! checkpoint (magic, schema, lengths, checksum, content address),
-//! replays the campaign journal, and cross-checks it against the blobs
-//! (orphans, missing blobs, pending leases, quarantines). Prints a
+//! checkpoint (magic, schema, lengths, checksum, content address), and
+//! counts the scratch files in `tmp/` and the files in `quarantine/`.
+//! A `journal.log` left by an older build is noted as ignored. Prints a
 //! human summary; `--json FILE` additionally writes the
 //! machine-readable report (CI uploads it as the resume-smoke
 //! artifact; `-` writes JSON to stdout).
 //!
-//! Exit codes: `0` the store is healthy, `1` problems were found
-//! (corrupt blobs or checkpoints, missing blobs, or mid-journal
-//! corruption), `2` usage or I/O error. CI's resume-smoke and
+//! Exit codes: `0` the store is healthy, `1` a blob or checkpoint is
+//! corrupt, `2` usage or I/O error. CI's resume-smoke and
 //! sampling-smoke jobs gate on them directly.
 
 use std::path::PathBuf;
@@ -59,26 +58,14 @@ fn main() -> ExitCode {
     for bad in &report.corrupt {
         outln!("  CORRUPT  {}: {}", bad.file, bad.error);
     }
-    for file in &report.missing {
-        outln!("  MISSING  blobs/{file} (journal claims it was published)");
-    }
-    for file in &report.orphans {
-        outln!("  orphan   blobs/{file} (valid, no journal record — will warm the next run)");
-    }
     if report.stale_schema > 0 {
         outln!(
             "  note     {} file(s) of an older schema (intact, never loaded again)",
             report.stale_schema
         );
     }
-    if report.journal_torn_tail {
-        outln!("  note     journal has a torn tail (normal after a kill; next run repairs)");
-    }
-    if report.journal_skipped > 0 {
-        outln!("  CORRUPT  journal: {} unreadable mid-file line(s)", report.journal_skipped);
-    }
-    if report.journal_bad_header {
-        outln!("  CORRUPT  journal: missing or unrecognised header");
+    if report.ignored_journal {
+        outln!("  note     journal.log of an older build is ignored (nothing reads it)");
     }
 
     if let Some(path) = json_out {

@@ -270,14 +270,6 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
                 }
             }
         }
-        // Lease in bounded batches: each batch is one atomic journal
-        // append, so a crash mid-campaign leaves at most one torn
-        // batch record instead of one giant torn line.
-        for chunk in cold.chunks(crate::distributed::LEASE_BATCH) {
-            store
-                .lease_all(chunk.iter().map(|j| &j.key))
-                .unwrap_or_else(|e| crate::fatal("cannot journal campaign leases", &e));
-        }
         eprintln!(
             "[engine] store {}: {} of {total} point(s) loaded warm, {} to simulate",
             store.dir().display(),
@@ -303,13 +295,6 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
                 .unwrap_or_else(|e| crate::fatal(&format!("cannot publish {}", key.display()), &e));
         }
         cache.insert(key, point);
-    }
-    for f in &outcome.failures {
-        if let Some(store) = store.as_mut() {
-            store.record_failure(&f.key, f.attempts).unwrap_or_else(|e| {
-                crate::fatal(&format!("cannot journal the failure of {}", f.key.display()), &e)
-            });
-        }
     }
     let store_counters: StoreCounters = store.as_ref().map(|s| *s.counters()).unwrap_or_default();
     if let Some(store) = store.as_ref() {

@@ -491,7 +491,9 @@ pub struct SampleRunOptions<'s> {
 /// Returns the watchdog's [`DeadlockDiagnostic`] if the pipeline stops
 /// making commit progress in a warmup or measured segment (a simulator
 /// bug, or a `watchdog_cycles` too short for the machine). Intervals
-/// finished before it are already published to the store.
+/// finished before it are already published to the store. A checkpoint
+/// that cannot be written is not returned as an error: the process
+/// exits with one `FATAL:` line and code 2 ([`crate::fatal`]).
 ///
 /// # Panics
 ///
@@ -624,10 +626,9 @@ pub fn run_sampled(
                 warmup_insts: run.warmup_insts,
                 measured_insts: run.measured_insts,
             };
-            m.lock()
-                .expect("store lock poisoned")
-                .publish_checkpoint(&key, &ckpt)
-                .expect("checkpoint publication");
+            m.lock().expect("store lock poisoned").publish_checkpoint(&key, &ckpt).unwrap_or_else(
+                |e| crate::fatal(&format!("cannot publish checkpoint {}", key.display()), &e),
+            );
         }
         fresh_intervals += 1;
         if run.halted {
@@ -761,7 +762,7 @@ pub fn error_report(insts: u64, spec: SampleSpec, results: &[StatErrors]) -> Str
 /// and across kill/resume.
 #[must_use]
 pub fn campaign_fingerprint(runs: &[SampledRun]) -> u64 {
-    runs.iter().fold(FNV1A_OFFSET, |h, run| fnv1a_fold(h, &run.fingerprint().to_le_bytes()))
+    crate::distributed::campaign_fingerprint(runs.iter().map(SampledRun::fingerprint))
 }
 
 #[cfg(test)]

@@ -5,11 +5,10 @@
 //! points *within* one `run_all`; this store dedups them *across*
 //! runs and across crashes. Every simulated point is published as a
 //! self-verifying blob (see [`blob`]) under its key's content address,
-//! and a campaign journal (see [`manifest`]) records leases,
-//! completions and failures, so a killed campaign resumes exactly
-//! where it died and a corrupted blob is quarantined and re-simulated
-//! instead of poisoning the results. A store has one writing process
-//! at a time.
+//! and the blobs are the whole record: a killed campaign resumes by
+//! loading every blob that verifies and simulating the rest, and a
+//! corrupted blob is quarantined and re-simulated instead of poisoning
+//! the results. A store has one writing process at a time.
 //!
 //! On-disk layout (`--store DIR` / `$TVP_STORE_DIR`):
 //!
@@ -19,16 +18,17 @@
 //!   checkpoints/<digest:016x>.ckpt  newest checkpoint of a sampled run
 //!   quarantine/<digest>.<reason>.<n>.blob   corrupt files, set aside
 //!   tmp/                            scratch for atomic writes
-//!   journal.log                     append-only campaign journal
 //! ```
 //!
-//! `leases/`, `workers/` and `campaign.manifest`, left in older stores
-//! by the retired multi-process fabric, are ignored.
+//! `journal.log`, left in older stores by the retired campaign journal,
+//! and `leases/`, `workers/` and `campaign.manifest`, left by the
+//! retired multi-process fabric, are ignored: nothing reads or writes
+//! them.
 //!
 //! Guarantees:
 //!
 //! - **Atomic writes.** One function, `write_atomic`, writes every
-//!   whole-file record — blobs and checkpoints: scratch file in
+//!   file the store owns — blobs and checkpoints: scratch file in
 //!   `tmp/`, fsync, rename into place, fsync of the directory. A
 //!   reader (or a resumed campaign) can observe a file fully or not at
 //!   all — never torn. A crash can at worst leave scratch files in
@@ -58,10 +58,8 @@ use checkpoint::Checkpoint;
 pub mod blob;
 pub mod checkpoint;
 pub mod fsck;
-pub mod manifest;
 
 use blob::BlobError;
-use manifest::Journal;
 
 /// Exit code of a campaign deliberately killed by the
 /// [`StoreConfig::kill_after`] chaos knob (CI's resume-smoke asserts
@@ -84,10 +82,9 @@ pub const TMP_DIR: &str = "tmp";
 pub struct StoreConfig {
     /// Store root directory (created if missing).
     pub dir: PathBuf,
-    /// Chaos knob: after this many successful blob or checkpoint
-    /// publications the process exits with [`KILL_EXIT_CODE`]
-    /// *before* writing the journal completion record — an honest
-    /// mid-manifest death for kill-resume testing.
+    /// Chaos knob: the process exits with [`KILL_EXIT_CODE`] right
+    /// after the N-th blob or checkpoint becomes durable — a death
+    /// between two publications, for kill-resume testing.
     pub kill_after: Option<u64>,
 }
 
@@ -141,11 +138,10 @@ pub enum LoadOutcome<T = SimPoint> {
     Quarantined(BlobError),
 }
 
-/// The durable store: directories, journal, counters.
+/// The durable store: directories and counters.
 #[derive(Debug)]
 pub struct ResultStore {
     cfg: StoreConfig,
-    journal: Journal,
     counters: StoreCounters,
     /// Digests already quarantined this run, to derive unique
     /// quarantine file names without re-listing the directory.
@@ -212,8 +208,8 @@ fn quarantine_transfer(
 
 impl ResultStore {
     /// Opens (creating if needed) the store at `cfg.dir`: lays out the
-    /// subdirectories, sweeps stale scratch files from a previous
-    /// crash, and replays the campaign journal.
+    /// subdirectories and sweeps stale scratch files from a previous
+    /// crash.
     pub fn open(cfg: StoreConfig) -> io::Result<ResultStore> {
         for sub in [BLOBS_DIR, CHECKPOINTS_DIR, QUARANTINE_DIR, TMP_DIR] {
             std::fs::create_dir_all(cfg.dir.join(sub))?;
@@ -224,10 +220,8 @@ impl ResultStore {
                 tmp_swept += 1;
             }
         }
-        let journal = Journal::open(&cfg.dir)?;
         Ok(ResultStore {
             cfg,
-            journal,
             counters: StoreCounters { tmp_swept, ..Default::default() },
             quarantine_seq: BTreeSet::new(),
         })
@@ -243,13 +237,6 @@ impl ResultStore {
     #[must_use]
     pub fn counters(&self) -> &StoreCounters {
         &self.counters
-    }
-
-    /// The journal state: what earlier runs against this store
-    /// recorded, plus this handle's own appends.
-    #[must_use]
-    pub fn journal_state(&self) -> &manifest::JournalState {
-        self.journal.state()
     }
 
     fn blob_path(&self, digest: u64) -> PathBuf {
@@ -350,34 +337,30 @@ impl ResultStore {
         }
     }
 
-    /// Journals a batch of leases for the points this campaign is
-    /// about to simulate.
-    pub fn lease_all<'j>(&mut self, keys: impl Iterator<Item = &'j ExpKey>) -> io::Result<()> {
-        let leases: Vec<(u64, String)> = keys.map(|k| (k.digest(), k.display())).collect();
-        self.journal.lease_all(leases.iter().map(|(d, l)| (*d, l.as_str())))
+    /// Does nothing and records nothing. It is kept only because
+    /// simbench, a separate package, still calls it; the next change
+    /// to the benchmark (ROADMAP item 1) deletes it together with that
+    /// call.
+    pub fn lease_all<'j>(&mut self, _keys: impl Iterator<Item = &'j ExpKey>) -> io::Result<()> {
+        Ok(())
     }
 
     /// Publishes one simulated point durably: encode → atomic write
-    /// into `blobs/` → journal `done`. A torn publication is
-    /// impossible to observe; a crash between rename and journal
-    /// leaves an orphan blob that still verifies (and warms the next
-    /// run).
+    /// into `blobs/`. A torn publication is impossible to observe.
     ///
     /// When the [`StoreConfig::kill_after`] chaos knob is armed, the
-    /// process exits with [`KILL_EXIT_CODE`] after the N-th blob is
-    /// durable but *before* its journal record — the exact
-    /// mid-manifest state a real kill produces.
+    /// process exits with [`KILL_EXIT_CODE`] right after the N-th blob
+    /// is durable — the state a real kill between two publications
+    /// leaves.
     pub fn publish(&mut self, key: &ExpKey, point: &SimPoint) -> io::Result<()> {
-        let digest = key.digest();
-        let dest = self.blob_path(digest);
+        let dest = self.blob_path(key.digest());
         if dest.exists() {
             // Another handle published this digest first. Blob bytes
             // are a pure function of the key, so overwriting is
             // harmless; the loser of the race is counted, not hidden.
             self.counters.duplicate_publishes += 1;
         }
-        self.publish_file(&dest, &blob::encode(key, point))?;
-        self.journal.done(digest)
+        self.publish_file(&dest, &blob::encode(key, point))
     }
 
     /// Writes one blob or checkpoint file atomically, counts it, and
@@ -389,8 +372,7 @@ impl ResultStore {
         self.counters.published += 1;
         if self.cfg.kill_after.is_some_and(|n| self.counters.published >= n) {
             eprintln!(
-                "[store] TVP_STORE_KILL_AFTER: exiting after {} publication(s) \
-                 ({} durable, any journal record withheld)",
+                "[store] TVP_STORE_KILL_AFTER: exiting after {} publication(s) ({} durable)",
                 self.counters.published,
                 dest.display()
             );
@@ -402,14 +384,9 @@ impl ResultStore {
     /// Publishes a sampled-campaign checkpoint durably through the
     /// same atomic write as [`ResultStore::publish`]. Later
     /// checkpoints for the same key overwrite earlier ones (only the
-    /// newest matters for resume), and nothing is journaled.
+    /// newest matters for resume).
     pub fn publish_checkpoint(&mut self, key: &SampleKey, ckpt: &Checkpoint) -> io::Result<()> {
         self.publish_file(&self.checkpoint_path(key.digest()), &checkpoint::encode(key, ckpt))
-    }
-
-    /// Journals a terminal job failure (after retries).
-    pub fn record_failure(&mut self, key: &ExpKey, attempts: u32) -> io::Result<()> {
-        self.journal.fail(key.digest(), attempts)
     }
 
     /// One-line summary for the engine's stderr reporting.
@@ -468,7 +445,6 @@ mod tests {
         // cross-run resume path), which re-verifies it from scratch.
         let mut reopened = ResultStore::open(StoreConfig::at(&dir)).expect("reopen");
         assert!(matches!(reopened.load(&k), LoadOutcome::Hit(_)));
-        assert!(reopened.journal_state().completed.contains(&k.digest()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,11 +12,18 @@
 //! an out-of-range chaos rate, an unknown experiment or workload name,
 //! and a `simulate` flag its mode would ignore. An unusable store or
 //! results directory is just as loud: one `FATAL:` line and exit 2,
-//! never a panic, and before anything is simulated.
+//! never a panic, and before anything is simulated. So is a blob or
+//! checkpoint the store cannot write, on each path that writes one.
 //! A sampled run's watchdog trip exits 4 with its dump, like a full
 //! run's.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use tvp_bench::experiments::{fig2::Fig2, ExpContext, Experiment};
+use tvp_bench::sampling::{SampleKey, SampleSpec};
+use tvp_bench::store::{BLOBS_DIR, CHECKPOINTS_DIR};
+use tvp_core::config::CoreConfig;
 
 /// Runs `exe` with `args` and the given extra environment, with both
 /// TVP knobs scrubbed first so the ambient test environment can't
@@ -236,7 +243,8 @@ fn simulate_sampled_watchdog_trip_is_fatal() {
 fn assert_fatal_io(out: &std::process::Output, what: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{what} must exit 2; stderr: {stderr}");
-    assert!(stderr.contains("FATAL") && stderr.contains(what), "{stderr}");
+    assert!(stderr.contains(what), "{stderr}");
+    assert_eq!(stderr.lines().filter(|l| l.starts_with("FATAL: ")).count(), 1, "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
@@ -336,4 +344,101 @@ fn run_all_rejects_an_unknown_experiment() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("fig9") && stderr.contains("fig3_vp_speedup"), "{stderr}");
     assert!(!created, "an unknown name must fail before the run writes anything");
+}
+
+/// An empty scratch directory for one test.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tvp-envval-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// Puts a non-empty directory at the store file `sub/<digest>.<ext>`
+/// of each digest, so the rename that publishes the file there fails
+/// with `EISDIR`. Unlike a read-only directory, this fails for root
+/// too.
+fn occupy(store: &Path, sub: &str, ext: &str, digests: impl Iterator<Item = u64>) {
+    for digest in digests {
+        let file = store.join(sub).join(format!("{digest:016x}.{ext}"));
+        std::fs::create_dir_all(file.join("occupied")).expect("occupying directory");
+    }
+}
+
+#[test]
+fn run_all_reports_a_blob_it_cannot_publish_as_fatal() {
+    let dir = scratch("publish-blob");
+    let store = dir.join("store");
+    let ctx = ExpContext { insts: 1000, prepared: Vec::new() };
+    occupy(&store, BLOBS_DIR, "blob", Fig2.jobs(&ctx).iter().map(|j| j.key.digest()));
+    let out = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &[
+            "--insts",
+            "1000",
+            "--jobs",
+            "1",
+            "--store",
+            store.to_str().expect("utf8"),
+            "fig2_uops_ipc",
+        ],
+        &[
+            ("TVP_RESULTS_DIR", dir.join("results").to_str().expect("utf8")),
+            ("TVP_BENCH_TELEMETRY", dir.join("telemetry.json").to_str().expect("utf8")),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_fatal_io(&out, "cannot publish ");
+}
+
+#[test]
+fn simulate_reports_a_checkpoint_it_cannot_publish_as_fatal() {
+    let dir = scratch("publish-ckpt");
+    let spec = SampleSpec::new(2000, 500, 500).expect("valid spec");
+    let key = SampleKey::new("pointer_chase", 4000, &CoreConfig::table2(), spec);
+    occupy(&dir, CHECKPOINTS_DIR, "ckpt", std::iter::once(key.digest()));
+    let out = run(
+        env!("CARGO_BIN_EXE_simulate"),
+        &[
+            "pointer_chase",
+            "--insts",
+            "4000",
+            "--sample",
+            "2000:500:500",
+            "--checkpoint",
+            dir.to_str().expect("utf8"),
+        ],
+        &[],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_fatal_io(&out, "cannot publish checkpoint");
+}
+
+#[test]
+fn sample_campaign_reports_a_checkpoint_it_cannot_publish_as_fatal() {
+    let dir = scratch("campaign-ckpt");
+    let spec = SampleSpec::new(1000, 100, 100).expect("valid spec");
+    let cfg = CoreConfig::default();
+    let digests =
+        tvp_workloads::suite::names().map(|w| SampleKey::new(w, 2000, &cfg, spec).digest());
+    occupy(&dir, CHECKPOINTS_DIR, "ckpt", digests);
+    let out = run(
+        env!("CARGO_BIN_EXE_sample_campaign"),
+        &[
+            "run",
+            "--insts",
+            "2000",
+            "--spec",
+            "1000:100:100",
+            "--jobs",
+            "1",
+            "--store",
+            dir.to_str().expect("utf8"),
+            "--telemetry",
+            dir.join("telemetry.json").to_str().expect("utf8"),
+        ],
+        &[],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_fatal_io(&out, "cannot publish checkpoint");
 }

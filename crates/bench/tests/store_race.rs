@@ -9,8 +9,6 @@
 //!   key, so the race has no wrong winner);
 //! - exactly one blob survives under the content address and it fully
 //!   re-verifies (checksum, schema, echoed key);
-//! - the journal replays the point as completed exactly once, no
-//!   matter how many `done` records the racers appended;
 //! - when the loser observably loses (publishes after the winner's
 //!   blob landed), it is *counted* (`duplicate_publishes`), not
 //!   silently absorbed.
@@ -41,9 +39,9 @@ fn point_for(key: &ExpKey) -> SimPoint {
 #[test]
 fn racing_publishes_of_the_same_key_leave_one_valid_blob() {
     let dir = scratch("pair");
-    // First open initializes the layout + journal. Each racer opens its
-    // own handle before the barrier, so no open can sweep `tmp/` or
-    // repair the journal while the other racer is writing.
+    // First open initializes the layout. Each racer opens its own
+    // handle before the barrier, so no open can sweep `tmp/` while the
+    // other racer is writing.
     drop(ResultStore::open(StoreConfig::at(&dir)).expect("initialize store"));
 
     const ROUNDS: u64 = 24;
@@ -76,8 +74,6 @@ fn racing_publishes_of_the_same_key_leave_one_valid_blob() {
             LoadOutcome::Hit(p) => assert_eq!(*p, point, "round {round}: winner's bytes verify"),
             other => panic!("round {round}: expected a warm hit, got {other:?}"),
         }
-        // Completed exactly once in the replayed journal.
-        assert!(verifier.journal_state().completed.contains(&key.digest()));
         // At most one loser can have observed the winner's blob.
         assert!(counts.iter().sum::<u64>() <= 1, "round {round}: counts {counts:?}");
     }

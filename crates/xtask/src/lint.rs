@@ -54,8 +54,8 @@
 //!    only test regions are. The durable result store under
 //!    `crates/bench/src/store/` opts in file-by-file
 //!    ([`DETERMINISM_FILES`]) even though the rest of `tvp-bench` is
-//!    exempt: its blob bytes and journal records feed the cold ≡ warm
-//!    ≡ kill-resume byte-identity guarantee.
+//!    exempt: its blob and checkpoint bytes feed the cold ≡ warm ≡
+//!    kill-resume byte-identity guarantee.
 //! 8. **counter-export-coverage** — every public counter field on a
 //!    `*Stats` struct in the simulation crates must be reachable from
 //!    the registry exporters (`Core::export_registry` /
@@ -119,15 +119,14 @@ const DETERMINISM_CRATES: &[&str] = &["core", "isa", "mem", "obs", "predictors"]
 /// Individual files bound by the determinism audit in crates that are
 /// otherwise exempt. `tvp-bench` legitimately reads wall clocks and
 /// the environment (telemetry, CLI resolution), but its durable result
-/// store must stay a pure function of its inputs — blob bytes and
-/// journal records feed the byte-identity guarantee — so the store
-/// module opts in file-by-file instead of waiving rule-by-rule.
+/// store must stay a pure function of its inputs — blob and checkpoint
+/// bytes feed the byte-identity guarantee — so the store module opts in
+/// file-by-file instead of waiving rule-by-rule.
 const DETERMINISM_FILES: &[&str] = &[
     "crates/bench/src/distributed.rs",
     "crates/bench/src/store/blob.rs",
     "crates/bench/src/store/checkpoint.rs",
     "crates/bench/src/store/fsck.rs",
-    "crates/bench/src/store/manifest.rs",
     "crates/bench/src/store/mod.rs",
     "crates/bench/src/sampling.rs",
 ];
@@ -1237,8 +1236,7 @@ mod tests {
             check("crates/bench/src/engine.rs", "fn f() { let t = std::time::Instant::now(); }\n");
         assert!(engine.is_empty(), "{engine:?}");
         // ...but every durable-store file is individually bound: blob
-        // bytes and journal records must be pure functions of their
-        // inputs.
+        // and checkpoint bytes must be pure functions of their inputs.
         for rel in super::DETERMINISM_FILES {
             let clock = check(rel, "fn f() { let t = std::time::Instant::now(); }\n");
             assert_eq!(rules_of(&clock), ["determinism-audit"], "{rel} must reject wall clocks");

@@ -4,7 +4,9 @@
 //! kill-at-an-arbitrary-point-then-resume, all byte-identical in
 //! `results/*.json`; and a store damaged in any of the classic ways
 //! (torn write, flipped bits, schema skew) quarantines the bad blob,
-//! re-simulates it, and still converges on the identical results.
+//! re-simulates it, and still converges on the identical results. A
+//! store an older build left, with its campaign journal and the retired
+//! fabric's directories, loads warm and keeps those files untouched.
 //!
 //! Every test routes file output through [`RunOptions`] overrides —
 //! no process-environment mutation — so the tests are safe to run on
@@ -170,10 +172,9 @@ fn kill_at_seeded_random_point_then_resume_is_byte_identical() {
     assert!(cold.failures.is_empty());
     let reference = read_bytes(&cold_path);
 
-    // Reconstruct the exact on-disk state a campaign killed
-    // mid-manifest leaves behind: every key leased, a seeded-random
-    // prefix of blobs published (journalled), one published blob
-    // corrupted by a bit flip, a torn journal tail, and a stale
+    // Reconstruct the on-disk state a campaign killed between two
+    // publications leaves behind: a seeded-random prefix of blobs
+    // published, one of them corrupted by a bit flip, and a stale
     // scratch file from the interrupted publication.
     let keys: Vec<ExpKey> = sweep_jobs(INSTS).into_iter().map(|j| j.key).collect();
     let mut source = ResultStore::open(StoreConfig::at(&cold_store)).expect("open cold store");
@@ -196,31 +197,24 @@ fn kill_at_seeded_random_point_then_resume_is_byte_identical() {
     assert!(survived.len() < points.len(), "the kill must interrupt something");
     {
         let mut store = ResultStore::open(StoreConfig::at(&killed)).expect("open killed store");
-        store.lease_all(keys.iter()).expect("lease full campaign");
         for (k, p) in &survived {
             store.publish(k, p).expect("publish surviving blob");
         }
     }
     // Bit-flip the first survivor's blob (disk corruption on top of
-    // the kill), tear the journal tail, and leave a stale tmp file.
+    // the kill) and leave a stale tmp file.
     let victim = &survived[0].0;
     let victim_blob = blob_path(&killed, victim);
     let mut bytes = read_bytes(&victim_blob);
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&victim_blob, &bytes).expect("corrupt blob");
-    let journal = killed.join("journal.log");
-    let mut text = std::fs::read_to_string(&journal).expect("read journal");
-    text.push_str("done 00000000000000");
-    std::fs::write(&journal, text).expect("tear journal tail");
     std::fs::write(killed.join(TMP_DIR).join("interrupted.tmp"), b"part").expect("stale tmp");
 
     // fsck sees the damage before the resume...
     let before = fsck::fsck(&killed).expect("fsck killed store");
     assert!(!before.clean(), "corrupted store must not fsck clean");
     assert_eq!(before.corrupt.len(), 1, "{:?}", before.corrupt);
-    assert!(before.journal_torn_tail, "torn tail detected");
-    assert!(before.pending > 0, "interrupted leases are pending");
     assert_eq!(before.tmp_stale, 1);
 
     // ...the resumed campaign repairs everything and reproduces the
@@ -242,7 +236,6 @@ fn kill_at_seeded_random_point_then_resume_is_byte_identical() {
 
     let after = fsck::fsck(&killed).expect("fsck resumed store");
     assert!(after.clean(), "resume must heal the store: {}", after.summary());
-    assert_eq!(after.pending, 0, "no leases left open");
     assert_eq!(after.quarantined, 1, "evidence of the corruption is preserved");
     assert_eq!(after.tmp_stale, 0, "stale scratch swept");
     let names = quarantine_names(&killed);
@@ -306,5 +299,67 @@ fn torn_blob_write_is_detected_and_healed_on_rerun() {
     assert_eq!(names.len(), 1);
     assert!(names[0].contains(".torn."), "quarantine name {} carries the reason", names[0]);
     assert!(fsck::fsck(&store).expect("fsck").clean());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One journal line as older builds sealed it: the body, then its
+/// FNV-1a checksum.
+fn sealed(body: &str) -> String {
+    format!("{body} #{:016x}\n", fnv1a(body.as_bytes()))
+}
+
+#[test]
+fn older_store_with_a_journal_loads_warm_and_keeps_it_untouched() {
+    let root = scratch("older");
+    let store = root.join("store");
+    let (cold_path, cold) = run_campaign(&root, "cold", Some(&store));
+    assert!(cold.failures.is_empty());
+    let reference = read_bytes(&cold_path);
+
+    // What an older build left next to the blobs: a campaign journal
+    // with every record kind it or the retired fabric wrote and a torn
+    // tail, and the fabric's empty `leases/`, `workers/` and
+    // `campaign.manifest`.
+    let digests: Vec<String> =
+        sweep_jobs(INSTS).iter().map(|j| format!("{:016x}", j.key.digest())).collect();
+    let (d0, d1, d2) = (&digests[0], &digests[1], &digests[2]);
+    let mut journal = String::from("tvp-journal 1\n");
+    for d in &digests {
+        journal.push_str(&sealed(&format!("lease {d} point#{d}")));
+    }
+    for body in [
+        format!("done {d0}"),
+        format!("fail {d1} attempts 2"),
+        format!("done {d1}"),
+        format!("wlease {d2} w0 1 point#{d2}"),
+        format!("reclaim {d2} 1"),
+        format!("wlease {d2} w1 2 point#{d2}"),
+        format!("stale {d2} w0 1"),
+        format!("done {d2}"),
+    ] {
+        journal.push_str(&sealed(&body));
+    }
+    journal.push_str("done 00000000");
+    let journal_path = store.join("journal.log");
+    std::fs::write(&journal_path, &journal).expect("write journal");
+    for dir in ["leases", "workers"] {
+        std::fs::create_dir_all(store.join(dir)).expect("fabric directory");
+    }
+    std::fs::write(store.join("campaign.manifest"), b"").expect("fabric manifest");
+
+    let report = fsck::fsck(&store).expect("fsck");
+    assert!(report.clean(), "an older store is healthy: {}", report.summary());
+    assert!(report.ignored_journal, "its journal is reported as ignored");
+    assert_eq!(report.blobs_ok, digests.len() as u64);
+
+    let (warm_path, warm) = run_campaign(&root, "warm", Some(&store));
+    assert!(warm.failures.is_empty() && warm.skipped.is_empty());
+    assert_eq!(warm.telemetry.store_warm_hits, digests.len() as u64, "every blob loads warm");
+    assert_eq!(warm.telemetry.jobs_unique, 0, "nothing left to simulate");
+    assert_eq!(read_bytes(&warm_path), reference, "an older store changed the results");
+
+    assert!(fsck::fsck(&store).expect("fsck after the run").clean());
+    assert_eq!(read_bytes(&journal_path), journal.as_bytes(), "the journal is never written");
+    assert!(store.join("leases").is_dir() && store.join("campaign.manifest").is_file());
     let _ = std::fs::remove_dir_all(&root);
 }
