@@ -14,7 +14,8 @@
 //!    work-stealing pool ([`runner::run_jobs`]), which builds each
 //!    workload's trace on demand, only for cold points, and frees it
 //!    after the workload's last point; each panicked job is retried
-//!    once; then publish every fresh point durably, in schedule order;
+//!    once; each fresh point is published durably, in schedule order,
+//!    as soon as it and every point scheduled before it are done;
 //! 3. **assemble** — single-threaded, in fixed experiment order: render
 //!    each experiment's tables into the report text and write its
 //!    `results/*.json` from cached points only. The engine prints
@@ -281,21 +282,22 @@ pub fn run(experiments: &[Box<dyn Experiment>], opts: &RunOptions) -> EngineRepo
         schedule
     };
 
-    // 2. simulate ————————————————————————————————————————————————————
+    // 2. simulate and publish ——————————————————————————————————————————
+    // The pool hands each point over in schedule order, on this thread,
+    // while the workers simulate the rest — deterministic, which is
+    // what makes the kill_after chaos knob reproducible for a given
+    // seed/schedule, and a store that cannot be written fails at its
+    // first fresh point.
     let sim_start = Instant::now();
-    let outcome = runner::run_jobs(&schedule, workers, opts.progress);
-    let sim_wall = sim_start.elapsed();
-    // Publish in slot (schedule) order — single-threaded and
-    // deterministic, which is what makes the kill_after chaos knob
-    // reproducible for a given seed/schedule.
-    for (key, point) in outcome.points {
+    let outcome = runner::run_jobs(&schedule, workers, opts.progress, |key, point| {
         if let Some(store) = store.as_mut() {
             store
-                .publish(&key, &point)
+                .publish(key, point)
                 .unwrap_or_else(|e| crate::fatal(&format!("cannot publish {}", key.display()), &e));
         }
-        cache.insert(key, point);
-    }
+        cache.insert(key.clone(), *point);
+    });
+    let sim_wall = sim_start.elapsed();
     let store_counters: StoreCounters = store.as_ref().map(|s| *s.counters()).unwrap_or_default();
     if let Some(store) = store.as_ref() {
         eprintln!("[engine] store: {}", store.summary());

@@ -12,6 +12,13 @@
 //! the job's [`ExpKey`] and the panic payload. The pool always drains —
 //! one poisoned point can never hang or abort the whole run.
 //!
+//! [`run_jobs`] hands each point over on the calling thread, in
+//! schedule order, as soon as it and every job scheduled before it
+//! have finished: the engine publishes a point while the workers
+//! simulate the rest, so a store that cannot be written fails the run
+//! at its first fresh point, not after the last. A failed job is
+//! passed over, not waited for.
+//!
 //! [`run_jobs`] owns the traces: the first job of a workload builds
 //! that workload's trace at the job's budget, the workload's other jobs
 //! share it, and it is dropped once every one of them has succeeded. A
@@ -34,7 +41,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tvp_core::pipeline::Core;
@@ -99,10 +106,10 @@ pub struct RunOutcome {
     pub traces_built: u64,
 }
 
-/// One job's outcome slot, written exactly once by whichever worker
-/// ran the job: the simulated point and its wall time (or the rendered
-/// panic payload of the final attempt), plus the attempt count.
-type ResultSlot = Mutex<Option<(Result<(SimPoint, CpiStack, Duration), String>, u32)>>;
+/// One job's outcome, sent by whichever worker ran the job: the
+/// simulated point, its CPI stack and wall time (or the rendered panic
+/// payload of the final attempt), plus the attempt count.
+type JobResult = (Result<(SimPoint, CpiStack, Duration), String>, u32);
 
 /// Resolves the worker count: an explicit `--jobs N` wins, otherwise
 /// the pool is sized to the machine's available cores.
@@ -121,13 +128,22 @@ pub fn resolve_workers(requested: Option<usize>) -> usize {
 /// [`MAX_ATTEMPTS`]); a job that fails both attempts keeps its
 /// workload's trace alive until the pool drains.
 ///
+/// `hand_over` sees each simulated point on the calling thread, in
+/// schedule order, as soon as it and every job scheduled before it
+/// have finished or failed, while the workers go on with the rest.
+///
 /// # Panics
 ///
 /// Panics before starting the pool if a job names no suite workload —
 /// a harness bug, not a simulation failure.
-pub fn run_jobs(jobs: &[Job], workers: usize, progress: bool) -> RunOutcome {
+pub fn run_jobs(
+    jobs: &[Job],
+    workers: usize,
+    progress: bool,
+    hand_over: impl FnMut(&ExpKey, &SimPoint),
+) -> RunOutcome {
     let traces = Traces::new(jobs);
-    let mut outcome = run_jobs_with(jobs, workers, progress, |job| {
+    let sim = |job: &Job| {
         let trace = traces.acquire(&job.key);
         // Drive the core directly (rather than through `simulate`) so
         // the CPI stack can be captured for per-job telemetry; the
@@ -140,7 +156,8 @@ pub fn run_jobs(jobs: &[Job], workers: usize, progress: bool) -> RunOutcome {
         }
         traces.succeeded(&job.key);
         (SimPoint { stats }, core.cpi_stack())
-    });
+    };
+    let mut outcome = run_pool(jobs, workers, progress, sim, hand_over);
     outcome.traces_built = traces.built.into_inner();
     outcome
 }
@@ -221,6 +238,19 @@ pub fn run_jobs_with(
     progress: bool,
     sim: impl Fn(&Job) -> (SimPoint, CpiStack) + Sync,
 ) -> RunOutcome {
+    run_pool(jobs, workers, progress, sim, |_, _| {})
+}
+
+/// The pool: runs `sim` over `jobs` on `workers` threads while the
+/// calling thread hands each point to `hand_over` in schedule order
+/// (see [`run_jobs`]).
+fn run_pool(
+    jobs: &[Job],
+    workers: usize,
+    progress: bool,
+    sim: impl Fn(&Job) -> (SimPoint, CpiStack) + Sync,
+    mut hand_over: impl FnMut(&ExpKey, &SimPoint),
+) -> RunOutcome {
     let workers = workers.max(1).min(jobs.len().max(1));
     // Block seeding: worker `w` starts with the `w`-th contiguous slice
     // of the schedule, cut where a trace (workload, budget) begins, so
@@ -237,14 +267,15 @@ pub fn run_jobs_with(
         deques[group_start * workers / jobs.len()].lock().expect("seed deque").push_back(i);
     }
 
-    let slots: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let mut results: Vec<Option<JobResult>> = jobs.iter().map(|_| None).collect();
     let done = AtomicUsize::new(0);
     let total = jobs.len();
 
     std::thread::scope(|scope| {
+        let (finished_tx, finished) = mpsc::channel();
         for me in 0..workers {
             let deques = &deques;
-            let slots = &slots;
+            let finished_tx = finished_tx.clone();
             let done = &done;
             let sim = &sim;
             scope.spawn(move || {
@@ -277,16 +308,30 @@ pub fn run_jobs_with(
                     if progress {
                         eprintln!("  [{finished:>4}/{total}] {}", job.key.display());
                     }
-                    *slots[idx].lock().expect("result slot") = Some((result, attempts));
+                    if finished_tx.send((idx, (result, attempts))).is_err() {
+                        break; // the calling thread panicked: nobody takes results
+                    }
                 }
             });
+        }
+        drop(finished_tx);
+        // Hand over the longest finished prefix of the schedule as it
+        // grows, passing over failed jobs.
+        let mut next = 0;
+        for (idx, result) in finished {
+            results[idx] = Some(result);
+            while let Some(Some((result, _))) = results.get(next) {
+                if let Ok((point, _, _)) = result {
+                    hand_over(&jobs[next].key, point);
+                }
+                next += 1;
+            }
         }
     });
 
     let mut outcome = RunOutcome::default();
-    for (job, slot) in jobs.iter().zip(slots) {
-        let (result, attempts) =
-            slot.into_inner().expect("slot lock").expect("pool drained every job");
+    for (job, result) in jobs.iter().zip(results) {
+        let (result, attempts) = result.expect("pool drained every job");
         if attempts > 1 {
             outcome.retries += 1;
         }
@@ -349,8 +394,8 @@ mod tests {
     #[test]
     fn pool_runs_all_jobs_any_width() {
         let jobs = tiny_jobs();
-        let serial = run_jobs(&jobs, 1, false);
-        let wide = run_jobs(&jobs, 4, false);
+        let serial = run_jobs(&jobs, 1, false, |_, _| {});
+        let wide = run_jobs(&jobs, 4, false, |_, _| {});
         assert_eq!(serial.points.len(), jobs.len());
         assert_eq!(wide.points.len(), jobs.len());
         assert!(serial.failures.is_empty() && wide.failures.is_empty());
@@ -371,7 +416,7 @@ mod tests {
         let mut jobs = tiny_jobs();
         jobs.insert(1, Job::new(jobs[0].key.workload, 2_000, poisoned));
 
-        let outcome = run_jobs(&jobs, 3, false);
+        let outcome = run_jobs(&jobs, 3, false, |_, _| {});
         assert_eq!(outcome.points.len(), jobs.len() - 1, "healthy jobs all completed");
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].key, jobs[1].key, "failure names the poisoned key");
@@ -389,7 +434,7 @@ mod tests {
     fn unknown_workload_panics_before_the_pool_starts() {
         let mut jobs = tiny_jobs();
         jobs.push(Job::new("no_such_workload", 2_000, CoreConfig::table2()));
-        let _ = run_jobs(&jobs, 2, false);
+        let _ = run_jobs(&jobs, 2, false, |_, _| {});
     }
 
     #[test]
@@ -438,6 +483,45 @@ mod tests {
         assert_eq!(traces.built.into_inner(), 8, "one trace per workload");
         let peak = peak.into_inner();
         assert!(peak <= workers + 1, "{peak} traces alive at once with {workers} workers");
+    }
+
+    #[test]
+    fn points_are_handed_over_in_order_while_the_pool_runs() {
+        // One worker runs the jobs in order. The last waits for the
+        // first's hand-over, which it gets only if a point is handed
+        // over before the pool drains; the failed job between them is
+        // passed over, not waited for.
+        let jobs: Vec<Job> =
+            ["a", "fails", "b"].map(|name| Job::new(name, 1_000, CoreConfig::table2())).into();
+        let (handed_tx, handed_rx) = mpsc::channel();
+        let handed_rx = Mutex::new(handed_rx);
+        let mut handed = Vec::new();
+        let outcome = run_pool(
+            &jobs,
+            1,
+            false,
+            |job| {
+                match job.key.workload {
+                    "fails" => panic!("always fails"),
+                    "b" => {
+                        let first = handed_rx
+                            .lock()
+                            .expect("receiver")
+                            .recv_timeout(Duration::from_secs(10));
+                        assert_eq!(first.ok(), Some(jobs[0].key.clone()), "no hand-over yet");
+                    }
+                    _ => {}
+                }
+                (SimPoint { stats: Default::default() }, CpiStack::default())
+            },
+            |key, _| {
+                handed.push(key.clone());
+                handed_tx.send(key.clone()).expect("the waiting job holds the receiver");
+            },
+        );
+        assert_eq!(outcome.failures.len(), 1, "only the failing job fails");
+        assert_eq!(outcome.retries, 1, "b got its hand-over on the first attempt");
+        assert_eq!(handed, [jobs[0].key.clone(), jobs[2].key.clone()]);
     }
 
     #[test]

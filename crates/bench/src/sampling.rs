@@ -576,6 +576,8 @@ pub fn run_sampled(
             break;
         }
 
+        // Each window reserves its budget as `fill` starts, so it is
+        // sized once instead of doubling its way there.
         let mut warm = Trace::default();
         let warmed = source.fill(warmup, &mut warm).expect("machine source cannot fail");
         run.warmup_insts += warmed;

@@ -75,12 +75,25 @@ pub struct CacheStats {
     pub overflow_events: u64,
 }
 
+/// `Cache::set_at` value of a set that has never been filled.
+const UNFILLED: u32 = u32::MAX;
+
 /// One cache level.
+///
+/// A set's lines exist from its first fill: a run that touches a few
+/// sets of an 8 MB level writes only those sets' lines. Every probe of
+/// a never-filled set misses, exactly as an all-invalid set would.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Every line, set by set: way `w` of set `s` is `lines[s * ways + w]`.
+    /// The lines of every filled set, set by set in first-fill order.
+    /// The capacity for all `sets × ways` lines is reserved at
+    /// construction, so a first fill never reallocates.
     lines: Vec<Line>,
+    /// Where each set's ways start in `lines`: way `w` of set `s` is
+    /// `lines[set_at[s] + w]`, or [`UNFILLED`] before the set's first
+    /// fill.
+    set_at: Vec<u32>,
     set_shift: u32,
     set_mask: u64,
     mshrs: Vec<(u64, u64)>, // (line address, completion cycle)
@@ -102,10 +115,12 @@ impl Cache {
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.num_sets();
+        assert!(sets * cfg.ways <= UNFILLED as usize, "{}: too many lines", cfg.name);
         Cache {
             set_shift: cfg.line_size.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            lines: vec![Line::default(); sets * cfg.ways], // audited(no-alloc-in-hot-path): constructor
+            lines: Vec::with_capacity(sets * cfg.ways), // audited(no-alloc-in-hot-path): constructor
+            set_at: vec![UNFILLED; sets], // audited(no-alloc-in-hot-path): constructor
             mshrs: Vec::with_capacity(cfg.mshrs), // audited(no-alloc-in-hot-path): constructor
             clock: 0,
             stats: CacheStats::default(),
@@ -129,9 +144,13 @@ impl Cache {
         (line & self.set_mask) as usize
     }
 
-    /// Where set `set`'s ways sit in `lines`.
+    /// Where set `set`'s ways sit in `lines`: an empty range before
+    /// the set's first fill.
     fn set_range(&self, set: usize) -> Range<usize> {
-        set * self.cfg.ways..(set + 1) * self.cfg.ways
+        match self.set_at[set] {
+            UNFILLED => 0..0,
+            at => at as usize..at as usize + self.cfg.ways,
+        }
     }
 
     fn tag_of(&self, line: u64) -> u64 {
@@ -184,6 +203,12 @@ impl Cache {
         let set_bits = self.set_mask.count_ones();
         if prefetch {
             sat_inc(&mut self.stats.prefetch_fills, &mut self.stats.overflow_events);
+        }
+        if self.set_at[set] == UNFILLED {
+            // The set's first fill gives it `ways` invalid lines, within
+            // the capacity reserved at construction.
+            self.set_at[set] = self.lines.len() as u32;
+            self.lines.resize(self.lines.len() + self.cfg.ways, Line::default());
         }
         let ways = self.set_range(set);
         let ways = &mut self.lines[ways];
@@ -259,7 +284,7 @@ impl tvp_verif::StorageBudget for Cache {
         // Per line: data + tag (48-bit VA minus set/offset bits) +
         // valid/dirty/prefetched + log2(ways) replacement state.
         let ways = self.cfg.ways as u64;
-        let sets = self.lines.len() as u64 / ways;
+        let sets = self.set_at.len() as u64;
         let set_bits = u64::from(self.set_mask.count_ones());
         let tag_bits = 48 - set_bits - u64::from(self.set_shift);
         let lru_bits = u64::from(ways.next_power_of_two().trailing_zeros());
@@ -356,6 +381,31 @@ mod tests {
         assert_eq!(c.stats().prefetch_useful, 1);
         let _ = c.access(0x1000, false);
         assert_eq!(c.stats().prefetch_useful, 1, "only first touch counts");
+    }
+
+    #[test]
+    fn filling_every_set_keeps_the_reserved_lines_and_the_budget() {
+        use tvp_verif::StorageBudget;
+        let mut c = tiny();
+        let (capacity, bits) = (c.lines.capacity(), c.storage_bits());
+        assert_eq!(capacity, 4 * 2, "room for every line is reserved up front");
+        assert!(c.lines.is_empty(), "no set is filled yet");
+        for set in 0..4u64 {
+            c.fill(set * 64, false);
+        }
+        assert_eq!(c.lines.len(), 4 * 2, "each filled set holds all its ways");
+        assert_eq!(c.lines.capacity(), capacity, "a first fill never reallocates");
+        assert_eq!(c.storage_bits(), bits, "the budget counts every set, filled or not");
+    }
+
+    #[test]
+    fn a_never_filled_set_misses() {
+        let mut c = tiny();
+        c.fill(0x0000, false);
+        assert_eq!(c.peek(0x0040), Probe::Miss, "set 1 has never been filled");
+        assert_eq!(c.access(0x0040, false), Probe::Miss);
+        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.lines.len(), 2, "a miss fills nothing");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::ops::Range;
 
 use tvp_isa::exec::{branch_taken, exec_alu, Operands};
 use tvp_isa::flags::Nzcv;
-use tvp_isa::inst::{AddrMode, Src2};
+use tvp_isa::inst::{AddrMode, Inst, Src2};
 use tvp_isa::op::Op;
 use tvp_isa::reg::{Reg, NUM_FP_REGS, NUM_INT_REGS, ZERO_REG_INDEX};
 
@@ -28,12 +28,19 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 
 /// Sparse byte-addressed memory. Untouched bytes read as zero.
 ///
+/// Each present page is 4 KiB of a chunk. A page that a store touches
+/// first gets a chunk of its own; a data segment handed over by value
+/// ([`SparseMem::adopt`]) becomes one chunk that backs, without a copy,
+/// every page it covers whole.
+///
 /// Addresses wrap past `u64::MAX` to 0, as effective-address
 /// arithmetic does. Every access is split at page boundaries, so one
 /// that fits inside a page costs one page-table lookup.
 #[derive(Default, Debug, Clone)]
 pub struct SparseMem {
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Page index → (chunk, byte offset of the page in the chunk).
+    pages: BTreeMap<u64, (usize, usize)>,
+    chunks: Vec<Box<[u8]>>,
 }
 
 /// Splits the `len` bytes starting at `addr` at page boundaries,
@@ -53,6 +60,24 @@ fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<
 }
 
 impl SparseMem {
+    /// The bytes of page `page`, if it is present.
+    fn page(&self, page: u64) -> Option<&[u8]> {
+        let &(chunk, at) = self.pages.get(&page)?;
+        Some(&self.chunks[chunk][at..at + PAGE_SIZE])
+    }
+
+    /// The bytes of page `page`, which gets a zeroed chunk of its own
+    /// if it is not yet present.
+    fn page_mut(&mut self, page: u64) -> &mut [u8] {
+        let SparseMem { pages, chunks } = self;
+        let &mut (chunk, at) = pages.entry(page).or_insert_with(|| {
+            // audited(no-alloc-in-hot-path): a page's first write, once per page
+            chunks.push(vec![0; PAGE_SIZE].into_boxed_slice());
+            (chunks.len() - 1, 0)
+        });
+        &mut chunks[chunk][at..at + PAGE_SIZE]
+    }
+
     /// Reads `size` bytes (1, 2, 4 or 8) little-endian. Never allocates
     /// a page.
     ///
@@ -64,7 +89,7 @@ impl SparseMem {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported read size {size}");
         let mut bytes = [0u8; 8];
         for (page, offset, span) in page_spans(addr, usize::from(size)) {
-            if let Some(data) = self.pages.get(&page) {
+            if let Some(data) = self.page(page) {
                 bytes[span.clone()].copy_from_slice(&data[offset..offset + span.len()]);
             }
         }
@@ -85,8 +110,36 @@ impl SparseMem {
     /// Allocates exactly the pages the bytes land on.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (page, offset, span) in page_spans(addr, bytes.len()) {
-            let data = self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_SIZE]));
-            data[offset..offset + span.len()].copy_from_slice(&bytes[span]);
+            self.page_mut(page)[offset..offset + span.len()].copy_from_slice(&bytes[span]);
+        }
+    }
+
+    /// Writes `bytes` at `addr` as [`SparseMem::write_bytes`] would,
+    /// keeping the buffer as the memory of every page it covers whole:
+    /// those pages are not copied. Bytes on a page the buffer covers in
+    /// part are copied, and so is the whole buffer when one of the
+    /// pages it covers whole is already present or when it wraps past
+    /// `u64::MAX`.
+    pub fn adopt(&mut self, addr: u64, mut bytes: Vec<u8>) {
+        let len = bytes.len();
+        // Bytes before the first page boundary at or after `addr`.
+        let head = (PAGE_SIZE - (addr as usize & (PAGE_SIZE - 1))) % PAGE_SIZE;
+        let whole = len.saturating_sub(head) / PAGE_SIZE;
+        let wraps = len > 0 && addr.checked_add(len as u64 - 1).is_none();
+        let first = addr.wrapping_add(head as u64) >> PAGE_SHIFT;
+        let pages = first..first + whole as u64;
+        if whole == 0 || wraps || self.pages.range(pages.clone()).next().is_some() {
+            self.write_bytes(addr, &bytes);
+            return;
+        }
+        let tail = head + whole * PAGE_SIZE;
+        self.write_bytes(addr, &bytes[..head]);
+        self.write_bytes(addr.wrapping_add(tail as u64), &bytes[tail..]);
+        bytes.truncate(tail);
+        let chunk = self.chunks.len();
+        self.chunks.push(bytes.into_boxed_slice());
+        for (k, page) in pages.enumerate() {
+            self.pages.insert(page, (chunk, head + k * PAGE_SIZE));
         }
     }
 
@@ -97,11 +150,8 @@ impl SparseMem {
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        for (page, data) in &self.pages {
-            if data.iter().all(|&b| b == 0) {
-                continue;
-            }
-            h = fnv_mix(h, *page);
+        for (page, data) in self.nonzero_pages() {
+            h = fnv_mix(h, page);
             for (i, &b) in data.iter().enumerate() {
                 if b != 0 {
                     h = fnv_mix(h, ((i as u64) << 8) | u64::from(b));
@@ -117,8 +167,8 @@ impl SparseMem {
     pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
         self.pages
             .iter()
+            .map(|(&page, &(chunk, at))| (page, &self.chunks[chunk][at..at + PAGE_SIZE]))
             .filter(|(_, data)| data.iter().any(|&b| b != 0))
-            .map(|(&page, data)| (page, &data[..]))
     }
 
     /// Installs a full page image at `page_index` (checkpoint restore).
@@ -128,8 +178,7 @@ impl SparseMem {
     /// Panics when `bytes` is not exactly one page long.
     pub fn install_page(&mut self, page_index: u64, bytes: &[u8]) {
         assert_eq!(bytes.len(), PAGE_SIZE, "page image must be {PAGE_SIZE} bytes");
-        let page = self.pages.entry(page_index).or_insert_with(|| Box::new([0; PAGE_SIZE]));
-        page.copy_from_slice(bytes);
+        self.page_mut(page_index).copy_from_slice(bytes);
     }
 }
 
@@ -214,6 +263,7 @@ impl ArchSnapshot {
                 self.reg(base).wrapping_add(self.reg(index) << shift)
             }
             AddrMode::PreIndex { .. } | AddrMode::PostIndex { .. } => {
+                // audited(no-panic-in-hot-path): assembly expands writeback addressing away
                 unreachable!("writeback addressing is removed by µop expansion")
             }
         }
@@ -267,9 +317,10 @@ impl Machine {
         self.arch.mem.read(addr, size)
     }
 
-    /// Bulk memory initialisation (workload data segments).
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        self.arch.mem.write_bytes(addr, bytes);
+    /// Bulk memory initialisation: hands a data segment over to memory
+    /// without copying the pages it covers whole ([`SparseMem::adopt`]).
+    pub(crate) fn adopt_bytes(&mut self, addr: u64, bytes: Vec<u8>) {
+        self.arch.mem.adopt(addr, bytes);
     }
 
     /// Current program counter.
@@ -305,7 +356,8 @@ impl Machine {
     /// `out`. Returns `false` when the machine has halted (PC left the
     /// text segment).
     pub fn step_into(&mut self, out: &mut Trace) -> bool {
-        if !self.step_exec(|rec| out.uops.push(rec)) {
+        let pc = self.arch.pc;
+        if !self.step_exec(|uop, fx| out.uops.push(fx.record(pc, uop))) {
             return false;
         }
         out.arch_insts += 1;
@@ -317,7 +369,7 @@ impl Machine {
     /// Sequence numbers still advance so every µop keeps its global
     /// position in the dynamic instruction stream.
     pub fn step_quiet(&mut self) -> bool {
-        self.step_exec(|_| ())
+        self.step_exec(|_, _| ())
     }
 
     /// Functionally executes up to `max_arch_insts` instructions
@@ -332,27 +384,18 @@ impl Machine {
     }
 
     /// Executes one architectural instruction — the µops its text slot
-    /// decoded to at assembly — handing each annotated µop record to
-    /// `emit`. Returns `false` (without calling `emit`) when the
+    /// decoded to at assembly — handing each µop and what it produced
+    /// to `emit`. Returns `false` (without calling `emit`) when the
     /// machine has halted.
-    fn step_exec(&mut self, mut emit: impl FnMut(TraceUop)) -> bool {
+    fn step_exec(&mut self, mut emit: impl FnMut(&Inst, Effects)) -> bool {
         let Machine { program, arch, seq } = self;
         let pc = arch.pc;
         let Some(uops) = program.fetch(pc) else {
             return false;
         };
         let mut next_pc = pc + INST_BYTES;
-        for (k, &uop) in uops.iter().enumerate() {
-            let mut rec = TraceUop {
-                seq: *seq,
-                pc,
-                uop,
-                first_uop: k == 0,
-                result: None,
-                flags_out: None,
-                mem_addr: None,
-                branch: None,
-            };
+        for (k, uop) in uops.iter().enumerate() {
+            let mut fx = Effects { seq: *seq, first_uop: k == 0, ..Effects::default() };
             *seq += 1;
             match uop.op {
                 Op::Load { size, signed } => {
@@ -366,14 +409,14 @@ impl Machine {
                     };
                     let dst = uop.dst.expect("load has a destination");
                     arch.set_reg(dst, value);
-                    rec.mem_addr = Some(addr);
-                    rec.result = Some(value);
+                    fx.mem_addr = Some(addr);
+                    fx.result = Some(value);
                 }
                 Op::Store { size } => {
                     let addr = arch.effective_addr(uop.addr.expect("store has addressing"));
                     let data = arch.reg(uop.src1.expect("store has a data register"));
                     arch.mem.write(addr, size, data);
-                    rec.mem_addr = Some(addr);
+                    fx.mem_addr = Some(addr);
                 }
                 op if op.is_branch() => {
                     let src = uop.src1.map_or(0, |r| arch.reg(r));
@@ -385,12 +428,12 @@ impl Machine {
                     if matches!(op, Op::Bl | Op::Blr) {
                         let link = pc + INST_BYTES;
                         arch.set_reg(Reg::Int(30), link);
-                        rec.result = Some(link);
+                        fx.result = Some(link);
                     }
                     if taken {
                         next_pc = target;
                     }
-                    rec.branch = Some(BranchOutcome {
+                    fx.branch = Some(BranchOutcome {
                         taken,
                         target: if taken { target } else { pc + INST_BYTES },
                     });
@@ -405,30 +448,67 @@ impl Machine {
                     let r = exec_alu(op, uop.width, uop.sets_flags, ops);
                     if let Some(dst) = uop.dst {
                         arch.set_reg(dst, r.value);
-                        rec.result = Some(r.value);
+                        fx.result = Some(r.value);
                     }
                     if let Some(f) = r.flags {
                         arch.flags = f;
-                        rec.flags_out = Some(f);
+                        fx.flags_out = Some(f);
                     }
                 }
             }
-            emit(rec);
+            emit(uop, fx);
         }
         arch.pc = next_pc;
         true
     }
 
     /// Runs up to `max_arch_insts` architectural instructions (or until
-    /// the machine halts) and returns the trace.
+    /// the machine halts) and returns the trace, whose records are
+    /// reserved once from the budget.
     pub fn run(&mut self, max_arch_insts: u64) -> Trace {
         let mut trace = Trace::default();
-        for _ in 0..max_arch_insts {
-            if !self.step_into(&mut trace) {
-                break;
-            }
-        }
+        self.run_into(max_arch_insts, &mut trace);
         trace
+    }
+
+    /// Runs up to `max_arch_insts` architectural instructions (or until
+    /// the machine halts), appending their µops to `out`, and returns
+    /// how many ran.
+    ///
+    /// `out` first reserves one record per instruction: every
+    /// instruction yields at least one µop, so a trace of one µop per
+    /// instruction never reallocates and one that expands (to at most
+    /// two µops an instruction) reallocates once. A reservation the allocator refuses (a budget of
+    /// `u64::MAX`, say) leaves `out` to grow as it fills.
+    pub(crate) fn run_into(&mut self, max_arch_insts: u64, out: &mut Trace) -> u64 {
+        let budget = usize::try_from(max_arch_insts).unwrap_or(usize::MAX);
+        // A refused reservation is not an error: the trace grows instead.
+        let _ = out.uops.try_reserve(budget);
+        let mut done = 0;
+        while done < max_arch_insts && self.step_into(out) {
+            done += 1;
+        }
+        done
+    }
+}
+
+/// What executing one µop produced: every field of its [`TraceUop`]
+/// beyond the µop itself and its instruction's PC.
+#[derive(Default)]
+struct Effects {
+    seq: u64,
+    first_uop: bool,
+    result: Option<u64>,
+    flags_out: Option<Nzcv>,
+    mem_addr: Option<u64>,
+    branch: Option<BranchOutcome>,
+}
+
+impl Effects {
+    /// The trace record of `uop`, executed at `pc`.
+    fn record(self, pc: u64, uop: &Inst) -> TraceUop {
+        let Effects { seq, first_uop, result, flags_out, mem_addr, branch } = self;
+        TraceUop { seq, pc, uop: *uop, first_uop, result, flags_out, mem_addr, branch }
     }
 }
 
@@ -678,6 +758,27 @@ mod tests {
     }
 
     #[test]
+    fn adopting_a_segment_keeps_its_buffer_as_the_pages() {
+        let mut bytes = vec![0u8; 3 * PAGE_SIZE + 100];
+        bytes[5] = 1;
+        bytes[3 * PAGE_SIZE + 99] = 2;
+        let buffer = bytes.as_ptr();
+        let mut m = SparseMem::default();
+        m.write(0x10_0000 + 3 * PAGE_SIZE as u64 + 200, 1, 3); // the tail page exists
+        m.adopt(0x10_0000, bytes);
+        assert_eq!(m.chunks.len(), 2, "one chunk for the present page, one adopted");
+        assert_eq!(m.chunks[1].as_ptr(), buffer, "the three whole pages are not copied");
+        assert_eq!(m.read(0x10_0005, 1), 1);
+        assert_eq!(m.read(0x10_0000 + 3 * PAGE_SIZE as u64 + 99, 1), 2, "the tail is copied");
+        assert_eq!(m.read(0x10_0000 + 3 * PAGE_SIZE as u64 + 200, 1), 3);
+
+        // A segment over a page that is already present is copied.
+        m.adopt(0x10_0000 + 2 * PAGE_SIZE as u64, vec![7; 3 * PAGE_SIZE]);
+        assert_eq!(m.chunks.len(), 3, "the fifth page is new; the rest are copied into");
+        assert_eq!(m.read(0x10_0000 + 4 * PAGE_SIZE as u64 + 8, 1), 7);
+    }
+
+    #[test]
     fn sparse_memory_defaults_to_zero() {
         let m = SparseMem::default();
         assert_eq!(m.read(0xDEAD_BEEF, 8), 0);
@@ -704,7 +805,7 @@ mod tests {
         let mut a = Asm::new();
         a.i(nop());
         let mut machine = Machine::new(a.assemble().unwrap());
-        machine.write_bytes(u64::MAX, &[0x11, 0x22]);
+        machine.adopt_bytes(u64::MAX, vec![0x11, 0x22]);
         assert_eq!(machine.read_mem(u64::MAX, 2), 0x2211);
         assert_eq!(machine.read_mem(0, 1), 0x22);
     }

@@ -460,7 +460,8 @@ pub trait TraceSource {
 }
 
 /// [`TraceSource`] that executes the functional machine on demand:
-/// `skip` fast-forwards architecturally, `fill` emits annotated µops.
+/// `skip` fast-forwards architecturally, `fill` emits annotated µops
+/// into a trace that first reserves room for one record per instruction.
 #[derive(Debug)]
 pub struct MachineSource {
     m: Machine,
@@ -482,11 +483,7 @@ impl MachineSource {
 
 impl TraceSource for MachineSource {
     fn fill(&mut self, arch_insts: u64, out: &mut Trace) -> Result<u64, TraceFileError> {
-        let mut done = 0;
-        while done < arch_insts && self.m.step_into(out) {
-            done += 1;
-        }
-        Ok(done)
+        Ok(self.m.run_into(arch_insts, out))
     }
 
     fn skip(&mut self, arch_insts: u64) -> Result<u64, TraceFileError> {

@@ -118,7 +118,76 @@ fn mem_op() -> impl Strategy<Value = MemOp> {
     ]
 }
 
+/// `len` bytes drawn from `seed`, about a third of them zero.
+fn segment_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = TestRng::new(seed);
+    (0..len)
+        .map(|_| match rng.next_u64() {
+            r if r % 3 == 0 => 0,
+            r => (r >> 8) as u8,
+        })
+        .collect()
+}
+
+/// A data segment in the first eight pages, page-aligned or not, of up
+/// to three and a half pages: segments overlap and end mid-page.
+fn segment() -> impl Strategy<Value = (u64, Vec<u8>)> {
+    let page = PAGE_BYTES as u64;
+    (0u64..8, any::<bool>(), 0u64..page, 0usize..=7 * PAGE_BYTES / 2, any::<u64>()).prop_map(
+        move |(at, aligned, offset, len, seed)| {
+            let base = at * page + if aligned { 0 } else { offset };
+            (base, segment_bytes(seed, len))
+        },
+    )
+}
+
+/// Asserts that two memories hold the same page images and digest,
+/// and read the same at every probe.
+fn assert_same_memory(adopted: &SparseMem, copied: &SparseMem, probes: &[(u64, u8)]) {
+    assert!(adopted.nonzero_pages().eq(copied.nonzero_pages()), "page images differ");
+    assert_eq!(adopted.digest(), copied.digest());
+    for &(addr, size) in probes {
+        assert_eq!(adopted.read(addr, size), copied.read(addr, size), "read({addr:#x}, {size})");
+    }
+}
+
 proptest! {
+    #[test]
+    fn adopting_segments_equals_copying_them(
+        low in proptest::collection::vec(segment(), 1..8),
+        top in (1usize..3 * PAGE_BYTES, any::<u64>()),
+        wrap in (1u64..PAGE_BYTES as u64, 1usize..2 * PAGE_BYTES, any::<u64>()),
+        probes in proptest::collection::vec((any::<u64>(), access_size()), 200..201),
+        writes in proptest::collection::vec((boundary_addr(), access_size(), any::<u64>()), 0..60),
+    ) {
+        // The low segments, one ending at u64::MAX, and one starting
+        // below it that may wrap to the bottom of the address space
+        // over pages the low segments hold.
+        let mut segments = low;
+        segments.push((0u64.wrapping_sub(top.0 as u64), segment_bytes(top.1, top.0)));
+        segments.push((0u64.wrapping_sub(wrap.0), segment_bytes(wrap.2, wrap.1)));
+        let (mut adopted, mut copied) = (SparseMem::default(), SparseMem::default());
+        for (base, bytes) in segments {
+            copied.write_bytes(base, &bytes);
+            adopted.adopt(base, bytes);
+        }
+        // Probes near the bottom of the address space and near its top.
+        let span = 12 * PAGE_BYTES as u64;
+        let probes: Vec<(u64, u8)> = probes
+            .into_iter()
+            .map(|(r, size)| {
+                let at = (r >> 1) % span;
+                (if r & 1 == 0 { at } else { 0u64.wrapping_sub(at) }, size)
+            })
+            .collect();
+        assert_same_memory(&adopted, &copied, &probes);
+        for (addr, size, value) in writes {
+            adopted.write(addr, size, value);
+            copied.write(addr, size, value);
+        }
+        assert_same_memory(&adopted, &copied, &probes);
+    }
+
     #[test]
     fn sparse_memory_read_after_write(
         writes in proptest::collection::vec((0u64..0x10_0000, 0u8..4, any::<u64>()), 1..50),

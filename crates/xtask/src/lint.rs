@@ -169,6 +169,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/predictors/src/tagged.rs",
     "crates/predictors/src/util.rs",
     "crates/predictors/src/vtage.rs",
+    // The functional machine's step: the sampled stream's inner loop.
+    "crates/workloads/src/machine.rs",
 ];
 
 /// Architectural-state modules (rule 3). The FP datapath

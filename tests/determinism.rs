@@ -36,7 +36,7 @@ fn run_into_cache(jobs: &[Job], workers: usize) -> (ResultCache, u64) {
         cache.request(job);
     }
     let schedule = cache.take_scheduled();
-    let outcome = run_jobs(&schedule, workers, false);
+    let outcome = run_jobs(&schedule, workers, false, |_, _| {});
     assert!(outcome.failures.is_empty(), "unexpected failures: {:?}", outcome.failures);
     for (key, point) in outcome.points {
         cache.insert(key, point);
