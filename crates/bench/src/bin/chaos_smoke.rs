@@ -29,14 +29,14 @@ fn main() {
     let mut failures = 0u32;
     for w in tvp_workloads::suite() {
         let mut machine = w.machine();
-        let init = machine.arch_snapshot();
+        let init = machine.clone();
         let trace = machine.run(INSTS);
         let golden = machine.arch_snapshot();
 
         let cfg =
             CoreConfig::with_vp(VpMode::Gvp).with_spsr().with_chaos(ChaosConfig::campaign(SEED));
         let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
+        core.enable_oracle(init);
         core.enable_audit(1_000);
         let stats = core.run(&trace);
 
@@ -69,12 +69,11 @@ fn main() {
     // a workload where the campaign provokes value-misprediction
     // flushes, and the divergence must carry the replaying seed.
     let w = tvp_workloads::suite::by_name("pointer_chase").expect("bundled workload");
-    let mut machine = w.machine();
-    let init = machine.arch_snapshot();
-    let trace = machine.run(12_000);
+    let machine = w.machine();
+    let trace = machine.clone().run(12_000);
     let cfg = CoreConfig::with_vp(VpMode::Gvp).with_chaos(ChaosConfig::sabotaged_campaign(SEED));
     let mut core = Core::new(cfg);
-    core.enable_oracle(&init);
+    core.enable_oracle(machine);
     let _stats = core.run(&trace);
     match core.oracle_divergence() {
         Some(d) if matches!(d.kind, DivergenceKind::Order { .. }) && d.chaos_seed == Some(SEED) => {

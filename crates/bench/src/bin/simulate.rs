@@ -228,14 +228,14 @@ fn main() {
 
     eprintln!("generating trace: {name} ({insts} arch insts)...");
     let mut machine = workload.machine();
-    let init = machine.arch_snapshot();
+    let init = oracle.then(|| machine.clone());
     let trace = machine.run(insts);
-    let golden = machine.arch_snapshot();
+    let golden = oracle.then(|| machine.arch_snapshot());
     eprintln!("simulating...");
     let mut core = Core::new(cfg.clone());
     core.enable_audit(1_000);
-    if oracle {
-        core.enable_oracle(&init);
+    if let Some(init) = init {
+        core.enable_oracle(init);
     }
     if trace_out.is_some() {
         core.enable_tracing(tvp_core::pipeline::DEFAULT_TRACE_CAPACITY);
@@ -300,23 +300,22 @@ fn main() {
         outln!("speedup                {:>11.2}%", (s.speedup_over(&base) - 1.0) * 100.0);
     }
 
-    // Verification gates, most root-cause first. Each prints the
-    // reproducing chaos seed (the Divergence embeds it; the others
-    // print it explicitly).
-    let divergence = core.oracle_divergence().cloned().or_else(|| {
-        if oracle {
-            core.oracle_final_check(&golden)
-        } else {
-            None
-        }
-    });
-    if let Some(d) = divergence {
+    // Verification gates, most root-cause first: a lockstep
+    // divergence, a watchdog trip, then the final state, which only a
+    // run that finished can be held to. Each prints the reproducing
+    // chaos seed (the Divergence embeds it; the others print it
+    // explicitly).
+    if let Some(d) = core.oracle_divergence() {
         eprintln!("FATAL: {d}");
         std::process::exit(3);
     }
     if let Some(diag) = core.watchdog_diagnostic() {
         eprintln!("FATAL: {diag}{}", seed_note(core.chaos_seed()));
         std::process::exit(4);
+    }
+    if let Some(d) = golden.and_then(|golden| core.oracle_final_check(&golden)) {
+        eprintln!("FATAL: {d}");
+        std::process::exit(3);
     }
     if let Some(summary) = core.audit_report().first_violation_summary() {
         eprintln!("FATAL: invariant auditor violation: {summary}{}", seed_note(core.chaos_seed()));

@@ -221,21 +221,27 @@ fn simulate_rejects_flags_its_mode_ignores() {
 }
 
 /// A watchdog trip in a sampled run exits 4 with the deadlock dump,
-/// as it does in a full run, not with a panic (exit 101).
+/// as it does in a full run, not with a panic (exit 101). So does a
+/// full run under `--oracle`: the oracle's final-state check is for
+/// runs that finished, and must not report an unfinished one as a
+/// divergence (exit 3).
 #[test]
 fn simulate_sampled_watchdog_trip_is_fatal() {
-    let out = run(
-        env!("CARGO_BIN_EXE_simulate"),
+    let runs: [&[&str]; 2] = [
         &["pointer_chase", "--insts", "20000", "--sample", "20000:5000:5000", "--watchdog", "1"],
-        &[],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(4), "stderr: {stderr}");
-    assert!(
-        stderr.lines().any(|l| l.starts_with("FATAL: pipeline made no commit progress")),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("panicked"), "{stderr}");
+        &["pointer_chase", "--insts", "5000", "--oracle", "--watchdog", "1"],
+    ];
+    for args in runs {
+        let out = run(env!("CARGO_BIN_EXE_simulate"), args, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("FATAL: pipeline made no commit progress")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("commit-oracle divergence"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 /// An I/O failure the run cannot continue past exits 2 with one

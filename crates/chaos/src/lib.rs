@@ -11,21 +11,22 @@
 //!   [`FaultKind`]: forced VP mispredictions, VTAGE/TAGE/BTB/store-set
 //!   table corruption, branch-verdict inversion, cache latency noise
 //!   and prefetch drops. A campaign replays exactly from its seed.
-//! * [`CommitOracle`] — a golden model running the `tvp-isa`
-//!   functional semantics in lockstep with the pipeline's commit
-//!   stream. Under *any* fault campaign the committed state must match
-//!   the functional machine; the first [`Divergence`] is reported with
-//!   (seq, what, expected, got) and the replaying seed.
+//! * [`CommitOracle`] — a golden model that replays the functional
+//!   machine in lockstep with the pipeline's commit stream. Under *any*
+//!   fault campaign every committed µop must be the record the machine
+//!   emitted; the first [`Divergence`] is reported with (seq, what,
+//!   expected, got) and the replaying seed.
 //! * [`Watchdog`] — detects no-commit-progress and yields a structured
 //!   [`DeadlockDiagnostic`] instead of a hang.
 //! * [`Sabotage`] — deliberate recovery breakage for broken-fixture
 //!   tests proving the oracle actually catches bugs.
 //!
-//! The crate deliberately depends only on `tvp-isa` (semantics) and
-//! `tvp-workloads` (traces, architectural snapshots); the timing core
-//! hosts the engine and feeds the oracle, and predictor/memory
-//! structures expose tiny `inject_fault` hooks that consume the
-//! engine's entropy. See DESIGN.md §9.
+//! The crate deliberately depends only on `tvp-isa` (µop kinds and
+//! flags) and `tvp-workloads` (the functional machine, its traces and
+//! architectural snapshots); the timing core hosts the engine and
+//! feeds the oracle, and predictor/memory structures expose tiny
+//! `inject_fault` hooks that consume the engine's entropy. See
+//! DESIGN.md §9.
 
 pub mod engine;
 pub mod fault;

@@ -2,27 +2,25 @@
 //!
 //! The timing core never computes architectural values — it replays
 //! the functional trace — so a *correct* pipeline commits exactly the
-//! µop sequence the functional machine executed: every sequence
-//! number once, in order, with results that re-execute cleanly from
-//! the initial architectural state. [`CommitOracle`] checks that in
-//! lockstep: it holds its own architectural state (registers, flags,
-//! PC, sparse memory), re-executes every committed µop through the
-//! `tvp-isa` functional semantics ([`exec_alu`]/[`branch_taken`]) and
-//! compares against the trace annotations. Any recovery bug that
-//! skips, duplicates or reorders committed work — e.g. a squash that
-//! forgets to roll the trace cursor back — surfaces as the first
-//! [`Divergence`], with enough context to replay the campaign.
+//! records the functional machine emitted: every sequence number once,
+//! in order, each record as the machine wrote it. [`CommitOracle`]
+//! checks that in lockstep against the functional machine itself: it
+//! holds a [`Machine`] in the state the traced run started from, steps
+//! it one instruction ([`Machine::step_into`]) once the commit stream
+//! has consumed the previous instruction's records, and compares each
+//! committed [`TraceUop`] with the record the machine emitted for it.
+//! Any recovery bug that skips, duplicates, reorders or alters
+//! committed work — e.g. a squash that forgets to roll the trace cursor
+//! back — surfaces as the first [`Divergence`], with enough context to
+//! replay the campaign.
 
 use std::fmt;
 
-use tvp_isa::exec::{branch_taken, exec_alu, Operands};
 use tvp_isa::flags::Nzcv;
-use tvp_isa::inst::{AddrMode, Src2};
 use tvp_isa::op::Op;
-use tvp_isa::reg::{Reg, NUM_FP_REGS, NUM_INT_REGS, ZERO_REG_INDEX};
-use tvp_workloads::machine::{ArchSnapshot, SparseMem};
-use tvp_workloads::program::INST_BYTES;
-use tvp_workloads::trace::{BranchOutcome, TraceUop};
+use tvp_isa::stream::fnv1a;
+use tvp_workloads::machine::{ArchSnapshot, Machine};
+use tvp_workloads::trace::{BranchOutcome, Trace, TraceUop};
 
 /// What diverged between the pipeline's commit stream and the golden
 /// model.
@@ -39,29 +37,24 @@ pub enum DivergenceKind {
         /// The PC the golden model expected.
         expected_pc: u64,
     },
-    /// A re-executed value (result, address, flags, link) disagrees
-    /// with the trace annotation.
+    /// A field of the committed record (address, value, flags, link,
+    /// or the µop itself) disagrees with the golden model's record.
     Mismatch {
-        /// Which quantity diverged.
+        /// Which quantity diverged. `"µop"` compares digests of the two
+        /// whole records, when only a field with no numeric form
+        /// differs.
         what: &'static str,
         /// Golden-model value.
         expected: u64,
-        /// Trace-annotated value (`u64::MAX` when the annotation is
-        /// absent).
+        /// Committed value (`u64::MAX` when the field is absent).
         got: u64,
     },
-    /// A branch resolved differently than the trace recorded.
+    /// A branch resolved differently than the golden model's.
     Branch {
         /// Golden-model branch resolution.
         expected: BranchOutcome,
-        /// Trace-annotated resolution, if any.
+        /// Committed resolution, if any.
         got: Option<BranchOutcome>,
-    },
-    /// A µop is structurally malformed (missing operand/addressing);
-    /// committed state can no longer be interpreted.
-    Malformed {
-        /// What was missing.
-        what: &'static str,
     },
     /// Post-run architectural state differs from the functional
     /// machine's final state.
@@ -71,7 +64,7 @@ pub enum DivergenceKind {
         what: String,
         /// Golden final value.
         expected: u64,
-        /// Oracle's reconstructed value.
+        /// The state the commit stream reached.
         got: u64,
     },
 }
@@ -129,7 +122,6 @@ impl fmt::Display for Divergence {
             DivergenceKind::Branch { expected, got } => {
                 write!(f, "branch outcome: expected {expected:?}, got {got:?}")?;
             }
-            DivergenceKind::Malformed { what } => write!(f, "malformed µop: {what}")?,
             DivergenceKind::FinalState { what, expected, got } => {
                 write!(f, "final {what}: expected {expected:#x}, got {got:#x}")?;
             }
@@ -147,40 +139,25 @@ impl fmt::Display for Divergence {
 /// Lockstep golden model fed by the pipeline's commit stage.
 #[derive(Clone, Debug)]
 pub struct CommitOracle {
-    int: [u64; NUM_INT_REGS as usize],
-    fp: [u64; NUM_FP_REGS as usize],
-    flags: Nzcv,
-    mem: SparseMem,
-    /// Next expected global sequence number.
-    next_seq: u64,
-    /// Expected PC of the next architectural instruction.
-    next_pc: u64,
-    /// PC of the architectural instruction currently committing.
-    cur_pc: u64,
-    /// Next-instruction PC as resolved so far by the current
-    /// instruction's µops (fall-through until a taken branch).
-    pending_next_pc: u64,
+    /// The functional machine, at most one instruction ahead of the
+    /// commit stream.
+    machine: Machine,
+    /// The records the machine emitted for the instruction it executed
+    /// last; the buffer is reused from step to step.
+    inst: Trace,
+    /// How many of `inst`'s records have committed.
+    next: usize,
     commits: u64,
     poisoned: bool,
 }
 
 impl CommitOracle {
-    /// Creates an oracle from the pre-run architectural state (the
-    /// same snapshot the functional machine started the trace from).
+    /// Creates an oracle whose golden model is `machine`, which must be
+    /// in the state the traced run started from: a clone of the
+    /// machine taken before it produced the trace.
     #[must_use]
-    pub fn new(init: &ArchSnapshot) -> Self {
-        CommitOracle {
-            int: init.int,
-            fp: init.fp,
-            flags: init.flags,
-            mem: init.mem.clone(),
-            next_seq: 0,
-            next_pc: init.pc,
-            cur_pc: init.pc,
-            pending_next_pc: init.pc,
-            commits: 0,
-            poisoned: false,
-        }
+    pub fn new(machine: Machine) -> Self {
+        CommitOracle { machine, inst: Trace::default(), next: 0, commits: 0, poisoned: false }
     }
 
     /// Number of µops validated so far.
@@ -189,58 +166,14 @@ impl CommitOracle {
         self.commits
     }
 
-    /// The oracle's current architectural state.
+    /// The golden model's current architectural state.
     #[must_use]
     pub fn snapshot(&self) -> ArchSnapshot {
-        ArchSnapshot {
-            int: self.int,
-            fp: self.fp,
-            flags: self.flags,
-            pc: self.next_pc,
-            mem: self.mem.clone(),
-        }
+        self.machine.arch_snapshot()
     }
 
-    fn reg(&self, r: Reg) -> u64 {
-        match r {
-            Reg::Int(ZERO_REG_INDEX) => 0,
-            Reg::Int(i) => self.int[usize::from(i)],
-            Reg::Fp(i) => self.fp[usize::from(i)],
-            Reg::Nzcv => u64::from(self.flags.pack()),
-        }
-    }
-
-    fn set_reg(&mut self, r: Reg, value: u64) {
-        match r {
-            Reg::Int(ZERO_REG_INDEX) => {}
-            Reg::Int(i) => self.int[usize::from(i)] = value,
-            Reg::Fp(i) => self.fp[usize::from(i)] = value,
-            Reg::Nzcv => self.flags = Nzcv::unpack(value as u8),
-        }
-    }
-
-    fn src2_value(&self, s: Src2) -> u64 {
-        match s {
-            Src2::None => 0,
-            Src2::Reg(r) => self.reg(r),
-            Src2::Imm(i) => i as u64,
-        }
-    }
-
-    fn effective_addr(&self, addr: AddrMode) -> Option<u64> {
-        match addr {
-            AddrMode::BaseDisp { base, disp } => Some(self.reg(base).wrapping_add(disp as u64)),
-            AddrMode::BaseIndex { base, index, shift } => {
-                Some(self.reg(base).wrapping_add(self.reg(index) << shift))
-            }
-            // Writeback addressing is removed by µop expansion; seeing
-            // it at commit means the stream is corrupt.
-            AddrMode::PreIndex { .. } | AddrMode::PostIndex { .. } => None,
-        }
-    }
-
-    /// Validates one committed µop against the golden model, updating
-    /// the model's architectural state.
+    /// Validates one committed µop against the golden model, stepping
+    /// the model when the µop starts a new instruction.
     ///
     /// After the first divergence the oracle is *poisoned*: further
     /// calls are no-ops returning `Ok`, so the caller keeps only the
@@ -273,8 +206,9 @@ impl CommitOracle {
         }
     }
 
-    /// Compares the oracle's post-run state against the functional
-    /// machine's final snapshot. Returns the first mismatch, if any.
+    /// Compares the state the commit stream reached against the
+    /// functional machine's final snapshot. Returns the first mismatch,
+    /// if any.
     #[must_use]
     pub fn final_check(&self, golden: &ArchSnapshot) -> Option<Divergence> {
         if self.poisoned {
@@ -282,185 +216,105 @@ impl CommitOracle {
             // is not meaningful past that point.
             return None;
         }
-        let wrap = |what: String, expected: u64, got: u64| Divergence {
+        let (seq, pc) = match self.next.checked_sub(1) {
+            Some(last) => (self.inst.uops[last].seq, self.inst.uops[last].pc),
+            None => (self.machine.seq().saturating_sub(1), self.machine.pc()),
+        };
+        let wrap = |kind| Divergence {
             // audited(no-alloc-in-hot-path): divergence construction — error path, runs at most once
             history: Vec::new(),
-            seq: self.next_seq.saturating_sub(1),
-            pc: self.cur_pc,
-            kind: DivergenceKind::FinalState { what, expected, got },
+            seq,
+            pc,
+            kind,
             chaos_seed: None,
         };
-        for i in 0..self.int.len() {
-            if self.int[i] != golden.int[i] {
-                return Some(wrap(format!("x{i}"), golden.int[i], self.int[i])); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
+        // The model has executed a whole instruction the stream left
+        // half committed.
+        if let Some(u) = self.inst.uops.get(self.next) {
+            return Some(wrap(DivergenceKind::Order { expected_seq: u.seq }));
+        }
+        let state =
+            |what, expected, got| Some(wrap(DivergenceKind::FinalState { what, expected, got }));
+        let ours = self.machine.arch_snapshot();
+        for i in 0..ours.int.len() {
+            if ours.int[i] != golden.int[i] {
+                return state(format!("x{i}"), golden.int[i], ours.int[i]); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
             }
         }
-        for i in 0..self.fp.len() {
-            if self.fp[i] != golden.fp[i] {
-                return Some(wrap(format!("v{i}"), golden.fp[i], self.fp[i])); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
+        for i in 0..ours.fp.len() {
+            if ours.fp[i] != golden.fp[i] {
+                return state(format!("v{i}"), golden.fp[i], ours.fp[i]); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
             }
         }
-        if self.flags.pack() != golden.flags.pack() {
-            return Some(wrap(
+        if ours.flags.pack() != golden.flags.pack() {
+            return state(
                 "flags".to_owned(), // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
                 u64::from(golden.flags.pack()),
-                u64::from(self.flags.pack()),
-            ));
+                u64::from(ours.flags.pack()),
+            );
         }
-        if self.next_pc != golden.pc {
-            return Some(wrap("pc".to_owned(), golden.pc, self.next_pc)); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
+        if ours.pc != golden.pc {
+            return state("pc".to_owned(), golden.pc, ours.pc); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
         }
-        let (want, got) = (golden.mem.digest(), self.mem.digest());
+        let (want, got) = (golden.mem.digest(), ours.mem.digest());
         if want != got {
-            return Some(wrap("memory digest".to_owned(), want, got)); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
+            return state("memory digest".to_owned(), want, got); // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
         }
         None
     }
 
     fn check(&mut self, u: &TraceUop) -> Result<(), DivergenceKind> {
-        if u.seq != self.next_seq {
-            return Err(DivergenceKind::Order { expected_seq: self.next_seq });
-        }
-        self.next_seq += 1;
-        if u.first_uop {
-            if u.pc != self.next_pc {
-                return Err(DivergenceKind::Pc { expected_pc: self.next_pc });
+        if self.next == self.inst.uops.len() {
+            self.inst.uops.clear();
+            self.next = 0;
+            if !self.machine.step_into(&mut self.inst) {
+                // The machine has halted: nothing more may commit.
+                return Err(DivergenceKind::Order { expected_seq: self.machine.seq() });
             }
-            self.cur_pc = u.pc;
-            self.pending_next_pc = u.pc + INST_BYTES;
-        } else if u.pc != self.cur_pc {
-            return Err(DivergenceKind::Mismatch {
-                what: "intra-instruction pc",
-                expected: self.cur_pc,
-                got: u.pc,
-            });
         }
-        self.execute(u)?;
-        self.next_pc = self.pending_next_pc;
+        let want = &self.inst.uops[self.next];
+        if u != want {
+            return Err(classify(want, u));
+        }
+        self.next += 1;
         Ok(())
     }
+}
 
-    fn execute(&mut self, u: &TraceUop) -> Result<(), DivergenceKind> {
-        let absent = u64::MAX;
-        match u.uop.op {
-            Op::Load { size, signed } => {
-                let Some(am) = u.uop.addr else {
-                    return Err(DivergenceKind::Malformed { what: "load without addressing" });
-                };
-                let Some(addr) = self.effective_addr(am) else {
-                    return Err(DivergenceKind::Malformed { what: "writeback load at commit" });
-                };
-                if u.mem_addr != Some(addr) {
-                    return Err(DivergenceKind::Mismatch {
-                        what: "load address",
-                        expected: addr,
-                        got: u.mem_addr.unwrap_or(absent),
-                    });
-                }
-                let raw = self.mem.read(addr, size);
-                let value = if signed && size < 8 {
-                    let shift = 64 - u32::from(size) * 8;
-                    (((raw << shift) as i64) >> shift) as u64
-                } else {
-                    raw
-                };
-                if u.result != Some(value) {
-                    return Err(DivergenceKind::Mismatch {
-                        what: "load value",
-                        expected: value,
-                        got: u.result.unwrap_or(absent),
-                    });
-                }
-                let Some(dst) = u.uop.dst else {
-                    return Err(DivergenceKind::Malformed { what: "load without destination" });
-                };
-                self.set_reg(dst, value);
-            }
-            Op::Store { size } => {
-                let Some(am) = u.uop.addr else {
-                    return Err(DivergenceKind::Malformed { what: "store without addressing" });
-                };
-                let Some(addr) = self.effective_addr(am) else {
-                    return Err(DivergenceKind::Malformed { what: "writeback store at commit" });
-                };
-                if u.mem_addr != Some(addr) {
-                    return Err(DivergenceKind::Mismatch {
-                        what: "store address",
-                        expected: addr,
-                        got: u.mem_addr.unwrap_or(absent),
-                    });
-                }
-                let Some(src) = u.uop.src1 else {
-                    return Err(DivergenceKind::Malformed { what: "store without data register" });
-                };
-                let data = self.reg(src);
-                self.mem.write(addr, size, data);
-            }
-            op if op.is_branch() => {
-                let src = u.uop.src1.map_or(0, |r| self.reg(r));
-                let taken = branch_taken(op, u.uop.width, src, self.flags);
-                let target = match op {
-                    Op::Br | Op::Blr | Op::Ret => src,
-                    _ => match u.uop.target {
-                        Some(t) => t,
-                        None => {
-                            return Err(DivergenceKind::Malformed {
-                                what: "direct branch without target",
-                            });
-                        }
-                    },
-                };
-                if matches!(op, Op::Bl | Op::Blr) {
-                    let link = u.pc + INST_BYTES;
-                    self.set_reg(Reg::Int(30), link);
-                    if u.result != Some(link) {
-                        return Err(DivergenceKind::Mismatch {
-                            what: "link value",
-                            expected: link,
-                            got: u.result.unwrap_or(absent),
-                        });
-                    }
-                }
-                if taken {
-                    self.pending_next_pc = target;
-                }
-                let expected =
-                    BranchOutcome { taken, target: if taken { target } else { u.pc + INST_BYTES } };
-                if u.branch != Some(expected) {
-                    return Err(DivergenceKind::Branch { expected, got: u.branch });
-                }
-            }
-            op => {
-                let ops = Operands {
-                    a: u.uop.src1.map_or(0, |r| self.reg(r)),
-                    b: self.src2_value(u.uop.src2),
-                    c: u.uop.src3.map_or(0, |r| self.reg(r)),
-                    flags: self.flags,
-                };
-                let r = exec_alu(op, u.uop.width, u.uop.sets_flags, ops);
-                if let Some(dst) = u.uop.dst {
-                    if u.result != Some(r.value) {
-                        return Err(DivergenceKind::Mismatch {
-                            what: "result value",
-                            expected: r.value,
-                            got: u.result.unwrap_or(absent),
-                        });
-                    }
-                    self.set_reg(dst, r.value);
-                }
-                if let Some(f) = r.flags {
-                    if u.flags_out != Some(f) {
-                        return Err(DivergenceKind::Mismatch {
-                            what: "flags",
-                            expected: u64::from(f.pack()),
-                            got: u.flags_out.map_or(absent, |g| u64::from(g.pack())),
-                        });
-                    }
-                    self.flags = f;
-                }
-            }
-        }
-        Ok(())
+/// Names the first field, in a fixed order, in which `got` departs from
+/// `want`, the record the machine emitted at that position.
+fn classify(want: &TraceUop, got: &TraceUop) -> DivergenceKind {
+    let mismatch = |what, expected: Option<u64>, got: Option<u64>| DivergenceKind::Mismatch {
+        what,
+        expected: expected.unwrap_or(u64::MAX),
+        got: got.unwrap_or(u64::MAX),
+    };
+    let flags = |f: Option<Nzcv>| f.map(|f| u64::from(f.pack()));
+    let op = want.uop.op;
+    if got.seq != want.seq {
+        DivergenceKind::Order { expected_seq: want.seq }
+    } else if got.pc != want.pc && want.first_uop {
+        DivergenceKind::Pc { expected_pc: want.pc }
+    } else if got.pc != want.pc {
+        mismatch("intra-instruction pc", Some(want.pc), Some(got.pc))
+    } else if got.mem_addr != want.mem_addr {
+        let what = if op.is_store() { "store address" } else { "load address" };
+        mismatch(what, want.mem_addr, got.mem_addr)
+    } else if got.result != want.result {
+        let what = match op {
+            Op::Load { .. } => "load value",
+            Op::Bl | Op::Blr => "link value",
+            _ => "result value",
+        };
+        mismatch(what, want.result, got.result)
+    } else if got.flags_out != want.flags_out {
+        mismatch("flags", flags(want.flags_out), flags(got.flags_out))
+    } else if let Some(expected) = want.branch.filter(|&b| got.branch != Some(b)) {
+        DivergenceKind::Branch { expected, got: got.branch }
+    } else {
+        // audited(no-alloc-in-hot-path): mismatch report, fires at most once per run
+        let digest = |u: &TraceUop| fnv1a(format!("{u:?}").as_bytes());
+        mismatch("µop", Some(digest(want)), Some(digest(got)))
     }
 }
 
@@ -471,15 +325,14 @@ mod tests {
     fn oracle_for(name: &str, insts: u64) -> (CommitOracle, tvp_workloads::Trace, ArchSnapshot) {
         let w = tvp_workloads::suite::by_name(name).expect("workload exists");
         let mut m = w.machine();
-        let init = m.arch_snapshot();
+        let oracle = CommitOracle::new(m.clone());
         let trace = m.run(insts);
-        let golden = m.arch_snapshot();
-        (CommitOracle::new(&init), trace, golden)
+        (oracle, trace, m.arch_snapshot())
     }
 
     #[test]
     fn clean_commit_stream_matches_golden_model() {
-        for name in ["string_match", "pointer_chase", "stream_triad", "minimax"] {
+        for name in tvp_workloads::suite::names() {
             let (mut oracle, trace, golden) = oracle_for(name, 3_000);
             for u in &trace.uops {
                 oracle.on_commit(u).expect("functional trace replays cleanly");
@@ -527,6 +380,114 @@ mod tests {
         forged.result = forged.result.map(|v| v ^ 0x8000_0001);
         let d = oracle.on_commit(&forged).expect_err("wrong value must diverge");
         assert!(matches!(d.kind, DivergenceKind::Mismatch { what: "result value", .. }), "{d}");
+    }
+
+    /// A loop that commits each kind of record a forgery can target: a
+    /// load, an instruction of two µops, a store, a call and its
+    /// return, a flag-setter and a conditional branch.
+    fn every_kind_of_record() -> (Machine, Trace) {
+        use tvp_isa::flags::Cond;
+        use tvp_isa::inst::build::*;
+        use tvp_isa::inst::AddrMode;
+        use tvp_isa::reg::x;
+        let mut a = tvp_workloads::program::Asm::new();
+        a.i(movz(x(0), 0x2000));
+        a.i(movz(x(9), 3));
+        a.b("loop");
+        a.label("leaf");
+        a.ret();
+        a.label("loop");
+        a.i(ldr(x(1), AddrMode::BaseDisp { base: x(0), disp: 0 }));
+        a.i(ldr(x(2), AddrMode::PostIndex { base: x(0), disp: 8 }));
+        a.i(add(x(1), x(1), 1i64));
+        a.i(str(x(1), AddrMode::BaseDisp { base: x(0), disp: 64 }));
+        a.bl("leaf");
+        a.i(subs(x(9), x(9), 1i64));
+        a.b_cond(Cond::Ne, "loop");
+        let m = Machine::new(a.assemble().expect("assembles"));
+        let trace = m.clone().run(100);
+        (m, trace)
+    }
+
+    /// The label a report carries: a mismatch's quantity, or its kind.
+    fn label(kind: &DivergenceKind) -> &'static str {
+        match kind {
+            DivergenceKind::Mismatch { what, .. } => what,
+            DivergenceKind::Order { .. } => "order",
+            DivergenceKind::Pc { .. } => "pc",
+            DivergenceKind::Branch { .. } => "branch",
+            DivergenceKind::FinalState { .. } => "final state",
+        }
+    }
+
+    #[test]
+    fn every_forged_field_is_caught_with_its_label() {
+        fn bump(v: &mut Option<u64>) {
+            *v = v.map(|v| v ^ 0x8000_0001);
+        }
+        type Pick = fn(&TraceUop) -> bool;
+        type Forge = fn(&mut TraceUop);
+        let cases: [(Pick, Forge, &str); 10] = [
+            (|u| u.uop.op.is_load(), |u| bump(&mut u.mem_addr), "load address"),
+            (|u| u.uop.op.is_store(), |u| bump(&mut u.mem_addr), "store address"),
+            (|u| u.uop.op.is_load(), |u| bump(&mut u.result), "load value"),
+            (|u| u.uop.op == Op::Add, |u| bump(&mut u.result), "result value"),
+            (|u| u.uop.op == Op::Bl, |u| bump(&mut u.result), "link value"),
+            (
+                |u| u.flags_out.is_some(),
+                |u| u.flags_out = u.flags_out.map(|f| Nzcv::unpack(!f.pack() & 0xF)),
+                "flags",
+            ),
+            (
+                |u| matches!(u.uop.op, Op::BCond(_)),
+                |u| u.branch = u.branch.map(|b| BranchOutcome { taken: !b.taken, ..b }),
+                "branch",
+            ),
+            (|u| u.first_uop, |u| u.pc += 4, "pc"),
+            (|u| !u.first_uop, |u| u.pc += 4, "intra-instruction pc"),
+            (|u| u.uop.op == Op::Add, |u| u.uop.op = Op::Sub, "µop"),
+        ];
+        let (machine, trace) = every_kind_of_record();
+        for (pick, forge, want) in cases {
+            let at = trace.uops.iter().position(pick).expect("the loop has such a record");
+            let mut oracle = CommitOracle::new(machine.clone());
+            for u in &trace.uops[..at] {
+                oracle.on_commit(u).expect("prefix is clean");
+            }
+            let mut forged = trace.uops[at].clone();
+            forge(&mut forged);
+            let d = oracle.on_commit(&forged).expect_err("a forged record must diverge");
+            assert_eq!((label(&d.kind), d.seq), (want, trace.uops[at].seq), "{d}");
+        }
+    }
+
+    #[test]
+    fn commit_after_the_machine_halts_is_an_order_divergence() {
+        let (machine, trace) = every_kind_of_record();
+        let mut oracle = CommitOracle::new(machine);
+        for u in &trace.uops {
+            oracle.on_commit(u).expect("trace replays cleanly");
+        }
+        let extra = trace.uops.last().expect("non-empty trace");
+        let d = oracle.on_commit(extra).expect_err("nothing commits past the halt");
+        assert_eq!(d.kind, DivergenceKind::Order { expected_seq: trace.uops.len() as u64 });
+    }
+
+    #[test]
+    fn half_committed_instruction_fails_the_final_check() {
+        let (machine, trace) = every_kind_of_record();
+        let golden = {
+            let mut m = machine.clone();
+            let _ = m.run(100);
+            m.arch_snapshot()
+        };
+        let second = trace.uops.iter().rposition(|u| !u.first_uop).expect("a two-µop instruction");
+        let mut oracle = CommitOracle::new(machine);
+        for u in &trace.uops[..second] {
+            oracle.on_commit(u).expect("prefix is clean");
+        }
+        let d = oracle.final_check(&golden).expect("the stream stopped inside an instruction");
+        assert_eq!(d.kind, DivergenceKind::Order { expected_seq: trace.uops[second].seq });
     }
 
     #[test]

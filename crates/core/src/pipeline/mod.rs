@@ -62,7 +62,7 @@ use lsq::Lsq;
 use predict::Predictors;
 use queue::{Aged, PosQueue};
 use recovery::{DueQueue, FlushKind, PendingFlush, PendingReplay};
-use tvp_workloads::machine::ArchSnapshot;
+use tvp_workloads::machine::{ArchSnapshot, Machine};
 
 /// A µop sitting in the fetch queue: what fetch learned about it, which
 /// the µop's ROB entry keeps.
@@ -597,10 +597,10 @@ impl Core {
             let entry = self.rob.pop_front().expect("head exists");
             let u = &trace.uops[entry.fetched.idx];
 
-            // Golden-model lockstep check: re-execute the committed µop
-            // through the functional semantics; the first divergence is
-            // recorded (with the replaying chaos seed and the traced
-            // last-N-event history) and the oracle goes quiet.
+            // Golden-model lockstep check: the committed µop must be the
+            // record the replaying functional machine emits; the first
+            // divergence is recorded (with the replaying chaos seed and
+            // the traced last-N-event history) and the oracle goes quiet.
             if let Some(oracle) = self.oracle.as_mut() {
                 if let Err(d) = oracle.on_commit(u) {
                     if self.divergence.is_none() {
@@ -1353,11 +1353,12 @@ impl Core {
     // chaos / oracle / watchdog surface
     // ----------------------------------------------------------------
 
-    /// Arms the golden-model commit oracle: every committed µop will be
-    /// re-executed from `init` (the architectural state *before* the
-    /// traced run) and checked in lockstep.
-    pub fn enable_oracle(&mut self, init: &ArchSnapshot) {
-        self.oracle = Some(CommitOracle::new(init));
+    /// Arms the golden-model commit oracle: `machine`, in the state the
+    /// traced run started from (a clone taken before it produced the
+    /// trace), replays the run, and every committed µop is checked in
+    /// lockstep against the record it emits.
+    pub fn enable_oracle(&mut self, machine: Machine) {
+        self.oracle = Some(CommitOracle::new(machine));
     }
 
     /// The first lockstep divergence the oracle found, if any.
@@ -1366,11 +1367,13 @@ impl Core {
         self.divergence.as_ref()
     }
 
-    /// Compares the oracle's reconstructed final architectural state
+    /// Compares the architectural state the commit stream reached
     /// against the functional machine's `golden` state. `None` means
     /// the committed state is architecturally identical (or a lockstep
     /// divergence was already reported — see
-    /// [`Core::oracle_divergence`]). Call after [`Core::run`].
+    /// [`Core::oracle_divergence`]). Call after a [`Core::run`] that
+    /// the watchdog did not stop: an unfinished run has not reached the
+    /// golden end state.
     #[must_use]
     pub fn oracle_final_check(&self, golden: &ArchSnapshot) -> Option<Divergence> {
         let oracle = self.oracle.as_ref()?;
@@ -1818,15 +1821,28 @@ mod tests {
     }
 
     #[test]
-    fn dependent_mul_chain_runs_at_the_multiply_latency() {
+    fn dependent_chains_run_at_their_table2_latency() {
+        use tvp_isa::reg::v;
         let cfg = CoreConfig::table2();
-        let chain = |a: &mut Asm| {
-            for _ in 0..4 {
-                a.i(mul(x(1), x(1), x(2)));
-            }
-        };
-        let per_iter = 4 * cfg.latency(ExecClass::IntMul);
-        assert_eq!(slopes(&cfg, chain), [1_000 * per_iter, 2_000 * per_iter]);
+        // Each link of a 4-deep chain waits for the one before it, so
+        // an iteration costs four of the class's latencies.
+        let links = [
+            (ExecClass::IntMul, mul(x(1), x(1), x(2))),
+            (ExecClass::IntDiv, udiv(x(1), x(1), x(2))),
+            (ExecClass::FpAlu, fadd(v(1), v(1), v(2))),
+            (ExecClass::FpMul, fmul(v(1), v(1), v(2))),
+            (ExecClass::FpMac, fmadd(v(1), v(1), v(2), v(3))),
+            (ExecClass::FpDiv, fdiv(v(1), v(1), v(2))),
+        ];
+        for (class, link) in links {
+            let chain = |a: &mut Asm| {
+                for _ in 0..4 {
+                    a.i(link);
+                }
+            };
+            let per_iter = 4 * cfg.latency(class);
+            assert_eq!(slopes(&cfg, chain), [1_000 * per_iter, 2_000 * per_iter], "{class:?}");
+        }
     }
 
     #[test]
@@ -1996,15 +2012,14 @@ mod chaos_tests {
     use super::*;
     use tvp_chaos::{ChaosConfig, DivergenceKind};
 
-    /// Runs a suite workload functionally, capturing the architectural
-    /// state before and after: `(init, trace, golden)`.
-    fn golden_run(name: &str, n: u64) -> (ArchSnapshot, Trace, ArchSnapshot) {
+    /// Runs a suite workload functionally: `(init, trace, golden)`, the
+    /// machine before the run, its trace and its state after.
+    fn golden_run(name: &str, n: u64) -> (Machine, Trace, ArchSnapshot) {
         let w = tvp_workloads::suite::by_name(name).expect("workload exists");
         let mut m = w.machine();
-        let init = m.arch_snapshot();
+        let init = m.clone();
         let trace = m.run(n);
-        let golden = m.arch_snapshot();
-        (init, trace, golden)
+        (init, trace, m.arch_snapshot())
     }
 
     #[test]
@@ -2016,7 +2031,7 @@ mod chaos_tests {
         let (init, trace, golden) = golden_run("pointer_chase", 12_000);
         let cfg = CoreConfig::with_vp(VpMode::Gvp).with_chaos(ChaosConfig::campaign(0xC0FFEE));
         let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
+        core.enable_oracle(init);
         let stats = core.run(&trace);
         assert!(core.watchdog_diagnostic().is_none());
         assert_eq!(stats.insts_retired, trace.arch_insts);
@@ -2041,7 +2056,7 @@ mod chaos_tests {
         let cfg =
             CoreConfig::with_vp(VpMode::Gvp).with_chaos(ChaosConfig::sabotaged_campaign(seed));
         let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
+        core.enable_oracle(init);
         let _stats = core.run(&trace);
         let d = core.oracle_divergence().expect("sabotage must diverge");
         assert!(
@@ -2058,7 +2073,7 @@ mod chaos_tests {
         let run = || {
             let cfg = CoreConfig::with_vp(VpMode::Tvp).with_chaos(ChaosConfig::campaign(7));
             let mut core = Core::new(cfg);
-            core.enable_oracle(&init);
+            core.enable_oracle(init.clone());
             let stats = core.run(&trace);
             (stats.cycles, stats.chaos, stats.flush.vp_flushes)
         };
@@ -2350,25 +2365,17 @@ mod control_flow_tests {
 
     #[test]
     fn fp_divides_serialize_on_the_unpipelined_unit() {
-        let mut a = Asm::new();
         use tvp_isa::reg::v;
-        a.i(movz(x(9), 2_000));
-        a.label("loop");
+        let cfg = CoreConfig::table2();
         // Two independent FP divides per iteration compete for the
-        // single non-pipelined divider (12 cycles each).
-        a.i(fdiv(v(1), v(2), v(3)));
-        a.i(fdiv(v(4), v(5), v(6)));
-        a.i(subs(x(9), x(9), 1i64));
-        a.b_cond(Cond::Ne, "loop");
-        let mut m = Machine::new(a.assemble().unwrap());
-        for r in 2..7 {
-            m.set_reg(v(r), f64::to_bits(1.5 + f64::from(r)));
-        }
-        let trace = m.run(20_000);
-        let s = simulate(CoreConfig::table2(), &trace);
-        // 2 divides × 12 cycles, non-pipelined → ≥ 24 cycles/iter.
-        let per_iter = s.cycles as f64 / 2_000.0;
-        assert!(per_iter >= 20.0, "cycles/iter = {per_iter} (divider pipelined?)");
+        // single non-pipelined divider, each holding it for its whole
+        // latency.
+        let pair = |a: &mut Asm| {
+            a.i(fdiv(v(1), v(2), v(3)));
+            a.i(fdiv(v(4), v(5), v(6)));
+        };
+        let per_iter = 2 * cfg.latency(ExecClass::FpDiv);
+        assert_eq!(super::tests::slopes(&cfg, pair), [1_000 * per_iter, 2_000 * per_iter]);
     }
 }
 

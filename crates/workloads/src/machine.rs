@@ -196,8 +196,9 @@ fn fnv_mix(h: u64, v: u64) -> u64 {
 /// The complete architectural state of a [`Machine`]: registers,
 /// flags, program counter and memory. The machine executes on one;
 /// [`Machine::arch_snapshot`] hands out a copy. The chaos commit oracle
-/// seeds its golden model from the pre-run snapshot and compares its
-/// post-run state against the functional machine's final snapshot.
+/// replays a clone of the machine taken before the traced run and
+/// compares the state its replay reaches against the traced machine's
+/// final snapshot.
 #[derive(Clone, Debug)]
 pub struct ArchSnapshot {
     /// Integer register file (`x0`–`x30`; index 31 is the hardwired

@@ -53,8 +53,8 @@ fn arb_campaign() -> impl Strategy<Value = ChaosConfig> {
 }
 
 /// Assembles a random loop, runs it functionally, and returns the
-/// initial snapshot, the trace and the golden final snapshot.
-fn golden_program(insts: &[Inst], loops: i64) -> (ArchSnapshot, Trace, ArchSnapshot) {
+/// machine before the run, the trace and the golden final snapshot.
+fn golden_program(insts: &[Inst], loops: i64) -> (Machine, Trace, ArchSnapshot) {
     let mut a = Asm::new();
     a.i(movz(x(9), loops));
     a.label("top");
@@ -68,10 +68,9 @@ fn golden_program(insts: &[Inst], loops: i64) -> (ArchSnapshot, Trace, ArchSnaps
     for i in 0..512u64 {
         m.write_mem(0x40_0000 + i * 8, 8, i.wrapping_mul(0x9E37));
     }
-    let init = m.arch_snapshot();
+    let init = m.clone();
     let trace = m.run(16_000);
-    let golden = m.arch_snapshot();
-    (init, trace, golden)
+    (init, trace, m.arch_snapshot())
 }
 
 proptest! {
@@ -89,7 +88,7 @@ proptest! {
         for vp in [VpMode::Tvp, VpMode::Gvp] {
             let cfg = CoreConfig::with_vp(vp).with_spsr().with_chaos(campaign);
             let mut core = Core::new(cfg);
-            core.enable_oracle(&init);
+            core.enable_oracle(init.clone());
             let s = core.run(&trace);
             prop_assert!(core.watchdog_diagnostic().is_none());
             prop_assert_eq!(s.insts_retired, trace.arch_insts);
@@ -113,7 +112,7 @@ proptest! {
         campaign.vp_force_mispredict_permille = 500;
         let cfg = CoreConfig::with_vp(VpMode::Gvp).with_chaos(campaign);
         let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
+        core.enable_oracle(init);
         let s = core.run(&trace);
         if s.flush.vp_flushes > 0 {
             // At least one squash skipped its rollback → must diverge.
@@ -132,13 +131,12 @@ fn divergence_replays_exactly_from_its_seed() {
     // first divergence on a fresh core — the replay contract.
     let w = tvp_workloads::suite::by_name("pointer_chase").expect("bundled workload");
     let run = |seed: u64| {
-        let mut m = w.machine();
-        let init = m.arch_snapshot();
-        let trace = m.run(12_000);
+        let m = w.machine();
+        let trace = m.clone().run(12_000);
         let cfg =
             CoreConfig::with_vp(VpMode::Gvp).with_chaos(ChaosConfig::sabotaged_campaign(seed));
         let mut core = Core::new(cfg);
-        core.enable_oracle(&init);
+        core.enable_oracle(m);
         let _ = core.run(&trace);
         core.oracle_divergence().cloned()
     };
