@@ -321,6 +321,7 @@ fn classify(want: &TraceUop, got: &TraceUop) -> DivergenceKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tvp_isa::inst::{intern, Inst};
 
     fn oracle_for(name: &str, insts: u64) -> (CommitOracle, tvp_workloads::Trace, ArchSnapshot) {
         let w = tvp_workloads::suite::by_name(name).expect("workload exists");
@@ -445,7 +446,7 @@ mod tests {
             ),
             (|u| u.first_uop, |u| u.pc += 4, "pc"),
             (|u| !u.first_uop, |u| u.pc += 4, "intra-instruction pc"),
-            (|u| u.uop.op == Op::Add, |u| u.uop.op = Op::Sub, "µop"),
+            (|u| u.uop.op == Op::Add, |u| u.uop = intern(Inst { op: Op::Sub, ..*u.uop }), "µop"),
         ];
         let (machine, trace) = every_kind_of_record();
         for (pick, forge, want) in cases {

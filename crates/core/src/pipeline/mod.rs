@@ -955,7 +955,7 @@ impl Core {
                 }
             }
 
-            let Ok(renamed) = self.renamer.rename_uop(&u.uop, prediction) else {
+            let Ok(renamed) = self.renamer.rename_uop(u.uop, prediction) else {
                 // Out of physical registers; retry next cycle.
                 break;
             };

@@ -89,7 +89,7 @@ impl fmt::Display for Nzcv {
 }
 
 /// ARMv8 condition codes.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Cond {
     /// Equal (`Z == 1`).
     Eq,

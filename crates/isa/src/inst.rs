@@ -8,10 +8,12 @@
 
 use crate::op::{Op, Width};
 use crate::reg::Reg;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Second source operand: a register or an immediate.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Src2 {
     /// No second operand.
     None,
@@ -54,7 +56,7 @@ impl From<i64> for Src2 {
 }
 
 /// Memory addressing mode of an architectural load/store.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum AddrMode {
     /// `[base, #disp]`.
     BaseDisp {
@@ -105,7 +107,7 @@ impl AddrMode {
 ///
 /// Micro-ops only ever use [`AddrMode::BaseDisp`] or
 /// [`AddrMode::BaseIndex`] addressing.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Inst {
     /// Operation kind.
     pub op: Op,
@@ -309,6 +311,29 @@ pub fn expand(inst: &Inst) -> Vec<Inst> {
         }
         _ => vec![*inst],
     }
+}
+
+/// Returns the one process-wide copy of `uop`, so that a trace record
+/// can point at its µop instead of carrying a copy of it.
+///
+/// The pool behind it is content-addressed: equal µops get the same
+/// reference, different µops different ones. It only grows, keeping
+/// each distinct µop once for the life of the process (a workload
+/// executes 10–23 of them), and it is never iterated, so no order can
+/// leak out of it. The assembler and the trace-stream decoder intern;
+/// nothing on a simulation step does.
+#[must_use]
+pub fn intern(uop: Inst) -> &'static Inst {
+    static POOL: Mutex<BTreeSet<&'static Inst>> = Mutex::new(BTreeSet::new());
+    // An insert either completes or leaves the set as it was, so a
+    // lock poisoned by a panicking holder still guards a sound pool.
+    let mut pool = POOL.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&interned) = pool.get(&uop) {
+        return interned;
+    }
+    let interned: &'static Inst = Box::leak(Box::new(uop));
+    pool.insert(interned);
+    interned
 }
 
 /// Convenience constructors mirroring assembly mnemonics. These are the
@@ -708,6 +733,36 @@ mod tests {
         assert_eq!(i.op, Op::Csinc(crate::flags::Cond::Ne));
         assert_eq!(i.src1, Some(XZR));
         assert_eq!(i.src2, Src2::Reg(XZR));
+    }
+
+    #[test]
+    fn intern_keeps_one_copy_of_each_distinct_uop() {
+        let base = ldr(x(0), AddrMode::BaseDisp { base: x(1), disp: 8 });
+        let changes: [fn(&mut Inst); 9] = [
+            |i| i.op = Op::Load { size: 4, signed: true },
+            |i| i.width = Width::W32,
+            |i| i.dst = Some(x(2)),
+            |i| i.src1 = Some(x(3)),
+            |i| i.src2 = Src2::Imm(-1),
+            |i| i.src3 = Some(x(4)),
+            |i| i.sets_flags = true,
+            |i| i.addr = Some(AddrMode::BaseDisp { base: x(1), disp: 16 }),
+            |i| i.target = Some(0x1_0000),
+        ];
+        let mut variants = vec![base];
+        for change in changes {
+            let mut v = base;
+            change(&mut v);
+            variants.push(v);
+        }
+        let interned: Vec<&'static Inst> = variants.iter().map(|&v| intern(v)).collect();
+        for (k, (&v, &first)) in variants.iter().zip(&interned).enumerate() {
+            assert_eq!(*first, v, "variant {k} keeps its value");
+            assert!(std::ptr::eq(intern(v), first), "variant {k} is interned once");
+            for (j, &other) in interned.iter().enumerate().filter(|&(j, _)| j != k) {
+                assert!(!std::ptr::eq(first, other), "variants {k} and {j} share a copy");
+            }
+        }
     }
 
     #[test]

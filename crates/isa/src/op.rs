@@ -10,7 +10,7 @@ use std::fmt;
 
 /// Operand width of an integer operation. `W32` operations compute on the
 /// low 32 bits and zero-extend the result (ARMv8 `w`-register semantics).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum Width {
     /// 32-bit (`w` registers).
     W32,
@@ -88,7 +88,7 @@ pub enum ExecClass {
 ///
 /// Flag-setting variants (`adds`/`subs`/`ands`) are expressed by the
 /// `sets_flags` field of [`crate::inst::Inst`], not by separate opcodes.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Op {
     // --- integer ALU ---
     /// `add dst, src1, src2`.

@@ -7,7 +7,7 @@
 //! core never re-executes semantics; it replays this trace, which makes
 //! the functional model the single source of architectural truth.
 
-use std::collections::BTreeMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use tvp_isa::exec::{branch_taken, exec_alu, Operands};
@@ -34,13 +34,55 @@ pub const PAGE_BYTES: usize = PAGE_SIZE;
 /// every page it covers whole.
 ///
 /// Addresses wrap past `u64::MAX` to 0, as effective-address
-/// arithmetic does. Every access is split at page boundaries, so one
-/// that fits inside a page costs one page-table lookup.
+/// arithmetic does. An access that fits inside a page costs one hash
+/// probe and moves one 8-byte word; one that crosses a boundary is
+/// split there.
 #[derive(Default, Debug, Clone)]
 pub struct SparseMem {
     /// Page index → (chunk, byte offset of the page in the chunk).
-    pages: BTreeMap<u64, (usize, usize)>,
+    pages: std::collections::HashMap<u64, (usize, usize), BuildHasherDefault<PageHasher>>,
     chunks: Vec<Box<[u8]>>,
+}
+
+/// A fixed multiplicative hash of a page index (one multiply by an odd
+/// constant), so the page map is the same in every process. Its keys
+/// are simulated addresses, and nothing reads the map in its iteration
+/// order.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An access of `len` (at most 8) bytes at `addr` that fits inside one
+/// page, as a field of the page's 8-byte word that holds it: `(page
+/// index, byte offset of the word in the page, bit offset of the access
+/// in the word, mask of the access's bits)`. `None` when the access
+/// crosses a page boundary.
+fn in_page(addr: u64, len: usize) -> Option<(u64, usize, u32, u64)> {
+    let offset = addr as usize & (PAGE_SIZE - 1);
+    (offset + len <= PAGE_SIZE).then(|| {
+        let at = offset.min(PAGE_SIZE - 8);
+        (addr >> PAGE_SHIFT, at, 8 * (offset - at) as u32, u64::MAX >> (64 - 8 * len))
+    })
+}
+
+/// The little-endian word at byte `at` of a page.
+fn word(page: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(page[at..at + 8].try_into().expect("a word is 8 bytes"))
 }
 
 /// Splits the `len` bytes starting at `addr` at page boundaries,
@@ -87,6 +129,9 @@ impl SparseMem {
     #[must_use]
     pub fn read(&self, addr: u64, size: u8) -> u64 {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported read size {size}");
+        if let Some((page, at, shift, mask)) = in_page(addr, usize::from(size)) {
+            return self.page(page).map_or(0, |data| (word(data, at) >> shift) & mask);
+        }
         let mut bytes = [0u8; 8];
         for (page, offset, span) in page_spans(addr, usize::from(size)) {
             if let Some(data) = self.page(page) {
@@ -103,6 +148,12 @@ impl SparseMem {
     /// Panics on an unsupported size.
     pub fn write(&mut self, addr: u64, size: u8, value: u64) {
         assert!(matches!(size, 1 | 2 | 4 | 8), "unsupported write size {size}");
+        if let Some((page, at, shift, mask)) = in_page(addr, usize::from(size)) {
+            let data = self.page_mut(page);
+            let merged = (word(data, at) & !(mask << shift)) | ((value & mask) << shift);
+            data[at..at + 8].copy_from_slice(&merged.to_le_bytes());
+            return;
+        }
         self.write_bytes(addr, &value.to_le_bytes()[..usize::from(size)]);
     }
 
@@ -128,7 +179,7 @@ impl SparseMem {
         let wraps = len > 0 && addr.checked_add(len as u64 - 1).is_none();
         let first = addr.wrapping_add(head as u64) >> PAGE_SHIFT;
         let pages = first..first + whole as u64;
-        if whole == 0 || wraps || self.pages.range(pages.clone()).next().is_some() {
+        if whole == 0 || wraps || pages.clone().any(|page| self.pages.contains_key(&page)) {
             self.write_bytes(addr, &bytes);
             return;
         }
@@ -165,10 +216,11 @@ impl SparseMem {
     /// ascending page-index order. All-zero pages are skipped so the
     /// serialized image matches what [`SparseMem::digest`] observes.
     pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.pages
-            .iter()
-            .map(|(&page, &(chunk, at))| (page, &self.chunks[chunk][at..at + PAGE_SIZE]))
-            .filter(|(_, data)| data.iter().any(|&b| b != 0))
+        // audited(no-alloc-in-hot-path): the digest and checkpoint path, never a step
+        let mut pages: Vec<u64> = self.pages.keys().copied().collect();
+        pages.sort_unstable();
+        let images = pages.into_iter().filter_map(|page| Some((page, self.page(page)?)));
+        images.filter(|(_, data)| data.iter().any(|&b| b != 0))
     }
 
     /// Installs a full page image at `page_index` (checkpoint restore).
@@ -388,14 +440,14 @@ impl Machine {
     /// decoded to at assembly — handing each µop and what it produced
     /// to `emit`. Returns `false` (without calling `emit`) when the
     /// machine has halted.
-    fn step_exec(&mut self, mut emit: impl FnMut(&Inst, Effects)) -> bool {
+    fn step_exec(&mut self, mut emit: impl FnMut(&'static Inst, Effects)) -> bool {
         let Machine { program, arch, seq } = self;
         let pc = arch.pc;
         let Some(uops) = program.fetch(pc) else {
             return false;
         };
         let mut next_pc = pc + INST_BYTES;
-        for (k, uop) in uops.iter().enumerate() {
+        for (k, &uop) in uops.iter().enumerate() {
             let mut fx = Effects { seq: *seq, first_uop: k == 0, ..Effects::default() };
             *seq += 1;
             match uop.op {
@@ -507,9 +559,9 @@ struct Effects {
 
 impl Effects {
     /// The trace record of `uop`, executed at `pc`.
-    fn record(self, pc: u64, uop: &Inst) -> TraceUop {
+    fn record(self, pc: u64, uop: &'static Inst) -> TraceUop {
         let Effects { seq, first_uop, result, flags_out, mem_addr, branch } = self;
-        TraceUop { seq, pc, uop: *uop, first_uop, result, flags_out, mem_addr, branch }
+        TraceUop { seq, pc, uop, first_uop, result, flags_out, mem_addr, branch }
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! A [`Program`] is a sequence of architectural instructions laid out at
 //! [`TEXT_BASE`], four bytes apart, held already decoded: assembly runs
-//! [`expand`] once per instruction, so the machine executes the µops of
-//! a text slot without decoding them again. The [`Asm`] builder
+//! [`expand`] once per instruction and [`intern`]s each µop, so the
+//! machine executes the µops of a text slot without decoding them
+//! again, and its trace records point at them. The [`Asm`] builder
 //! provides a label-based assembler so kernels read like assembly
 //! listings:
 //!
@@ -27,7 +28,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use tvp_isa::flags::Cond;
-use tvp_isa::inst::{expand, Inst};
+use tvp_isa::inst::{expand, intern, Inst};
 use tvp_isa::op::Op;
 use tvp_isa::reg::Reg;
 
@@ -41,8 +42,8 @@ pub const INST_BYTES: u64 = 4;
 #[derive(Clone, Debug)]
 pub struct Program {
     /// Every instruction's µops in text order, as [`expand`] produced
-    /// them at assembly.
-    uops: Vec<Inst>,
+    /// them at assembly, interned.
+    uops: Vec<&'static Inst>,
     /// Text slot `i` (the instruction at `TEXT_BASE + i * INST_BYTES`)
     /// owns `uops[starts[i]..starts[i + 1]]`; the last entry is
     /// `uops.len()`.
@@ -54,7 +55,7 @@ impl Program {
     /// outside the text segment or off instruction alignment (the
     /// machine halts there).
     #[must_use]
-    pub fn fetch(&self, pc: u64) -> Option<&[Inst]> {
+    pub fn fetch(&self, pc: u64) -> Option<&[&'static Inst]> {
         let offset = pc.checked_sub(TEXT_BASE).filter(|o| o.is_multiple_of(INST_BYTES))?;
         let slot = usize::try_from(offset / INST_BYTES).ok()?;
         let end = *self.starts.get(slot.checked_add(1)?)?;
@@ -216,7 +217,7 @@ impl Asm {
     }
 
     /// Resolves labels, validates every instruction and expands each
-    /// into its µops.
+    /// into its µops, which it interns.
     ///
     /// # Errors
     ///
@@ -233,7 +234,7 @@ impl Asm {
         starts.push(0);
         for (index, inst) in self.insts.iter().enumerate() {
             inst.validate().map_err(|reason| AsmError::InvalidInst { index, reason })?;
-            uops.extend(expand(inst));
+            uops.extend(expand(inst).into_iter().map(intern));
             starts.push(uops.len());
         }
         Ok(Program { uops, starts })
@@ -302,7 +303,8 @@ mod tests {
         assert_eq!(p.len(), 4, "one text slot per instruction, not per µop");
         for (slot, inst) in [pre, nop(), post, add(x(2), x(1), 1i64)].iter().enumerate() {
             let pc = TEXT_BASE + slot as u64 * INST_BYTES;
-            assert_eq!(p.fetch(pc).unwrap(), &expand(inst)[..], "slot {slot}");
+            let uops: Vec<Inst> = p.fetch(pc).unwrap().iter().map(|&&u| u).collect();
+            assert_eq!(uops, expand(inst), "slot {slot}");
         }
         assert_eq!(p.fetch(TEXT_BASE).unwrap().len(), 2, "pre-index: update, then access");
         assert!(p.fetch(TEXT_BASE + 4 * INST_BYTES).is_none(), "past the last slot");

@@ -32,6 +32,7 @@
 use std::io::{self, Read, Write};
 
 use tvp_isa::flags::Nzcv;
+use tvp_isa::inst::intern;
 use tvp_isa::stream::{
     chunk_header_bytes, decode_inst, encode_inst, end_frame, file_header_bytes, parse_chunk_header,
     parse_end_payload, parse_file_header, verify_chunk, write_varint, zigzag, ByteReader,
@@ -141,7 +142,7 @@ fn encode_record(st: &mut DeltaState, u: &TraceUop, out: &mut Vec<u8>) {
     if let Some(b) = u.branch {
         write_varint(out, zigzag(b.target.wrapping_sub(u.pc) as i64));
     }
-    encode_inst(&u.uop, out);
+    encode_inst(u.uop, out);
     st.prev_seq = u.seq;
     st.prev_pc = u.pc;
 }
@@ -169,7 +170,7 @@ fn decode_record(st: &mut DeltaState, r: &mut ByteReader<'_>) -> Result<TraceUop
     } else {
         None
     };
-    let uop = decode_inst(r)?;
+    let uop = intern(decode_inst(r)?);
     st.prev_seq = seq;
     st.prev_pc = pc;
     Ok(TraceUop {

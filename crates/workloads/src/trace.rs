@@ -25,8 +25,10 @@ pub struct TraceUop {
     pub seq: u64,
     /// Program counter of the parent architectural instruction.
     pub pc: u64,
-    /// The micro-op (post-expansion form: no pre/post-index addressing).
-    pub uop: Inst,
+    /// The micro-op (post-expansion form: no pre/post-index addressing),
+    /// interned ([`tvp_isa::inst::intern`]): every record of the same
+    /// µop points at one copy.
+    pub uop: &'static Inst,
     /// `true` for the first µop of an architectural instruction.
     pub first_uop: bool,
     /// Value written to the destination register, if any (also recorded
@@ -50,6 +52,9 @@ impl TraceUop {
         self.uop.produces_gpr() && !self.uop.op.is_branch() && !self.uop.op.is_store()
     }
 }
+
+// A record holds a reference to its µop, not a 64-byte copy of it.
+const _: () = assert!(size_of::<TraceUop>() <= 80);
 
 /// A complete dynamic trace.
 #[derive(Clone, Debug, Default)]
@@ -83,7 +88,7 @@ mod tests {
         TraceUop {
             seq: 0,
             pc: 0x1_0000,
-            uop: inst,
+            uop: tvp_isa::inst::intern(inst),
             first_uop: true,
             result: None,
             flags_out: None,

@@ -82,11 +82,12 @@ fn skip_then_fill_equals_fill_across_writeback_addressing() {
     assert!(pairs.iter().any(|p| p[0].uop.op.is_store()), "post-index: access first");
 }
 
-/// One access to sparse memory.
+/// One operation that changes sparse memory.
 enum MemOp {
     Write { addr: u64, size: u8, value: u64 },
-    Read { addr: u64, size: u8 },
     WriteBytes { addr: u64, bytes: Vec<u8> },
+    Adopt { addr: u64, bytes: Vec<u8> },
+    Install { page: u64, bytes: Vec<u8> },
 }
 
 /// Addresses within 16 bytes of a page boundary. The boundary at 0
@@ -95,6 +96,23 @@ enum MemOp {
 fn boundary_addr() -> impl Strategy<Value = u64> {
     (0u64..6, -16i64..16)
         .prop_map(|(page, delta)| (page * PAGE_BYTES as u64).wrapping_add(delta as u64))
+}
+
+/// Addresses in the lowest six pages or the highest six, 8-byte
+/// aligned or not, half of them within 16 bytes of a page boundary.
+fn access_addr() -> impl Strategy<Value = u64> {
+    let span = 6 * PAGE_BYTES as u64;
+    prop_oneof![
+        boundary_addr(),
+        (0..span, any::<bool>(), any::<bool>()).prop_map(|(at, top, aligned)| {
+            let addr = if top { u64::MAX - at } else { at };
+            if aligned {
+                addr & !7
+            } else {
+                addr
+            }
+        }),
+    ]
 }
 
 fn access_size() -> impl Strategy<Value = u8> {
@@ -108,13 +126,29 @@ fn model_write(model: &mut BTreeMap<u64, u8>, addr: u64, bytes: &[u8]) {
     }
 }
 
+/// The `size`-byte little-endian value at `addr` in the byte-map model.
+fn model_read(model: &BTreeMap<u64, u8>, addr: u64, size: u8) -> u64 {
+    (0..u64::from(size)).fold(0, |v, i| {
+        v | u64::from(model.get(&addr.wrapping_add(i)).copied().unwrap_or(0)) << (8 * i)
+    })
+}
+
 fn mem_op() -> impl Strategy<Value = MemOp> {
+    let top_page = u64::MAX >> PAGE_BYTES.trailing_zeros();
     prop_oneof![
-        (boundary_addr(), access_size(), any::<u64>())
-            .prop_map(|(addr, size, value)| MemOp::Write { addr, size, value }),
-        (boundary_addr(), access_size()).prop_map(|(addr, size)| MemOp::Read { addr, size }),
+        (access_addr(), access_size(), any::<u64>()).prop_map(|(addr, size, value)| MemOp::Write {
+            addr,
+            size,
+            value
+        }),
         (boundary_addr(), proptest::collection::vec(any::<u8>(), 0..=3 * PAGE_BYTES))
             .prop_map(|(addr, bytes)| MemOp::WriteBytes { addr, bytes }),
+        (access_addr(), 0usize..=7 * PAGE_BYTES / 2, any::<u64>())
+            .prop_map(|(addr, len, seed)| MemOp::Adopt { addr, bytes: segment_bytes(seed, len) }),
+        (0u64..12, any::<u64>()).prop_map(move |(k, seed)| MemOp::Install {
+            page: if k < 6 { k } else { top_page - (k - 6) },
+            bytes: segment_bytes(seed, PAGE_BYTES),
+        }),
     ]
 }
 
@@ -207,34 +241,56 @@ proptest! {
     }
 
     #[test]
-    fn sparse_memory_matches_a_byte_map_model(ops in proptest::collection::vec(mem_op(), 1..40)) {
+    fn sparse_memory_matches_a_byte_map_model(
+        ops in proptest::collection::vec((mem_op(), access_addr(), access_size()), 1..40),
+    ) {
         let mut mem = SparseMem::default();
         let mut model = BTreeMap::<u64, u8>::new();
-        for op in ops {
-            match op {
+        for (op, probe, probe_size) in ops {
+            let at = match op {
                 MemOp::Write { addr, size, value } => {
                     mem.write(addr, size, value);
                     model_write(&mut model, addr, &value.to_le_bytes()[..usize::from(size)]);
+                    addr
                 }
                 MemOp::WriteBytes { addr, bytes } => {
                     mem.write_bytes(addr, &bytes);
                     model_write(&mut model, addr, &bytes);
+                    addr
                 }
-                MemOp::Read { addr, size } => {
-                    let expected = (0..u64::from(size)).fold(0u64, |v, i| {
-                        let b = model.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
-                        v | u64::from(b) << (8 * i)
-                    });
-                    prop_assert_eq!(mem.read(addr, size), expected, "read({:#x}, {})", addr, size);
+                MemOp::Adopt { addr, bytes } => {
+                    model_write(&mut model, addr, &bytes);
+                    mem.adopt(addr, bytes);
+                    addr
                 }
+                MemOp::Install { page, bytes } => {
+                    let addr = page * PAGE_BYTES as u64;
+                    mem.install_page(page, &bytes);
+                    model_write(&mut model, addr, &bytes);
+                    addr
+                }
+            };
+            // The word the operation starts at, and a probe anywhere.
+            for (addr, size) in [(at, 8), (probe, probe_size)] {
+                let want = model_read(&model, addr, size);
+                prop_assert_eq!(mem.read(addr, size), want, "read({:#x}, {})", addr, size);
             }
         }
-        let mut bytewise = SparseMem::default();
-        for (&addr, &b) in &model {
-            bytewise.write(addr, 1, u64::from(b));
+        // The model's pages that hold a non-zero byte, in ascending order.
+        let mut pages = BTreeMap::<u64, Vec<u8>>::new();
+        for (&addr, &b) in model.iter().filter(|&(_, &b)| b != 0) {
+            let page = pages.entry(addr / PAGE_BYTES as u64).or_insert_with(|| vec![0; PAGE_BYTES]);
+            page[addr as usize % PAGE_BYTES] = b;
         }
-        prop_assert_eq!(mem.digest(), bytewise.digest());
-        prop_assert!(mem.nonzero_pages().eq(bytewise.nonzero_pages()), "page images differ");
+        let want: Vec<(u64, Vec<u8>)> = pages.into_iter().collect();
+        let got: Vec<(u64, Vec<u8>)> = mem.nonzero_pages().map(|(p, b)| (p, b.to_vec())).collect();
+        let indices = |pages: &[(u64, Vec<u8>)]| pages.iter().map(|&(p, _)| p).collect::<Vec<_>>();
+        prop_assert!(got == want, "pages {:x?}, want {:x?}", indices(&got), indices(&want));
+        let mut reference = SparseMem::default();
+        for (page, bytes) in &want {
+            reference.install_page(*page, bytes);
+        }
+        prop_assert_eq!(mem.digest(), reference.digest());
     }
 
     #[test]

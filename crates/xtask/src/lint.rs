@@ -44,7 +44,9 @@
 //!    parallel bench output and bypass the structured observability
 //!    layer. Reporting belongs in the bench/harness crates.
 //! 7. **determinism-audit** — the simulation crates (`core`, `mem`,
-//!    `predictors`, `isa`, `obs`) must not observe anything outside the
+//!    `predictors`, `isa`, `obs`) and the functional machine's crate
+//!    (`workloads`, which produces every trace and the commit oracle's
+//!    golden model) must not observe anything outside the
 //!    simulated machine: no wall-clock time (`Instant`/`SystemTime`),
 //!    no environment reads (`std::env::var` & friends), no randomized
 //!    hashing (`RandomState`/`DefaultHasher`), no pointer-value
@@ -113,8 +115,9 @@ const SCANNED_CRATES: &[&str] =
 const SILENT_CRATES: &[&str] = &["core", "mem", "obs", "predictors"];
 
 /// Crates bound by the determinism audit (rule 7): everything that can
-/// influence or observe simulated state.
-const DETERMINISM_CRATES: &[&str] = &["core", "isa", "mem", "obs", "predictors"];
+/// influence or observe simulated state, the functional machine that
+/// produces every trace included.
+const DETERMINISM_CRATES: &[&str] = &["core", "isa", "mem", "obs", "predictors", "workloads"];
 
 /// Individual files bound by the determinism audit in crates that are
 /// otherwise exempt. `tvp-bench` legitimately reads wall clocks and
@@ -1222,6 +1225,15 @@ mod tests {
             "#[cfg(feature = \"x\")]\nfn snapshot_age() { let t = Instant::now(); }\n",
         );
         assert_eq!(rules_of(&out), ["determinism-audit"]);
+    }
+
+    #[test]
+    fn determinism_binds_the_functional_machine() {
+        let out = check(
+            "crates/workloads/src/x.rs",
+            "use std::collections::hash_map::DefaultHasher;\nfn f(v: &[u8]) -> usize { v.as_ptr() as usize }\n",
+        );
+        assert_eq!(rules_of(&out), ["determinism-audit", "determinism-audit"]);
     }
 
     #[test]
