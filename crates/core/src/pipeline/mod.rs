@@ -48,8 +48,6 @@ use tvp_obs::cpi::{CpiStack, SlotClass};
 use tvp_obs::event::{EventKind, TraceEvent, Tracer};
 use tvp_obs::registry::Registry;
 use tvp_predictors::history::MAX_REWIND;
-use tvp_predictors::tage::TageToken;
-use tvp_predictors::vtage::VtagePred;
 use tvp_workloads::trace::Trace;
 
 use crate::config::{CoreConfig, FuPool, RecoveryPolicy, VpMode};
@@ -65,14 +63,13 @@ use recovery::{DueQueue, FlushKind, PendingFlush, PendingReplay};
 use tvp_workloads::machine::{ArchSnapshot, Machine};
 
 /// A µop sitting in the fetch queue: what fetch learned about it, which
-/// the µop's ROB entry keeps.
+/// the µop's ROB entry keeps. A branch's predictions wait for its commit
+/// in the predictors' records, not here.
 #[derive(Clone, Debug)]
 struct Fetched {
     idx: usize,
     rename_ready: u64,
-    tage_token: Option<TageToken>,
     fetch_wait: bool,
-    itc_path_at_predict: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -81,16 +78,25 @@ struct RobEntry {
     fetched: Fetched,
     seq: u64,
     renamed: RenamedUop,
-    new_names: InlineVec<(usize, PhysName), MAX_DST_REGS>,
+    /// `(dense arch index, name)` of each mapping the µop made, which
+    /// commit makes architectural.
+    new_names: InlineVec<(u8, PhysName), MAX_DST_REGS>,
     in_iq: bool,
     issued: bool,
+    /// Whether rename looked the µop up in the value predictor, which
+    /// keeps the lookup for commit to train with.
+    vp_lookup: bool,
     /// For loads/stores: this entry's position in its queue. Zero for
     /// other µops.
     lsq_pos: u64,
     done_cycle: u64,
     dispatch_ready: u64,
-    vp_token: Option<VtagePred>,
 }
+
+// Every fetched µop is copied into the fetch queue and then into the
+// ROB, so both entries carry no prediction state.
+const _: () = assert!(std::mem::size_of::<Fetched>() <= 24);
+const _: () = assert!(std::mem::size_of::<RobEntry>() <= 152);
 
 impl Aged for RobEntry {
     fn seq(&self) -> u64 {
@@ -196,11 +202,11 @@ impl Core {
             cycle: 0,
             cycle_base: 0,
             cursor: 0,
-            fetch_queue: VecDeque::new(),
+            fetch_queue: VecDeque::with_capacity(cfg.fetch_queue),
             fetch_resume: 0,
             fetch_wait_branch: None,
             current_line: u64::MAX,
-            rob: PosQueue::new(),
+            rob: PosQueue::with_capacity(cfg.rob_size),
             iq_count: 0,
             sched: Scheduler::new(cfg.rob_size, cfg.int_regs, cfg.fp_regs),
             wake_scratch: Vec::new(), // audited(no-alloc-in-hot-path): constructor
@@ -619,11 +625,11 @@ impl Core {
             self.renamer.commit_with_names(&entry.new_names);
 
             // Train predictors in retirement order.
-            if let Some(token) = entry.fetched.tage_token.as_ref() {
-                let outcome = u.branch.expect("token implies branch");
-                self.pred.tage.update(token, outcome.taken);
-            }
             if let Some(b) = u.branch {
+                let record = self.pred.take_branch(entry.seq);
+                if let Some(token) = record.tage.as_ref() {
+                    self.pred.tage.update(token, b.taken);
+                }
                 let kind = u.uop.op.branch_kind().expect("branch outcome implies branch");
                 if b.taken {
                     self.pred.btb.insert(u.pc, b.target, kind);
@@ -632,12 +638,11 @@ impl Core {
                     kind,
                     BranchKind::Indirect | BranchKind::IndirectCall | BranchKind::Return
                 ) {
-                    let path = entry.fetched.itc_path_at_predict;
-                    self.pred.itc.update_with_path(u.pc, b.target, path);
+                    self.pred.itc.update_with_path(u.pc, b.target, record.itc_path);
                 }
             }
-            if let Some(token) = entry.vp_token.as_ref() {
-                self.pred.train_value(token, u.result);
+            if entry.vp_lookup {
+                self.pred.commit_value(entry.seq, u.result);
             }
             self.pred.retire(entry.seq);
 
@@ -970,9 +975,9 @@ impl Core {
             }
 
             let fetched = self.fetch_queue.pop_front().expect("front exists");
-            let mut new_names: InlineVec<(usize, PhysName), MAX_DST_REGS> = InlineVec::new();
+            let mut new_names: InlineVec<(u8, PhysName), MAX_DST_REGS> = InlineVec::new();
             for &(dense, _) in &renamed.undo {
-                new_names.push((dense, self.renamer.rat_entry(dense)));
+                new_names.push((dense, self.renamer.rat_entry(usize::from(dense))));
             }
 
             // A freshly allocated register has no live consumers; drop
@@ -1011,7 +1016,8 @@ impl Core {
             if u.first_uop {
                 sat_inc(&mut self.renamer.stats.arch_insts, &mut self.renamer.overflow_events);
             }
-            if vp_token.is_some() {
+            if let Some(pred) = vp_token {
+                self.pred.keep_value(u.seq, pred);
                 sat_inc(&mut self.stats.vp.eligible, &mut self.stats.overflow_events);
             }
             if prediction.is_some() {
@@ -1026,10 +1032,10 @@ impl Core {
                 new_names,
                 in_iq: needs_iq,
                 issued: false,
+                vp_lookup: vp_token.is_some(),
                 lsq_pos,
                 done_cycle: if eliminated { self.cycle + 1 } else { u64::MAX },
                 dispatch_ready,
-                vp_token,
             });
             if needs_iq {
                 // Wakeup evaluation fires when the dispatch latency
@@ -1068,14 +1074,12 @@ impl Core {
             }
             self.current_line = u.pc >> 6;
 
-            let itc_path_at_predict = self.pred.itc.path_checkpoint();
-            let mut tage_token = None;
             let mut fetch_wait = false;
             let mut taken_bubble = false;
             if let Some(outcome) = u.branch {
                 let kind = u.uop.op.branch_kind().expect("branch outcome implies branch");
+                let itc_path = self.pred.itc.path_checkpoint();
                 let prediction = self.pred.predict(u.pc, kind, outcome);
-                tage_token = prediction.tage;
                 let mut mispredicted = prediction.missed;
                 // A direct branch predicted taken needs its target from
                 // the BTB; a miss costs a decode-stage mistarget bubble.
@@ -1105,8 +1109,9 @@ impl Core {
                     self.follow_taken(outcome.target);
                 }
                 // Checkpoint speculative front-end state after this
-                // branch, for later squash recovery.
-                self.pred.checkpoint(u.seq);
+                // branch, for later squash recovery, and keep what its
+                // commit trains with.
+                self.pred.checkpoint(u.seq, prediction.tage, itc_path);
                 if mispredicted {
                     sat_inc(
                         &mut self.stats.flush.branch_mispredicts,
@@ -1124,9 +1129,7 @@ impl Core {
             self.fetch_queue.push_back(Fetched {
                 idx: self.cursor,
                 rename_ready: self.cycle + self.cfg.fetch_to_decode + self.cfg.decode_to_rename,
-                tage_token,
                 fetch_wait,
-                itc_path_at_predict,
             });
             self.cursor += 1;
             fetched += 1;
@@ -1563,7 +1566,7 @@ impl Core {
                     && e.dispatch_ready <= self.cycle
                     && e.dispatch_ready < self.cycle + self.cfg.rename_to_dispatch.max(1)
                     && self.first_unready_dep(&e.renamed).is_none(),
-                new_names: e.new_names.iter().map(|&(d, n)| map_entry(d, n)).collect(), // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
+                new_names: e.new_names.iter().map(|&(d, n)| map_entry(usize::from(d), n)).collect(), // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
             })
             .collect(); // audited(no-alloc-in-hot-path): verif snapshot, off the per-cycle loop
         let [lq_seqs, sq_seqs] = self.lsq.seqs();

@@ -1,7 +1,8 @@
-//! The predictors the core trains, and the branch checkpoints that mark
-//! their speculative state. Fetch and functional warming predict the
-//! same way and train differently: commit in retirement order from what
-//! fetch recorded, warming right after each prediction.
+//! The predictors the core trains, the branch checkpoints that mark
+//! their speculative state, and what each in-flight prediction left for
+//! its training. Fetch and functional warming predict the same way and
+//! train differently: commit in retirement order from the records fetch
+//! and rename kept, warming right after each prediction.
 
 use std::collections::VecDeque;
 
@@ -10,6 +11,7 @@ use tvp_predictors::history::HistoryMark;
 use tvp_predictors::{Btb, IndirectTargetCache, Ras, Tage, TageToken, Vtage, VtagePred};
 use tvp_workloads::trace::{BranchOutcome, TraceUop};
 
+use super::queue::Aged;
 use crate::config::CoreConfig;
 
 /// Speculative front-end state after one fetched branch, held inline
@@ -29,6 +31,57 @@ pub(super) struct Checkpoint {
 // branch and again at its commit.
 const _: () = assert!(std::mem::size_of::<Checkpoint>() <= 330);
 
+/// What fetching one branch left for its training at commit.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct BranchRecord {
+    seq: u64,
+    /// A conditional branch's TAGE token.
+    pub(super) tage: Option<TageToken>,
+    /// The indirect path at the branch's prediction, which an indirect
+    /// branch or a return trains the ITC with.
+    pub(super) itc_path: u64,
+}
+
+/// A value-predictor lookup that entered the ROB with its µop.
+#[derive(Clone, Copy, Debug)]
+struct ValueRecord {
+    seq: u64,
+    pred: VtagePred,
+}
+
+impl Aged for Checkpoint {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+impl Aged for BranchRecord {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+impl Aged for ValueRecord {
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+/// Drops the entries of `queue` numbered `cut` or later, youngest first.
+fn cut_from<T: Aged>(queue: &mut VecDeque<T>, cut: u64) {
+    while queue.back().is_some_and(|e| e.seq() >= cut) {
+        queue.pop_back();
+    }
+}
+
+/// Takes the oldest entry of `queue`, which must be the committing µop
+/// `seq`'s.
+fn take_front<T: Aged>(queue: &mut VecDeque<T>, seq: u64) -> T {
+    let front = queue.pop_front().expect("a committing µop's record is in flight");
+    assert_eq!(front.seq(), seq, "records are taken in retirement order");
+    front
+}
+
 /// What predicting one branch left for its training.
 pub(super) struct Prediction {
     /// A conditional branch's TAGE token.
@@ -40,7 +93,11 @@ pub(super) struct Prediction {
 }
 
 /// The branch predictors, the value predictor (which follows the branch
-/// history too) and a checkpoint after each branch in flight.
+/// history too), a checkpoint after each branch in flight, and the
+/// records their commits train with. Fetch pushes a branch's checkpoint
+/// and record, rename a VP lookup's record; commit takes the retiring
+/// µop's, and a squash cuts the squashed µops'. The record queues are
+/// sized once, for the most µops the ROB and the fetch queue hold.
 pub(super) struct Predictors {
     pub(super) tage: Tage,
     pub(super) btb: Btb,
@@ -48,6 +105,10 @@ pub(super) struct Predictors {
     pub(super) itc: IndirectTargetCache,
     pub(super) vtage: Option<Vtage>,
     checkpoints: VecDeque<Checkpoint>,
+    /// One per branch in flight, oldest first.
+    branches: VecDeque<BranchRecord>,
+    /// One per VP lookup in the ROB, oldest first.
+    values: VecDeque<ValueRecord>,
     /// The state after the youngest retired branch: what a squash that
     /// finds no checkpoint restores.
     floor: Checkpoint,
@@ -67,7 +128,21 @@ impl Predictors {
             itc_path: itc.path_checkpoint(),
         };
         let btb = Btb::new(8192, 4);
-        Predictors { tage, btb, ras, itc, vtage, checkpoints: VecDeque::new(), floor }
+        // A branch is in flight from fetch to commit, a VP lookup from
+        // rename to commit.
+        let branches = VecDeque::with_capacity(cfg.rob_size + cfg.fetch_queue);
+        let values = VecDeque::with_capacity(if vtage.is_some() { cfg.rob_size } else { 0 });
+        Predictors {
+            tage,
+            btb,
+            ras,
+            itc,
+            vtage,
+            checkpoints: VecDeque::new(),
+            branches,
+            values,
+            floor,
+        }
     }
 
     /// Predicts the branch at `pc` and moves the speculative state past
@@ -122,6 +197,19 @@ impl Predictors {
         }
     }
 
+    /// Keeps the lookup of µop `seq`, which entered the ROB, for its
+    /// commit.
+    pub(super) fn keep_value(&mut self, seq: u64, pred: VtagePred) {
+        self.values.push_back(ValueRecord { seq, pred });
+    }
+
+    /// Trains the value predictor on the committing µop `seq`'s actual
+    /// result, with the lookup rename kept for it.
+    pub(super) fn commit_value(&mut self, seq: u64, actual: Option<u64>) {
+        let record = take_front(&mut self.values, seq);
+        self.train_value(&record.pred, actual);
+    }
+
     /// The speculative state as it stands, labelled `seq`.
     pub(super) fn mark(&self, seq: u64) -> Checkpoint {
         Checkpoint {
@@ -133,10 +221,18 @@ impl Predictors {
         }
     }
 
-    /// Checkpoints the state after the fetched branch `seq`.
-    pub(super) fn checkpoint(&mut self, seq: u64) {
+    /// Checkpoints the state after the fetched branch `seq`, and keeps
+    /// what its commit trains with: its TAGE token, if it is
+    /// conditional, and the indirect path its prediction saw.
+    pub(super) fn checkpoint(&mut self, seq: u64, tage: Option<TageToken>, itc_path: u64) {
         let mark = self.mark(seq);
         self.checkpoints.push_back(mark);
+        self.branches.push_back(BranchRecord { seq, tage, itc_path });
+    }
+
+    /// Takes what fetching the committing branch `seq` kept.
+    pub(super) fn take_branch(&mut self, seq: u64) -> BranchRecord {
+        take_front(&mut self.branches, seq)
     }
 
     /// Moves the floor past the committed µop `seq`.
@@ -147,11 +243,11 @@ impl Predictors {
     }
 
     /// Restores the state after the youngest branch older than `cut`,
-    /// the first squashed µop.
+    /// the first squashed µop, and drops the squashed µops' records.
     pub(super) fn squash(&mut self, cut: u64) {
-        while self.checkpoints.back().is_some_and(|c| c.seq >= cut) {
-            self.checkpoints.pop_back();
-        }
+        cut_from(&mut self.checkpoints, cut);
+        cut_from(&mut self.branches, cut);
+        cut_from(&mut self.values, cut);
         let ckpt = *self.checkpoints.back().unwrap_or(&self.floor);
         self.tage.restore_history(ckpt.tage);
         if let (Some(vp), Some(h)) = (self.vtage.as_mut(), ckpt.vtage) {
@@ -165,5 +261,113 @@ impl Predictors {
     /// squash that finds none must restore the warmed state.
     pub(super) fn rebase_floor(&mut self) {
         self.floor = self.mark(self.floor.seq);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tvp_isa::op::BranchKind;
+    use tvp_workloads::trace::BranchOutcome;
+
+    use super::*;
+    use crate::config::VpMode;
+    use crate::Core;
+
+    fn tvp() -> Predictors {
+        Predictors::new(&CoreConfig::with_vp(VpMode::Tvp))
+    }
+
+    fn seqs<T: Aged>(queue: &VecDeque<T>) -> Vec<u64> {
+        queue.iter().map(Aged::seq).collect()
+    }
+
+    /// Fetches the conditional branch `seq` as fetch does; returns the
+    /// indirect path its prediction saw.
+    fn fetch_branch(pred: &mut Predictors, seq: u64) -> u64 {
+        let path = pred.itc.path_checkpoint();
+        let outcome = BranchOutcome { taken: true, target: 0x40 };
+        let prediction = pred.predict(0x1000 + 4 * seq, BranchKind::CondDirect, outcome);
+        pred.itc.push_path(outcome.target);
+        pred.checkpoint(seq, prediction.tage, path);
+        path
+    }
+
+    /// Renames the VP-eligible µop `seq` into the ROB as rename does.
+    fn rename_lookup(pred: &mut Predictors, seq: u64) {
+        let vp = pred.vtage.as_mut().expect("TVP has a value predictor");
+        let lookup = vp.predict(0x2000 + 4 * seq);
+        pred.keep_value(seq, lookup);
+    }
+
+    #[test]
+    fn commit_takes_the_record_of_the_retiring_branch_or_lookup() {
+        let mut pred = tvp();
+        let path3 = fetch_branch(&mut pred, 3);
+        rename_lookup(&mut pred, 4);
+        rename_lookup(&mut pred, 5);
+        let path7 = fetch_branch(&mut pred, 7);
+        assert_ne!(path3, path7, "the taken branch 3 moved the path");
+
+        let first = pred.take_branch(3);
+        assert_eq!(first.seq, 3);
+        assert!(first.tage.is_some(), "a conditional branch keeps its TAGE token");
+        assert_eq!(first.itc_path, path3);
+        pred.commit_value(4, Some(1));
+        assert_eq!(seqs(&pred.values), [5]);
+        pred.commit_value(5, Some(1));
+        let second = pred.take_branch(7);
+        assert_eq!((second.seq, second.itc_path), (7, path7));
+        assert!(pred.branches.is_empty() && pred.values.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "retirement order")]
+    fn commit_never_takes_a_younger_record() {
+        let mut pred = tvp();
+        fetch_branch(&mut pred, 7);
+        let _ = pred.take_branch(5);
+    }
+
+    #[test]
+    fn a_squash_between_two_branches_drops_exactly_the_younger_records() {
+        let mut pred = tvp();
+        fetch_branch(&mut pred, 2);
+        rename_lookup(&mut pred, 3);
+        let after_2 = pred.mark(2);
+        rename_lookup(&mut pred, 8);
+        fetch_branch(&mut pred, 9);
+        rename_lookup(&mut pred, 10);
+        pred.squash(5);
+        assert_eq!(seqs(&pred.checkpoints), [2]);
+        assert_eq!(seqs(&pred.branches), [2]);
+        assert_eq!(seqs(&pred.values), [3]);
+        assert_eq!(pred.mark(2), after_2, "the state after branch 2 is back");
+        // A squash at the older branch itself drops it, and µop 3's
+        // lookup with it.
+        pred.squash(2);
+        assert!(pred.checkpoints.is_empty() && pred.branches.is_empty() && pred.values.is_empty());
+    }
+
+    #[test]
+    fn functional_warming_pushes_no_record_and_a_run_leaves_none() {
+        let mut machine =
+            tvp_workloads::suite::by_name("mc_playout").expect("suite kernel").machine();
+        let (warm, measured) = (machine.run(5_000), machine.run(5_000));
+        assert!(warm.uops.iter().any(|u| u.branch.is_some()));
+        assert!(warm.uops.iter().any(tvp_workloads::trace::TraceUop::vp_eligible));
+        let mut core = Core::new(CoreConfig::with_vp(VpMode::Tvp));
+        let capacity = (core.pred.branches.capacity(), core.pred.values.capacity());
+        core.functional_warm(&warm);
+        let pred = &core.pred;
+        assert!(pred.checkpoints.is_empty() && pred.branches.is_empty() && pred.values.is_empty());
+        let stats = core.run_segment(&measured);
+        assert!(stats.vp.eligible > 0);
+        let pred = &core.pred;
+        assert!(pred.checkpoints.is_empty() && pred.branches.is_empty() && pred.values.is_empty());
+        assert_eq!(
+            (pred.branches.capacity(), pred.values.capacity()),
+            capacity,
+            "the records are sized once"
+        );
     }
 }

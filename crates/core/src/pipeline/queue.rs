@@ -23,7 +23,12 @@ pub(super) struct PosQueue<T> {
 
 impl<T: Aged> PosQueue<T> {
     pub(super) fn new() -> Self {
-        PosQueue { items: VecDeque::new(), base: 0 }
+        Self::with_capacity(0)
+    }
+
+    /// An empty queue that holds `capacity` entries without growing.
+    pub(super) fn with_capacity(capacity: usize) -> Self {
+        PosQueue { items: VecDeque::with_capacity(capacity), base: 0 }
     }
 
     /// Position of the front (oldest) entry.

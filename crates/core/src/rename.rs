@@ -85,8 +85,9 @@ pub struct RenamedUop {
     pub prf_reads: u32,
     /// Undo log: `(dense arch index, previous name)` pairs, oldest
     /// first. Also identifies the new mappings for commit. Inline: a
-    /// µop maps at most [`MAX_DST_REGS`] registers (dest + `NZCV`).
-    pub undo: InlineVec<(usize, PhysName), MAX_DST_REGS>,
+    /// µop maps at most [`MAX_DST_REGS`] registers (dest + `NZCV`), and
+    /// a dense index fits a byte.
+    pub undo: InlineVec<(u8, PhysName), MAX_DST_REGS>,
     /// Register allocated for the destination, if any.
     pub dest_alloc: Option<(RegClass, u16)>,
     /// Register allocated for the flags, if any.
@@ -102,6 +103,9 @@ pub struct RenamedUop {
     /// restriction.
     pub non_me_move: bool,
 }
+
+// The undo log and the ROB's new names keep a dense index in a byte.
+const _: () = assert!(NUM_DENSE_REGS <= 1 << u8::BITS);
 
 /// Rename failure: out of physical registers; retry next cycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -256,7 +260,7 @@ impl Renamer {
             return; // xzr writes are discarded; no mapping changes
         }
         let dense = reg.dense_index();
-        out.undo.push((dense, self.rat[dense]));
+        out.undo.push((dense as u8, self.rat[dense]));
         self.rat[dense] = name;
     }
 
@@ -545,6 +549,7 @@ impl Renamer {
     /// reverse rename order — the paper's Active-List walk (§3.2.1).
     pub fn rollback(&mut self, renamed: &RenamedUop) {
         for &(dense, old) in renamed.undo.iter().rev() {
+            let dense = usize::from(dense);
             let current = self.rat[dense];
             if let PhysName::Reg(p) = current {
                 let class = if (32..64).contains(&dense) { RegClass::Fp } else { RegClass::Int };
@@ -556,8 +561,9 @@ impl Renamer {
 
     /// Commits one µop's new mappings (provided by the ROB entry,
     /// which captured `(dense index, new name)` pairs at rename time).
-    pub fn commit_with_names(&mut self, new_names: &[(usize, PhysName)]) {
+    pub fn commit_with_names(&mut self, new_names: &[(u8, PhysName)]) {
         for &(dense, name) in new_names {
+            let dense = usize::from(dense);
             let old = self.crat[dense];
             if let PhysName::Reg(p) = old {
                 let class = if (32..64).contains(&dense) { RegClass::Fp } else { RegClass::Int };
@@ -810,7 +816,7 @@ mod tests {
         let new_name = r.name_of(x(0));
         let old_p = old.reg().unwrap();
         let rc = r.file(RegClass::Int).ref_count(old_p);
-        let names: Vec<(usize, PhysName)> = out.undo.iter().map(|&(d, _)| (d, new_name)).collect();
+        let names: Vec<(u8, PhysName)> = out.undo.iter().map(|&(d, _)| (d, new_name)).collect();
         r.commit_with_names(&names);
         assert_eq!(r.crat_entry(x(0).dense_index()), new_name);
         assert_eq!(r.file(RegClass::Int).ref_count(old_p), rc - 1);

@@ -6,9 +6,11 @@
 //! every cache, TLB and BTB keeps its sets in one array, not one `Vec`
 //! per set. Running branch-heavy kernels allocates only while queues and
 //! consumer lists grow to their working size, well under one call per
-//! 100 retired µops: the checkpoint each fetched branch takes holds its
-//! history positions and return-address stack inline, and the wakeup
-//! wheel links its events through per-register arrays. Once grown,
+//! 100 retired µops: the ROB, the fetch queue and the predictors'
+//! in-flight records are allocated at their Table 2 bounds when the core
+//! is built, the checkpoint each fetched branch takes holds its history
+//! positions and return-address stack inline, and the wakeup wheel links
+//! its events through per-register arrays. Once grown,
 //! nothing allocates: a longer second segment on the same core makes no
 //! call at all. This binary holds a single test: the counter is
 //! process-wide, and a second test thread would pollute it.

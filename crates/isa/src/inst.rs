@@ -150,19 +150,14 @@ impl Inst {
     /// All source registers read by this instruction, including the
     /// address registers of memory operations and `NZCV` for
     /// flag-reading operations. Order is deterministic.
-    pub fn src_regs(&self) -> impl Iterator<Item = Reg> + '_ {
-        let addr_regs = match self.addr {
+    pub fn src_regs(&self) -> impl Iterator<Item = Reg> {
+        let [addr1, addr2] = match self.addr {
             Some(AddrMode::BaseIndex { base, index, .. }) => [Some(base), Some(index)],
             Some(m) => [Some(m.base()), None],
             None => [None, None],
         };
         let flags = if self.op.reads_flags() { Some(Reg::Nzcv) } else { None };
-        self.src1
-            .into_iter()
-            .chain(self.src2.reg())
-            .chain(self.src3)
-            .chain(addr_regs.into_iter().flatten())
-            .chain(flags)
+        [self.src1, self.src2.reg(), self.src3, addr1, addr2, flags].into_iter().flatten()
     }
 
     /// All destination registers written by this instruction, including

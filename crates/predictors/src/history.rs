@@ -51,15 +51,30 @@ struct Fold {
     hist_len: u32,
     width: u32,
     out_point: u32,
+    /// `1 << out_point`: the bit the evicted history bit toggles.
+    out_bit: u64,
+    /// `1 << width`: the bit a shift carries out of the view, folded
+    /// back into bit 0.
+    overflow: u64,
 }
 
 impl Fold {
     fn new(spec: FoldedSpec) -> Self {
         assert!(spec.width >= 1 && spec.width < 64, "folded width out of range");
+        assert!(spec.hist_len >= 1, "a folded view needs at least one history bit");
         assert!(spec.hist_len as usize <= MAX_HISTORY_BITS);
-        Fold { hist_len: spec.hist_len, width: spec.width, out_point: spec.hist_len % spec.width }
+        let out_point = spec.hist_len % spec.width;
+        Fold {
+            hist_len: spec.hist_len,
+            width: spec.width,
+            out_point,
+            out_bit: 1 << out_point,
+            overflow: 1 << spec.width,
+        }
     }
 
+    /// One fold step, written out: the step [`BranchHistory::rewind`]
+    /// replays, and the reference for [`BranchHistory::push`].
     fn update(self, comp: &mut u64, inserted: bool, evicted: bool) {
         let mask = (1u64 << self.width) - 1;
         *comp = (*comp << 1) | u64::from(inserted);
@@ -82,7 +97,7 @@ impl HistoryFolds {
     /// # Panics
     ///
     /// Panics on more than [`MAX_FOLDED_VIEWS`] views, a width outside
-    /// 1–63 or a length beyond [`MAX_HISTORY_BITS`].
+    /// 1–63, or a length of zero or beyond [`MAX_HISTORY_BITS`].
     #[must_use]
     pub fn new(specs: &[FoldedSpec]) -> Self {
         assert!(
@@ -157,8 +172,7 @@ impl BranchHistory {
 
     /// The bit pushed at position `pos` (the `pos`-th push, from 0).
     fn bit_at(&self, pos: u64) -> bool {
-        let pos = pos as usize % RING_BITS;
-        self.bits[pos / 64] >> (pos % 64) & 1 == 1
+        ring_bit(&self.bits, pos) == 1
     }
 
     /// The `age`-th most recent bit (0 = latest). Bits older than
@@ -172,10 +186,22 @@ impl BranchHistory {
     }
 
     /// Pushes one branch outcome, updating every view of `folds`.
+    ///
+    /// Each view takes the fold step that [`BranchHistory::rewind`]
+    /// replays without a branch, and with one variable shift (the ring
+    /// read) instead of four: a view is narrower than 64 bits, so the
+    /// shift carries at most its overflow bit out, and that bit folds
+    /// back into bit 0. A window longer than the history so far evicts
+    /// nothing, which is exact because no view is empty.
     pub fn push(&mut self, folds: &HistoryFolds, taken: bool) {
-        for (i, &fold) in folds.folds.iter().enumerate() {
-            let evicted = self.bit(u64::from(fold.hist_len) - 1);
-            fold.update(&mut self.comp[i], taken, evicted);
+        let (bits, pushed) = (&self.bits, self.pushed);
+        for (comp, fold) in self.comp.iter_mut().zip(&folds.folds) {
+            let len = u64::from(fold.hist_len);
+            let evicted = ring_bit(bits, pushed.wrapping_sub(len)) & u64::from(pushed >= len);
+            let mut c = (*comp << 1) | u64::from(taken);
+            c ^= evicted.wrapping_neg() & fold.out_bit;
+            let carry = c & fold.overflow;
+            *comp = c ^ carry ^ u64::from(carry != 0);
         }
         let pos = self.pushed as usize % RING_BITS;
         let (w, b) = (pos / 64, pos % 64);
@@ -228,6 +254,12 @@ impl BranchHistory {
     }
 }
 
+/// The ring's bit at push position `pos`, as 0 or 1.
+fn ring_bit(bits: &[u64; WORDS], pos: u64) -> u64 {
+    let pos = pos as usize % RING_BITS;
+    bits[pos / 64] >> (pos % 64) & 1
+}
+
 impl tvp_verif::StorageBudget for BranchHistory {
     fn storage_name(&self) -> &'static str {
         "branch-history"
@@ -255,6 +287,8 @@ impl tvp_verif::StorageBudget for HistoryFolds {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -404,6 +438,69 @@ mod tests {
         assert!(!h.bit(0));
         assert!(h.bit(1));
         assert!(!h.bit(MAX_HISTORY_BITS as u64), "bits past the longest fold read as false");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn push_matches_the_reference_fold_after_every_outcome(
+            geometry in proptest::collection::vec((1u32..=MAX_HISTORY_BITS as u32, 1u32..64), 1..=8),
+            lead in 0u32..3_000,
+            outcomes in proptest::collection::vec(any::<bool>(), 1..1_500),
+        ) {
+            // Rewinding to the current mark replays each view's window
+            // through `Fold::update` from zero: the known answer the
+            // branch-free step must give after every push, from the
+            // first (windows longer than the history) to after the ring
+            // has wrapped (`lead`).
+            let specs: Vec<FoldedSpec> =
+                geometry.iter().map(|&(hist_len, width)| FoldedSpec { hist_len, width }).collect();
+            let folds = HistoryFolds::new(&specs);
+            let mut h = BranchHistory::new();
+            for i in 0..lead {
+                h.push(&folds, i % 7 < 3);
+            }
+            for taken in outcomes {
+                h.push(&folds, taken);
+                let mut rebuilt = h.clone();
+                rebuilt.rewind(&folds, h.mark());
+                for (view, spec) in specs.iter().enumerate() {
+                    prop_assert_eq!(h.folded(view), rebuilt.folded(view), "view {:?}", spec);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_longer_than_the_history_evicts_nothing_after_a_deep_rewind() {
+        // Two rewinds, each within the ring's reach, return to a mark
+        // whose longest window reaches past the first push; the ring
+        // slots that window maps to hold bits pushed later. The next
+        // pushes must fold as a fresh history's do.
+        let folds = HistoryFolds::new(&[FoldedSpec { hist_len: 1024, width: 11 }]);
+        let mut h = BranchHistory::new();
+        let start = h.mark();
+        for i in 0..1000 {
+            h.push(&folds, i % 3 == 0);
+        }
+        let middle = h.mark();
+        for _ in 0..1000 {
+            h.push(&folds, true);
+        }
+        h.rewind(&folds, middle);
+        h.rewind(&folds, start);
+        let mut fresh = BranchHistory::new();
+        for i in 0..50 {
+            h.push(&folds, i % 5 == 0);
+            fresh.push(&folds, i % 5 == 0);
+            assert_eq!(h.folded(0), fresh.folded(0), "push {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one history bit")]
+    fn zero_length_fold_rejected() {
+        let _ = HistoryFolds::new(&[FoldedSpec { hist_len: 0, width: 4 }]);
     }
 
     #[test]

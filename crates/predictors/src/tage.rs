@@ -165,8 +165,9 @@ impl Tage {
         let probe = self.tagged.probe(pc);
         // The provider is the longest history match, the alternate the
         // next longest; the bimodal base stands in for either.
-        let provider = self.tagged.longest_match(&probe, self.tagged.num_tables());
-        let alt = provider.and_then(|p| self.tagged.longest_match(&probe, p));
+        let hits = self.tagged.matches(&probe);
+        let provider = hits.longest_below(self.tagged.num_tables());
+        let alt = provider.and_then(|p| hits.longest_below(p));
         let base_index = ((pc >> 2) & ((1u64 << self.cfg.base_log2) - 1)) as u32;
         let base_taken = self.base[base_index as usize] >= 2;
         let entry = |t: usize| self.tagged.entry(&probe, t);

@@ -55,6 +55,18 @@ pub(crate) struct Probe<const N: usize> {
     pub(crate) tags: [u16; N],
 }
 
+/// The tables whose entry matched a lookup: bit `t` for table `t`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Matches(u32);
+
+impl Matches {
+    /// The longest-history matching table below `below`: the mask's
+    /// highest bit under `below`, which is at most `N` and so below 16.
+    pub(crate) fn longest_below(self, below: usize) -> Option<usize> {
+        (self.0 & ((1 << below) - 1)).checked_ilog2().map(|t| t as usize)
+    }
+}
+
 /// Up to `N` tagged tables of `E` over one global branch history.
 pub(crate) struct Tagged<E, const N: usize> {
     tables: Vec<Vec<E>>,
@@ -109,10 +121,19 @@ impl<E: Entry, const N: usize> Tagged<E, N> {
         probe
     }
 
+    /// Every table whose entry at the probe matches its tag.
+    pub(crate) fn matches(&self, probe: &Probe<N>) -> Matches {
+        let mut hits = 0u32;
+        for t in 0..self.tables.len() {
+            hits |= u32::from(self.entry(probe, t).matches(probe.tags[t])) << t;
+        }
+        Matches(hits)
+    }
+
     /// The longest-history table below `below` whose entry at the probe
     /// matches its tag.
     pub(crate) fn longest_match(&self, probe: &Probe<N>, below: usize) -> Option<usize> {
-        (0..below).rev().find(|&t| self.entry(probe, t).matches(probe.tags[t]))
+        self.matches(probe).longest_below(below)
     }
 
     /// The allocation rule after a misprediction: among the tables from
@@ -239,6 +260,28 @@ mod tests {
                 reference_allocation(&free, first, &mut theirs)
             );
             prop_assert_eq!(ours.next_u64(), theirs.next_u64(), "same draws");
+        }
+    }
+
+    #[test]
+    fn the_longest_match_is_the_reverse_search_over_every_mask_and_bound() {
+        // The reference: search the matching tables from `below` down.
+        for n in 0..=15 {
+            let mut tagged = one_entry_tables(n);
+            let probe = tagged.probe(0x40);
+            for mask in 0u32..1 << n {
+                for t in 0..n {
+                    tagged.table_mut(t)[0].free = mask >> t & 1 == 0;
+                }
+                for below in 0..=n {
+                    let reference = (0..below).rev().find(|&t| mask >> t & 1 == 1);
+                    assert_eq!(
+                        tagged.longest_match(&probe, below),
+                        reference,
+                        "{n} tables, match mask {mask:#b}, below {below}"
+                    );
+                }
+            }
         }
     }
 

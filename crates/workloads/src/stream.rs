@@ -32,7 +32,7 @@
 use std::io::{self, Read, Write};
 
 use tvp_isa::flags::Nzcv;
-use tvp_isa::inst::intern;
+use tvp_isa::inst::{intern, Inst};
 use tvp_isa::stream::{
     chunk_header_bytes, decode_inst, encode_inst, end_frame, file_header_bytes, parse_chunk_header,
     parse_end_payload, parse_file_header, verify_chunk, write_varint, zigzag, ByteReader,
@@ -147,7 +147,34 @@ fn encode_record(st: &mut DeltaState, u: &TraceUop, out: &mut Vec<u8>) {
     st.prev_pc = u.pc;
 }
 
-fn decode_record(st: &mut DeltaState, r: &mut ByteReader<'_>) -> Result<TraceUop, StreamError> {
+/// How many distinct µops a reader keeps at hand; a workload executes
+/// 10–23.
+const READER_UOPS: usize = 64;
+
+/// The µops one reader has interned, so that a record finds its µop by
+/// a short scan by value instead of taking the process-wide pool's lock.
+/// Past [`READER_UOPS`] distinct µops the rest go to the pool.
+#[derive(Debug, Default)]
+struct ReaderUops(Vec<&'static Inst>);
+
+impl ReaderUops {
+    fn intern(&mut self, uop: Inst) -> &'static Inst {
+        if let Some(&known) = self.0.iter().find(|&&known| *known == uop) {
+            return known;
+        }
+        let interned = intern(uop);
+        if self.0.len() < READER_UOPS {
+            self.0.push(interned);
+        }
+        interned
+    }
+}
+
+fn decode_record(
+    st: &mut DeltaState,
+    uops: &mut ReaderUops,
+    r: &mut ByteReader<'_>,
+) -> Result<TraceUop, StreamError> {
     let flags = r.u8()?;
     let delta = r.varint()?;
     if delta == 0 {
@@ -170,7 +197,7 @@ fn decode_record(st: &mut DeltaState, r: &mut ByteReader<'_>) -> Result<TraceUop
     } else {
         None
     };
-    let uop = intern(decode_inst(r)?);
+    let uop = uops.intern(decode_inst(r)?);
     st.prev_seq = seq;
     st.prev_pc = pc;
     Ok(TraceUop {
@@ -299,6 +326,7 @@ pub struct TraceFileReader<R: Read> {
     pos: usize,
     records_left: u32,
     delta: DeltaState,
+    uops: ReaderUops,
     last_seq: u64,
     any_records: bool,
     finished: bool,
@@ -322,6 +350,7 @@ impl<R: Read> TraceFileReader<R> {
             pos: 0,
             records_left: 0,
             delta: DeltaState::at(0),
+            uops: ReaderUops::default(),
             last_seq: 0,
             any_records: false,
             finished: false,
@@ -345,7 +374,7 @@ impl<R: Read> TraceFileReader<R> {
             }
             if self.records_left > 0 {
                 let mut br = ByteReader::new(&self.chunk[self.pos..]);
-                let u = decode_record(&mut self.delta, &mut br)?;
+                let u = decode_record(&mut self.delta, &mut self.uops, &mut br)?;
                 self.pos += br.pos();
                 self.records_left -= 1;
                 if self.records_left == 0 && self.pos != self.chunk.len() {
@@ -524,7 +553,7 @@ mod tests {
         for (a, b) in trace.uops.iter().zip(&got) {
             assert_eq!(a.seq, b.seq);
             assert_eq!(a.pc, b.pc);
-            assert_eq!(a.uop, b.uop);
+            assert!(std::ptr::eq(a.uop, b.uop), "a decoded record points at the pool's copy");
             assert_eq!(a.first_uop, b.first_uop);
             assert_eq!(a.result, b.result);
             assert_eq!(a.flags_out, b.flags_out);
@@ -538,6 +567,21 @@ mod tests {
         assert_eq!(totals.records, trace.uops.len() as u64);
         assert_eq!(totals.arch_insts, trace.arch_insts);
         assert!(totals.chunks >= 2, "exercises chunk boundaries");
+    }
+
+    #[test]
+    fn a_reader_hands_out_the_pools_copy_past_its_own_capacity() {
+        use tvp_isa::inst::build::add;
+        use tvp_isa::reg::Reg;
+        let distinct: Vec<Inst> =
+            (0..READER_UOPS as i64 + 8).map(|k| add(Reg::Int(1), Reg::Int(2), k)).collect();
+        let mut uops = ReaderUops::default();
+        for _ in 0..2 {
+            for &v in &distinct {
+                assert!(std::ptr::eq(uops.intern(v), intern(v)));
+            }
+        }
+        assert_eq!(uops.0.len(), READER_UOPS);
     }
 
     #[test]
